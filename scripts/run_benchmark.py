@@ -24,7 +24,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import (
     ARCHS,
-    ModelSpec,
     SplitDataset,
     TrainConfig,
     build_supervised,
@@ -34,7 +33,6 @@ from fxbench import (
     emit_series_csv,
     evaluate,
     fit_minmax,
-    init_model,
     normalize_dataset,
     persistence_baseline,
     random_walk_ohlc,
@@ -43,7 +41,7 @@ from fxbench import (
     save_model,
     select_best,
     train,
-    trial_seed,
+    trial_model,
     write_ohlc_csv,
 )
 
@@ -53,6 +51,7 @@ PAIRS = (
     ("SYN/BETA", 202, 0.002),
     ("SYN/GAMMA", 303, 0.0005),
 )
+WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
 
 
 def load_split(records, fit_norm="train"):
@@ -77,7 +76,9 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     data, norm = load_split(records)
 
     t0 = time.perf_counter()
-    report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, measure_time=True)
+    report = run_sweep(
+        ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW, measure_time=True
+    )
     elapsed = time.perf_counter() - t0
     (out_dir / f"{slug}_report.csv").write_bytes(emit_report_csv(report))
     (out_dir / f"{slug}_report.txt").write_text(render_report_table(report))
@@ -88,8 +89,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 
     # retrain the winner (same per-trial seed, so the same model) to save
     # its weights and emit the test-set series for plotting
-    spec = ModelSpec(arch=best.arch, hidden=best.hidden)
-    model = init_model(spec, trial_seed(config.seed, best.arch, best.hidden))
+    model = trial_model(best.arch, best.hidden, data.train.features.shape[1], WINDOW, config.seed)
     train(model, data.train, data.validation, config)
     (out_dir / f"{slug}_best_model.json").write_bytes(save_model(model, norm))
     result = evaluate(model, data.test, norm)

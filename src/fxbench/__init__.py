@@ -48,19 +48,16 @@ from .experiment import (
     run_sweep,
     select_best,
     train,
+    trial_model,
     trial_seed,
 )
 from .optim import (
     OPTIMIZERS,
     Optimizer,
     OptimizerConfig,
-    RmspropState,
     default_config,
-    init_rmsprop,
     mae_grad,
     mae_loss,
-    rmsprop_step,
-    sgd_step,
 )
 from .serialize import (
     emit_report_csv,
@@ -87,7 +84,6 @@ __all__ = [
     "OhlcRecord",
     "Optimizer",
     "OptimizerConfig",
-    "RmspropState",
     "SplitDataset",
     "SupervisedDataset",
     "SweepReport",
@@ -107,7 +103,6 @@ __all__ = [
     "forward",
     "forward_batch",
     "init_model",
-    "init_rmsprop",
     "load_model",
     "mae_grad",
     "mae_loss",
@@ -122,12 +117,11 @@ __all__ = [
     "random_walk_ohlc",
     "read_ohlc_csv",
     "render_report_table",
-    "rmsprop_step",
     "run_sweep",
     "save_model",
     "select_best",
-    "sgd_step",
     "train",
+    "trial_model",
     "trial_seed",
     "write_ohlc_csv",
 ]

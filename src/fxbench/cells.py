@@ -3,9 +3,23 @@
 Every model is one hidden block of `hidden` units plus a linear output
 layer. Recurrent cells consume a window of input vectors and predict from
 the final hidden state; hidden (and cell) state starts at zero for each
-sample, so samples are independent. Parameters live in a flat
-name -> float64 array dict, which lets optimizers and serialization treat
-all architectures uniformly.
+sample, so samples are independent.
+
+Parameters live in one contiguous float64 vector per model, `model.flat`.
+`model.params[name]` is a reshaped view into it, keyed in `param_shapes`
+order, so a write through either one shows in the other. The buffer holds
+the arrays in `param_shapes` order, except that LSTM and GRU gate weights
+sit adjacent as one (G*h, d+h) block (G = 4 for LSTM i, f, o, c; 3 for GRU
+z, r, h), followed by the gate biases as one (G*h,) vector, then W_out and
+b_out. The LSTM gates then run as one GEMM per step and the GRU z/r gates
+as another; the model file and the weight draw order still follow
+`param_shapes` and do not see the layout.
+
+`model.grad` is a preallocated vector with the same layout, and
+`model.grads` holds its named views. `backward` overwrites it on every call
+and returns `model.grads`: the returned arrays are valid only until the
+next `backward` on the same model, so copy them to keep them. Optimizers
+step `model.flat` with `model.grad` as two flat vectors.
 
 Cell equations, with x_t the input at step t and [a; b] concatenation:
 
@@ -32,6 +46,7 @@ training, evaluation and the single-sample API cannot drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,12 +126,76 @@ def activation_names(spec: ModelSpec) -> dict[str, str]:
     return {"gate": "sigmoid", "hidden": "tanh", "output": "linear"}
 
 
+def _buffer_order(spec: ModelSpec) -> list[str]:
+    """Parameter names in flat-buffer order: `param_shapes` order, with the
+    LSTM/GRU gate weights pulled ahead of the gate biases."""
+    names = list(param_shapes(spec))
+    if spec.arch in ("lstm", "gru"):
+        gates = names[:-2]  # W_g, b_g pairs
+        names = gates[0::2] + gates[1::2] + names[-2:]
+    return names
+
+
+def _views(buf: np.ndarray, spec: ModelSpec) -> dict[str, np.ndarray]:
+    """Named reshaped views into `buf`, keyed in `param_shapes` order."""
+    shapes = param_shapes(spec)
+    views: dict[str, np.ndarray] = {}
+    offset = 0
+    for name in _buffer_order(spec):
+        size = math.prod(shapes[name])
+        views[name] = buf[offset : offset + size].reshape(shapes[name])
+        offset += size
+    return {name: views[name] for name in shapes}
+
+
+def _gate_block(buf: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The fused gate weights (G*h, d+h) and biases (G*h,) at the head of `buf`."""
+    rows = (4 if spec.arch == "lstm" else 3) * spec.hidden
+    size = rows * (spec.input_dim + spec.hidden)
+    return buf[:size].reshape(rows, -1), buf[size : size + rows]
+
+
 @dataclass
 class NetworkModel:
+    """A spec plus its weights in one flat buffer (see the module docstring).
+
+    `params` may be passed as any arrays of the `param_shapes` shapes; they
+    are copied into `flat` and replaced by views into it.
+    """
+
     spec: ModelSpec
     params: dict[str, np.ndarray]
     rng_seed: int
     epochs_trained: int = 0
+    flat: np.ndarray = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
+    # fused gate views (W, b, dW, db) for lstm/gru, else None
+    _gates: tuple | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.spec)
+        if set(self.params) != set(shapes):
+            raise ValueError(
+                f"parameter names {sorted(self.params)} do not match "
+                f"{self.spec.arch} parameters {sorted(shapes)}"
+            )
+        size = sum(math.prod(shape) for shape in shapes.values())
+        self.flat = np.empty(size)
+        self.grad = np.zeros(size)
+        views = _views(self.flat, self.spec)
+        for name, view in views.items():
+            arr = self.params[name]
+            if np.shape(arr) != view.shape:
+                raise ValueError(
+                    f"parameter {name!r} has shape {np.shape(arr)}, expected {view.shape}"
+                )
+            view[...] = arr
+        self.params = views
+        self.grads = _views(self.grad, self.spec)
+        self._gates = None
+        if self.spec.arch in ("lstm", "gru"):
+            self._gates = _gate_block(self.flat, self.spec) + _gate_block(self.grad, self.spec)
 
 
 def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
@@ -138,7 +217,7 @@ def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
 
 
 def parameter_count(model: NetworkModel) -> int:
-    return sum(a.size for a in model.params.values())
+    return model.flat.size
 
 
 @dataclass
@@ -146,7 +225,8 @@ class ForwardCache:
     """Everything backward needs: inputs, initial state and per-step tensors.
 
     Stacked arrays are time-major: hs is (T+1, B, h) with hs[0] the initial
-    state, gate tensors are (T, B, h), concat buffers (T, B, d+h).
+    state, fused gate activations (T, B, G*h) (LSTM i, f, o, cand; GRU z, r)
+    with per-gate views under their own names, concat buffers (T, B, d+h).
     """
 
     model: NetworkModel
@@ -211,46 +291,52 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
         final = hs[t]
     elif spec.arch == "lstm":
         cache.c0 = _state(c0, b, h, "c0")
+        w, bias, _, _ = model._gates
+        wt = w.T
+        h2, h3 = 2 * h, 3 * h
         hs = np.empty((t + 1, b, h))
         cs = np.empty((t + 1, b, h))
         hs[0] = cache.h0
         cs[0] = cache.c0
-        gi = np.empty((t, b, h))
-        gf = np.empty((t, b, h))
-        go = np.empty((t, b, h))
-        cand = np.empty((t, b, h))
+        gates = np.empty((t, b, 4 * h))  # i, f, o (sigmoid) then cand (tanh)
         tanh_c = np.empty((t, b, h))
         xc = np.empty((t, b, d + h))
+        xc[:, :, :d] = x.transpose(1, 0, 2)
         for k in range(t):
-            xc[k, :, :d] = x[:, k]
             xc[k, :, d:] = hs[k]
-            gi[k] = sigmoid(xc[k] @ p["W_i"].T + p["b_i"])
-            gf[k] = sigmoid(xc[k] @ p["W_f"].T + p["b_f"])
-            go[k] = sigmoid(xc[k] @ p["W_o"].T + p["b_o"])
-            cand[k] = np.tanh(xc[k] @ p["W_c"].T + p["b_c"])
-            cs[k + 1] = gf[k] * cs[k] + gi[k] * cand[k]
-            tanh_c[k] = np.tanh(cs[k + 1])
-            hs[k + 1] = go[k] * tanh_c[k]
-        st.update(hs=hs, cs=cs, i=gi, f=gf, o=go, cand=cand, tanh_c=tanh_c, xc=xc)
+            z = xc[k] @ wt + bias
+            g = gates[k]
+            g[:, :h3] = sigmoid(z[:, :h3])
+            np.tanh(z[:, h3:], out=g[:, h3:])
+            cs[k + 1] = g[:, h:h2] * cs[k] + g[:, :h] * g[:, h3:]
+            np.tanh(cs[k + 1], out=tanh_c[k])
+            np.multiply(g[:, h2:h3], tanh_c[k], out=hs[k + 1])
+        st.update(
+            hs=hs, cs=cs, gates=gates, tanh_c=tanh_c, xc=xc,
+            i=gates[..., :h], f=gates[..., h:h2], o=gates[..., h2:h3], cand=gates[..., h3:],
+        )
         final = hs[t]
     else:  # gru
+        w, bias, _, _ = model._gates
+        h2 = 2 * h
+        wzr_t, wc_t = w[:h2].T, w[h2:].T
+        bzr, bc = bias[:h2], bias[h2:]
         hs = np.empty((t + 1, b, h))
         hs[0] = cache.h0
-        gz = np.empty((t, b, h))
-        gr = np.empty((t, b, h))
+        zr = np.empty((t, b, h2))
         cand = np.empty((t, b, h))
         xc = np.empty((t, b, d + h))  # [x_t; h_{t-1}] for the z/r gates
         xrc = np.empty((t, b, d + h))  # [x_t; r * h_{t-1}] for the candidate
+        xc[:, :, :d] = x.transpose(1, 0, 2)
+        xrc[:, :, :d] = xc[:, :, :d]
         for k in range(t):
-            xc[k, :, :d] = x[:, k]
             xc[k, :, d:] = hs[k]
-            gz[k] = sigmoid(xc[k] @ p["W_z"].T + p["b_z"])
-            gr[k] = sigmoid(xc[k] @ p["W_r"].T + p["b_r"])
-            xrc[k, :, :d] = x[:, k]
-            xrc[k, :, d:] = gr[k] * hs[k]
-            cand[k] = np.tanh(xrc[k] @ p["W_h"].T + p["b_h"])
-            hs[k + 1] = (1.0 - gz[k]) * hs[k] + gz[k] * cand[k]
-        st.update(hs=hs, z=gz, r=gr, cand=cand, xc=xc, xrc=xrc)
+            g = zr[k]
+            g[...] = sigmoid(xc[k] @ wzr_t + bzr)
+            np.multiply(g[:, h:], hs[k], out=xrc[k, :, d:])
+            np.tanh(xrc[k] @ wc_t + bc, out=cand[k])
+            hs[k + 1] = (1.0 - g[:, :h]) * hs[k] + g[:, :h] * cand[k]
+        st.update(hs=hs, zr=zr, z=zr[..., :h], r=zr[..., h:], cand=cand, xc=xc, xrc=xrc)
         final = hs[t]
 
     yhat = final @ p["W_out"].T + p["b_out"]
@@ -275,12 +361,15 @@ def backward(model: NetworkModel, cache: ForwardCache, dl_dyhat) -> dict[str, np
 
     Accepts a (out,) cotangent for a batch-of-one cache or (B, out) for a
     batched one; batch contributions are summed, so the caller folds any
-    1/B averaging into the cotangent.
+    1/B averaging into the cotangent. The gradients are written into
+    `model.grad`; the returned dict is `model.grads`, its named views, which
+    the next call overwrites.
     """
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
     spec = model.spec
     p = model.params
+    grads = model.grads
     x = cache.x
     b, t, d = x.shape
     h = spec.hidden
@@ -293,72 +382,89 @@ def backward(model: NetworkModel, cache: ForwardCache, dl_dyhat) -> dict[str, np
     if dy.shape != (b, spec.output_dim):
         raise ValueError(f"cotangent shape {dy.shape} does not match ({b}, {spec.output_dim})")
 
-    grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
     st = cache.steps
-
-    grads["W_out"] += dy.T @ cache.hidden_final
-    grads["b_out"] += dy.sum(axis=0)
+    np.matmul(dy.T, cache.hidden_final, out=grads["W_out"])
+    np.add.reduce(dy, axis=0, out=grads["b_out"])
     dh = dy @ p["W_out"]  # (B, h)
 
+    # Recurrent cells store each step's pre-activation gradients in one
+    # (T, B, G*h) array, then form every weight gradient with one GEMM over
+    # the T*B rows. dh of step 0 would flow into the zero initial state and
+    # is not computed.
     if spec.arch == "mlp":
         hidden = st["hidden"]
         dpre = dh * hidden * (1.0 - hidden)
-        grads["W_h"] += dpre.T @ x[:, 0]
-        grads["b_h"] += dpre.sum(axis=0)
+        np.matmul(dpre.T, x[:, 0], out=grads["W_h"])
+        np.add.reduce(dpre, axis=0, out=grads["b_h"])
     elif spec.arch == "srnn":
         hs = st["hs"]
+        w_h = p["W_h"]
+        dpre = np.empty((t, b, h))
         for k in range(t - 1, -1, -1):
-            dpre = dh * (1.0 - hs[k + 1] ** 2)
-            grads["W_x"] += dpre.T @ x[:, k]
-            grads["W_h"] += dpre.T @ hs[k]
-            grads["b"] += dpre.sum(axis=0)
-            dh = dpre @ p["W_h"]
+            np.multiply(dh, 1.0 - hs[k + 1] ** 2, out=dpre[k])
+            if k:
+                dh = dpre[k] @ w_h
+        rows = dpre.reshape(t * b, h)
+        np.matmul(rows.T, x.transpose(1, 0, 2).reshape(t * b, d), out=grads["W_x"])
+        np.matmul(rows.T, hs[:t].reshape(t * b, h), out=grads["W_h"])
+        np.add.reduce(rows, axis=0, out=grads["b"])
     elif spec.arch == "lstm":
-        hs, cs = st["hs"], st["cs"]
-        gi, gf, go, cand, tanh_c, xc = st["i"], st["f"], st["o"], st["cand"], st["tanh_c"], st["xc"]
+        hs, cs, gates, tanh_c, xc = st["hs"], st["cs"], st["gates"], st["tanh_c"], st["xc"]
+        w, _, gw, gb = model._gates
+        w_h = w[:, d:]
+        h2, h3 = 2 * h, 3 * h
+        dz = np.empty((t, b, 4 * h))
         dc = np.zeros((b, h))
         for k in range(t - 1, -1, -1):
-            do = dh * tanh_c[k]
-            dc = dc + dh * go[k] * (1.0 - tanh_c[k] ** 2)
-            di = dc * cand[k]
-            dcand = dc * gi[k]
-            df = dc * cs[k]
-            dc = dc * gf[k]  # carried to c_{k-1}
-            dzi = di * gi[k] * (1.0 - gi[k])
-            dzf = df * gf[k] * (1.0 - gf[k])
-            dzo = do * go[k] * (1.0 - go[k])
-            dzc = dcand * (1.0 - cand[k] ** 2)
-            grads["W_i"] += dzi.T @ xc[k]
-            grads["W_f"] += dzf.T @ xc[k]
-            grads["W_o"] += dzo.T @ xc[k]
-            grads["W_c"] += dzc.T @ xc[k]
-            grads["b_i"] += dzi.sum(axis=0)
-            grads["b_f"] += dzf.sum(axis=0)
-            grads["b_o"] += dzo.sum(axis=0)
-            grads["b_c"] += dzc.sum(axis=0)
-            dxc = dzi @ p["W_i"] + dzf @ p["W_f"] + dzo @ p["W_o"] + dzc @ p["W_c"]
-            dh = dxc[:, d:]
+            g = gates[k]
+            cand = g[:, h3:]
+            tc = tanh_c[k]
+            dzk = dz[k]
+            # first the gradients w.r.t. the gate outputs, then through
+            # their activations: sigmoid' = s(1-s), tanh' = 1-t^2
+            np.multiply(dh, tc, out=dzk[:, h2:h3])  # o
+            dc = dc + dh * g[:, h2:h3] * (1.0 - tc ** 2)
+            np.multiply(dc, cand, out=dzk[:, :h])  # i
+            np.multiply(dc, cs[k], out=dzk[:, h:h2])  # f
+            np.multiply(dc, g[:, :h], out=dzk[:, h3:])  # cand
+            dc = dc * g[:, h:h2]  # carried to c_{k-1}
+            sig = g[:, :h3]
+            dsig = dzk[:, :h3]
+            dsig *= sig
+            dsig *= 1.0 - sig
+            dzk[:, h3:] *= 1.0 - cand ** 2
+            if k:
+                dh = dzk @ w_h
+        rows = dz.reshape(t * b, 4 * h)
+        np.matmul(rows.T, xc.reshape(t * b, d + h), out=gw)
+        np.add.reduce(rows, axis=0, out=gb)
     else:  # gru
-        hs = st["hs"]
-        gz, gr, cand, xc, xrc = st["z"], st["r"], st["cand"], st["xc"], st["xrc"]
+        hs, zr, cand, xc, xrc = st["hs"], st["zr"], st["cand"], st["xc"], st["xrc"]
+        w, _, gw, gb = model._gates
+        h2 = 2 * h
+        wzr_h, wc_h = w[:h2, d:], w[h2:, d:]
+        dz = np.empty((t, b, 3 * h))
         for k in range(t - 1, -1, -1):
             h_prev = hs[k]
-            dcand = dh * gz[k]
-            dz = dh * (cand[k] - h_prev)
-            dh_prev = dh * (1.0 - gz[k])
-            dzc = dcand * (1.0 - cand[k] ** 2)
-            grads["W_h"] += dzc.T @ xrc[k]
-            grads["b_h"] += dzc.sum(axis=0)
-            dxrc = dzc @ p["W_h"]
-            drh = dxrc[:, d:]  # gradient w.r.t. r * h_prev
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * gr[k]
-            dzz = dz * gz[k] * (1.0 - gz[k])
-            dzr = dr * gr[k] * (1.0 - gr[k])
-            grads["W_z"] += dzz.T @ xc[k]
-            grads["W_r"] += dzr.T @ xc[k]
-            grads["b_z"] += dzz.sum(axis=0)
-            grads["b_r"] += dzr.sum(axis=0)
-            dh = dh_prev + (dzz @ p["W_z"])[:, d:] + (dzr @ p["W_r"])[:, d:]
+            g = zr[k]
+            gz = g[:, :h]
+            ck = cand[k]
+            dzk = dz[k]
+            dzc = dzk[:, h2:]
+            np.multiply(dh * gz, 1.0 - ck ** 2, out=dzc)
+            dh_prev = dh * (1.0 - gz)
+            drh = dzc @ wc_h  # gradient w.r.t. r * h_prev
+            dh_prev = dh_prev + drh * g[:, h:]
+            np.multiply(dh, ck - h_prev, out=dzk[:, :h])  # z
+            np.multiply(drh, h_prev, out=dzk[:, h:h2])  # r
+            dsig = dzk[:, :h2]
+            dsig *= g
+            dsig *= 1.0 - g
+            if k:
+                dh = dh_prev + dsig @ wzr_h
+        rows = dz.reshape(t * b, 3 * h)
+        np.matmul(rows[:, :h2].T, xc.reshape(t * b, d + h), out=gw[:h2])
+        np.matmul(rows[:, h2:].T, xrc.reshape(t * b, d + h), out=gw[h2:])
+        np.add.reduce(rows, axis=0, out=gb)
 
     return grads

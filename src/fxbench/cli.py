@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 
-from .cells import ARCHS, ModelSpec, arch_id, init_model
+from .cells import ARCHS, arch_id
 from .data import (
     DEFAULT_FRACTIONS,
     NormParams,
@@ -33,7 +33,7 @@ from .experiment import (
     run_sweep,
     select_best,
     train,
-    trial_seed,
+    trial_model,
 )
 from .optim import OPTIMIZERS, default_config
 from .serialize import (
@@ -178,14 +178,9 @@ def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise UsageError(f"unknown arch {args.arch!r} (choose from {', '.join(ARCHS)})")
     data, norm = _load_split(args.data, args.fit_norm)
-    spec = ModelSpec(
-        arch=args.arch,
-        hidden=args.hidden,
-        input_dim=data.train.features.shape[1],
-        output_dim=1,
-        window=1 if args.arch == "mlp" else args.window,
-    )
-    model = init_model(spec, trial_seed(args.seed, args.arch, args.hidden))
+    input_dim = data.train.features.shape[1]
+    model = trial_model(args.arch, args.hidden, input_dim, args.window, args.seed)
+    spec = model.spec
     config = _train_config(args)
     train(model, data.train, data.validation, config)
     with open(args.model_out, "wb") as fh:

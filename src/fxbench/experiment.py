@@ -45,6 +45,25 @@ def trial_seed(base_seed: int, arch: str, hidden: int) -> int:
     return splitmix64(s ^ hidden)
 
 
+def trial_model(
+    arch: str, hidden: int, input_dim: int, window: int, base_seed: int
+) -> NetworkModel:
+    """The freshly initialized model of one sweep trial.
+
+    mlp has no recurrence, so it always runs at window 1. The sweep, the
+    train command and any retrain of a sweep winner build trials here, so a
+    single trial reproduces its sweep row exactly.
+    """
+    spec = ModelSpec(
+        arch=arch,
+        hidden=hidden,
+        input_dim=input_dim,
+        output_dim=1,
+        window=1 if arch == "mlp" else window,
+    )
+    return init_model(spec, trial_seed(base_seed, arch, hidden))
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss stops being finite."""
 
@@ -164,8 +183,6 @@ def train(
     epoch loss.
     """
     spec = model.spec
-    if train_set.norm is None or not train_set.normalized:
-        raise ValueError("train dataset must be normalized before training/evaluation")
     _check_normalized(train_set, "train", train_set.norm)
     if val_set is not None:
         _check_normalized(val_set, "validation", train_set.norm)
@@ -178,7 +195,7 @@ def train(
     x, targets, _ = _windowed(train_set, spec.window)
     n = len(targets)
     y = targets[:, None]  # (n, 1) to match yhat
-    opt = Optimizer(model.params, config.optimizer)
+    opt = Optimizer(model.flat.size, config.optimizer)
     shuffle_rng = np.random.default_rng(splitmix64(config.seed & _MASK64)) if config.shuffle else None
 
     history = TrainHistory()
@@ -199,8 +216,8 @@ def train(
             # batch loss is the mean |err| over the batch entries, so the
             # cotangent carries the 1/(batch*out) factor
             dy = np.sign(err) / err.size
-            grads = backward(model, cache, dy)
-            opt.step(model.params, grads)
+            backward(model, cache, dy)
+            opt.step(model.flat, model.grad)
         epoch_loss = abs_err_total / (n * spec.output_dim)
         if not math.isfinite(epoch_loss):
             raise TrainingDiverged(epoch, epoch_loss)
@@ -285,15 +302,8 @@ def run_sweep(
     trials: list[TrialResult] = []
     for arch in archs:
         for h in hiddens:
-            seed = trial_seed(config.seed, arch, h)
-            spec = ModelSpec(
-                arch=arch,
-                hidden=h,
-                input_dim=data.train.features.shape[1],
-                output_dim=1,
-                window=1 if arch == "mlp" else window,
-            )
-            model = init_model(spec, seed)
+            model = trial_model(arch, h, data.train.features.shape[1], window, config.seed)
+            spec = model.spec
             t0 = time.perf_counter()
             try:
                 train(model, data.train, data.validation, config)
@@ -313,7 +323,7 @@ def run_sweep(
                     train_mae=train_mae,
                     val_mae=val_mae,
                     test_mae=test_mae,
-                    seed=seed,
+                    seed=model.rng_seed,
                     wall_time_s=elapsed if measure_time else 0.0,
                 )
             )

@@ -1,7 +1,9 @@
-"""MAE loss with its subgradient, plus plain SGD and RMSProp update rules.
+"""MAE loss with its subgradient, plus one SGD/RMSProp stepper.
 
-Both step functions mutate the parameter dict in place and assume one
-optimizer instance per model (never shared across trainers).
+`Optimizer` works on a model's parameters and gradients as two flat float64
+vectors (`model.flat`, `model.grad`; see `fxbench.cells`) and updates the
+parameters in place. It owns its RMSProp accumulator, so each model needs
+its own instance (never shared across trainers).
 """
 
 from __future__ import annotations
@@ -45,18 +47,6 @@ def default_config(kind: str, learning_rate: float | None = None) -> OptimizerCo
     return OptimizerConfig(kind=kind, learning_rate=learning_rate)
 
 
-def _check_pair(params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-    if params.keys() != grads.keys():
-        raise ValueError(
-            f"parameter/gradient key mismatch: {sorted(params)} vs {sorted(grads)}"
-        )
-    for name, p in params.items():
-        if grads[name].shape != p.shape:
-            raise ValueError(
-                f"gradient shape mismatch for {name}: {grads[name].shape} vs {p.shape}"
-            )
-
-
 def mae_loss(yhat, y) -> float:
     """Mean absolute error sum(|yhat_i - y_i|)/n."""
     yhat = np.asarray(yhat, dtype=np.float64)
@@ -79,63 +69,50 @@ def mae_grad(yhat, y) -> np.ndarray:
     return np.sign(yhat - y) / yhat.size
 
 
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], learning_rate: float):
-    """theta <- theta - lr * g, elementwise, in place."""
-    _check_pair(params, grads)
-    for name, p in params.items():
-        p -= learning_rate * grads[name]
-    return params
+class Optimizer:
+    """In-place stepper over flat vectors of `n` parameters.
 
-
-@dataclass
-class RmspropState:
-    """Squared-gradient accumulators, one per parameter array, starting at zero."""
-
-    acc: dict[str, np.ndarray]
-    rho: float = RMSPROP_RHO
-    eps: float = RMSPROP_EPS
-
-
-def init_rmsprop(params: dict[str, np.ndarray], config: OptimizerConfig) -> RmspropState:
-    return RmspropState(
-        acc={name: np.zeros_like(p) for name, p in params.items()},
-        rho=config.rho,
-        eps=config.eps,
-    )
-
-
-def rmsprop_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: RmspropState,
-    config: OptimizerConfig,
-):
-    """s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s) + eps), in place.
+    SGD:     theta <- theta - lr*g
+    RMSProp: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s) + eps)
 
     eps is added after the square root; implementations disagree on this and
     it changes trajectories, so it is pinned here and covered by tests.
+    Each step runs the elementwise operations in exactly this order, with
+    preallocated temporaries. `acc` is the RMSProp accumulator s (None for
+    SGD), starting at zero.
     """
-    _check_pair(params, grads)
-    _check_pair(params, state.acc)
-    rho, eps, lr = state.rho, state.eps, config.learning_rate
-    for name, p in params.items():
-        g = grads[name]
-        s = state.acc[name]
-        s *= rho
-        s += (1.0 - rho) * g * g
-        p -= lr * g / (np.sqrt(s) + eps)
-    return params, state
 
-
-class Optimizer:
-    """Uniform stepper owning per-model state; dispatches on config.kind."""
-
-    def __init__(self, params: dict[str, np.ndarray], config: OptimizerConfig):
+    def __init__(self, n: int, config: OptimizerConfig):
         self.config = config
-        self.state = init_rmsprop(params, config) if config.kind == "rmsprop" else None
+        self.n = int(n)
+        self._shape = (self.n,)
+        self._lr = config.learning_rate
+        self._rho = config.rho
+        self._one_minus_rho = 1.0 - config.rho
+        self._eps = config.eps
+        self.acc = np.zeros(self.n) if config.kind == "rmsprop" else None
+        self._tmp = np.empty(self.n)
+        self._den = np.empty(self.n)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        if self.state is None:
-            sgd_step(params, grads, self.config.learning_rate)
-        else:
-            rmsprop_step(params, grads, self.state, self.config)
+    def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
+        if theta.shape != self._shape or grad.shape != self._shape:
+            raise ValueError(
+                f"optimizer holds {self.n} parameters, got parameter shape "
+                f"{theta.shape} and gradient shape {grad.shape}"
+            )
+        tmp = self._tmp
+        s = self.acc
+        if s is None:
+            np.multiply(grad, self._lr, out=tmp)
+            theta -= tmp
+            return
+        s *= self._rho
+        np.multiply(grad, self._one_minus_rho, out=tmp)
+        tmp *= grad
+        s += tmp
+        den = self._den
+        np.sqrt(s, out=den)
+        den += self._eps
+        np.multiply(grad, self._lr, out=tmp)
+        tmp /= den
+        theta -= tmp

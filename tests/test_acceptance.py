@@ -37,7 +37,7 @@ from fxbench import (
     write_ohlc_csv,
 )
 from fxbench.cli import main
-from fxbench.optim import init_rmsprop, rmsprop_step
+from fxbench.optim import Optimizer
 from conftest import normalized_split
 from gradcheck import check_model_gradients
 
@@ -273,13 +273,12 @@ RMSPROP_REFERENCE = [
 def test_rmsprop_trajectory_oracle():
     config = default_config("rmsprop")
     assert (config.learning_rate, config.rho, config.eps) == (0.001, 0.9, 1e-8)
-    params = {"theta": np.array([1.0])}
-    state = init_rmsprop(params, config)
+    theta = np.array([1.0])
+    opt = Optimizer(1, config)
     worst = 0.0
     for step, expected in enumerate(RMSPROP_REFERENCE):
-        grads = {"theta": params["theta"].copy()}
-        rmsprop_step(params, grads, state, config)
-        err = abs(float(params["theta"][0]) - expected)
+        opt.step(theta, theta.copy())
+        err = abs(float(theta[0]) - expected)
         worst = max(worst, err)
         assert err <= 1e-10, f"step {step + 1} deviates by {err:.3g}"
     return f"20 steps, worst deviation {worst:.2e}"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fxbench import (
     ARCHS,
     ModelSpec,
+    NetworkModel,
     backward,
     forward,
     forward_batch,
@@ -64,6 +65,55 @@ def test_param_shapes_consistent_with_spec(arch):
     for name, shape in shapes.items():
         assert model.params[name].shape == shape
     assert shapes["W_out"] == (1, 5)
+
+
+# ---------------------------------------------------------------- flat buffer
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_params_are_views_into_the_flat_buffer(arch):
+    spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
+    model = init_model(spec, 4)
+    assert list(model.params) == list(param_shapes(spec))
+    assert model.flat.shape == model.grad.shape == (parameter_count(model),)
+    assert sum(a.size for a in model.params.values()) == model.flat.size
+    for name, arr in model.params.items():
+        assert np.shares_memory(arr, model.flat)
+        assert np.shares_memory(model.grads[name], model.grad)
+        before = model.flat.copy()
+        arr.flat[-1] = 1e6  # a write through the view shows in the flat vector
+        changed = np.flatnonzero(model.flat != before)
+        assert changed.size == 1 and model.flat[changed[0]] == 1e6
+    model.flat[:] = 0.0  # and a write to the flat vector shows in every view
+    assert all(np.all(arr == 0.0) for arr in model.params.values())
+
+
+@pytest.mark.parametrize("arch,gates", [("lstm", "ifoc"), ("gru", "zrh")])
+def test_gate_weights_form_one_block_then_biases(arch, gates):
+    h, d = 3, 4
+    model = init_model(ModelSpec(arch=arch, hidden=h, window=2), 6)
+    p = model.params
+    rows = len(gates) * h
+    w = model.flat[: rows * (d + h)].reshape(rows, d + h)
+    b = model.flat[rows * (d + h) : rows * (d + h + 1)]
+    assert np.array_equal(w, np.vstack([p[f"W_{g}"] for g in gates]))
+    for arr in p.values():
+        arr[...] = np.arange(arr.size).reshape(arr.shape) + 1.0
+    assert np.array_equal(b, np.concatenate([p[f"b_{g}"] for g in gates]))
+    assert np.array_equal(model.flat[-h - 1 :], np.concatenate([p["W_out"].ravel(), p["b_out"]]))
+
+
+def test_network_model_rejects_foreign_parameters():
+    spec = ModelSpec(arch="srnn", hidden=2)
+    good = {name: np.zeros(shape) for name, shape in param_shapes(spec).items()}
+    with pytest.raises(ValueError, match="parameter names"):
+        NetworkModel(spec=spec, params={**good, "W_extra": np.zeros(2)}, rng_seed=0)
+    with pytest.raises(ValueError, match="'W_h' has shape"):
+        NetworkModel(spec=spec, params={**good, "W_h": np.zeros((2, 3))}, rng_seed=0)
+    given = {**good, "b": np.ones(2)}
+    model = NetworkModel(spec=spec, params=given, rng_seed=0)
+    given["b"][0] = 5.0  # the model holds a copy, not the caller's arrays
+    assert model.params["b"][0] == 1.0
 
 
 # ---------------------------------------------------------------- init
@@ -179,6 +229,23 @@ def test_backward_zero_cotangent_gives_zero_gradients():
         for name, g in grads.items():
             assert g.shape == model.params[name].shape
             assert np.all(g == 0.0)
+
+
+def test_backward_fills_the_model_gradient_buffer():
+    for arch in ARCHS:
+        spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 3)
+        model = init_model(spec, 8)
+        rng = np.random.default_rng(1)
+        _, cache = forward_batch(model, rng.normal(size=(4, spec.window, 4)))
+        grads = backward(model, cache, rng.normal(size=(4, 1)))
+        assert grads is model.grads
+        first = model.grad.copy()
+        assert np.all(first != 0.0)
+        # the next call overwrites every entry rather than accumulating
+        again = backward(model, cache, rng.normal(size=(4, 1)))
+        assert again is grads and not np.array_equal(model.grad, first)
+        backward(model, cache, np.zeros((4, 1)))
+        assert np.all(model.grad == 0.0)
 
 
 def test_backward_mlp_hand_chain_rule():

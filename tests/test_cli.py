@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from fxbench import load_model, read_ohlc_csv, write_ohlc_csv
@@ -168,6 +171,33 @@ def test_train_then_predict_round_trip(tmp_path, data_csv, capsys):
     assert lines[0] == "date,actual,predicted"
     assert len(lines) == 60  # 59 supervised pairs + header
     assert "predictions: 59" in stdout
+
+
+@pytest.mark.parametrize("arch,window", [("mlp", 1), ("lstm", 2), ("gru", 2)])
+def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch, window):
+    # any single trial can be reproduced in isolation: the train command
+    # prints the very MAEs the sweep recorded for that (arch, hidden)
+    flags = ("--data", data_csv, "--epochs", "3", "--window", str(window), "--seed", "5")
+    report = tmp_path / "r.csv"
+    code, _, _ = run(
+        capsys, "sweep", *flags, "--archs", arch, "--hidden", "2,3", "--report", str(report)
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(report.read_text())))
+    row = next(r for r in rows if r["hidden"] == "3")
+    code, stdout, _ = run(
+        capsys, "train", *flags, "--arch", arch, "--hidden", "3",
+        "--model-out", str(tmp_path / "m.json"),
+    )
+    assert code == 0
+    printed = {
+        line.split(" mae:")[0]: line.split("denormalized ")[1].split(" |")[0]
+        for line in stdout.splitlines()
+        if " mae: denormalized " in line
+    }
+    assert printed == {
+        "train": row["train_mae"], "val": row["val_mae"], "test": row["test_mae"]
+    }
 
 
 def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):

@@ -2,17 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fxbench.optim import (
-    Optimizer,
-    OptimizerConfig,
-    RmspropState,
-    default_config,
-    init_rmsprop,
-    mae_grad,
-    mae_loss,
-    rmsprop_step,
-    sgd_step,
-)
+from fxbench.optim import Optimizer, OptimizerConfig, default_config, mae_grad, mae_loss
 
 vec = st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=20)
 
@@ -98,101 +88,148 @@ def test_mae_grad_matches_finite_difference_away_from_kinks():
 # ---------------------------------------------------------------- sgd
 
 
+def sgd(learning_rate):
+    return Optimizer(1, OptimizerConfig(kind="sgd", learning_rate=learning_rate))
+
+
 def test_sgd_zero_gradient_is_identity():
-    params = {"w": np.array([1.0])}
-    sgd_step(params, {"w": np.array([0.0])}, 0.1)
-    assert params["w"][0] == 1.0
+    theta = np.array([1.0])
+    sgd(0.1).step(theta, np.array([0.0]))
+    assert theta[0] == 1.0
 
 
 def test_sgd_hand_steps():
-    params = {"w": np.array([1.0])}
-    g = {"w": np.array([0.5])}
-    sgd_step(params, g, 0.1)
-    assert params["w"][0] == pytest.approx(0.95, abs=1e-15)
-    sgd_step(params, g, 0.1)
-    assert params["w"][0] == pytest.approx(0.90, abs=1e-15)
+    theta = np.array([1.0])
+    g = np.array([0.5])
+    opt = sgd(0.1)
+    opt.step(theta, g)
+    assert theta[0] == pytest.approx(0.95, abs=1e-15)
+    opt.step(theta, g)
+    assert theta[0] == pytest.approx(0.90, abs=1e-15)
 
 
 def test_sgd_shape_mismatch():
+    opt = Optimizer(2, default_config("sgd", 0.1))
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.1)
+        opt.step(np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        sgd_step({"w": np.zeros(2)}, {"v": np.zeros(2)}, 0.1)
+        opt.step(np.zeros(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        opt.step(np.zeros((2, 1)), np.zeros((2, 1)))
 
 
 # ---------------------------------------------------------------- rmsprop
 
 
 def test_rmsprop_zero_gradient_decays_accumulator_only():
-    cfg = default_config("rmsprop")
-    params = {"w": np.array([2.0])}
-    state = init_rmsprop(params, cfg)
-    state.acc["w"][:] = 1.0
-    rmsprop_step(params, {"w": np.array([0.0])}, state, cfg)
-    assert params["w"][0] == 2.0
-    assert state.acc["w"][0] == pytest.approx(0.9, abs=1e-15)
+    opt = Optimizer(1, default_config("rmsprop"))
+    theta = np.array([2.0])
+    opt.acc[:] = 1.0
+    opt.step(theta, np.array([0.0]))
+    assert theta[0] == 2.0
+    assert opt.acc[0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_rmsprop_first_step_hand_value():
-    cfg = default_config("rmsprop")
-    params = {"w": np.array([0.0])}
-    state = init_rmsprop(params, cfg)
-    rmsprop_step(params, {"w": np.array([1.0])}, state, cfg)
-    assert state.acc["w"][0] == pytest.approx(0.1, abs=1e-15)
+    opt = Optimizer(1, default_config("rmsprop"))
+    theta = np.array([0.0])
+    opt.step(theta, np.array([1.0]))
+    assert opt.acc[0] == pytest.approx(0.1, abs=1e-15)
     # -lr / (sqrt(0.1) + eps)
-    assert params["w"][0] == pytest.approx(-0.001 / (np.sqrt(0.1) + 1e-8), abs=1e-15)
-    assert params["w"][0] == pytest.approx(-0.0031623, abs=1e-7)
+    assert theta[0] == pytest.approx(-0.001 / (np.sqrt(0.1) + 1e-8), abs=1e-15)
+    assert theta[0] == pytest.approx(-0.0031623, abs=1e-7)
 
 
 def test_rmsprop_steady_state_step_magnitude_bounded_by_lr():
     cfg = default_config("rmsprop")
-    params = {"w": np.array([0.0])}
-    state = init_rmsprop(params, cfg)
-    g = {"w": np.array([3.7])}
-    prev = params["w"][0]
+    opt = Optimizer(1, cfg)
+    theta = np.array([0.0])
+    g = np.array([3.7])
+    prev = theta[0]
     for _ in range(250):
-        prev = params["w"][0]
-        rmsprop_step(params, g, state, cfg)
-    assert abs(params["w"][0] - prev) <= cfg.learning_rate * (1 + 1e-9)
+        prev = theta[0]
+        opt.step(theta, g)
+    assert abs(theta[0] - prev) <= cfg.learning_rate * (1 + 1e-9)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=30))
 def test_rmsprop_accumulators_stay_nonnegative(gradients):
-    cfg = default_config("rmsprop")
-    params = {"w": np.array([1.0])}
-    state = init_rmsprop(params, cfg)
+    opt = Optimizer(1, default_config("rmsprop"))
+    theta = np.array([1.0])
     for g in gradients:
-        rmsprop_step(params, {"w": np.array([g])}, state, cfg)
-        assert state.acc["w"][0] >= 0.0
+        opt.step(theta, np.array([g]))
+        assert opt.acc[0] >= 0.0
 
 
 def test_rmsprop_state_requires_matching_shapes():
-    cfg = default_config("rmsprop")
-    params = {"w": np.zeros(2)}
-    state = init_rmsprop(params, cfg)
-    with pytest.raises(ValueError):
-        rmsprop_step(params, {"w": np.zeros(3)}, state, cfg)
+    opt = Optimizer(2, default_config("rmsprop"))
+    with pytest.raises(ValueError, match="2 parameters"):
+        opt.step(np.zeros(2), np.zeros(3))
+    # a rejected step leaves the accumulator untouched
+    assert np.array_equal(opt.acc, np.zeros(2))
 
 
-# ---------------------------------------------------------------- dispatcher
+# ---------------------------------------------------------------- stepper
 
 
 def test_optimizer_class_dispatches_both_kinds():
     for kind in ("sgd", "rmsprop"):
-        params = {"w": np.array([1.0])}
-        opt = Optimizer(params, default_config(kind))
-        before = params["w"][0]
-        opt.step(params, {"w": np.array([0.5])})
-        assert params["w"][0] < before
+        theta = np.array([1.0])
+        opt = Optimizer(1, default_config(kind))
+        before = theta[0]
+        opt.step(theta, np.array([0.5]))
+        assert theta[0] < before
 
 
 def test_optimizer_rmsprop_keeps_state_across_steps():
-    params = {"w": np.array([0.0])}
-    opt = Optimizer(params, default_config("rmsprop"))
-    opt.step(params, {"w": np.array([1.0])})
-    first = params["w"][0]
-    opt.step(params, {"w": np.array([1.0])})
+    theta = np.array([0.0])
+    opt = Optimizer(1, default_config("rmsprop"))
+    opt.step(theta, np.array([1.0]))
+    first = theta[0]
+    opt.step(theta, np.array([1.0]))
     # second step divides by a larger accumulator, so it moves less than 2x
-    assert abs(params["w"][0]) < 2 * abs(first)
-    assert isinstance(opt.state, RmspropState)
+    assert abs(theta[0]) < 2 * abs(first)
+    assert opt.acc.shape == (1,)
+    assert Optimizer(1, default_config("sgd")).acc is None
+
+
+def reference_steps(kind, theta, grads, lr, rho=0.9, eps=1e-8):
+    """The update rules one scalar at a time, in the stepper's operation order."""
+    theta = [float(v) for v in theta]
+    acc = [0.0] * len(theta)
+    for g in grads:
+        for i, gi in enumerate(g.tolist()):
+            if kind == "sgd":
+                theta[i] -= lr * gi
+            else:
+                acc[i] *= rho
+                acc[i] += (1.0 - rho) * gi * gi
+                theta[i] -= lr * gi / (np.sqrt(acc[i]) + eps)
+    return np.array(theta)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "rmsprop"])
+def test_flat_step_matches_elementwise_reference_bitwise(kind):
+    rng = np.random.default_rng(2024)
+    n = 57
+    theta0 = rng.normal(size=n)
+    grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=n) for _ in range(200)]
+    for g in grads[::17]:
+        g[rng.integers(n)] = 0.0  # zero gradients decay the accumulator only
+    cfg = default_config(kind)
+    opt = Optimizer(n, cfg)
+    theta = theta0.copy()
+    for g in grads:
+        opt.step(theta, g)
+    assert np.array_equal(theta, reference_steps(kind, theta0, grads, cfg.learning_rate))
+
+
+def test_step_updates_in_place_and_leaves_gradient_alone():
+    theta = np.array([1.0, -2.0, 3.0])
+    view = theta[:]
+    g = np.array([0.5, 0.0, -1.0])
+    opt = Optimizer(3, default_config("rmsprop"))
+    opt.step(view, g)
+    assert theta[0] < 1.0 and theta[1] == -2.0 and theta[2] > 3.0
+    assert np.array_equal(g, [0.5, 0.0, -1.0])

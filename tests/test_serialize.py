@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -42,6 +43,32 @@ def test_save_load_save_is_a_byte_fixed_point():
         blob = save_model(model, sample_norm())
         loaded, norm = load_model(blob)
         assert save_model(loaded, norm) == blob
+
+
+# sha256 of save_model(init_model(spec, 7)) for hidden 5, window 2 for the
+# recurrent cells, as written before parameters moved into one flat buffer:
+# pins both the Glorot draw order and the model-file bytes
+GOLDEN_INIT_SHA256 = {
+    "mlp": "d8c80f5ed6602ba1bda67dae37ad557e968610de635c7eb6884f295f537b08be",
+    "srnn": "1e1b3105d06cc4915583b2beffd3e3ddb7fef763b443df4bc1d9c198a629ce33",
+    "gru": "adc51a261de7890eabb1fe2be54714868390fbe7719bce01f6b2c3800b21bdee",
+    "lstm": "6146d2cc7d0ce177845f17806108062c6e544069cbe9edd5ba59f460fa7a9207",
+}
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_init_model_file_matches_golden_hash(arch):
+    spec = ModelSpec(arch=arch, hidden=5, window=1 if arch == "mlp" else 2)
+    blob = save_model(init_model(spec, 7))
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_INIT_SHA256[arch]
+
+
+def test_load_model_packs_arrays_into_the_flat_buffer():
+    model = init_model(ModelSpec(arch="lstm", hidden=3, window=2), 5)
+    loaded, _ = load_model(save_model(model))
+    assert np.array_equal(loaded.flat, model.flat)
+    loaded.params["W_c"][0, 0] = 123.0
+    assert 123.0 in loaded.flat
 
 
 def test_loaded_model_is_bitwise_identical():
