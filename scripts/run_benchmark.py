@@ -24,17 +24,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import (
     ARCHS,
-    SplitDataset,
     TrainConfig,
-    build_supervised,
-    chrono_split,
     default_config,
     emit_report_csv,
     emit_series_csv,
     evaluate,
-    fit_minmax,
-    normalize_dataset,
     persistence_baseline,
+    prepare_splits,
     random_walk_ohlc,
     render_report_table,
     run_sweep,
@@ -54,26 +50,11 @@ PAIRS = (
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
 
 
-def load_split(records, fit_norm="train"):
-    dataset = build_supervised(records)
-    split = chrono_split(dataset)
-    norm = fit_minmax(dataset if fit_norm == "all" else split.train)
-    return (
-        SplitDataset(
-            train=normalize_dataset(split.train, norm),
-            validation=normalize_dataset(split.validation, norm),
-            test=normalize_dataset(split.test, norm),
-            fractions=split.fractions,
-        ),
-        norm,
-    )
-
-
 def benchmark_pair(pair, seed, step_frac, out_dir, config):
     slug = pair.replace("/", "_").lower()
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
     write_ohlc_csv(records, out_dir / f"{slug}_data.csv")
-    data, norm = load_split(records)
+    data, norm = prepare_splits(records)
 
     t0 = time.perf_counter()
     report = run_sweep(

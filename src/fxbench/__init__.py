@@ -32,6 +32,7 @@ from .data import (
     normalize,
     normalize_dataset,
     parse_ohlc_csv,
+    prepare_splits,
     read_ohlc_csv,
     write_ohlc_csv,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "parse_ohlc_csv",
     "parse_report_csv",
     "persistence_baseline",
+    "prepare_splits",
     "ramp_ohlc",
     "random_walk_ohlc",
     "read_ohlc_csv",

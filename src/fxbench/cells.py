@@ -35,6 +35,9 @@ Cell equations, with x_t the input at step t and [a; b] concatenation:
 
   output (all) yhat = W_out h_T + b_out          (linear, unbounded)
 
+sig is the logistic function 1/(1+e^-z) (`_sigmoid`), which saturates to
+exactly 0 or 1 without an overflow warning.
+
 `backward` is exact analytic backpropagation through the whole window
 (untruncated BPTT); every gradient is checked against central finite
 differences in the test suite.
@@ -51,11 +54,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import sigmoid
-
 # Canonical order: report sorting, selection tie-breaks and per-trial seed
 # derivation all index architectures by position in this tuple.
 ARCHS = ("mlp", "srnn", "gru", "lstm")
+
+
+def _sigmoid(z):
+    """Elementwise logistic 1/(1+e^-z); saturates to exactly 0/1 for huge |z|."""
+    z = np.asarray(z, dtype=np.float64)
+    # exp overflow for z << 0 still yields the correct limit (0.0); silence the warning
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def arch_id(arch: str) -> int:
@@ -279,7 +288,7 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
     st = cache.steps
 
     if spec.arch == "mlp":
-        hidden = sigmoid(x[:, 0] @ p["W_h"].T + p["b_h"])
+        hidden = _sigmoid(x[:, 0] @ p["W_h"].T + p["b_h"])
         st["hidden"] = hidden
         final = hidden
     elif spec.arch == "srnn":
@@ -306,7 +315,7 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
             xc[k, :, d:] = hs[k]
             z = xc[k] @ wt + bias
             g = gates[k]
-            g[:, :h3] = sigmoid(z[:, :h3])
+            g[:, :h3] = _sigmoid(z[:, :h3])
             np.tanh(z[:, h3:], out=g[:, h3:])
             cs[k + 1] = g[:, h:h2] * cs[k] + g[:, :h] * g[:, h3:]
             np.tanh(cs[k + 1], out=tanh_c[k])
@@ -332,7 +341,7 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
         for k in range(t):
             xc[k, :, d:] = hs[k]
             g = zr[k]
-            g[...] = sigmoid(xc[k] @ wzr_t + bzr)
+            g[...] = _sigmoid(xc[k] @ wzr_t + bzr)
             np.multiply(g[:, h:], hs[k], out=xrc[k, :, d:])
             np.tanh(xrc[k] @ wc_t + bc, out=cand[k])
             hs[k + 1] = (1.0 - g[:, :h]) * hs[k] + g[:, :h] * cand[k]

@@ -16,13 +16,10 @@ import sys
 
 from .cells import ARCHS, arch_id
 from .data import (
-    DEFAULT_FRACTIONS,
-    NormParams,
-    SplitDataset,
+    FIT_NORMS,
     build_supervised,
-    chrono_split,
-    fit_minmax,
     normalize_dataset,
+    prepare_splits,
     read_ohlc_csv,
     write_ohlc_csv,
 )
@@ -112,22 +109,6 @@ def _setup_logging() -> None:
         root.addHandler(handler)
 
 
-def _load_split(path: str, fit_norm: str) -> tuple[SplitDataset, NormParams]:
-    """Read a dataset CSV, split chronologically, fit and apply NormParams."""
-    records = read_ohlc_csv(path)
-    dataset = build_supervised(records)
-    split = chrono_split(dataset, DEFAULT_FRACTIONS)
-    fit_source = dataset if fit_norm == "all" else split.train
-    norm = fit_minmax(fit_source)
-    normalized = SplitDataset(
-        train=normalize_dataset(split.train, norm),
-        validation=normalize_dataset(split.validation, norm),
-        test=normalize_dataset(split.test, norm),
-        fractions=split.fractions,
-    )
-    return normalized, norm
-
-
 def _train_config(args) -> TrainConfig:
     opt = default_config(args.optimizer, args.lr)
     return TrainConfig(optimizer=opt, epochs=args.epochs, batch_size=args.batch, seed=args.seed)
@@ -148,7 +129,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    data, norm = _load_split(args.data, args.fit_norm)
+    data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     config = _train_config(args)
     report = run_sweep(
         parse_archs(args.archs),
@@ -177,7 +158,7 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise UsageError(f"unknown arch {args.arch!r} (choose from {', '.join(ARCHS)})")
-    data, norm = _load_split(args.data, args.fit_norm)
+    data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     input_dim = data.train.features.shape[1]
     model = trial_model(args.arch, args.hidden, input_dim, args.window, args.seed)
     spec = model.spec
@@ -252,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
         p.add_argument(
             "--fit-norm",
-            choices=("train", "all"),
+            choices=FIT_NORMS,
             default="train",
             help="fit normalization on the train split only, or on all data",
         )

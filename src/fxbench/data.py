@@ -49,6 +49,19 @@ def _validate_record(rec: OhlcRecord, line: int, mode: str):
         log.warning(msg)
 
 
+def _csv_rows(reader, label: str):
+    """Yield the rows of a csv.reader, turning csv.Error (such as an
+    oversized field) into a ValueError that names the line."""
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as e:
+            raise ValueError(f"{label} {reader.line_num}: {e}") from None
+        yield row
+
+
 def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> list[OhlcRecord]:
     """Parse an OHLC CSV stream into date-ascending records.
 
@@ -65,17 +78,17 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         stream = io.StringIO(stream)
 
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("row 1: missing header, expected date,open,high,low,close") from None
+    rows_in = _csv_rows(reader, "row")
+    header = next(rows_in, None)
+    if header is None:
+        raise ValueError("row 1: missing header, expected date,open,high,low,close")
     if tuple(c.strip().lower() for c in header) != CSV_HEADER:
         raise ValueError(
             f"row 1: bad header {','.join(header)!r}, expected date,open,high,low,close"
         )
 
     rows: list[tuple[int, OhlcRecord]] = []
-    for row in reader:
+    for row in rows_in:
         line = reader.line_num
         if not row:
             continue
@@ -150,8 +163,7 @@ class SupervisedDataset:
     features: np.ndarray  # (n, 4)
     targets: np.ndarray  # (n,)
     dates: tuple[dt.date, ...]  # date of each target day
-    normalized: bool = False
-    norm: NormParams | None = None
+    norm: NormParams | None = None  # set once the dataset is normalized
 
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.targets) != len(self.features):
@@ -161,6 +173,10 @@ class SupervisedDataset:
             )
         if len(self.dates) != len(self.targets):
             raise ValueError("one date per sample required")
+
+    @property
+    def normalized(self) -> bool:
+        return self.norm is not None
 
     def __len__(self) -> int:
         return len(self.targets)
@@ -225,7 +241,6 @@ def normalize_dataset(dataset: SupervisedDataset, norm: NormParams) -> Supervise
         features=normalize(dataset.features, norm.feature_min, norm.feature_max),
         targets=normalize(dataset.targets, norm.target_min, norm.target_max),
         dates=dataset.dates,
-        normalized=True,
         norm=norm,
     )
 
@@ -241,6 +256,7 @@ class SplitDataset:
 
 
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
+FIT_NORMS = ("train", "all")
 
 
 def chrono_split(
@@ -266,7 +282,6 @@ def chrono_split(
             features=dataset.features[lo:hi],
             targets=dataset.targets[lo:hi],
             dates=dataset.dates[lo:hi],
-            normalized=dataset.normalized,
             norm=dataset.norm,
         )
 
@@ -276,3 +291,23 @@ def chrono_split(
         test=view(n_train + n_val, n),
         fractions=tuple(fractions),
     )
+
+
+def prepare_splits(
+    records: list[OhlcRecord], fit_norm: str = "train"
+) -> tuple[SplitDataset, NormParams]:
+    """Records -> lag features -> DEFAULT_FRACTIONS chronological split ->
+    normalized splits, with the NormParams fitted on the train split
+    (fit_norm="train", no look-ahead) or on the whole series ("all")."""
+    if fit_norm not in FIT_NORMS:
+        raise ValueError(f"fit_norm must be one of {FIT_NORMS}, got {fit_norm!r}")
+    dataset = build_supervised(records)
+    split = chrono_split(dataset)
+    norm = fit_minmax(dataset if fit_norm == "all" else split.train)
+    normalized = SplitDataset(
+        train=normalize_dataset(split.train, norm),
+        validation=normalize_dataset(split.validation, norm),
+        test=normalize_dataset(split.test, norm),
+        fractions=split.fractions,
+    )
+    return normalized, norm

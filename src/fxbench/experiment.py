@@ -2,9 +2,9 @@
 best-model selection and the persistence baseline.
 
 Everything here is deterministic given (data, config, seeds): batches run in
-chronological order unless shuffling is requested, per-trial seeds are a
-stated function of (base seed, arch, hidden), and trials never share state,
-so a sweep report is reproducible byte for byte.
+chronological order, per-trial seeds are a stated function of (base seed,
+arch, hidden), and trials never share state, so a sweep report is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .cells import ModelSpec, NetworkModel, arch_id, backward, forward_batch, init_model
 from .data import NormParams, SplitDataset, SupervisedDataset, denormalize
-from .optim import Optimizer, OptimizerConfig
+from .optim import Optimizer, OptimizerConfig, mae_grad, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,6 @@ class TrainConfig:
     epochs: int = 1500
     batch_size: int = 32
     seed: int = 42
-    shuffle: bool = False
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or self.epochs < 1:
@@ -163,7 +162,7 @@ def _windowed(dataset: SupervisedDataset, window: int):
 
 
 def _check_normalized(dataset: SupervisedDataset, name: str, norm: NormParams):
-    if not dataset.normalized or dataset.norm is None:
+    if not dataset.normalized:
         raise ValueError(f"{name} dataset must be normalized before training/evaluation")
     if not dataset.norm.same_as(norm):
         raise ValueError(f"{name} dataset was normalized with different NormParams")
@@ -177,10 +176,9 @@ def train(
 ) -> tuple[NetworkModel, TrainHistory]:
     """Mini-batch MAE training for exactly config.epochs epochs.
 
-    Batches are chronological (optionally shuffled per epoch from
-    config.seed), gradients are averaged within each batch and one optimizer
-    step is applied per batch. Aborts with TrainingDiverged on a non-finite
-    epoch loss.
+    Batches run in chronological order, the same every epoch; gradients are
+    averaged within each batch and one optimizer step is applied per batch.
+    Aborts with TrainingDiverged on a non-finite epoch loss.
     """
     spec = model.spec
     _check_normalized(train_set, "train", train_set.norm)
@@ -196,27 +194,20 @@ def train(
     n = len(targets)
     y = targets[:, None]  # (n, 1) to match yhat
     opt = Optimizer(model.flat.size, config.optimizer)
-    shuffle_rng = np.random.default_rng(splitmix64(config.seed & _MASK64)) if config.shuffle else None
 
     history = TrainHistory()
     n_batches = (n + config.batch_size - 1) // config.batch_size
     for epoch in range(config.epochs):
-        if shuffle_rng is not None:
-            order = shuffle_rng.permutation(n)
-            xe, ye = x[order], y[order]
-        else:
-            xe, ye = x, y
         abs_err_total = 0.0
         for b in range(n_batches):
             lo = b * config.batch_size
             hi = min(lo + config.batch_size, n)
-            yhat, cache = forward_batch(model, xe[lo:hi])
-            err = yhat - ye[lo:hi]
-            abs_err_total += float(np.abs(err).sum())
+            yhat, cache = forward_batch(model, x[lo:hi])
+            y_batch = y[lo:hi]
+            abs_err_total += float(np.abs(yhat - y_batch).sum())
             # batch loss is the mean |err| over the batch entries, so the
             # cotangent carries the 1/(batch*out) factor
-            dy = np.sign(err) / err.size
-            backward(model, cache, dy)
+            backward(model, cache, mae_grad(yhat, y_batch))
             opt.step(model.flat, model.grad)
         epoch_loss = abs_err_total / (n * spec.output_dim)
         if not math.isfinite(epoch_loss):
@@ -243,10 +234,10 @@ def evaluate(model: NetworkModel, dataset: SupervisedDataset, norm: NormParams) 
     x, targets, dates = _windowed(dataset, model.spec.window)
     yhat, _ = forward_batch(model, x)
     pred_norm = yhat[:, 0]
-    mae_norm = float(np.mean(np.abs(pred_norm - targets)))
+    mae_norm = mae_loss(pred_norm, targets)
     actual = denormalize(targets, norm.target_min, norm.target_max)
     predicted = denormalize(pred_norm, norm.target_min, norm.target_max)
-    mae = float(np.mean(np.abs(actual - predicted)))
+    mae = mae_loss(predicted, actual)
     predictions = [
         (date, float(a), float(p)) for date, a, p in zip(dates, actual, predicted)
     ]

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id, param_shapes
-from .data import NormParams
+from .data import NormParams, _csv_rows
 from .experiment import EvalResult, SweepReport, TrialResult, select_best
 
 FORMAT_VERSION = 1
@@ -46,10 +46,63 @@ def _array_to_json(name: str, arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [float(v) for v in flat]}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(doc: dict, key: str, default=None) -> int:
+    value = doc.get(key, default)
+    if not _is_int(value):
+        raise ValueError(f"model file field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _finite_number(value, field: str) -> float:
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"model file field {field!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
+    """NormParams from a model file's norm block, checked so that a bad block
+    fails here with its field named, not later inside numpy."""
+    if not isinstance(norm_doc, dict):
+        raise ValueError(f"model file 'norm' must be an object or null, got {norm_doc!r}")
+    for key in ("feature_min", "feature_max", "target_min", "target_max"):
+        if key not in norm_doc:
+            raise ValueError(f"model file norm block is missing field {key!r}")
+    bounds = []
+    for key in ("feature_min", "feature_max"):
+        values = norm_doc[key]
+        if not isinstance(values, list) or len(values) != input_dim:
+            raise ValueError(
+                f"model file field {key!r} must be a list of {input_dim} numbers "
+                f"(input_dim), got {values!r}"
+            )
+        bounds.append(np.array([_finite_number(v, key) for v in values]))
+    fmin, fmax = bounds
+    tmin = _finite_number(norm_doc["target_min"], "target_min")
+    tmax = _finite_number(norm_doc["target_max"], "target_max")
+    if not np.all(fmax > fmin):
+        raise ValueError(
+            "model file field 'feature_max' must exceed 'feature_min' for every feature"
+        )
+    if not tmax > tmin:
+        raise ValueError("model file field 'target_max' must exceed 'target_min'")
+    return NormParams(feature_min=fmin, feature_max=fmax, target_min=tmin, target_max=tmax)
+
+
 def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.ndarray:
     if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
         raise ValueError(f"array {name!r} entry must have 'shape' and 'data' fields")
-    shape = tuple(entry["shape"])
+    shape = entry["shape"]
+    if not isinstance(shape, list) or not all(_is_int(n) for n in shape):
+        raise ValueError(f"array {name!r} shape must be a list of integers, got {shape!r}")
+    shape = tuple(shape)
     if shape != expected_shape:
         raise ValueError(
             f"array {name!r} declares shape {shape}, expected {expected_shape}"
@@ -61,7 +114,10 @@ def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.nd
         raise ValueError(
             f"array {name!r} has {got} values, expected {expected_len} for shape {expected_shape}"
         )
-    arr = np.asarray(data, dtype=float).reshape(expected_shape)
+    try:
+        arr = np.asarray(data, dtype=float).reshape(expected_shape)
+    except (TypeError, ValueError):
+        raise ValueError(f"array {name!r} data must be a list of numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"array {name!r} contains non-finite values")
     return arr
@@ -111,10 +167,10 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             raise ValueError(f"model file is missing required field {key!r}")
     spec = ModelSpec(
         arch=doc["arch"],
-        hidden=int(doc["hidden"]),
-        input_dim=int(doc["input_dim"]),
-        output_dim=int(doc["output_dim"]),
-        window=int(doc["window"]),
+        hidden=_int_field(doc, "hidden"),
+        input_dim=_int_field(doc, "input_dim"),
+        output_dim=_int_field(doc, "output_dim"),
+        window=_int_field(doc, "window"),
     )
     expected = param_shapes(spec)
     stored = doc["params"]
@@ -136,21 +192,11 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
     model = NetworkModel(
         spec=spec,
         params=params,
-        rng_seed=int(doc.get("rng_seed", 0)),
-        epochs_trained=int(doc.get("epochs_trained", 0)),
+        rng_seed=_int_field(doc, "rng_seed", 0),
+        epochs_trained=_int_field(doc, "epochs_trained", 0),
     )
     norm_doc = doc.get("norm")
-    norm = None
-    if norm_doc is not None:
-        for key in ("feature_min", "feature_max", "target_min", "target_max"):
-            if key not in norm_doc:
-                raise ValueError(f"model file norm block is missing field {key!r}")
-        norm = NormParams(
-            feature_min=np.asarray(norm_doc["feature_min"], dtype=float),
-            feature_max=np.asarray(norm_doc["feature_max"], dtype=float),
-            target_min=float(norm_doc["target_min"]),
-            target_max=float(norm_doc["target_max"]),
-        )
+    norm = None if norm_doc is None else _norm_from_json(norm_doc, spec.input_dim)
     return model, norm
 
 
@@ -194,16 +240,16 @@ def parse_report_csv(data) -> SweepReport:
     """Read a report CSV back into a SweepReport (pure formatting inverse)."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("report file is empty") from None
+    rows_in = _csv_rows(reader, "report line")
+    header = next(rows_in, None)
+    if header is None:
+        raise ValueError("report file is empty")
     if tuple(header) != REPORT_COLUMNS:
         raise ValueError(
             f"report header {tuple(header)} does not match expected {REPORT_COLUMNS}"
         )
     trials = []
-    for row in reader:
+    for row in rows_in:
         if not row:
             continue
         if len(row) != len(REPORT_COLUMNS):

@@ -3,15 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from fxbench import (
-    DEFAULT_FRACTIONS,
-    OhlcRecord,
-    SplitDataset,
-    build_supervised,
-    chrono_split,
-    fit_minmax,
-    normalize_dataset,
-)
+from fxbench import OhlcRecord
 
 
 def make_records(closes, start=dt.date(2018, 1, 1), spread=0.5):
@@ -31,22 +23,6 @@ def make_records(closes, start=dt.date(2018, 1, 1), spread=0.5):
         )
         prev = close
     return records
-
-
-def normalized_split(records, fit="train", fractions=DEFAULT_FRACTIONS):
-    """build_supervised -> chrono_split -> fit_minmax -> normalized splits."""
-    dataset = build_supervised(records)
-    split = chrono_split(dataset, fractions)
-    norm = fit_minmax(dataset if fit == "all" else split.train)
-    return (
-        SplitDataset(
-            train=normalize_dataset(split.train, norm),
-            validation=normalize_dataset(split.validation, norm),
-            test=normalize_dataset(split.test, norm),
-            fractions=split.fractions,
-        ),
-        norm,
-    )
 
 
 def wavy_closes(n):

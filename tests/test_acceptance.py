@@ -29,6 +29,7 @@ from fxbench import (
     mae_loss,
     normalize,
     persistence_baseline,
+    prepare_splits,
     ramp_ohlc,
     random_walk_ohlc,
     run_sweep,
@@ -38,7 +39,6 @@ from fxbench import (
 )
 from fxbench.cli import main
 from fxbench.optim import Optimizer
-from conftest import normalized_split
 from gradcheck import check_model_gradients
 
 ACCEPT_EPOCHS = int(os.environ.get("FXBENCH_ACCEPT_EPOCHS", "200"))
@@ -77,7 +77,7 @@ def walk_sweep():
     the same sweep from different angles.
     """
     records = random_walk_ohlc(1500, seed=20180102)
-    data, norm = normalized_split(records, fit="train")
+    data, norm = prepare_splits(records, "train")
     config = TrainConfig(
         optimizer=default_config("rmsprop"),
         epochs=ACCEPT_EPOCHS,
@@ -194,7 +194,7 @@ def test_learnability_on_walk_and_ramp(walk_sweep):
     assert ratio <= 1.25, f"best test MAE is {ratio:.3f}x persistence (bound 1.25)"
 
     ramp_records = ramp_ohlc(400, increment=0.05, start=100.0)
-    ramp_data, ramp_norm = normalized_split(ramp_records, fit="all")
+    ramp_data, ramp_norm = prepare_splits(ramp_records, "all")
     config = TrainConfig(
         optimizer=default_config("rmsprop"),
         epochs=6000,

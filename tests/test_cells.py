@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fxbench import (
     parameter_count,
     param_shapes,
 )
+from fxbench.cells import _sigmoid
 from gradcheck import check_model_gradients
 
 
@@ -136,6 +138,35 @@ def test_init_deterministic_and_glorot_bounded(arch):
             assert np.any(arr != 0.0)
         else:
             assert np.all(arr == 0.0)
+
+
+# ---------------------------------------------------------------- sigmoid
+
+
+def test_sigmoid_at_zero():
+    assert _sigmoid(0.0) == 0.5
+
+
+def test_sigmoid_closed_form_point():
+    # 1 / (1 + e^(-ln 3)) = 1 / (1 + 1/3) = 3/4
+    assert _sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
+
+
+def test_sigmoid_saturates_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _sigmoid(np.array([-1000.0, 1000.0]))
+    assert out[0] == 0.0 and out[1] == 1.0
+
+
+def test_sigmoid_stays_in_open_range_for_moderate_inputs():
+    s = _sigmoid(np.linspace(-15, 15, 101))
+    assert np.all((s > 0) & (s < 1))
+
+
+@given(st.floats(min_value=-50, max_value=50, allow_nan=False))
+def test_sigmoid_symmetry(x):
+    assert abs(_sigmoid(x) + _sigmoid(-x) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- forward

@@ -1,10 +1,20 @@
 import csv
 import io
+import json
 
 import pytest
 
-from fxbench import load_model, read_ohlc_csv, write_ohlc_csv
+from fxbench import (
+    ModelSpec,
+    init_model,
+    load_model,
+    prepare_splits,
+    read_ohlc_csv,
+    save_model,
+    write_ohlc_csv,
+)
 from fxbench.cli import main, parse_archs, parse_hidden_sizes, UsageError
+from fxbench.serialize import REPORT_COLUMNS
 from conftest import make_records, wavy_closes
 
 
@@ -78,6 +88,30 @@ def test_ingest_strict_rejects_sanity_violation(tmp_path, capsys):
     # same file passes without --strict (warning only)
     code, stdout, _ = run(capsys, "ingest", "--input", str(raw), "--output", str(out))
     assert code == 0 and out.exists()
+
+
+def one_error_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fxbench: error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "command,header",
+    [("ingest", "date,open,high,low,close"), ("report", ",".join(REPORT_COLUMNS))],
+)
+def test_oversized_csv_field_is_a_single_line_error(tmp_path, capsys, command, header):
+    big = tmp_path / "big.csv"
+    big.write_text(header + "\n" + "9" * 200_000 + "\n")
+    out = tmp_path / "out.csv"
+    if command == "ingest":
+        argv = ("ingest", "--input", str(big), "--output", str(out))
+    else:
+        argv = ("report", "--in", str(big))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1
+    assert "2: field larger than field limit" in one_error_line(err)
+    assert stdout == "" and not out.exists()
 
 
 def test_missing_input_is_a_single_line_error(tmp_path, capsys):
@@ -220,6 +254,37 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys):
     )
     assert code == 1
     assert "normalization" in err
+
+
+@pytest.mark.parametrize(
+    "field,mutate",
+    [
+        ("hidden", lambda d: d.update(hidden=None)),
+        ("norm", lambda d: d.update(norm=5)),
+        ("shape", lambda d: d["params"]["W_h"].update(shape=3)),
+        ("target_min", lambda d: d["norm"].update(target_min=[1])),
+        ("feature_min", lambda d: d["norm"].update(feature_min=d["norm"]["feature_min"][:3])),
+        ("feature_max", lambda d: d["norm"].update(feature_max=d["norm"]["feature_min"])),
+    ],
+    ids=["hidden-null", "norm-number", "shape-int", "target-min-list",
+         "feature-min-3-long", "feature-max-equals-min"],
+)
+def test_predict_rejects_malformed_model_file_in_one_line(
+    tmp_path, data_csv, capsys, field, mutate
+):
+    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    series = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "predict", "--model", str(bad), "--data", data_csv,
+        "--series-out", str(series),
+    )
+    assert code == 1
+    assert field in one_error_line(err)
+    assert not series.exists()
 
 
 # ---------------------------------------------------------------- report

@@ -14,6 +14,7 @@ from fxbench import (
     normalize,
     normalize_dataset,
     parse_ohlc_csv,
+    prepare_splits,
     read_ohlc_csv,
     write_ohlc_csv,
 )
@@ -92,6 +93,18 @@ def test_parse_accepts_crlf_and_bytes():
     payload = (HEADER + "2018-01-02,115.0,115.6,114.8,115.2\n").replace("\n", "\r\n")
     records = parse_ohlc_csv(payload.encode("utf-8"))
     assert records[0].close == 115.2
+
+
+CSV_LIKE = st.text(alphabet="0123456789-.,:eE+naif \"'\n\r\t\x00")
+
+
+@given(st.one_of(st.text(), CSV_LIKE))
+def test_parse_arbitrary_body_returns_records_or_raises_value_error(body):
+    try:
+        records = parse_ohlc_csv(HEADER + body)
+    except ValueError:
+        return
+    assert all(isinstance(r, OhlcRecord) for r in records)
 
 
 def test_csv_write_read_round_trip(tmp_path, wavy_records):
@@ -200,6 +213,7 @@ def test_normalize_strictly_monotonic(v, step):
 
 def test_normalize_dataset_marks_and_scales(wavy_records):
     ds = build_supervised(wavy_records)
+    assert not ds.normalized
     norm = fit_minmax(ds)
     nds = normalize_dataset(ds, norm)
     assert nds.normalized and nds.norm is norm
@@ -252,6 +266,32 @@ def test_split_rejects_bad_fractions_and_empty_slices():
         chrono_split(ds, (1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="empty slice"):
         chrono_split(ds, (0.34, 0.33, 0.33))
+
+
+@pytest.mark.parametrize("fit_norm", ["train", "all"])
+def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_norm):
+    data, norm = prepare_splits(wavy_records, fit_norm)
+    raw = build_supervised(wavy_records)
+    raw_split = chrono_split(raw)
+    assert norm.same_as(fit_minmax(raw if fit_norm == "all" else raw_split.train))
+    assert data.fractions == DEFAULT_FRACTIONS
+    for part, raw_part in (
+        (data.train, raw_split.train),
+        (data.validation, raw_split.validation),
+        (data.test, raw_split.test),
+    ):
+        assert part.norm is norm and part.dates == raw_part.dates
+        assert np.array_equal(
+            part.features, normalize(raw_part.features, norm.feature_min, norm.feature_max)
+        )
+        assert np.array_equal(
+            part.targets, normalize(raw_part.targets, norm.target_min, norm.target_max)
+        )
+
+
+def test_prepare_splits_rejects_unknown_fit_norm(wavy_records):
+    with pytest.raises(ValueError, match="fit_norm.*'val'"):
+        prepare_splits(wavy_records, "val")
 
 
 def test_default_fractions_constant():

@@ -21,6 +21,7 @@ from fxbench import (
     evaluate,
     init_model,
     persistence_baseline,
+    prepare_splits,
     run_sweep,
     select_best,
     train,
@@ -28,7 +29,7 @@ from fxbench import (
 )
 from fxbench.experiment import splitmix64
 import fxbench.experiment
-from conftest import make_records, normalized_split
+from conftest import make_records
 
 
 def quick_config(epochs=3, **kw):
@@ -69,7 +70,7 @@ def test_train_config_validation():
 
 
 def test_history_has_one_finite_entry_per_epoch(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=3), 1)
     model, history = train(model, data.train, data.validation, quick_config(epochs=7))
     assert len(history.losses) == 7
@@ -78,7 +79,7 @@ def test_history_has_one_finite_entry_per_epoch(wavy_records):
 
 
 def test_training_is_bitwise_deterministic(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     cfg = quick_config(epochs=5)
     runs = []
     for _ in range(2):
@@ -90,7 +91,7 @@ def test_training_is_bitwise_deterministic(wavy_records):
 
 
 def test_training_loss_decreases_on_learnable_series(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=4), 3)
     _, history = train(model, data.train, None, quick_config(epochs=150))
     assert history.losses[-1] < history.losses[0]
@@ -104,7 +105,7 @@ def test_train_requires_normalized_data(wavy_records):
 
 
 def test_train_rejects_feature_width_mismatch(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="mlp", hidden=2, input_dim=3), 0)
     with pytest.raises(ValueError, match="input_dim"):
         train(model, data.train, None, quick_config())
@@ -118,7 +119,6 @@ def test_non_finite_loss_aborts_with_epoch_index():
         features=np.random.default_rng(0).uniform(size=(8, 4)),
         targets=np.array([0.5] * 7 + [np.nan]),
         dates=tuple(dt.date(2018, 1, 1) + dt.timedelta(days=k) for k in range(8)),
-        normalized=True,
         norm=norm,
     )
     model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
@@ -129,7 +129,7 @@ def test_non_finite_loss_aborts_with_epoch_index():
 
 
 def test_windowed_training_and_prediction_counts(wavy_records):
-    data, norm = normalized_split(wavy_records)
+    data, norm = prepare_splits(wavy_records)
     spec = ModelSpec(arch="gru", hidden=3, window=3)
     model = init_model(spec, 4)
     model, _ = train(model, data.train, None, quick_config(epochs=2))
@@ -163,7 +163,6 @@ def test_evaluate_constant_predictor_hand_value():
         features=np.full((2, 4), 0.5),
         targets=np.array([0.4, 0.6]),
         dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3)),
-        normalized=True,
         norm=norm,
     )
     result = evaluate(constant_predictor(0.5), ds, norm)
@@ -175,7 +174,7 @@ def test_evaluate_constant_predictor_hand_value():
 
 
 def test_evaluate_mae_matches_prediction_list(wavy_records):
-    data, norm = normalized_split(wavy_records)
+    data, norm = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="lstm", hidden=3), 5)
     result = evaluate(model, data.validation, norm)
     recomputed = np.mean([abs(a - p) for _, a, p in result.predictions])
@@ -184,10 +183,8 @@ def test_evaluate_mae_matches_prediction_list(wavy_records):
 
 
 def test_evaluate_rejects_empty_and_unnormalized(wavy_records):
-    data, norm = normalized_split(wavy_records)
-    empty = SupervisedDataset(
-        features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), normalized=True, norm=norm
-    )
+    data, norm = prepare_splits(wavy_records)
+    empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=norm)
     with pytest.raises(ValueError, match="empty"):
         evaluate(constant_predictor(0.5), empty, norm)
     raw = build_supervised(wavy_records)
@@ -214,7 +211,7 @@ def test_persistence_baseline_constant_close_is_zero():
 
 def test_persistence_baseline_invariant_to_normalization(wavy_records):
     raw = build_supervised(wavy_records)
-    data, norm = normalized_split(wavy_records, fit="all")
+    data, norm = prepare_splits(wavy_records, "all")
     raw_split = chrono_split(raw)
     assert persistence_baseline(data.test, norm) == pytest.approx(
         persistence_baseline(raw_split.test), rel=1e-12
@@ -231,7 +228,7 @@ def test_persistence_baseline_empty_dataset():
 
 
 def test_sweep_single_point_grid(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     report = run_sweep(["lstm"], [5], data, quick_config(epochs=2), pair="X/Y")
     assert len(report.trials) == 1
     t = report.trials[0]
@@ -242,7 +239,7 @@ def test_sweep_single_point_grid(wavy_records):
 
 
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     report = run_sweep(["lstm", "mlp"], [3, 2], data, quick_config(epochs=2))
     assert [(t.arch, t.hidden) for t in report.trials] == [
         ("mlp", 2),
@@ -255,7 +252,7 @@ def test_sweep_grid_is_complete_and_sorted(wavy_records):
 
 
 def test_sweep_is_deterministic(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     cfg = quick_config(epochs=3)
     a = run_sweep(["srnn", "gru"], [2, 4], data, cfg, pair="Z")
     b = run_sweep(["srnn", "gru"], [2, 4], data, cfg, pair="Z")
@@ -263,7 +260,7 @@ def test_sweep_is_deterministic(wavy_records):
 
 
 def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     real_train = fxbench.experiment.train
 
     def sometimes_diverge(model, train_set, val_set, config):
@@ -282,7 +279,7 @@ def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch):
 
 
 def test_sweep_validates_inputs(wavy_records):
-    data, _ = normalized_split(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     with pytest.raises(ValueError, match="unknown arch"):
         run_sweep(["cnn"], [2], data, quick_config())
     with pytest.raises(ValueError, match="empty"):
