@@ -62,7 +62,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     )
     elapsed = time.perf_counter() - t0
     (out_dir / f"{slug}_report.csv").write_bytes(emit_report_csv(report))
-    (out_dir / f"{slug}_report.txt").write_text(render_report_table(report))
+    (out_dir / f"{slug}_report.txt").write_text(render_report_table(report, "test_mae"))
 
     best = select_best(report, "test_mae").overall
     print(f"{pair}: swept 36 trials in {elapsed:.0f}s, "
@@ -73,10 +73,10 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     model = trial_model(best.arch, best.hidden, data.train.features.shape[1], WINDOW, config.seed)
     train(model, data.train, data.validation, config)
     (out_dir / f"{slug}_best_model.json").write_bytes(save_model(model, norm))
-    result = evaluate(model, data.test, norm)
+    result = evaluate(model, data.test)
     (out_dir / f"{slug}_best_test_series.csv").write_bytes(emit_series_csv(result))
 
-    baseline = persistence_baseline(data.test, norm)
+    baseline = persistence_baseline(data.test)
     return pair, best, result.mae, baseline
 
 

@@ -13,10 +13,8 @@ from .cells import (
     ModelSpec,
     NetworkModel,
     backward,
-    forward,
     forward_batch,
     init_model,
-    parameter_count,
     param_shapes,
 )
 from .data import (
@@ -41,7 +39,6 @@ from .experiment import (
     EvalResult,
     SweepReport,
     TrainConfig,
-    TrainHistory,
     TrainingDiverged,
     TrialResult,
     evaluate,
@@ -89,7 +86,6 @@ __all__ = [
     "SupervisedDataset",
     "SweepReport",
     "TrainConfig",
-    "TrainHistory",
     "TrainingDiverged",
     "TrialResult",
     "backward",
@@ -101,7 +97,6 @@ __all__ = [
     "emit_series_csv",
     "evaluate",
     "fit_minmax",
-    "forward",
     "forward_batch",
     "init_model",
     "load_model",
@@ -109,7 +104,6 @@ __all__ = [
     "mae_loss",
     "normalize",
     "normalize_dataset",
-    "parameter_count",
     "param_shapes",
     "parse_ohlc_csv",
     "parse_report_csv",

@@ -42,9 +42,8 @@ exactly 0 or 1 without an overflow warning.
 (untruncated BPTT); every gradient is checked against central finite
 differences in the test suite.
 
-Internally everything runs batched: inputs are (batch, window, input_dim)
-arrays and the same code path serves single samples as a batch of one, so
-training, evaluation and the single-sample API cannot drift apart.
+Everything runs batched: inputs are (batch, window, input_dim) arrays, and
+one sample is a batch of one.
 """
 
 from __future__ import annotations
@@ -225,26 +224,19 @@ def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
     return NetworkModel(spec=spec, params=params, rng_seed=int(seed))
 
 
-def parameter_count(model: NetworkModel) -> int:
-    return model.flat.size
-
-
 @dataclass
 class ForwardCache:
-    """Everything backward needs: inputs, initial state and per-step tensors.
+    """Everything backward needs: the inputs and the per-step tensors.
 
-    Stacked arrays are time-major: hs is (T+1, B, h) with hs[0] the initial
-    state, fused gate activations (T, B, G*h) (LSTM i, f, o, cand; GRU z, r)
-    with per-gate views under their own names, concat buffers (T, B, d+h).
+    Stacked arrays are time-major: hs (and LSTM cs) is (T+1, B, h) with
+    hs[0] the zero initial state, fused gate activations (T, B, G*h) (LSTM
+    i, f, o, cand; GRU z, r), concat buffers (T, B, d+h).
     """
 
     model: NetworkModel
     x: np.ndarray  # (B, T, d)
-    h0: np.ndarray  # (B, h)
-    c0: np.ndarray | None
     steps: dict[str, np.ndarray] = field(default_factory=dict)
     hidden_final: np.ndarray | None = None
-    yhat: np.ndarray | None = None
 
 
 def _as_batch(x, spec: ModelSpec) -> np.ndarray:
@@ -259,32 +251,16 @@ def _as_batch(x, spec: ModelSpec) -> np.ndarray:
     return x
 
 
-def _state(value, batch: int, hidden: int, name: str) -> np.ndarray:
-    if value is None:
-        return np.zeros((batch, hidden))
-    s = np.asarray(value, dtype=np.float64)
-    if s.ndim == 1:
-        s = np.broadcast_to(s, (batch, hidden)).copy()
-    if s.shape != (batch, hidden):
-        raise ValueError(f"{name} must have shape ({batch}, {hidden}), got {s.shape}")
-    return s
-
-
-def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray, ForwardCache]:
-    """Run a batch of windows through the cell; returns (yhat (B, out), cache).
-
-    h0/c0 are test hooks for seeding the initial hidden/cell state; they
-    default to zeros, which is what the training pipeline always uses.
-    """
+def forward_batch(model: NetworkModel, x) -> tuple[np.ndarray, ForwardCache]:
+    """Run a batch of windows through the cell from a zero initial state;
+    returns (yhat (B, out), cache)."""
     spec = model.spec
     p = model.params
     x = _as_batch(x, spec)
     b, t, d = x.shape
     h = spec.hidden
-    if c0 is not None and spec.arch != "lstm":
-        raise ValueError(f"c0 only applies to lstm models, not {spec.arch}")
 
-    cache = ForwardCache(model=model, x=x, h0=_state(h0, b, h, "h0"), c0=None)
+    cache = ForwardCache(model=model, x=x)
     st = cache.steps
 
     if spec.arch == "mlp":
@@ -293,20 +269,19 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
         final = hidden
     elif spec.arch == "srnn":
         hs = np.empty((t + 1, b, h))
-        hs[0] = cache.h0
+        hs[0] = 0.0
         for k in range(t):
             hs[k + 1] = np.tanh(x[:, k] @ p["W_x"].T + hs[k] @ p["W_h"].T + p["b"])
         st["hs"] = hs
         final = hs[t]
     elif spec.arch == "lstm":
-        cache.c0 = _state(c0, b, h, "c0")
         w, bias, _, _ = model._gates
         wt = w.T
         h2, h3 = 2 * h, 3 * h
         hs = np.empty((t + 1, b, h))
         cs = np.empty((t + 1, b, h))
-        hs[0] = cache.h0
-        cs[0] = cache.c0
+        hs[0] = 0.0
+        cs[0] = 0.0
         gates = np.empty((t, b, 4 * h))  # i, f, o (sigmoid) then cand (tanh)
         tanh_c = np.empty((t, b, h))
         xc = np.empty((t, b, d + h))
@@ -320,10 +295,7 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
             cs[k + 1] = g[:, h:h2] * cs[k] + g[:, :h] * g[:, h3:]
             np.tanh(cs[k + 1], out=tanh_c[k])
             np.multiply(g[:, h2:h3], tanh_c[k], out=hs[k + 1])
-        st.update(
-            hs=hs, cs=cs, gates=gates, tanh_c=tanh_c, xc=xc,
-            i=gates[..., :h], f=gates[..., h:h2], o=gates[..., h2:h3], cand=gates[..., h3:],
-        )
+        st.update(hs=hs, cs=cs, gates=gates, tanh_c=tanh_c, xc=xc)
         final = hs[t]
     else:  # gru
         w, bias, _, _ = model._gates
@@ -331,7 +303,7 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
         wzr_t, wc_t = w[:h2].T, w[h2:].T
         bzr, bc = bias[:h2], bias[h2:]
         hs = np.empty((t + 1, b, h))
-        hs[0] = cache.h0
+        hs[0] = 0.0
         zr = np.empty((t, b, h2))
         cand = np.empty((t, b, h))
         xc = np.empty((t, b, d + h))  # [x_t; h_{t-1}] for the z/r gates
@@ -345,34 +317,20 @@ def forward_batch(model: NetworkModel, x, h0=None, c0=None) -> tuple[np.ndarray,
             np.multiply(g[:, h:], hs[k], out=xrc[k, :, d:])
             np.tanh(xrc[k] @ wc_t + bc, out=cand[k])
             hs[k + 1] = (1.0 - g[:, :h]) * hs[k] + g[:, :h] * cand[k]
-        st.update(hs=hs, zr=zr, z=zr[..., :h], r=zr[..., h:], cand=cand, xc=xc, xrc=xrc)
+        st.update(hs=hs, zr=zr, cand=cand, xc=xc, xrc=xrc)
         final = hs[t]
 
-    yhat = final @ p["W_out"].T + p["b_out"]
     cache.hidden_final = final
-    cache.yhat = yhat
-    return yhat, cache
-
-
-def forward(model: NetworkModel, x_window, h0=None, c0=None) -> tuple[np.ndarray, ForwardCache]:
-    """Single-sample forward: x_window is (window, input_dim) or a list of vectors."""
-    x = np.asarray(x_window, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.ndim != 2:
-        raise ValueError(f"x_window must be (window, input_dim), got shape {x.shape}")
-    yhat, cache = forward_batch(model, x[None], h0=h0, c0=c0)
-    return yhat[0], cache
+    return final @ p["W_out"].T + p["b_out"], cache
 
 
 def backward(model: NetworkModel, cache: ForwardCache, dl_dyhat) -> dict[str, np.ndarray]:
     """Exact gradients of L w.r.t. every parameter, given dL/dyhat.
 
-    Accepts a (out,) cotangent for a batch-of-one cache or (B, out) for a
-    batched one; batch contributions are summed, so the caller folds any
-    1/B averaging into the cotangent. The gradients are written into
-    `model.grad`; the returned dict is `model.grads`, its named views, which
-    the next call overwrites.
+    dl_dyhat is (B, out), like the forward output; batch contributions are
+    summed, so the caller folds any 1/B averaging into the cotangent. The
+    gradients are written into `model.grad`; the returned dict is
+    `model.grads`, its named views, which the next call overwrites.
     """
     if cache.model is not model:
         raise ValueError("cache was produced by a different model")
@@ -384,10 +342,6 @@ def backward(model: NetworkModel, cache: ForwardCache, dl_dyhat) -> dict[str, np
     h = spec.hidden
 
     dy = np.asarray(dl_dyhat, dtype=np.float64)
-    if dy.ndim == 1:
-        if b != 1:
-            raise ValueError(f"1-d cotangent given for a cache with batch size {b}")
-        dy = dy[None, :]
     if dy.shape != (b, spec.output_dim):
         raise ValueError(f"cotangent shape {dy.shape} does not match ({b}, {spec.output_dim})")
 

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from pathlib import Path
 
 from .cells import ARCHS, arch_id
 from .data import (
@@ -140,16 +141,14 @@ def cmd_sweep(args) -> int:
         window=args.window,
         measure_time=args.timings,
     )
-    report.criterion = "val_mae" if args.select == "val" else "test_mae"
-    with open(args.report, "wb") as fh:
-        fh.write(emit_report_csv(report))
-    best = select_best(report, report.criterion)
-    o = best.overall
-    value = getattr(o, report.criterion)
+    criterion = f"{args.select}_mae"
+    Path(args.report).write_bytes(emit_report_csv(report))
+    o = select_best(report, criterion).overall
+    value = getattr(o, criterion)
     scale = norm.target_max - norm.target_min
     print(f"wrote report: {args.report} ({len(report.trials)} trials)")
     print(
-        f"overall best ({report.criterion}): {o.arch.upper()},{o.structure},{value!r}"
+        f"overall best ({criterion}): {o.arch.upper()},{o.structure},{value!r}"
         f" | normalized {value / scale!r}"
     )
     return 0
@@ -164,11 +163,10 @@ def cmd_train(args) -> int:
     spec = model.spec
     config = _train_config(args)
     train(model, data.train, data.validation, config)
-    with open(args.model_out, "wb") as fh:
-        fh.write(save_model(model, norm))
+    Path(args.model_out).write_bytes(save_model(model, norm))
     print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
     for label, split in (("train", data.train), ("val", data.validation), ("test", data.test)):
-        _print_mae(label, evaluate(model, split, norm).mae, norm)
+        _print_mae(label, evaluate(model, split).mae, norm)
     print(f"wrote model: {args.model_out}")
     return 0
 
@@ -183,10 +181,9 @@ def cmd_predict(args) -> int:
         )
     records = read_ohlc_csv(args.data)
     dataset = normalize_dataset(build_supervised(records), norm)
-    result = evaluate(model, dataset, norm)
-    with open(args.series_out, "wb") as fh:
-        fh.write(emit_series_csv(result))
-    print(f"predictions: {result.n}")
+    result = evaluate(model, dataset)
+    Path(args.series_out).write_bytes(emit_series_csv(result))
+    print(f"predictions: {len(result.dates)}")
     _print_mae("series", result.mae, norm)
     print(f"wrote series: {args.series_out}")
     return 0
@@ -195,11 +192,10 @@ def cmd_predict(args) -> int:
 def cmd_report(args) -> int:
     with open(args.infile, "rb") as fh:
         report = parse_report_csv(fh.read())
-    report.criterion = "val_mae" if args.select == "val" else "test_mae"
     if args.format == "csv":
         sys.stdout.write(emit_report_csv(report).decode("utf-8"))
     else:
-        sys.stdout.write(render_report_table(report))
+        sys.stdout.write(render_report_table(report, f"{args.select}_mae"))
     return 0
 
 

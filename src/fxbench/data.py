@@ -252,28 +252,22 @@ class SplitDataset:
     train: SupervisedDataset
     validation: SupervisedDataset
     test: SupervisedDataset
-    fractions: tuple[float, float, float]
 
 
 DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
 FIT_NORMS = ("train", "all")
 
 
-def chrono_split(
-    dataset: SupervisedDataset, fractions: tuple[float, float, float] = DEFAULT_FRACTIONS
-) -> SplitDataset:
-    """Slice into train/validation/test of floor(f*n), floor(f*n), remainder."""
-    if len(fractions) != 3 or any(not f > 0 for f in fractions):
-        raise ValueError(f"need 3 positive fractions, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions} (sum {sum(fractions)})")
+def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
+    """Slice into train/validation/test of floor(0.70 n), floor(0.15 n) and
+    the remainder (DEFAULT_FRACTIONS)."""
     n = len(dataset)
-    n_train = int(np.floor(fractions[0] * n))
-    n_val = int(np.floor(fractions[1] * n))
+    n_train = int(np.floor(DEFAULT_FRACTIONS[0] * n))
+    n_val = int(np.floor(DEFAULT_FRACTIONS[1] * n))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(
-            f"split of {n} samples as {fractions} leaves an empty slice "
+            f"split of {n} samples as {DEFAULT_FRACTIONS} leaves an empty slice "
             f"({n_train}/{n_val}/{n_test})"
         )
 
@@ -289,7 +283,6 @@ def chrono_split(
         train=view(0, n_train),
         validation=view(n_train, n_train + n_val),
         test=view(n_train + n_val, n),
-        fractions=tuple(fractions),
     )
 
 
@@ -308,6 +301,5 @@ def prepare_splits(
         train=normalize_dataset(split.train, norm),
         validation=normalize_dataset(split.validation, norm),
         test=normalize_dataset(split.test, norm),
-        fractions=split.fractions,
     )
     return normalized, norm

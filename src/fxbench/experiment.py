@@ -1,6 +1,9 @@
 """Training loop, denormalized evaluation, the arch x hidden-size sweep,
 best-model selection and the persistence baseline.
 
+Evaluation and the baseline denormalize with the NormParams that a
+normalized dataset carries (`dataset.norm`).
+
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
 arch, hidden), and trials never share state, so a sweep report is
@@ -13,17 +16,19 @@ import datetime as dt
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cells import ModelSpec, NetworkModel, arch_id, backward, forward_batch, init_model
-from .data import NormParams, SplitDataset, SupervisedDataset, denormalize
+from .data import SplitDataset, SupervisedDataset, denormalize
 from .optim import Optimizer, OptimizerConfig, mae_grad, mae_loss
 
 log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+
+CRITERIA = ("test_mae", "val_mae")  # what select_best can rank trials by
 
 
 def splitmix64(z: int) -> int:
@@ -65,10 +70,14 @@ def trial_model(
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or the weights stop being finite."""
 
     def __init__(self, epoch: int, loss: float):
-        super().__init__(f"non-finite training loss {loss} at epoch {epoch}")
+        if math.isfinite(loss):
+            what = f"non-finite weights (training loss {loss})"
+        else:
+            what = f"non-finite training loss {loss}"
+        super().__init__(f"{what} at epoch {epoch}")
         self.epoch = epoch
         self.loss = loss
 
@@ -88,18 +97,12 @@ class TrainConfig:
 
 
 @dataclass
-class TrainHistory:
-    """Per-epoch training MAE on the normalized scale; one entry per epoch."""
-
-    losses: list[float] = field(default_factory=list)
-
-
-@dataclass
 class EvalResult:
     mae: float  # denormalized (original currency units)
     mae_norm: float  # same predictions on the normalized scale
-    predictions: list[tuple[dt.date, float, float]]  # (date, actual, predicted)
-    n: int
+    dates: tuple[dt.date, ...]  # one per prediction
+    actual: np.ndarray  # denormalized targets
+    predicted: np.ndarray  # denormalized predictions
 
 
 @dataclass(frozen=True)
@@ -114,26 +117,12 @@ class TrialResult:
     seed: int
     wall_time_s: float
 
-    def ok(self) -> bool:
-        return math.isfinite(self.test_mae)
-
 
 @dataclass
 class SweepReport:
     trials: list[TrialResult]
     archs: tuple[str, ...]
     hiddens: tuple[int, ...]
-    criterion: str = "test_mae"
-
-    def __eq__(self, other):
-        # criterion is a selection preference, not part of the recorded grid
-        if not isinstance(other, SweepReport):
-            return NotImplemented
-        return (
-            self.trials == other.trials
-            and self.archs == other.archs
-            and self.hiddens == other.hiddens
-        )
 
 
 @dataclass
@@ -161,11 +150,9 @@ def _windowed(dataset: SupervisedDataset, window: int):
     return x, dataset.targets[window - 1 :], dataset.dates[window - 1 :]
 
 
-def _check_normalized(dataset: SupervisedDataset, name: str, norm: NormParams):
+def _check_normalized(dataset: SupervisedDataset, name: str):
     if not dataset.normalized:
         raise ValueError(f"{name} dataset must be normalized before training/evaluation")
-    if not dataset.norm.same_as(norm):
-        raise ValueError(f"{name} dataset was normalized with different NormParams")
 
 
 def train(
@@ -173,17 +160,22 @@ def train(
     train_set: SupervisedDataset,
     val_set: SupervisedDataset | None,
     config: TrainConfig,
-) -> tuple[NetworkModel, TrainHistory]:
-    """Mini-batch MAE training for exactly config.epochs epochs.
+) -> list[float]:
+    """Mini-batch MAE training of `model` in place for exactly config.epochs
+    epochs; returns the per-epoch training MAE on the normalized scale.
 
     Batches run in chronological order, the same every epoch; gradients are
     averaged within each batch and one optimizer step is applied per batch.
-    Aborts with TrainingDiverged on a non-finite epoch loss.
+    Aborts with TrainingDiverged once an epoch's loss or the weights after
+    it are not finite; numpy's overflow and invalid-value warnings are
+    silenced in the loop because that check is what reports them.
     """
     spec = model.spec
-    _check_normalized(train_set, "train", train_set.norm)
+    _check_normalized(train_set, "train")
     if val_set is not None:
-        _check_normalized(val_set, "validation", train_set.norm)
+        _check_normalized(val_set, "validation")
+        if not val_set.norm.same_as(train_set.norm):
+            raise ValueError("validation dataset was normalized with different NormParams")
     if train_set.features.shape[1] != spec.input_dim:
         raise ValueError(
             f"model input_dim {spec.input_dim} does not match "
@@ -195,69 +187,72 @@ def train(
     y = targets[:, None]  # (n, 1) to match yhat
     opt = Optimizer(model.flat.size, config.optimizer)
 
-    history = TrainHistory()
+    losses = []
     n_batches = (n + config.batch_size - 1) // config.batch_size
-    for epoch in range(config.epochs):
-        abs_err_total = 0.0
-        for b in range(n_batches):
-            lo = b * config.batch_size
-            hi = min(lo + config.batch_size, n)
-            yhat, cache = forward_batch(model, x[lo:hi])
-            y_batch = y[lo:hi]
-            abs_err_total += float(np.abs(yhat - y_batch).sum())
-            # batch loss is the mean |err| over the batch entries, so the
-            # cotangent carries the 1/(batch*out) factor
-            backward(model, cache, mae_grad(yhat, y_batch))
-            opt.step(model.flat, model.grad)
-        epoch_loss = abs_err_total / (n * spec.output_dim)
-        if not math.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch, epoch_loss)
-        history.losses.append(epoch_loss)
-        if val_set is not None and log.isEnabledFor(logging.DEBUG):
-            every = max(1, config.epochs // 10)
-            if (epoch + 1) % every == 0 or epoch == config.epochs - 1:
-                val = evaluate(model, val_set, train_set.norm)
-                log.debug(
-                    "epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
-                    epoch + 1, config.epochs, epoch_loss, val.mae_norm,
-                )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            abs_err_total = 0.0
+            for b in range(n_batches):
+                lo = b * config.batch_size
+                hi = min(lo + config.batch_size, n)
+                yhat, cache = forward_batch(model, x[lo:hi])
+                y_batch = y[lo:hi]
+                abs_err_total += float(np.abs(yhat - y_batch).sum())
+                # batch loss is the mean |err| over the batch entries, so the
+                # cotangent carries the 1/(batch*out) factor
+                backward(model, cache, mae_grad(yhat, y_batch))
+                opt.step(model.flat, model.grad)
+            epoch_loss = abs_err_total / (n * spec.output_dim)
+            if not (math.isfinite(epoch_loss) and np.isfinite(model.flat).all()):
+                raise TrainingDiverged(epoch, epoch_loss)
+            losses.append(epoch_loss)
+            if val_set is not None and log.isEnabledFor(logging.DEBUG):
+                every = max(1, config.epochs // 10)
+                if (epoch + 1) % every == 0 or epoch == config.epochs - 1:
+                    log.debug(
+                        "epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
+                        epoch + 1, config.epochs, epoch_loss, evaluate(model, val_set).mae_norm,
+                    )
     model.epochs_trained += config.epochs
-    return model, history
+    return losses
 
 
-def evaluate(model: NetworkModel, dataset: SupervisedDataset, norm: NormParams) -> EvalResult:
-    """Predict every sample, denormalize predictions and targets, report MAE
-    in original currency units (and on the normalized scale)."""
-    _check_normalized(dataset, "evaluation", norm)
+def evaluate(model: NetworkModel, dataset: SupervisedDataset) -> EvalResult:
+    """Predict every sample, denormalize predictions and targets with the
+    dataset's NormParams, report MAE in original currency units (and on the
+    normalized scale)."""
+    _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    norm = dataset.norm
     x, targets, dates = _windowed(dataset, model.spec.window)
     yhat, _ = forward_batch(model, x)
     pred_norm = yhat[:, 0]
     mae_norm = mae_loss(pred_norm, targets)
     actual = denormalize(targets, norm.target_min, norm.target_max)
     predicted = denormalize(pred_norm, norm.target_min, norm.target_max)
-    mae = mae_loss(predicted, actual)
-    predictions = [
-        (date, float(a), float(p)) for date, a, p in zip(dates, actual, predicted)
-    ]
-    return EvalResult(mae=mae, mae_norm=mae_norm, predictions=predictions, n=len(predictions))
+    return EvalResult(
+        mae=mae_loss(predicted, actual),
+        mae_norm=mae_norm,
+        dates=dates,
+        actual=actual,
+        predicted=predicted,
+    )
 
 
-def persistence_baseline(dataset: SupervisedDataset, norm: NormParams | None = None) -> float:
+def persistence_baseline(dataset: SupervisedDataset) -> float:
     """Denormalized MAE of the naive forecast 'today's close = yesterday's close'.
 
-    Computed in original units, so the result does not depend on which
-    NormParams were fitted.
+    Computed in original units (a normalized dataset is denormalized with
+    its own NormParams), so the result does not depend on which NormParams
+    were fitted.
     """
     if len(dataset) == 0:
         raise ValueError("cannot compute a baseline on an empty dataset")
-    norm = norm if norm is not None else dataset.norm
     close = dataset.features[:, 3]
     target = dataset.targets
-    if dataset.normalized:
-        if norm is None:
-            raise ValueError("normalized dataset requires NormParams to denormalize")
+    norm = dataset.norm
+    if norm is not None:
         close = denormalize(close, norm.feature_min[3], norm.feature_max[3])
         target = denormalize(target, norm.target_min, norm.target_max)
     return float(np.mean(np.abs(close - target)))
@@ -286,8 +281,7 @@ def run_sweep(
         raise ValueError("hidden_range is empty")
     if any(h < 1 for h in hiddens):
         raise ValueError(f"hidden sizes must be >= 1, got {hiddens}")
-    norm = data.train.norm
-    if norm is None:
+    if not data.train.normalized:
         raise ValueError("sweep requires normalized splits (fit and apply NormParams first)")
 
     trials: list[TrialResult] = []
@@ -298,9 +292,9 @@ def run_sweep(
             t0 = time.perf_counter()
             try:
                 train(model, data.train, data.validation, config)
-                train_mae = evaluate(model, data.train, norm).mae
-                val_mae = evaluate(model, data.validation, norm).mae
-                test_mae = evaluate(model, data.test, norm).mae
+                train_mae = evaluate(model, data.train).mae
+                val_mae = evaluate(model, data.validation).mae
+                test_mae = evaluate(model, data.test).mae
             except TrainingDiverged as e:
                 log.warning("trial %s h=%d diverged: %s", arch, h, e)
                 train_mae = val_mae = test_mae = float("nan")
@@ -331,8 +325,8 @@ def select_best(report: SweepReport, criterion: str = "test_mae") -> BestSelecti
 
     Trials with non-finite criterion values (diverged) are excluded.
     """
-    if criterion not in ("test_mae", "val_mae"):
-        raise ValueError(f"criterion must be 'test_mae' or 'val_mae', got {criterion!r}")
+    if criterion not in CRITERIA:
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     usable = [t for t in report.trials if math.isfinite(getattr(t, criterion))]
     if not usable:
         raise ValueError("no successful trials to select from")

@@ -8,13 +8,15 @@ its own instance (never shared across trainers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 OPTIMIZERS = ("sgd", "rmsprop")
 
-# Widely published defaults; used when a learning rate is not given explicitly.
+# Widely published values. The learning rates are defaults for when none is
+# given; RMSProp's rho and eps are fixed.
 SGD_LR = 0.01
 RMSPROP_LR = 0.001
 RMSPROP_RHO = 0.9
@@ -25,18 +27,12 @@ RMSPROP_EPS = 1e-8
 class OptimizerConfig:
     kind: str
     learning_rate: float
-    rho: float = RMSPROP_RHO
-    eps: float = RMSPROP_EPS
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 def default_config(kind: str, learning_rate: float | None = None) -> OptimizerConfig:
@@ -74,6 +70,7 @@ class Optimizer:
 
     SGD:     theta <- theta - lr*g
     RMSProp: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s) + eps)
+             with rho = RMSPROP_RHO and eps = RMSPROP_EPS
 
     eps is added after the square root; implementations disagree on this and
     it changes trajectories, so it is pinned here and covered by tests.
@@ -83,13 +80,9 @@ class Optimizer:
     """
 
     def __init__(self, n: int, config: OptimizerConfig):
-        self.config = config
         self.n = int(n)
         self._shape = (self.n,)
         self._lr = config.learning_rate
-        self._rho = config.rho
-        self._one_minus_rho = 1.0 - config.rho
-        self._eps = config.eps
         self.acc = np.zeros(self.n) if config.kind == "rmsprop" else None
         self._tmp = np.empty(self.n)
         self._den = np.empty(self.n)
@@ -106,13 +99,13 @@ class Optimizer:
             np.multiply(grad, self._lr, out=tmp)
             theta -= tmp
             return
-        s *= self._rho
-        np.multiply(grad, self._one_minus_rho, out=tmp)
+        s *= RMSPROP_RHO
+        np.multiply(grad, 1.0 - RMSPROP_RHO, out=tmp)
         tmp *= grad
         s += tmp
         den = self._den
         np.sqrt(s, out=den)
-        den += self._eps
+        den += RMSPROP_EPS
         np.multiply(grad, self._lr, out=tmp)
         tmp /= den
         theta -= tmp

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id, param_shapes
 from .data import NormParams, _csv_rows
-from .experiment import EvalResult, SweepReport, TrialResult, select_best
+from .experiment import CRITERIA, EvalResult, SweepReport, TrialResult, select_best
 
 FORMAT_VERSION = 1
 
@@ -114,13 +114,7 @@ def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.nd
         raise ValueError(
             f"array {name!r} has {got} values, expected {expected_len} for shape {expected_shape}"
         )
-    try:
-        arr = np.asarray(data, dtype=float).reshape(expected_shape)
-    except (TypeError, ValueError):
-        raise ValueError(f"array {name!r} data must be a list of numbers") from None
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"array {name!r} contains non-finite values")
-    return arr
+    return np.array([_finite_number(v, name) for v in data]).reshape(expected_shape)
 
 
 def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
@@ -202,13 +196,15 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
 
 def emit_series_csv(result: EvalResult) -> bytes:
     """Actual-vs-predicted series as `date,actual,predicted` CSV bytes."""
-    if result.n == 0 or not result.predictions:
+    if not result.dates:
         raise ValueError("cannot emit a series for an empty evaluation result")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("date", "actual", "predicted"))
-    for date, actual, predicted in result.predictions:
-        writer.writerow((date.isoformat(), repr(float(actual)), repr(float(predicted))))
+    for date, actual, predicted in zip(
+        result.dates, result.actual.tolist(), result.predicted.tolist()
+    ):
+        writer.writerow((date.isoformat(), repr(actual), repr(predicted)))
     return buf.getvalue().encode("utf-8")
 
 
@@ -289,19 +285,21 @@ def _fmt_mae(value: float) -> str:
     return format(value, ".6g")
 
 
-def render_report_table(report: SweepReport) -> str:
-    """Human-readable grid with per-arch best (*) and overall best (**) marks.
+def render_report_table(report: SweepReport, criterion: str) -> str:
+    """Human-readable grid with per-arch best (*) and overall best (**) marks
+    by `criterion` ("test_mae" or "val_mae").
 
     The summary block repeats the winning values exactly (shortest
     round-trip floats) so they can be quoted without loss.
     """
     if not report.trials:
         raise ValueError("cannot render an empty report")
-    criterion = report.criterion
     try:
         best = select_best(report, criterion)
     except ValueError:
-        best = None
+        if criterion not in CRITERIA:
+            raise
+        best = None  # no successful trials
     rows = []
     for t in sorted(report.trials, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
         if best is not None and t == best.overall:

@@ -18,6 +18,7 @@ import pytest
 
 from fxbench import (
     ARCHS,
+    DEFAULT_FRACTIONS,
     SweepReport,
     TrainConfig,
     TrialResult,
@@ -38,7 +39,7 @@ from fxbench import (
     write_ohlc_csv,
 )
 from fxbench.cli import main
-from fxbench.optim import Optimizer
+from fxbench.optim import RMSPROP_EPS, RMSPROP_RHO, Optimizer
 from gradcheck import check_model_gradients
 
 ACCEPT_EPOCHS = int(os.environ.get("FXBENCH_ACCEPT_EPOCHS", "200"))
@@ -77,7 +78,7 @@ def walk_sweep():
     the same sweep from different angles.
     """
     records = random_walk_ohlc(1500, seed=20180102)
-    data, norm = prepare_splits(records, "train")
+    data, _ = prepare_splits(records, "train")
     config = TrainConfig(
         optimizer=default_config("rmsprop"),
         epochs=ACCEPT_EPOCHS,
@@ -87,7 +88,7 @@ def walk_sweep():
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair="WALK/SYN")
     elapsed = time.perf_counter() - t0
-    return report, data, norm, elapsed
+    return report, data, elapsed
 
 
 # ------------------------------------------------------------------ criteria
@@ -162,7 +163,8 @@ def test_split_sizes_on_1500_samples():
     records = random_walk_ohlc(1501, seed=4)
     dataset = build_supervised(records)
     assert len(dataset) == 1500
-    split = chrono_split(dataset, (0.70, 0.15, 0.15))
+    assert DEFAULT_FRACTIONS == (0.70, 0.15, 0.15)
+    split = chrono_split(dataset)
     sizes = (len(split.train), len(split.validation), len(split.test))
     assert sizes == (1050, 225, 225), f"got {sizes}"
     dates = list(split.train.dates) + list(split.validation.dates) + list(split.test.dates)
@@ -173,7 +175,7 @@ def test_split_sizes_on_1500_samples():
 
 @criterion(5, "full architecture sweep completes in budget")
 def test_sweep_shape_and_runtime(walk_sweep):
-    report, _, _, elapsed = walk_sweep
+    report, _, elapsed = walk_sweep
     budget = 120.0 if ACCEPT_EPOCHS <= 200 else 600.0
     assert len(report.trials) == 36, f"expected 36 trials, got {len(report.trials)}"
     assert all(t.structure == f"4-{t.hidden}-1" for t in report.trials)
@@ -187,9 +189,9 @@ def test_sweep_shape_and_runtime(walk_sweep):
 
 @criterion(6, "learnability: beats-noise bound and noiseless ramp")
 def test_learnability_on_walk_and_ramp(walk_sweep):
-    report, data, norm, _ = walk_sweep
+    report, data, _ = walk_sweep
     best = select_best(report, "test_mae").overall
-    baseline = persistence_baseline(data.test, norm)
+    baseline = persistence_baseline(data.test)
     ratio = best.test_mae / baseline
     assert ratio <= 1.25, f"best test MAE is {ratio:.3f}x persistence (bound 1.25)"
 
@@ -272,7 +274,7 @@ RMSPROP_REFERENCE = [
 @criterion(8, "20-step rmsprop trajectory matches scalar oracle")
 def test_rmsprop_trajectory_oracle():
     config = default_config("rmsprop")
-    assert (config.learning_rate, config.rho, config.eps) == (0.001, 0.9, 1e-8)
+    assert (config.learning_rate, RMSPROP_RHO, RMSPROP_EPS) == (0.001, 0.9, 1e-8)
     theta = np.array([1.0])
     opt = Optimizer(1, config)
     worst = 0.0

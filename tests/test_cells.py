@@ -10,10 +10,8 @@ from fxbench import (
     ModelSpec,
     NetworkModel,
     backward,
-    forward,
     forward_batch,
     init_model,
-    parameter_count,
     param_shapes,
 )
 from fxbench.cells import _sigmoid
@@ -46,14 +44,14 @@ def test_spec_validation():
 
 def test_parameter_counts_match_closed_forms():
     # hand-expanded: weights + biases per block, plus the output layer
-    assert parameter_count(init_model(ModelSpec(arch="mlp", hidden=6), 0)) == 4 * 6 + 6 + 6 + 1
-    assert parameter_count(init_model(ModelSpec(arch="lstm", hidden=5), 0)) == 4 * (
+    assert init_model(ModelSpec(arch="mlp", hidden=6), 0).flat.size == 4 * 6 + 6 + 6 + 1
+    assert init_model(ModelSpec(arch="lstm", hidden=5), 0).flat.size == 4 * (
         5 * (4 + 5) + 5
     ) + 5 + 1
-    assert parameter_count(init_model(ModelSpec(arch="gru", hidden=7), 0)) == 3 * (
+    assert init_model(ModelSpec(arch="gru", hidden=7), 0).flat.size == 3 * (
         7 * (4 + 7) + 7
     ) + 7 + 1
-    assert parameter_count(init_model(ModelSpec(arch="srnn", hidden=3), 0)) == (
+    assert init_model(ModelSpec(arch="srnn", hidden=3), 0).flat.size == (
         3 * 4 + 3 * 3 + 3 + 3 + 1
     )
 
@@ -77,7 +75,7 @@ def test_params_are_views_into_the_flat_buffer(arch):
     spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
     model = init_model(spec, 4)
     assert list(model.params) == list(param_shapes(spec))
-    assert model.flat.shape == model.grad.shape == (parameter_count(model),)
+    assert model.flat.shape == model.grad.shape
     assert sum(a.size for a in model.params.values()) == model.flat.size
     for name, arr in model.params.items():
         assert np.shares_memory(arr, model.flat)
@@ -174,49 +172,53 @@ def test_sigmoid_symmetry(x):
 
 def test_lstm_zero_weights_outputs_zero():
     model = zeroed(ModelSpec(arch="lstm", hidden=3, input_dim=2))
-    yhat, cache = forward(model, [[0.4, -1.2]])
-    assert np.array_equal(yhat, [0.0])
-    assert np.all(cache.steps["i"] == 0.5)
-    assert np.all(cache.steps["f"] == 0.5)
-    assert np.all(cache.steps["o"] == 0.5)
+    yhat, cache = forward_batch(model, [[[0.4, -1.2]]])
+    assert np.array_equal(yhat, [[0.0]])
+    assert np.all(cache.steps["gates"][..., :9] == 0.5)  # i, f, o
     assert np.all(cache.steps["cs"][1] == 0.0)
 
 
 def test_lstm_seeded_cell_state_hand_value():
-    # zero weights, c0 = 1: c1 = f*c0 + i*cand = 0.5, h1 = o*tanh(c1)
-    model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2))
-    _, cache = forward(model, [[0.3, 0.7]], c0=np.array([1.0]))
-    assert cache.steps["cs"][1][0, 0] == pytest.approx(0.5, abs=1e-15)
-    assert cache.hidden_final[0, 0] == pytest.approx(0.5 * math.tanh(0.5), abs=1e-15)
+    # only the candidate's input weight is nonzero, so step 1 sets a cell
+    # state c1 != 0; step 2 sees x2 = 0, hence i = f = o = 0.5 and
+    # cand = tanh(0) = 0: c2 = f*c1 + i*cand = 0.5*c1, h2 = o*tanh(c2)
+    model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2, window=2))
+    model.params["W_c"][0, 0] = 2.0
+    _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
+    c1 = cache.steps["cs"][1][0, 0]
+    assert c1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
+    assert cache.steps["hs"][1][0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
+    assert cache.steps["cs"][2][0, 0] == pytest.approx(0.5 * c1, abs=1e-15)
+    assert cache.hidden_final[0, 0] == pytest.approx(0.5 * math.tanh(0.5 * c1), abs=1e-15)
 
 
 def test_gru_seeded_hidden_state_hand_value():
-    # zero weights, h0 = 1: z = 0.5, cand = tanh(0) = 0, h1 = 0.5
-    model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2))
-    _, cache = forward(model, [[0.3, 0.7]], h0=np.array([1.0]))
-    assert cache.steps["z"][0][0, 0] == 0.5
-    assert cache.steps["cand"][0][0, 0] == 0.0
-    assert cache.hidden_final[0, 0] == 0.5
+    # only the candidate's input weight is nonzero, so step 1 sets h1 != 0;
+    # step 2 sees x2 = 0, hence z = 0.5 and cand = tanh(0) = 0: h2 = 0.5*h1
+    model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2, window=2))
+    model.params["W_h"][0, 0] = 2.0
+    _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
+    h1 = cache.steps["hs"][1][0, 0]
+    assert h1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
+    assert cache.steps["zr"][1][0, 0] == 0.5
+    assert cache.steps["cand"][1][0, 0] == 0.0
+    assert cache.hidden_final[0, 0] == 0.5 * h1
 
 
 def test_srnn_zero_weights_hidden_zero():
     model = zeroed(ModelSpec(arch="srnn", hidden=2, input_dim=3))
-    _, cache = forward(model, [[1.0, 2.0, 3.0]])
+    _, cache = forward_batch(model, [[[1.0, 2.0, 3.0]]])
     assert np.all(cache.hidden_final == 0.0)
 
 
 def test_forward_rejects_wrong_window_and_dim():
     model = init_model(ModelSpec(arch="srnn", hidden=2, input_dim=4, window=2), 0)
     with pytest.raises(ValueError, match="window length mismatch"):
-        forward(model, np.zeros((3, 4)))
+        forward_batch(model, np.zeros((1, 3, 4)))
     with pytest.raises(ValueError, match="input_dim mismatch"):
-        forward(model, np.zeros((2, 5)))
-
-
-def test_forward_rejects_c0_for_non_lstm():
-    model = init_model(ModelSpec(arch="gru", hidden=2), 0)
-    with pytest.raises(ValueError, match="c0 only applies to lstm"):
-        forward(model, np.zeros((1, 4)), c0=np.zeros(2))
+        forward_batch(model, np.zeros((1, 2, 5)))
+    with pytest.raises(ValueError, match="batched input"):
+        forward_batch(model, np.zeros((2, 4)))
 
 
 def test_forward_deterministic_and_matches_batch():
@@ -229,22 +231,19 @@ def test_forward_deterministic_and_matches_batch():
         again, _ = forward_batch(model, xb)
         assert np.array_equal(y_batch, again)
         for i in range(xb.shape[0]):
-            y_one, _ = forward(model, xb[i])
-            # the single-sample API is exactly a batch of one
-            y_b1, _ = forward_batch(model, xb[i : i + 1])
-            assert np.array_equal(y_one, y_b1[0])
+            y_one, _ = forward_batch(model, xb[i : i + 1])
             # within a larger batch BLAS may sum in a different order, so
-            # agreement there is numeric rather than bitwise
-            assert y_one[0] == pytest.approx(y_batch[i, 0], rel=1e-12, abs=1e-15)
+            # row i agrees with a batch of one numerically, not bitwise
+            assert y_one[0, 0] == pytest.approx(y_batch[i, 0], rel=1e-12, abs=1e-15)
 
 
 def test_output_layer_is_linear_unbounded():
     model = zeroed(ModelSpec(arch="mlp", hidden=2, input_dim=1))
     model.params["W_out"][:] = 100.0
     model.params["b_out"][:] = 3.0
-    yhat, _ = forward(model, [[0.0]])
+    yhat, _ = forward_batch(model, [[[0.0]]])
     # hidden = sigmoid(0) = 0.5 twice, output = 100*0.5*2 + 3
-    assert yhat[0] == pytest.approx(103.0, abs=1e-12)
+    assert yhat[0, 0] == pytest.approx(103.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------- backward
@@ -283,8 +282,8 @@ def test_backward_mlp_hand_chain_rule():
     # 1-1-1 with all weights zero except W_out=1: d yhat / d W_out = hidden = sigmoid(0)
     model = zeroed(ModelSpec(arch="mlp", hidden=1, input_dim=1))
     model.params["W_out"][:] = 1.0
-    _, cache = forward(model, [[1.0]])
-    grads = backward(model, cache, np.array([1.0]))
+    _, cache = forward_batch(model, [[[1.0]]])
+    grads = backward(model, cache, np.array([[1.0]]))
     assert grads["W_out"][0, 0] == 0.5
 
 
@@ -292,16 +291,16 @@ def test_backward_rejects_foreign_cache():
     spec = ModelSpec(arch="srnn", hidden=2)
     a = init_model(spec, 1)
     b = init_model(spec, 2)
-    _, cache = forward(a, np.zeros((1, 4)))
+    _, cache = forward_batch(a, np.zeros((1, 1, 4)))
     with pytest.raises(ValueError, match="different model"):
-        backward(b, cache, np.array([1.0]))
+        backward(b, cache, np.array([[1.0]]))
 
 
 def test_backward_rejects_bad_cotangent_shape():
     model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
     _, cache = forward_batch(model, np.zeros((3, 1, 4)))
-    with pytest.raises(ValueError, match="1-d cotangent"):
-        backward(model, cache, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"cotangent shape \(3,\) does not match \(3, 1\)"):
+        backward(model, cache, np.zeros(3))
     with pytest.raises(ValueError, match="cotangent shape"):
         backward(model, cache, np.zeros((2, 1)))
 
@@ -320,32 +319,20 @@ def test_gradients_match_finite_differences_quick(arch, window):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_gru_next_hidden_interpolates_toward_candidate(seed):
-    # each unit of h_t is a strict convex combination of h_{t-1} and a
-    # value in (-1, 1), so it stays strictly inside the envelope
-    # magnitudes kept moderate so no gate rounds to exactly 0.0/1.0 in
-    # float64, which would collapse the strict inequality
+    # each unit of h_2 is a strict convex combination of h_1 and a value
+    # in (-1, 1), so it stays strictly inside the envelope; magnitudes are
+    # kept moderate so no gate rounds to exactly 0.0/1.0 in float64, which
+    # would collapse the strict inequality
     rng = np.random.default_rng(seed)
-    spec = ModelSpec(arch="gru", hidden=4, input_dim=4)
+    spec = ModelSpec(arch="gru", hidden=4, input_dim=4, window=2)
     model = init_model(spec, seed)
     for arr in model.params.values():
         arr[:] = rng.normal(scale=0.5, size=arr.shape)
-    h0 = rng.uniform(-2.0, 2.0, size=4)
-    x = rng.uniform(-2.0, 2.0, size=(1, 4))
-    _, cache = forward(model, x, h0=h0)
-    h1 = cache.hidden_final[0]
-    lower = np.minimum(h0, -1.0)
-    upper = np.maximum(h0, 1.0)
-    assert np.all(h1 > lower) and np.all(h1 < upper)
-    assert np.max(np.abs(h1)) <= max(np.max(np.abs(h0)), 1.0)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(ARCHS), st.integers(0, 10**6))
-def test_replaying_forward_reproduces_cached_outputs(arch, seed):
-    spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
-    model = init_model(spec, seed)
-    x = np.random.default_rng(seed).normal(size=(2, spec.window, 4))
-    y1, cache = forward_batch(model, x)
-    y2, _ = forward_batch(model, cache.x, h0=cache.h0, c0=cache.c0)
-    assert np.array_equal(y1, y2)
-    assert np.array_equal(cache.yhat, y2)
+    x = rng.uniform(-2.0, 2.0, size=(1, 2, 4))
+    _, cache = forward_batch(model, x)
+    h1 = cache.steps["hs"][1][0]
+    h2 = cache.hidden_final[0]
+    lower = np.minimum(h1, -1.0)
+    upper = np.maximum(h1, 1.0)
+    assert np.all(h2 > lower) and np.all(h2 < upper)
+    assert np.max(np.abs(h2)) <= max(np.max(np.abs(h1)), 1.0)

@@ -234,6 +234,53 @@ def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch
     }
 
 
+@pytest.mark.parametrize(
+    "lr,message",
+    [("1e308", "non-finite weights (training loss"), ("inf", "learning_rate must be finite")],
+    ids=["diverging", "infinite"],
+)
+def test_train_divergence_is_one_error_line_and_no_file(tmp_path, data_csv, capsys, lr, message):
+    model_path = tmp_path / "m.json"
+    code, _, err = run(
+        capsys, "train", "--data", data_csv, "--arch", "lstm", "--hidden", "3",
+        "--epochs", "1", "--batch", "1000", "--lr", lr, "--model-out", str(model_path),
+    )
+    assert code == 1
+    assert message in one_error_line(err)
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "command,builder,flags",
+    [
+        ("sweep", "emit_report_csv", ("--archs", "mlp", "--hidden", "2", "--epochs", "1")),
+        ("train", "save_model", ("--arch", "mlp", "--hidden", "2", "--epochs", "1")),
+        ("predict", "emit_series_csv", ()),
+    ],
+    ids=["sweep", "train", "predict"],
+)
+def test_no_output_file_is_opened_before_its_bytes_exist(
+    tmp_path, data_csv, capsys, monkeypatch, command, builder, flags
+):
+    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    model_path = tmp_path / "m.json"
+    model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
+    out_flag = {"sweep": "--report", "train": "--model-out", "predict": "--series-out"}[command]
+    if command == "predict":
+        flags = ("--model", str(model_path))
+
+    def refuse(*args):
+        raise ValueError("cannot build these bytes")
+
+    monkeypatch.setattr(f"fxbench.cli.{builder}", refuse)
+    monkeypatch.setenv("FXBENCH_LOG", "error")  # no per-trial info lines
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, "--data", data_csv, *flags, out_flag, str(out))
+    assert code == 1
+    assert "cannot build these bytes" in one_error_line(err)
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
     code, _, err = run(
         capsys, "train", "--data", data_csv, "--arch", "transformer", "--hidden", "3",
@@ -265,9 +312,11 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys):
         ("target_min", lambda d: d["norm"].update(target_min=[1])),
         ("feature_min", lambda d: d["norm"].update(feature_min=d["norm"]["feature_min"][:3])),
         ("feature_max", lambda d: d["norm"].update(feature_max=d["norm"]["feature_min"])),
+        ("W_h", lambda d: d["params"]["W_h"]["data"].__setitem__(0, 10**400)),
+        ("W_h", lambda d: d["params"]["W_h"]["data"].__setitem__(0, "1.5")),
     ],
     ids=["hidden-null", "norm-number", "shape-int", "target-min-list",
-         "feature-min-3-long", "feature-max-equals-min"],
+         "feature-min-3-long", "feature-max-equals-min", "weight-beyond-float", "weight-string"],
 )
 def test_predict_rejects_malformed_model_file_in_one_line(
     tmp_path, data_csv, capsys, field, mutate

@@ -230,13 +230,13 @@ def test_normalize_dataset_marks_and_scales(wavy_records):
 
 def test_split_sizes_1500():
     ds = build_supervised(make_records(list(np.linspace(100, 200, 1501))))
-    split = chrono_split(ds, (0.70, 0.15, 0.15))
+    split = chrono_split(ds)
     assert (len(split.train), len(split.validation), len(split.test)) == (1050, 225, 225)
 
 
 def test_split_sizes_small_remainder_to_test():
     ds = build_supervised(make_records(list(np.linspace(100, 110, 11))))
-    split = chrono_split(ds, (0.70, 0.15, 0.15))
+    split = chrono_split(ds)
     assert (len(split.train), len(split.validation), len(split.test)) == (7, 1, 2)
 
 
@@ -258,14 +258,11 @@ def test_split_order_is_strictly_chronological(wavy_records):
     assert max(split.validation.dates) < min(split.test.dates)
 
 
-def test_split_rejects_bad_fractions_and_empty_slices():
-    ds = build_supervised(make_records([1.0, 2.0, 3.0, 4.0]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        chrono_split(ds, (0.5, 0.2, 0.2))
-    with pytest.raises(ValueError, match="positive"):
-        chrono_split(ds, (1.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="empty slice"):
-        chrono_split(ds, (0.34, 0.33, 0.33))
+def test_split_rejects_empty_slices():
+    # 6 samples split 4/0/2: floor(0.15 * 6) leaves no validation sample
+    ds = build_supervised(make_records([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
+    with pytest.raises(ValueError, match=r"empty slice \(4/0/2\)"):
+        chrono_split(ds)
 
 
 @pytest.mark.parametrize("fit_norm", ["train", "all"])
@@ -274,7 +271,6 @@ def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_no
     raw = build_supervised(wavy_records)
     raw_split = chrono_split(raw)
     assert norm.same_as(fit_minmax(raw if fit_norm == "all" else raw_split.train))
-    assert data.fractions == DEFAULT_FRACTIONS
     for part, raw_part in (
         (data.train, raw_split.train),
         (data.validation, raw_split.validation),

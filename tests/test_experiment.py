@@ -72,9 +72,9 @@ def test_train_config_validation():
 def test_history_has_one_finite_entry_per_epoch(wavy_records):
     data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=3), 1)
-    model, history = train(model, data.train, data.validation, quick_config(epochs=7))
-    assert len(history.losses) == 7
-    assert all(math.isfinite(v) for v in history.losses)
+    losses = train(model, data.train, data.validation, quick_config(epochs=7))
+    assert len(losses) == 7
+    assert all(math.isfinite(v) for v in losses)
     assert model.epochs_trained == 7
 
 
@@ -84,7 +84,7 @@ def test_training_is_bitwise_deterministic(wavy_records):
     runs = []
     for _ in range(2):
         model = init_model(ModelSpec(arch="lstm", hidden=3), 9)
-        model, _ = train(model, data.train, data.validation, cfg)
+        train(model, data.train, data.validation, cfg)
         runs.append({k: v.copy() for k, v in model.params.items()})
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name])
@@ -93,8 +93,8 @@ def test_training_is_bitwise_deterministic(wavy_records):
 def test_training_loss_decreases_on_learnable_series(wavy_records):
     data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=4), 3)
-    _, history = train(model, data.train, None, quick_config(epochs=150))
-    assert history.losses[-1] < history.losses[0]
+    losses = train(model, data.train, None, quick_config(epochs=150))
+    assert losses[-1] < losses[0]
 
 
 def test_train_requires_normalized_data(wavy_records):
@@ -132,10 +132,10 @@ def test_windowed_training_and_prediction_counts(wavy_records):
     data, norm = prepare_splits(wavy_records)
     spec = ModelSpec(arch="gru", hidden=3, window=3)
     model = init_model(spec, 4)
-    model, _ = train(model, data.train, None, quick_config(epochs=2))
-    result = evaluate(model, data.test, norm)
-    assert result.n == len(data.test) - 2
-    assert [p[0] for p in result.predictions] == list(data.test.dates[2:])
+    train(model, data.train, None, quick_config(epochs=2))
+    result = evaluate(model, data.test)
+    assert result.dates == data.test.dates[2:]
+    assert len(result.actual) == len(result.predicted) == len(data.test) - 2
 
 
 # ---------------------------------------------------------------- evaluate
@@ -165,31 +165,31 @@ def test_evaluate_constant_predictor_hand_value():
         dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3)),
         norm=norm,
     )
-    result = evaluate(constant_predictor(0.5), ds, norm)
+    result = evaluate(constant_predictor(0.5), ds)
     assert result.mae == pytest.approx(2.0, abs=1e-12)
     assert result.mae_norm == pytest.approx(0.1, abs=1e-12)
-    assert result.n == 2
-    assert result.predictions[0][1] == pytest.approx(108.0, abs=1e-12)
-    assert result.predictions[0][2] == pytest.approx(110.0, abs=1e-12)
+    assert result.dates == ds.dates
+    assert result.actual == pytest.approx([108.0, 112.0], abs=1e-12)
+    assert result.predicted == pytest.approx([110.0, 110.0], abs=1e-12)
 
 
 def test_evaluate_mae_matches_prediction_list(wavy_records):
-    data, norm = prepare_splits(wavy_records)
+    data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="lstm", hidden=3), 5)
-    result = evaluate(model, data.validation, norm)
-    recomputed = np.mean([abs(a - p) for _, a, p in result.predictions])
+    result = evaluate(model, data.validation)
+    recomputed = np.mean([abs(a - p) for a, p in zip(result.actual, result.predicted)])
     assert result.mae == pytest.approx(recomputed, abs=1e-12)
-    assert result.n == len(result.predictions) == len(data.validation)
+    assert len(result.dates) == len(result.actual) == len(data.validation)
 
 
 def test_evaluate_rejects_empty_and_unnormalized(wavy_records):
     data, norm = prepare_splits(wavy_records)
     empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=norm)
     with pytest.raises(ValueError, match="empty"):
-        evaluate(constant_predictor(0.5), empty, norm)
+        evaluate(constant_predictor(0.5), empty)
     raw = build_supervised(wavy_records)
     with pytest.raises(ValueError, match="normalized"):
-        evaluate(constant_predictor(0.5), raw, norm)
+        evaluate(constant_predictor(0.5), raw)
 
 
 # ---------------------------------------------------------------- baseline
@@ -211,9 +211,9 @@ def test_persistence_baseline_constant_close_is_zero():
 
 def test_persistence_baseline_invariant_to_normalization(wavy_records):
     raw = build_supervised(wavy_records)
-    data, norm = prepare_splits(wavy_records, "all")
+    data, _ = prepare_splits(wavy_records, "all")
     raw_split = chrono_split(raw)
-    assert persistence_baseline(data.test, norm) == pytest.approx(
+    assert persistence_baseline(data.test) == pytest.approx(
         persistence_baseline(raw_split.test), rel=1e-12
     )
 

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fxbench.optim import Optimizer, OptimizerConfig, default_config, mae_grad, mae_loss
+from fxbench.optim import (
+    RMSPROP_EPS,
+    RMSPROP_RHO,
+    Optimizer,
+    OptimizerConfig,
+    default_config,
+    mae_grad,
+    mae_loss,
+)
 
 vec = st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=20)
 
@@ -14,7 +22,8 @@ def test_config_defaults():
     sgd = default_config("sgd")
     assert (sgd.kind, sgd.learning_rate) == ("sgd", 0.01)
     rp = default_config("rmsprop")
-    assert (rp.kind, rp.learning_rate, rp.rho, rp.eps) == ("rmsprop", 0.001, 0.9, 1e-8)
+    assert (rp.kind, rp.learning_rate) == ("rmsprop", 0.001)
+    assert (RMSPROP_RHO, RMSPROP_EPS) == (0.9, 1e-8)
     assert default_config("rmsprop", 0.005).learning_rate == 0.005
 
 
@@ -23,8 +32,9 @@ def test_config_validation():
         OptimizerConfig(kind="adam", learning_rate=0.1)
     with pytest.raises(ValueError, match="learning_rate"):
         OptimizerConfig(kind="sgd", learning_rate=0.0)
-    with pytest.raises(ValueError, match="rho"):
-        OptimizerConfig(kind="rmsprop", learning_rate=0.1, rho=1.0)
+    for lr in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            OptimizerConfig(kind="rmsprop", learning_rate=lr)
 
 
 # ---------------------------------------------------------------- mae

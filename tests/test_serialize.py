@@ -1,9 +1,14 @@
+import copy
+import functools
 import hashlib
 import json
 import math
+import operator
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fxbench import (
     ARCHS,
@@ -143,6 +148,67 @@ def test_load_rejects_truncated_and_non_json_bytes():
         load_model(b"\x00\x01binary junk")
 
 
+def _paths(node, prefix=()):
+    """Every key/index path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+VALID_DOC = json.loads(
+    save_model(init_model(ModelSpec(arch="gru", hidden=2, window=2), 3), sample_norm())
+)
+DELETE = object()
+# JSON scalars, including non-finite floats and integers beyond the range of
+# a float (JSON does not bound them), and nested JSON values built from them
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(309, 400).map(lambda e: 10**e)
+    | st.floats()
+    | st.text(max_size=4)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(list(_paths(VALID_DOC))),
+            st.just(DELETE) | JSON_SCALARS | JSON_VALUES,
+        ),
+        min_size=1,
+        max_size=2,
+    )
+)
+def test_load_model_of_a_mutated_file_loads_or_raises_value_error(mutations):
+    doc = copy.deepcopy(VALID_DOC)
+    for path, value in mutations:
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this path
+    try:
+        model, norm = load_model(json.dumps(doc).encode("utf-8"))
+    except ValueError:
+        return
+    save_model(model, norm)  # what loads is finite, so it saves again
+
+
 # ---------------------------------------------------------------- series csv
 
 
@@ -150,11 +216,9 @@ def test_series_csv_layout_and_reparse():
     result = EvalResult(
         mae=0.75,
         mae_norm=0.075,
-        predictions=[
-            (dt.date(2018, 1, 2), 110.0, 110.5),
-            (dt.date(2018, 1, 3), 112.0, 111.0),
-        ],
-        n=2,
+        dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3)),
+        actual=np.array([110.0, 112.0]),
+        predicted=np.array([110.5, 111.0]),
     )
     text = emit_series_csv(result).decode("utf-8")
     lines = text.splitlines()
@@ -169,7 +233,8 @@ def test_series_csv_layout_and_reparse():
 
 
 def test_series_csv_rejects_empty():
-    empty = EvalResult(mae=float("nan"), mae_norm=float("nan"), predictions=[], n=0)
+    nan = float("nan")
+    empty = EvalResult(mae=nan, mae_norm=nan, dates=(), actual=np.zeros(0), predicted=np.zeros(0))
     with pytest.raises(ValueError, match="empty"):
         emit_series_csv(empty)
 
@@ -260,7 +325,7 @@ def test_parse_report_rejects_bad_header_and_rows():
 
 
 def test_rendered_table_marks_per_arch_and_overall_best():
-    table = render_report_table(small_report())
+    table = render_report_table(small_report(), "test_mae")
     assert "LSTM,4-5-1,0.013" in table
     assert "Overall best: LSTM,4-5-1,0.013" in table
     lines = table.splitlines()
@@ -278,7 +343,7 @@ def test_rendered_table_second_reference_grid():
         trial("lstm", 5, 0.0388, pair="GBP/NPR"),
     ]
     report = SweepReport(trials=trials, archs=ARCHS, hiddens=(5, 6, 7, 9))
-    table = render_report_table(report)
+    table = render_report_table(report, "test_mae")
     assert "Overall best: GRU,4-7-1,0.0177" in table
 
 
@@ -286,5 +351,17 @@ def test_rendered_table_handles_all_diverged():
     report = SweepReport(
         trials=[trial("mlp", 2, float("nan"))], archs=("mlp",), hiddens=(2,)
     )
-    table = render_report_table(report)
+    table = render_report_table(report, "test_mae")
     assert "No successful trials" in table
+
+
+def test_rendered_table_marks_by_the_given_criterion():
+    # hidden 2 has the lower test MAE, hidden 3 the lower validation MAE
+    trials = [replace(trial("mlp", 2, 0.1), val_mae=0.9), trial("mlp", 3, 0.5)]
+    report = SweepReport(trials=trials, archs=("mlp",), hiddens=(2, 3))
+    assert "Overall best: MLP,4-2-1,0.1\n" in render_report_table(report, "test_mae")
+    by_val = render_report_table(report, "val_mae")
+    assert "Best per architecture (by val_mae):" in by_val
+    assert "Overall best: MLP,4-3-1,0.75\n" in by_val
+    with pytest.raises(ValueError, match="criterion"):
+        render_report_table(report, "train_mae")
