@@ -57,9 +57,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     data, norm = prepare_splits(records)
 
     t0 = time.perf_counter()
-    report = run_sweep(
-        ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW, measure_time=True
-    )
+    report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW)
     elapsed = time.perf_counter() - t0
     (out_dir / f"{slug}_report.csv").write_bytes(emit_report_csv(report))
     (out_dir / f"{slug}_report.txt").write_text(render_report_table(report, "test_mae"))

@@ -11,10 +11,12 @@ from .cells import (
     ARCHS,
     ForwardCache,
     ModelSpec,
+    ModelStack,
     NetworkModel,
     backward,
     forward_batch,
     init_model,
+    padded_width,
     param_shapes,
 )
 from .data import (
@@ -76,6 +78,7 @@ __all__ = [
     "EvalResult",
     "ForwardCache",
     "ModelSpec",
+    "ModelStack",
     "NetworkModel",
     "NormParams",
     "OPTIMIZERS",
@@ -104,6 +107,7 @@ __all__ = [
     "mae_loss",
     "normalize",
     "normalize_dataset",
+    "padded_width",
     "param_shapes",
     "parse_ohlc_csv",
     "parse_report_csv",

@@ -260,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="record measured wall_time_s per trial (breaks byte-identical reruns)",
+        help="record measured wall_time_s: each trial gets the wall time of its "
+        "lockstep group (breaks byte-identical reruns)",
     )
     p.set_defaults(func=cmd_sweep)
 

@@ -4,10 +4,16 @@ best-model selection and the persistence baseline.
 Evaluation and the baseline denormalize with the NormParams that a
 normalized dataset carries (`dataset.norm`).
 
+A sweep trains its trials in lockstep: the hidden sizes of one
+architecture that pad to the same width (`cells.padded_width`) form one
+`ModelStack`, and every batch runs one stacked forward, backward and
+optimizer step for all of them. Evaluation stays per trial.
+
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
-arch, hidden), and trials never share state, so a sweep report is
-reproducible byte for byte.
+arch, hidden), and a trial's arithmetic depends on its own hidden size only,
+never on the trials stacked with it, so a sweep report is reproducible byte
+for byte and any single trial reproduces its sweep row in isolation.
 """
 
 from __future__ import annotations
@@ -20,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cells import ModelSpec, NetworkModel, arch_id, backward, forward_batch, init_model
+from .cells import (
+    ModelSpec,
+    ModelStack,
+    NetworkModel,
+    arch_id,
+    backward,
+    forward_batch,
+    init_model,
+    padded_width,
+)
 from .data import SplitDataset, SupervisedDataset, denormalize
 from .optim import Optimizer, OptimizerConfig, mae_grad, mae_loss
 
@@ -156,21 +171,31 @@ def _check_normalized(dataset: SupervisedDataset, name: str):
 
 
 def train(
-    model: NetworkModel,
+    net: NetworkModel | ModelStack,
     train_set: SupervisedDataset,
     val_set: SupervisedDataset | None,
     config: TrainConfig,
-) -> list[float]:
-    """Mini-batch MAE training of `model` in place for exactly config.epochs
-    epochs; returns the per-epoch training MAE on the normalized scale.
+) -> list:
+    """Mini-batch MAE training of `net` in place for exactly config.epochs
+    epochs.
 
     Batches run in chronological order, the same every epoch; gradients are
     averaged within each batch and one optimizer step is applied per batch.
-    Aborts with TrainingDiverged once an epoch's loss or the weights after
-    it are not finite; numpy's overflow and invalid-value warnings are
-    silenced in the loop because that check is what reports them.
+    A ModelStack trains its models in lockstep: one stacked forward,
+    backward and step per batch for all of them. A model diverges at the
+    first epoch whose loss, or whose weights after it, are not finite;
+    numpy's overflow and invalid-value warnings are silenced in the loop
+    because that check is what reports them. The other models go on (a
+    diverged model's slice never reaches theirs), and training ends early
+    once every model has diverged. Trained weights are stored back into
+    the models.
+
+    For a NetworkModel, returns its per-epoch training MAE on the
+    normalized scale, or raises TrainingDiverged. For a ModelStack, returns
+    one entry per model: that list, or its TrainingDiverged.
     """
-    spec = model.spec
+    stack = net if isinstance(net, ModelStack) else ModelStack([net])
+    spec = stack.spec
     _check_normalized(train_set, "train")
     if val_set is not None:
         _check_normalized(val_set, "validation")
@@ -184,43 +209,61 @@ def train(
 
     x, targets, _ = _windowed(train_set, spec.window)
     n = len(targets)
-    y = targets[:, None]  # (n, 1) to match yhat
-    opt = Optimizer(model.flat.size, config.optimizer)
+    y = targets[:, None]  # (n, 1) to match one model's yhat
+    opt = Optimizer(stack.flat.shape, config.optimizer)
 
-    losses = []
+    results: list = [[] for _ in stack.models]  # loss lists, then TrainingDiverged
+    running = np.ones(len(stack), dtype=bool)
     n_batches = (n + config.batch_size - 1) // config.batch_size
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            abs_err_total = 0.0
+            abs_err = np.zeros(len(stack))
             for b in range(n_batches):
                 lo = b * config.batch_size
                 hi = min(lo + config.batch_size, n)
-                yhat, cache = forward_batch(model, x[lo:hi])
+                yhat, cache = forward_batch(stack, x[lo:hi])
                 y_batch = y[lo:hi]
-                abs_err_total += float(np.abs(yhat - y_batch).sum())
+                abs_err += np.abs(yhat - y_batch).sum(axis=(1, 2))
                 # batch loss is the mean |err| over the batch entries, so the
                 # cotangent carries the 1/(batch*out) factor
-                backward(model, cache, mae_grad(yhat, y_batch))
-                opt.step(model.flat, model.grad)
-            epoch_loss = abs_err_total / (n * spec.output_dim)
-            if not (math.isfinite(epoch_loss) and np.isfinite(model.flat).all()):
-                raise TrainingDiverged(epoch, epoch_loss)
-            losses.append(epoch_loss)
+                backward(stack, cache, mae_grad(yhat, y_batch))
+                opt.step(stack.flat, stack.grad)
+            epoch_loss = abs_err / (n * spec.output_dim)
+            finite = np.isfinite(epoch_loss) & np.isfinite(stack.flat).all(axis=1)
+            for k in np.flatnonzero(running & ~finite):
+                results[k] = TrainingDiverged(epoch, float(epoch_loss[k]))
+            running &= finite
+            if not running.any():
+                break
+            for k in np.flatnonzero(running):
+                results[k].append(float(epoch_loss[k]))
             if val_set is not None and log.isEnabledFor(logging.DEBUG):
                 every = max(1, config.epochs // 10)
                 if (epoch + 1) % every == 0 or epoch == config.epochs - 1:
-                    log.debug(
-                        "epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
-                        epoch + 1, config.epochs, epoch_loss, evaluate(model, val_set).mae_norm,
-                    )
-    model.epochs_trained += config.epochs
-    return losses
+                    stack.store()
+                    for k in np.flatnonzero(running):
+                        model = stack.models[k]
+                        log.debug(
+                            "%s h=%d epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
+                            model.spec.arch, model.spec.hidden, epoch + 1, config.epochs,
+                            epoch_loss[k], evaluate(model, val_set).mae_norm,
+                        )
+    stack.store()
+    for k in np.flatnonzero(running):
+        stack.models[k].epochs_trained += config.epochs
+    if net is stack:
+        return results
+    (result,) = results
+    if isinstance(result, TrainingDiverged):
+        raise result
+    return result
 
 
 def evaluate(model: NetworkModel, dataset: SupervisedDataset) -> EvalResult:
     """Predict every sample, denormalize predictions and targets with the
     dataset's NormParams, report MAE in original currency units (and on the
-    normalized scale)."""
+    normalized scale). The model runs alone, as a stack of one at its
+    padded width, so its results never depend on a sweep's other trials."""
     _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -269,9 +312,13 @@ def run_sweep(
 ) -> SweepReport:
     """Train one model per (arch, hidden) grid point and record its MAEs.
 
-    A diverging trial is recorded with NaN errors and does not abort the
-    sweep. wall_time_s is 0.0 unless measure_time is set: measured times
-    differ between runs and would break byte-identical reports.
+    The hidden sizes of an architecture that share a padded width train as
+    one stack, in lockstep. A diverging trial is recorded with NaN errors
+    and affects neither the sweep nor its stack. wall_time_s is 0.0 unless
+    measure_time is set; then each trial records the wall time of its
+    whole stack (training plus the evaluation of every trial in it).
+    Measured times differ between runs and would break byte-identical
+    reports.
     """
     archs = tuple(sorted(set(archs), key=arch_id))
     if not archs:
@@ -284,38 +331,42 @@ def run_sweep(
     if not data.train.normalized:
         raise ValueError("sweep requires normalized splits (fit and apply NormParams first)")
 
+    input_dim = data.train.features.shape[1]
     trials: list[TrialResult] = []
     for arch in archs:
-        for h in hiddens:
-            model = trial_model(arch, h, data.train.features.shape[1], window, config.seed)
-            spec = model.spec
+        for width in sorted({padded_width(h) for h in hiddens}):
+            group = [h for h in hiddens if padded_width(h) == width]
+            models = [trial_model(arch, h, input_dim, window, config.seed) for h in group]
             t0 = time.perf_counter()
-            try:
-                train(model, data.train, data.validation, config)
-                train_mae = evaluate(model, data.train).mae
-                val_mae = evaluate(model, data.validation).mae
-                test_mae = evaluate(model, data.test).mae
-            except TrainingDiverged as e:
-                log.warning("trial %s h=%d diverged: %s", arch, h, e)
-                train_mae = val_mae = test_mae = float("nan")
+            outcomes = train(ModelStack(models), data.train, data.validation, config)
+            maes = []
+            for model, outcome in zip(models, outcomes):
+                if isinstance(outcome, TrainingDiverged):
+                    log.warning("trial %s h=%d diverged: %s", arch, model.spec.hidden, outcome)
+                    maes.append((float("nan"),) * 3)
+                else:
+                    splits = (data.train, data.validation, data.test)
+                    maes.append(tuple(evaluate(model, split).mae for split in splits))
             elapsed = time.perf_counter() - t0
-            trials.append(
-                TrialResult(
-                    pair=pair,
-                    arch=arch,
-                    structure=spec.structure,
-                    hidden=h,
-                    train_mae=train_mae,
-                    val_mae=val_mae,
-                    test_mae=test_mae,
-                    seed=model.rng_seed,
-                    wall_time_s=elapsed if measure_time else 0.0,
+            for model, (train_mae, val_mae, test_mae) in zip(models, maes):
+                spec = model.spec
+                trials.append(
+                    TrialResult(
+                        pair=pair,
+                        arch=arch,
+                        structure=spec.structure,
+                        hidden=spec.hidden,
+                        train_mae=train_mae,
+                        val_mae=val_mae,
+                        test_mae=test_mae,
+                        seed=model.rng_seed,
+                        wall_time_s=elapsed if measure_time else 0.0,
+                    )
                 )
-            )
-            log.info(
-                "trial %s %s: train=%.6g val=%.6g test=%.6g (%.2fs)",
-                arch, spec.structure, train_mae, val_mae, test_mae, elapsed,
-            )
+                log.info(
+                    "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
+                    arch, spec.structure, train_mae, val_mae, test_mae, len(models), elapsed,
+                )
     trials.sort(key=lambda tr: (arch_id(tr.arch), tr.hidden))
     return SweepReport(trials=trials, archs=archs, hiddens=hiddens)
 

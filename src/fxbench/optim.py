@@ -1,9 +1,11 @@
 """MAE loss with its subgradient, plus one SGD/RMSProp stepper.
 
-`Optimizer` works on a model's parameters and gradients as two flat float64
-vectors (`model.flat`, `model.grad`; see `fxbench.cells`) and updates the
-parameters in place. It owns its RMSProp accumulator, so each model needs
-its own instance (never shared across trainers).
+`Optimizer` works on parameters and gradients as two float64 arrays of one
+shape, updated in place elementwise: a model's flat vectors (`model.flat`,
+`model.grad`), or the (S, n) arrays of a stack of S models
+(`stack.flat`, `stack.grad`; see `fxbench.cells`), where each row steps
+exactly as it would alone. It owns its RMSProp accumulator, so each model
+or stack needs its own instance (never shared across trainers).
 """
 
 from __future__ import annotations
@@ -55,18 +57,23 @@ def mae_loss(yhat, y) -> float:
 
 
 def mae_grad(yhat, y) -> np.ndarray:
-    """Subgradient of mae_loss w.r.t. yhat: sign(yhat_i - y_i)/n, sign(0) = 0."""
+    """Subgradient of mae_loss w.r.t. yhat: sign(yhat_i - y_i)/n, sign(0) = 0.
+
+    yhat may carry leading axes of stacked models that are each scored
+    against the same y; n = y.size, the count one model's loss averages.
+    """
     yhat = np.asarray(yhat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if yhat.shape != y.shape:
+    if y.ndim > yhat.ndim or yhat.shape[yhat.ndim - y.ndim :] != y.shape:
         raise ValueError(f"mae_grad length mismatch: {yhat.shape} vs {y.shape}")
-    if yhat.size == 0:
+    if y.size == 0:
         raise ValueError("mae_grad of empty vectors is undefined")
-    return np.sign(yhat - y) / yhat.size
+    return np.sign(yhat - y) / y.size
 
 
 class Optimizer:
-    """In-place stepper over flat vectors of `n` parameters.
+    """In-place stepper over parameter arrays of `shape` (an int for a flat
+    vector of that many parameters, or a tuple such as (S, n)).
 
     SGD:     theta <- theta - lr*g
     RMSProp: s <- rho*s + (1-rho)*g^2; theta <- theta - lr*g/(sqrt(s) + eps)
@@ -79,21 +86,19 @@ class Optimizer:
     SGD), starting at zero.
     """
 
-    def __init__(self, n: int, config: OptimizerConfig):
-        self.n = int(n)
-        self._shape = (self.n,)
+    def __init__(self, shape: int | tuple[int, ...], config: OptimizerConfig):
         self._lr = config.learning_rate
-        self.acc = np.zeros(self.n) if config.kind == "rmsprop" else None
-        self._tmp = np.empty(self.n)
-        self._den = np.empty(self.n)
+        self._tmp = np.empty(shape)
+        self._den = np.empty(shape)
+        self.acc = np.zeros(shape) if config.kind == "rmsprop" else None
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
-        if theta.shape != self._shape or grad.shape != self._shape:
-            raise ValueError(
-                f"optimizer holds {self.n} parameters, got parameter shape "
-                f"{theta.shape} and gradient shape {grad.shape}"
-            )
         tmp = self._tmp
+        if theta.shape != tmp.shape or grad.shape != tmp.shape:
+            raise ValueError(
+                f"optimizer holds {tmp.size} parameters of shape {tmp.shape}, got "
+                f"parameter shape {theta.shape} and gradient shape {grad.shape}"
+            )
         s = self.acc
         if s is None:
             np.multiply(grad, self._lr, out=tmp)

@@ -25,6 +25,7 @@ from .data import NormParams, _csv_rows
 from .experiment import CRITERIA, EvalResult, SweepReport, TrialResult, select_best
 
 FORMAT_VERSION = 1
+QUOTE_CHARS = 32  # an error message quotes at most this much of a file's value
 
 REPORT_COLUMNS = (
     "pair",
@@ -50,10 +51,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _quoted(value) -> str:
+    """repr of a value read from a model file, cut to its first
+    QUOTE_CHARS characters plus its size, so an error line stays short."""
+    text = repr(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    size = f"{len(str(abs(value)))} digits" if _is_int(value) else f"{len(text)} characters"
+    return f"{text[:QUOTE_CHARS]}... ({size})"
+
+
 def _int_field(doc: dict, key: str, default=None) -> int:
     value = doc.get(key, default)
     if not _is_int(value):
-        raise ValueError(f"model file field {key!r} must be an integer, got {value!r}")
+        raise ValueError(f"model file field {key!r} must be an integer, got {_quoted(value)}")
     return value
 
 
@@ -63,7 +74,9 @@ def _finite_number(value, field: str) -> float:
     except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise ValueError(f"model file field {field!r} must be a finite number, got {value!r}")
+        raise ValueError(
+            f"model file field {field!r} must be a finite number, got {_quoted(value)}"
+        )
     return float(value)
 
 
@@ -71,7 +84,7 @@ def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
     """NormParams from a model file's norm block, checked so that a bad block
     fails here with its field named, not later inside numpy."""
     if not isinstance(norm_doc, dict):
-        raise ValueError(f"model file 'norm' must be an object or null, got {norm_doc!r}")
+        raise ValueError(f"model file 'norm' must be an object or null, got {_quoted(norm_doc)}")
     for key in ("feature_min", "feature_max", "target_min", "target_max"):
         if key not in norm_doc:
             raise ValueError(f"model file norm block is missing field {key!r}")
@@ -81,7 +94,7 @@ def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
         if not isinstance(values, list) or len(values) != input_dim:
             raise ValueError(
                 f"model file field {key!r} must be a list of {input_dim} numbers "
-                f"(input_dim), got {values!r}"
+                f"(input_dim), got {_quoted(values)}"
             )
         bounds.append(np.array([_finite_number(v, key) for v in values]))
     fmin, fmax = bounds
@@ -101,11 +114,11 @@ def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.nd
         raise ValueError(f"array {name!r} entry must have 'shape' and 'data' fields")
     shape = entry["shape"]
     if not isinstance(shape, list) or not all(_is_int(n) for n in shape):
-        raise ValueError(f"array {name!r} shape must be a list of integers, got {shape!r}")
+        raise ValueError(f"array {name!r} shape must be a list of integers, got {_quoted(shape)}")
     shape = tuple(shape)
     if shape != expected_shape:
         raise ValueError(
-            f"array {name!r} declares shape {shape}, expected {expected_shape}"
+            f"array {name!r} declares shape {_quoted(shape)}, expected {expected_shape}"
         )
     data = entry["data"]
     expected_len = int(np.prod(expected_shape)) if expected_shape else 1
@@ -154,7 +167,8 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported model file format_version {version!r}, this build reads {FORMAT_VERSION}"
+            f"unsupported model file format_version {_quoted(version)}, "
+            f"this build reads {FORMAT_VERSION}"
         )
     for key in ("arch", "input_dim", "hidden", "output_dim", "window", "params"):
         if key not in doc:
@@ -180,7 +194,7 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
     declared_acts = doc.get("activations")
     if declared_acts is not None and declared_acts != activation_names(spec):
         raise ValueError(
-            f"model file activations {declared_acts!r} do not match "
+            f"model file activations {_quoted(declared_acts)} do not match "
             f"architecture {spec.arch!r}"
         )
     model = NetworkModel(

@@ -174,8 +174,11 @@ def test_lstm_zero_weights_outputs_zero():
     model = zeroed(ModelSpec(arch="lstm", hidden=3, input_dim=2))
     yhat, cache = forward_batch(model, [[[0.4, -1.2]]])
     assert np.array_equal(yhat, [[0.0]])
-    assert np.all(cache.steps["gates"][..., :9] == 0.5)  # i, f, o
-    assert np.all(cache.steps["cs"][1] == 0.0)
+    # a single model runs as a stack of one at the padded width 8, its
+    # steps laid out as (model, step, unit, sample)
+    assert cache.steps["gates"].shape == (1, 1, 4 * 8, 1)
+    assert np.all(cache.steps["gates"][:, :, : 3 * 8] == 0.5)  # i, f, o
+    assert np.all(cache.steps["cs"][:, 1] == 0.0)
 
 
 def test_lstm_seeded_cell_state_hand_value():
@@ -185,11 +188,11 @@ def test_lstm_seeded_cell_state_hand_value():
     model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2, window=2))
     model.params["W_c"][0, 0] = 2.0
     _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
-    c1 = cache.steps["cs"][1][0, 0]
+    c1 = cache.steps["cs"][0, 1, 0, 0]
     assert c1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
-    assert cache.steps["hs"][1][0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
-    assert cache.steps["cs"][2][0, 0] == pytest.approx(0.5 * c1, abs=1e-15)
-    assert cache.hidden_final[0, 0] == pytest.approx(0.5 * math.tanh(0.5 * c1), abs=1e-15)
+    assert cache.steps["hs"][0, 1, 0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
+    assert cache.steps["cs"][0, 2, 0, 0] == pytest.approx(0.5 * c1, abs=1e-15)
+    assert cache.hidden_final[0, 0, 0] == pytest.approx(0.5 * math.tanh(0.5 * c1), abs=1e-15)
 
 
 def test_gru_seeded_hidden_state_hand_value():
@@ -198,11 +201,11 @@ def test_gru_seeded_hidden_state_hand_value():
     model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2, window=2))
     model.params["W_h"][0, 0] = 2.0
     _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
-    h1 = cache.steps["hs"][1][0, 0]
+    h1 = cache.steps["hs"][0, 1, 0, 0]
     assert h1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
-    assert cache.steps["zr"][1][0, 0] == 0.5
-    assert cache.steps["cand"][1][0, 0] == 0.0
-    assert cache.hidden_final[0, 0] == 0.5 * h1
+    assert cache.steps["zr"][0, 1, 0, 0] == 0.5
+    assert cache.steps["cand"][0, 1, 0, 0] == 0.0
+    assert cache.hidden_final[0, 0, 0] == 0.5 * h1
 
 
 def test_srnn_zero_weights_hidden_zero():
@@ -330,8 +333,8 @@ def test_gru_next_hidden_interpolates_toward_candidate(seed):
         arr[:] = rng.normal(scale=0.5, size=arr.shape)
     x = rng.uniform(-2.0, 2.0, size=(1, 2, 4))
     _, cache = forward_batch(model, x)
-    h1 = cache.steps["hs"][1][0]
-    h2 = cache.hidden_final[0]
+    h1 = cache.steps["hs"][0, 1, :, 0]  # the padded units stay at 0.0
+    h2 = cache.hidden_final[0, :, 0]
     lower = np.minimum(h1, -1.0)
     upper = np.maximum(h1, 1.0)
     assert np.all(h2 > lower) and np.all(h2 < upper)

@@ -207,31 +207,54 @@ def test_train_then_predict_round_trip(tmp_path, data_csv, capsys):
     assert "predictions: 59" in stdout
 
 
-@pytest.mark.parametrize("arch,window", [("mlp", 1), ("lstm", 2), ("gru", 2)])
-def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch, window):
-    # any single trial can be reproduced in isolation: the train command
-    # prints the very MAEs the sweep recorded for that (arch, hidden)
-    flags = ("--data", data_csv, "--epochs", "3", "--window", str(window), "--seed", "5")
-    report = tmp_path / "r.csv"
-    code, _, _ = run(
-        capsys, "sweep", *flags, "--archs", arch, "--hidden", "2,3", "--report", str(report)
-    )
-    assert code == 0
-    rows = list(csv.DictReader(io.StringIO(report.read_text())))
-    row = next(r for r in rows if r["hidden"] == "3")
-    code, stdout, _ = run(
-        capsys, "train", *flags, "--arch", arch, "--hidden", "3",
-        "--model-out", str(tmp_path / "m.json"),
-    )
-    assert code == 0
-    printed = {
+def printed_maes(stdout):
+    """{label: the repr printed after 'denormalized'} for every MAE line."""
+    return {
         line.split(" mae:")[0]: line.split("denormalized ")[1].split(" |")[0]
         for line in stdout.splitlines()
         if " mae: denormalized " in line
     }
-    assert printed == {
-        "train": row["train_mae"], "val": row["val_mae"], "test": row["test_mae"]
-    }
+
+
+@pytest.mark.parametrize(
+    "arch,window", [("mlp", 1)] + [(a, w) for a in ("srnn", "gru", "lstm") for w in (1, 2, 3)]
+)
+def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch, window):
+    # any single trial can be reproduced in isolation: the train command
+    # prints the very MAEs the sweep recorded for that (arch, hidden), on
+    # both sides of the padded width 8, although the sweep trained it in a
+    # stack with other hidden sizes; predict of the saved model over the
+    # test rows prints its test MAE once more
+    flags = ("--data", data_csv, "--epochs", "3", "--window", str(window), "--seed", "5")
+    report = tmp_path / "r.csv"
+    code, _, _ = run(
+        capsys, "sweep", *flags, "--archs", arch, "--hidden", "2..10", "--report", str(report)
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(report.read_text())))
+    records = read_ohlc_csv(data_csv)
+    data, _ = prepare_splits(records)
+    test_csv = tmp_path / "test.csv"  # the records the test samples are built from
+    write_ohlc_csv(records[-len(data.test) - 1 :], test_csv)
+    for hidden in (8, 9):
+        row = next(r for r in rows if r["hidden"] == str(hidden))
+        model_path = tmp_path / f"m{hidden}.json"
+        code, stdout, _ = run(
+            capsys, "train", *flags, "--arch", arch, "--hidden", str(hidden),
+            "--model-out", str(model_path),
+        )
+        assert code == 0
+        printed = printed_maes(stdout)
+        assert printed == {
+            "train": row["train_mae"], "val": row["val_mae"], "test": row["test_mae"]
+        }
+        code, stdout, _ = run(
+            capsys, "predict", "--model", str(model_path), "--data", str(test_csv),
+            "--series-out", str(tmp_path / "s.csv"),
+        )
+        assert code == 0
+        assert f"predictions: {len(data.test) - window + 1}" in stdout
+        assert printed_maes(stdout) == {"series": printed["test"]}
 
 
 @pytest.mark.parametrize(
@@ -332,7 +355,8 @@ def test_predict_rejects_malformed_model_file_in_one_line(
         "--series-out", str(series),
     )
     assert code == 1
-    assert field in one_error_line(err)
+    line = one_error_line(err)
+    assert field in line and len(line) < 200  # a 401-digit weight is not quoted whole
     assert not series.exists()
 
 

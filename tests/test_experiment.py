@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from fxbench import (
     ARCHS,
     ModelSpec,
+    ModelStack,
+    NetworkModel,
+    Optimizer,
     NormParams,
     OhlcRecord,
     SupervisedDataset,
@@ -20,11 +23,14 @@ from fxbench import (
     default_config,
     evaluate,
     init_model,
+    padded_width,
     persistence_baseline,
     prepare_splits,
     run_sweep,
     select_best,
+    save_model,
     train,
+    trial_model,
     trial_seed,
 )
 from fxbench.experiment import splitmix64
@@ -259,16 +265,33 @@ def test_sweep_is_deterministic(wavy_records):
     assert a == b
 
 
+def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
+    # hidden 8 trains at width 8 beside 17 (width 24), as it does alone;
+    # with OpenBLAS 0.3.31, padding it to 24 units instead changes the
+    # LSTM window-3 row within these 30 epochs
+    data, _ = prepare_splits(wavy_records)
+    cfg = quick_config(epochs=30, batch_size=32)
+    alone = run_sweep(["lstm"], [8], data, cfg, window=3).trials
+    beside = run_sweep(["lstm"], [8, 17], data, cfg, window=3).trials
+    assert repr(beside[0]) == repr(alone[0])
+
+
+def poison_trial(monkeypatch, arch, hidden):
+    """Make run_sweep's (arch, hidden) trial start from a NaN weight."""
+    real_trial_model = fxbench.experiment.trial_model
+
+    def poisoned(*args):
+        model = real_trial_model(*args)
+        if (model.spec.arch, model.spec.hidden) == (arch, hidden):
+            model.params["W_out"][0, 0] = float("nan")
+        return model
+
+    monkeypatch.setattr(fxbench.experiment, "trial_model", poisoned)
+
+
 def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch):
     data, _ = prepare_splits(wavy_records)
-    real_train = fxbench.experiment.train
-
-    def sometimes_diverge(model, train_set, val_set, config):
-        if model.spec.arch == "gru" and model.spec.hidden == 3:
-            raise TrainingDiverged(7, float("nan"))
-        return real_train(model, train_set, val_set, config)
-
-    monkeypatch.setattr(fxbench.experiment, "train", sometimes_diverge)
+    poison_trial(monkeypatch, "gru", 3)
     report = run_sweep(["gru"], [2, 3], data, quick_config(epochs=2))
     assert len(report.trials) == 2
     ok, failed = report.trials
@@ -276,6 +299,94 @@ def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch):
     assert math.isnan(failed.test_mae) and math.isnan(failed.train_mae)
     best = select_best(report)
     assert best.overall == ok
+
+
+@pytest.mark.parametrize("arch,hidden", [("mlp", 9), ("srnn", 2), ("gru", 10), ("lstm", 5)])
+def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, arch, hidden):
+    # a trial's arithmetic never reads the other trials of its stack: with
+    # one trial poisoned, every other row is bit for bit the clean sweep's
+    data, _ = prepare_splits(wavy_records)
+    cfg = quick_config(epochs=2)
+    clean = run_sweep(ARCHS, range(2, 11), data, cfg)
+    poison_trial(monkeypatch, arch, hidden)
+    poisoned = run_sweep(ARCHS, range(2, 11), data, cfg)
+    assert len(poisoned.trials) == 36
+    for a, b in zip(clean.trials, poisoned.trials):
+        if (b.arch, b.hidden) == (arch, hidden):
+            assert all(math.isnan(v) for v in (b.train_mae, b.val_mae, b.test_mae))
+        else:
+            assert repr(a) == repr(b)
+    # trained alone, the poisoned trial diverges at the epoch its stack
+    # recorded for it
+    group = [h for h in range(2, 11) if padded_width(h) == padded_width(hidden)]
+    poisoned_models = [fxbench.experiment.trial_model(arch, h, 4, 1, cfg.seed) for h in group]
+    outcome = train(ModelStack(poisoned_models), data.train, data.validation, cfg)[
+        group.index(hidden)
+    ]
+    alone = fxbench.experiment.trial_model(arch, hidden, 4, 1, cfg.seed)
+    with pytest.raises(TrainingDiverged) as exc:
+        train(alone, data.train, data.validation, cfg)
+    assert isinstance(outcome, TrainingDiverged)
+    assert exc.value.epoch == outcome.epoch
+
+
+def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
+    data, _ = prepare_splits(wavy_records)
+    cfg = quick_config(epochs=3)
+    models = [trial_model("lstm", h, 4, 2, 42) for h in (3, 5, 8)]
+    models[1].params["b_out"][0] = float("inf")
+    outcomes = train(ModelStack(models), data.train, None, cfg)
+    assert isinstance(outcomes[1], TrainingDiverged) and outcomes[1].epoch == 0
+    assert models[1].epochs_trained == 0
+    for k in (0, 2):
+        alone = trial_model("lstm", models[k].spec.hidden, 4, 2, 42)
+        assert outcomes[k] == train(alone, data.train, None, cfg)
+        assert models[k].epochs_trained == alone.epochs_trained == 3
+        assert np.array_equal(models[k].flat, alone.flat)
+
+
+def test_stack_rejects_models_of_another_shape():
+    with pytest.raises(ValueError, match="padded width"):
+        ModelStack([trial_model("gru", 8, 4, 1, 0), trial_model("gru", 9, 4, 1, 0)])
+    with pytest.raises(ValueError, match="cannot stack"):
+        ModelStack([trial_model("gru", 3, 4, 1, 0), trial_model("gru", 4, 4, 2, 0)])
+    with pytest.raises(ValueError, match="cannot stack"):
+        ModelStack([trial_model("gru", 3, 4, 1, 0), trial_model("lstm", 3, 4, 1, 0)])
+    with pytest.raises(ValueError, match="at least one"):
+        ModelStack([])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
+    wavy_records, monkeypatch, arch
+):
+    data, norm = prepare_splits(wavy_records)
+    window = 1 if arch == "mlp" else 2
+    cfg = quick_config(epochs=3)
+    models = [trial_model(arch, h, 4, window, 7) for h in (2, 5, 8)]
+    stack = ModelStack(models)
+    opts = []
+
+    def kept_optimizer(*args):  # the optimizer the training loop builds
+        opts.append(Optimizer(*args))
+        return opts[-1]
+
+    monkeypatch.setattr(fxbench.experiment, "Optimizer", kept_optimizer)
+    assert all(isinstance(o, list) for o in train(stack, data.train, None, cfg))
+    # a stack of all-ones models marks every real entry; the rest is padding
+    ones = ModelStack(
+        NetworkModel(m.spec, {n: np.ones_like(a) for n, a in m.params.items()}, 0)
+        for m in models
+    )
+    padded = ones.flat == 0.0
+    assert stack.spec.hidden == padded_width(8) == 8 and padded.sum() > 0
+    for buf in (stack.flat, stack.grad, opts[0].acc):
+        assert np.all(buf[padded] == 0.0)
+    monkeypatch.undo()
+    for model in models:
+        alone = trial_model(arch, model.spec.hidden, 4, window, 7)
+        train(alone, data.train, None, cfg)
+        assert save_model(model, norm) == save_model(alone, norm)
 
 
 def test_sweep_validates_inputs(wavy_records):

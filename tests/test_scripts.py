@@ -29,12 +29,17 @@ def load_script(name):
 def test_run_benchmark_writes_every_output_and_its_winner_matches_the_sweep(tmp_path, capsys):
     run_benchmark = load_script("run_benchmark")
     assert run_benchmark.main(["--epochs", "2", "--out", str(tmp_path)]) == 0
+    again = tmp_path.parent / f"{tmp_path.name}_again"
+    assert run_benchmark.main(["--epochs", "2", "--out", str(again)]) == 0
     capsys.readouterr()
     suffixes = ("data.csv", "report.csv", "report.txt", "best_model.json", "best_test_series.csv")
     slugs = [pair.replace("/", "_").lower() for pair, _, _ in run_benchmark.PAIRS]
     expected = {f"{slug}_{suffix}" for slug in slugs for suffix in suffixes}
     assert len(expected) == 15
     assert {p.name for p in tmp_path.iterdir()} == expected
+    # a rerun writes the same bytes, reports included (they carry no timings)
+    for name in sorted(expected):
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
     for slug in slugs:
         report = parse_report_csv((tmp_path / f"{slug}_report.csv").read_bytes())
