@@ -8,8 +8,11 @@ configuration and emits its actual-vs-predicted test series. A final
 summary compares every winner against the persistence baseline
 (predicting tomorrow's close as today's).
 
-Full scale (1500 epochs per trial) takes a few hours of CPU time; pass
---quick for a 200-epoch version that finishes in a few minutes.
+Pass --quick for a 200-epoch version: it took 24 to 27 s in three runs
+on a 2-core x86-64 machine with OpenBLAS 0.3.31 (up to 39 s while other
+work shared the machine). Nearly all of that time is training, which
+grows with the epoch count, so full scale (1500 epochs per trial) takes
+about 7.5 times as long: some 3 to 3.5 minutes there.
 
 Example:
     python3 scripts/run_benchmark.py --out results --quick
@@ -38,6 +41,7 @@ from fxbench import (
     select_best,
     train,
     trial_model,
+    write_atomic,
     write_ohlc_csv,
 )
 
@@ -50,6 +54,11 @@ PAIRS = (
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
 
 
+def write_file(path, blob: bytes):
+    with write_atomic(path) as fh:
+        fh.write(blob)
+
+
 def benchmark_pair(pair, seed, step_frac, out_dir, config):
     slug = pair.replace("/", "_").lower()
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
@@ -59,8 +68,8 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW)
     elapsed = time.perf_counter() - t0
-    (out_dir / f"{slug}_report.csv").write_bytes(emit_report_csv(report))
-    (out_dir / f"{slug}_report.txt").write_text(render_report_table(report, "test_mae"))
+    write_file(out_dir / f"{slug}_report.csv", emit_report_csv(report))
+    write_file(out_dir / f"{slug}_report.txt", render_report_table(report, "test_mae").encode())
 
     best = select_best(report, "test_mae").overall
     print(f"{pair}: swept 36 trials in {elapsed:.0f}s, "
@@ -70,9 +79,9 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     # its weights and emit the test-set series for plotting
     model = trial_model(best.arch, best.hidden, data.train.features.shape[1], WINDOW, config.seed)
     train(model, data.train, data.validation, config)
-    (out_dir / f"{slug}_best_model.json").write_bytes(save_model(model, norm))
+    write_file(out_dir / f"{slug}_best_model.json", save_model(model, norm))
     result = evaluate(model, data.test)
-    (out_dir / f"{slug}_best_test_series.csv").write_bytes(emit_series_csv(result))
+    write_file(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
 
     baseline = persistence_baseline(data.test)
     return pair, best, result.mae, baseline

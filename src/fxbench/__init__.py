@@ -34,6 +34,7 @@ from .data import (
     parse_ohlc_csv,
     prepare_splits,
     read_ohlc_csv,
+    write_atomic,
     write_ohlc_csv,
 )
 from .experiment import (
@@ -123,5 +124,6 @@ __all__ = [
     "train",
     "trial_model",
     "trial_seed",
+    "write_atomic",
     "write_ohlc_csv",
 ]

@@ -5,37 +5,35 @@ layer. Recurrent cells consume a window of input vectors and predict from
 the final hidden state; hidden (and cell) state starts at zero for each
 sample, so samples are independent.
 
-Parameters live in one contiguous float64 vector per model, `model.flat`.
-`model.params[name]` is a reshaped view into it, keyed in `param_shapes`
-order, so a write through either one shows in the other. The buffer holds
-the arrays in `param_shapes` order, except that LSTM and GRU gate weights
-sit adjacent as one (G*h, d+h) block (G = 4 for LSTM i, f, o, c; 3 for GRU
-z, r, h), followed by the gate biases as one (G*h,) vector, then W_out and
-b_out; the model file and the weight draw order still follow
-`param_shapes` and do not see the layout. `model.grad` is a vector with
-the same layout, and `model.grads` holds its named views.
+A `NetworkModel` is a spec plus its named weight arrays (`param_shapes`).
+The kernels take only a `ModelStack`, a single model being a stack of
+one: S models of one architecture, each zero-padded to the width
+`padded_width(hidden)`, with their weights in one (S, n) float64 array
+`stack.flat`. Each row is the buffer of one model of that width: the
+arrays in `param_shapes` order, except that LSTM and GRU gate weights sit
+adjacent as one (G*W, d+W) block (G = 4 for LSTM i, f, o, c; 3 for GRU z,
+r, h), followed by the gate biases as one (G*W,) vector, then W_out and
+b_out. `stack.grad` has the same layout; `params`/`grads` are named
+views. Model files and the weight draw order do not see the layout.
 
-The kernels run on a `ModelStack`: S models of one architecture, each
-zero-padded to the canonical width `padded_width(hidden)` (the next
-multiple of PAD_MULTIPLE), with weights and gradients in (S, n) arrays
-laid out as above for a model of that width. Every model of a stack takes
-the same input batch. Each product is one 3-D matmul, which BLAS runs as
-one GEMM per model: the input half of all gates, W[:, :d] x_t, for every
-step at once before the time loop (Appleyard et al. 2016), then per step
-the recurrent half, W[:, d:] h_{t-1} (all LSTM gates in one product, GRU
-z/r in one and the candidate in another), which step 0 skips as h_0 = 0.
-A model's arithmetic therefore depends on its own hidden size only, never
-on the other models of its stack: a stack of one computes bit for bit
-what the same model computes in any stack. Padded units carry zero
-weights, compute h = 0 (recurrent cells) and get zero gradients; MLP
-padded units output sigmoid(0) = 0.5, so their W_out gradient is masked
-to zero. `forward_batch` and `backward` also take a single NetworkModel,
-which they run as a stack of one.
+Every model of a stack takes the same input batch. Each product is one
+3-D matmul, which BLAS runs as one GEMM per model: per step, the input
+half of all gates, W[:, :d] x_t plus the bias, then the recurrent half,
+W[:, d:] h_{t-1} (all LSTM gates in one product, GRU z/r in one and the
+candidate in another), which step 0 skips as h_0 = 0. So a model's
+arithmetic depends on its own hidden size only, never on the other
+models of its stack. Padded units carry zero weights, compute h = 0
+(recurrent cells) and get zero gradients; MLP padded units output
+sigmoid(0) = 0.5, so their W_out gradient is masked to zero.
 
-`backward` overwrites the gradient buffer (`stack.grad`, or `model.grad`
-for a single model) on every call and returns its named views: they are
-valid only until the next `backward`, so copy them to keep them.
-Optimizers step `flat` with `grad`, two arrays of one shape.
+`forward_batch`, for training, runs the input half of every step before
+the time loop (Appleyard et al. 2016) and keeps every per-step array for
+`backward`, which overwrites `stack.grad` on every call and returns its
+named views (valid until the next call). `predict`, for scoring, is
+forward-only and chunked: it keeps only the running state of one chunk
+of samples, so its memory does not grow with their number, and it
+takes each step's products in the same order, so its predictions are
+those of `forward_batch` bit for bit (see `predict` for the one caveat).
 
 Cell equations, with x_t the input at step t and [a; b] concatenation:
 
@@ -56,10 +54,8 @@ exactly 0 or 1 without an overflow warning.
 
 `backward` is exact analytic backpropagation through the whole window
 (untruncated BPTT); every gradient is checked against central finite
-differences in the test suite.
-
-Everything runs batched: inputs are (batch, window, input_dim) arrays, and
-one sample is a batch of one.
+differences in the test suite. Inputs are (batch, window, input_dim)
+arrays.
 """
 
 from __future__ import annotations
@@ -77,6 +73,9 @@ ARCHS = ("mlp", "srnn", "gru", "lstm")
 
 # Stacked models are padded to a multiple of this many hidden units.
 PAD_MULTIPLE = 8
+
+# Samples per pass of `predict`.
+CHUNK = 256
 
 
 def _sigmoid(z, out=None):
@@ -173,9 +172,7 @@ def activation_names(spec: ModelSpec) -> dict[str, str]:
 @functools.lru_cache(maxsize=64)
 def _layout(spec: ModelSpec) -> tuple[int, tuple[tuple[str, int, int, tuple[int, ...]], ...]]:
     """(parameter count, (name, offset, size, shape) per parameter in
-    `param_shapes` order) of the flat buffer, which holds the parameters in
-    `param_shapes` order with the LSTM/GRU gate weights pulled ahead of the
-    gate biases."""
+    `param_shapes` order) of one model's buffer (see the module docstring)."""
     shapes = param_shapes(spec)
     order = list(shapes)
     if spec.arch in ("lstm", "gru"):
@@ -191,11 +188,6 @@ def _layout(spec: ModelSpec) -> tuple[int, tuple[tuple[str, int, int, tuple[int,
     )
 
 
-def _buffer(spec: ModelSpec, *lead: int) -> np.ndarray:
-    """A zeroed buffer of shape (*lead, number of parameters of `spec`)."""
-    return np.zeros((*lead, _layout(spec)[0]))
-
-
 def _views(buf: np.ndarray, spec: ModelSpec) -> dict[str, np.ndarray]:
     """Named reshaped views into the last axis of `buf`, keyed in
     `param_shapes` order; leading axes are kept."""
@@ -206,37 +198,29 @@ def _views(buf: np.ndarray, spec: ModelSpec) -> dict[str, np.ndarray]:
     }
 
 
-def _gate_block(buf: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The fused gate weights (..., G*h, d+h) and biases (..., G*h) at the
-    head of the last axis of `buf`."""
-    rows = (4 if spec.arch == "lstm" else 3) * spec.hidden
-    size = rows * (spec.input_dim + spec.hidden)
-    lead = buf.shape[:-1]
-    return buf[..., :size].reshape(lead + (rows, -1)), buf[..., size : size + rows]
-
-
-def _corner(shape: tuple[int, ...]) -> tuple[slice, ...]:
-    """Where an array of `shape` sits inside the same parameter at a larger
-    width: its leading block. Padding appends units after the real ones in
-    every hidden axis, and the (d+h) axis holds the d inputs first."""
-    return tuple(slice(n) for n in shape)
+def _recurrent_views(buf: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, ...]:
+    """The input weights (S, G*W, d), biases (S, G*W) and recurrent
+    weights (S, G*W, W) of every gate of a recurrent stack, as views into
+    its (S, n) buffer `buf` (G = 1 for SRNN)."""
+    if spec.arch == "srnn":
+        v = _views(buf, spec)
+        return v["W_x"], v["b"], v["W_h"]
+    d, h = spec.input_dim, spec.hidden
+    rows = (4 if spec.arch == "lstm" else 3) * h
+    w = buf[:, : rows * (d + h)].reshape(len(buf), rows, d + h)
+    return w[..., :d], buf[:, rows * (d + h) : rows * (d + h + 1)], w[..., d:]
 
 
 @dataclass
 class NetworkModel:
-    """A spec plus its weights in one flat buffer (see the module docstring).
-
-    `params` may be passed as any arrays of the `param_shapes` shapes; they
-    are copied into `flat` and replaced by views into it.
-    """
+    """A spec plus its weights: one float64 array per `param_shapes` name,
+    in `param_shapes` order. The model holds copies of the arrays it is
+    given."""
 
     spec: ModelSpec
     params: dict[str, np.ndarray]
     rng_seed: int
     epochs_trained: int = 0
-    flat: np.ndarray = field(init=False, repr=False)
-    grad: np.ndarray = field(init=False, repr=False)
-    grads: dict[str, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         shapes = param_shapes(self.spec)
@@ -245,18 +229,12 @@ class NetworkModel:
                 f"parameter names {sorted(self.params)} do not match "
                 f"{self.spec.arch} parameters {sorted(shapes)}"
             )
-        self.flat = _buffer(self.spec)
-        self.grad = _buffer(self.spec)
-        views = _views(self.flat, self.spec)
-        for name, view in views.items():
-            arr = self.params[name]
-            if np.shape(arr) != view.shape:
+        for name, shape in shapes.items():
+            if np.shape(self.params[name]) != shape:
                 raise ValueError(
-                    f"parameter {name!r} has shape {np.shape(arr)}, expected {view.shape}"
+                    f"parameter {name!r} has shape {np.shape(self.params[name])}, expected {shape}"
                 )
-            view[...] = arr
-        self.params = views
-        self.grads = _views(self.grad, self.spec)
+        self.params = {name: np.array(self.params[name], dtype=np.float64) for name in shapes}
 
 
 class ModelStack:
@@ -266,7 +244,10 @@ class ModelStack:
     `spec` is the spec of the padded model (hidden = the width); `flat` and
     `grad` are (S, n) arrays in that model's buffer layout, `params` and
     `grads` their named views with a leading model axis. The stack copies
-    the models' weights in; `store` copies them back out.
+    the models' weights in; `store` copies them back out. A model's array
+    is the leading block of the padded one: padding appends units after
+    the real ones in every hidden axis, and the (d+W) axis holds the d
+    inputs first.
     """
 
     def __init__(self, models):
@@ -281,20 +262,19 @@ class ModelStack:
                     f"cannot stack {model.spec} with {first}: stacked models share "
                     "architecture, input and output sizes, window and padded width"
                 )
-        self.flat = _buffer(self.spec, len(self.models))
-        self.grad = _buffer(self.spec, len(self.models))
+        self.flat = np.zeros((len(self.models), _layout(self.spec)[0]))
+        self.grad = np.zeros_like(self.flat)
         self.params = _views(self.flat, self.spec)
         self.grads = _views(self.grad, self.spec)
-        self._gates = None  # fused gate views (W, b, dW, db) for lstm/gru
-        if self.spec.arch in ("lstm", "gru"):
-            self._gates = _gate_block(self.flat, self.spec) + _gate_block(self.grad, self.spec)
-        self._wout_mask = None  # zeroes the W_out gradient of MLP padded units
-        if self.spec.arch == "mlp":
+        self._recurrent = self._wout_mask = None
+        if self.spec.arch == "mlp":  # zero the W_out gradient of padded units
             hiddens = np.array([m.spec.hidden for m in self.models])
             self._wout_mask = (np.arange(self.spec.hidden) < hiddens[:, None, None]) * 1.0
+        else:  # (weights, gradients) as `_recurrent_views`
+            self._recurrent = tuple(_recurrent_views(a, self.spec) for a in (self.flat, self.grad))
         for k, model in enumerate(self.models):
             for name, arr in model.params.items():
-                self.params[name][k][_corner(arr.shape)] = arr
+                self.params[name][k][tuple(map(slice, arr.shape))] = arr
 
     def __len__(self) -> int:
         return len(self.models)
@@ -303,7 +283,7 @@ class ModelStack:
         """Copy every model's weights from the stack back into the model."""
         for k, model in enumerate(self.models):
             for name, arr in model.params.items():
-                arr[...] = self.params[name][k][_corner(arr.shape)]
+                arr[...] = self.params[name][k][tuple(map(slice, arr.shape))]
 
 
 def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
@@ -326,26 +306,24 @@ def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
 
 @dataclass
 class ForwardCache:
-    """Everything backward needs: the inputs and the per-step tensors.
-
-    `model` is what `forward_batch` was given, `stack` the stack it ran
-    (the same object, or a stack of one around a NetworkModel). Per-step
-    arrays are (S, T, units, B), so each step is one contiguous (units, B)
-    block per model and so is each gate's share of it: hs (and LSTM cs) is
-    (S, T+1, W, B) with hs[:, 0] the zero initial state, fused gate
-    activations (S, T, G*W, B) (LSTM i, f, o, cand; GRU z, r), GRU `cand`
-    and `rh` (r * h_{t-1}) (S, T, W, B); W is the padded width. `xt` is
-    the input as (T, d, B).
+    """Everything backward needs: the stack run, its inputs and the
+    per-step arrays, (S, T, units, B) so that each step's (and each gate's)
+    block is contiguous per model: hs (and LSTM cs) (S, T+1, W, B) with
+    hs[:, 0] the zero initial state, fused gate activations (S, T, G*W, B)
+    (LSTM i, f, o, cand; GRU z, r), GRU `cand` and `rh` (r * h_{t-1})
+    (S, T, W, B); W is the padded width. `xt` is the input as (T, d, B).
     """
 
-    model: NetworkModel | ModelStack
     stack: ModelStack
     x: np.ndarray  # (B, T, d), shared by every model of the stack
     steps: dict[str, np.ndarray] = field(default_factory=dict)
     hidden_final: np.ndarray | None = None  # (S, W, B)
 
 
-def _as_batch(x, spec: ModelSpec) -> np.ndarray:
+def _as_batch(stack: ModelStack, x) -> np.ndarray:
+    if not isinstance(stack, ModelStack):
+        raise TypeError(f"expected a ModelStack, got {type(stack).__name__}")
+    spec = stack.spec
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"batched input must be (batch, window, input_dim), got shape {x.shape}")
@@ -370,128 +348,160 @@ def _columns(a: np.ndarray) -> np.ndarray:
 
 
 def _input_half(w_x: np.ndarray, bias: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """W_x x_t + b for every model and step at once: (S, T, rows, B)."""
+    """W_x x_t + b for every model and every step of xt (T, d, B): (S, T, rows, B)."""
     pre = np.matmul(w_x[:, None], xt)
     pre += bias[:, None, :, None]
     return pre
 
 
-def forward_batch(net: NetworkModel | ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
-    """Run a batch of windows through every model of `net` from a zero
-    initial state; returns (yhat, cache).
+def _mlp_hidden(p: dict, xt: np.ndarray) -> np.ndarray:
+    hidden = p["W_h"] @ xt[0]
+    hidden += p["b_h"][..., None]
+    return _sigmoid(hidden, out=hidden)
 
-    `net` is a ModelStack, whose models all take the same x, and yhat is
-    (S, B, out); or a NetworkModel, run as a stack of one, and yhat is
-    (B, out).
-    """
-    stack = net if isinstance(net, ModelStack) else ModelStack([net])
-    spec = stack.spec
+
+def _lstm_step(g, h_prev, c_prev, w_h, k, c_next, tanh_c, h_next):
+    """Step k of an LSTM: turns the input half g (bias included) of the
+    fused gates into i, f, o, cand in place and writes c_t, tanh(c_t) and
+    h_t. The outputs may alias h_prev and c_prev."""
+    w = h_prev.shape[-2]
+    w2, w3 = 2 * w, 3 * w
+    if k:
+        g += w_h @ h_prev
+    _sigmoid(g[:, :w3], out=g[:, :w3])
+    np.tanh(g[:, w3:], out=g[:, w3:])
+    c_next[...] = g[:, w:w2] * c_prev + g[:, :w] * g[:, w3:]
+    np.tanh(c_next, out=tanh_c)
+    np.multiply(g[:, w2:w3], tanh_c, out=h_next)
+
+
+def _gru_step(g, h_prev, w_h, k, rh, h_next):
+    """Step k of a GRU: turns the input half g (bias included) of z, r and
+    the candidate into their activations in place and writes
+    rh = r * h_{t-1} (from step 1 on) and h_t, which may alias h_prev."""
+    w = h_prev.shape[-2]
+    zr, cand = g[:, : 2 * w], g[:, 2 * w :]
+    if k:
+        zr += w_h[:, : 2 * w] @ h_prev
+    _sigmoid(zr, out=zr)
+    if k:
+        np.multiply(zr[:, w:], h_prev, out=rh)
+        cand += w_h[:, 2 * w :] @ rh
+    np.tanh(cand, out=cand)
+    h_next[...] = (1.0 - zr[:, :w]) * h_prev + zr[:, :w] * cand
+
+
+def _output(p: dict, final: np.ndarray) -> np.ndarray:
+    """yhat (S, B, out) from the final hidden state (S, W, B)."""
+    return _t(p["W_out"] @ final + p["b_out"][..., None])
+
+
+def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
+    """Run a batch of windows through every model of `stack` from a zero
+    initial state; returns (yhat (S, B, out), the cache for `backward`)."""
+    x = _as_batch(stack, x)
     p = stack.params
-    x = _as_batch(x, spec)
-    b, t, d = x.shape
-    s = len(stack)
-    h = spec.hidden  # the padded width
+    b, t, _ = x.shape
+    s, h, arch = len(stack), stack.spec.hidden, stack.spec.arch
 
-    cache = ForwardCache(model=net, stack=stack, x=x)
+    cache = ForwardCache(stack=stack, x=x)
     st = cache.steps
     xt = st["xt"] = np.ascontiguousarray(x.transpose(1, 2, 0))
+    if arch == "mlp":
+        final = cache.hidden_final = st["hidden"] = _mlp_hidden(p, xt)
+        return _output(p, final), cache
 
     # The input half of every product runs for all steps before the time
-    # loop, bias included; each step then adds the recurrent half, which
-    # step 0 skips because h_0 = 0.
-    if spec.arch == "mlp":
-        hidden = p["W_h"] @ xt[0]
-        hidden += p["b_h"][..., None]
-        st["hidden"] = _sigmoid(hidden, out=hidden)
-        final = hidden
-    elif spec.arch == "srnn":
-        pre = _input_half(p["W_x"], p["b"], xt)
-        w_h = p["W_h"]
-        hs = np.empty((s, t + 1, h, b))
-        hs[:, 0] = 0.0
+    # loop, bias included; each step then adds the recurrent half.
+    w_x, bias, w_h = stack._recurrent[0]
+    pre = _input_half(w_x, bias, xt)  # LSTM i, f, o, cand; GRU z, r, cand
+    hs = st["hs"] = np.empty((s, t + 1, h, b))
+    hs[:, 0] = 0.0
+    if arch == "srnn":
         for k in range(t):
-            z = pre[:, k]
             if k:
-                z += w_h @ hs[:, k]
-            np.tanh(z, out=hs[:, k + 1])
-        st["hs"] = hs
-        final = hs[:, t]
-    elif spec.arch == "lstm":
-        w, bias, _, _ = stack._gates
-        gates = _input_half(w[..., :d], bias, xt)  # i, f, o (sigmoid) then cand (tanh)
-        w_h = w[..., d:]
-        h2, h3 = 2 * h, 3 * h
-        hs = np.empty((s, t + 1, h, b))
+                pre[:, k] += w_h @ hs[:, k]
+            np.tanh(pre[:, k], out=hs[:, k + 1])
+    elif arch == "lstm":
         cs = np.empty((s, t + 1, h, b))
-        hs[:, 0] = 0.0
         cs[:, 0] = 0.0
         tanh_c = np.empty((s, t, h, b))
         for k in range(t):
-            g = gates[:, k]
-            if k:
-                g += w_h @ hs[:, k]
-            _sigmoid(g[:, :h3], out=g[:, :h3])
-            np.tanh(g[:, h3:], out=g[:, h3:])
-            cs[:, k + 1] = g[:, h:h2] * cs[:, k] + g[:, :h] * g[:, h3:]
-            np.tanh(cs[:, k + 1], out=tanh_c[:, k])
-            np.multiply(g[:, h2:h3], tanh_c[:, k], out=hs[:, k + 1])
-        st.update(hs=hs, cs=cs, gates=gates, tanh_c=tanh_c)
-        final = hs[:, t]
+            _lstm_step(pre[:, k], hs[:, k], cs[:, k], w_h, k, cs[:, k + 1], tanh_c[:, k], hs[:, k + 1])
+        st.update(cs=cs, gates=pre, tanh_c=tanh_c)
     else:  # gru
-        w, bias, _, _ = stack._gates
-        h2 = 2 * h
-        pre = _input_half(w[..., :d], bias, xt)
-        zr, cand = pre[:, :, :h2], pre[:, :, h2:]  # z, r (sigmoid), then cand (tanh)
-        w_zr, w_c = w[:, :h2, d:], w[:, h2:, d:]
-        hs = np.empty((s, t + 1, h, b))
-        hs[:, 0] = 0.0
         rh = np.zeros((s, t, h, b))  # r * h_{t-1}; zero at step 0
         for k in range(t):
-            h_prev = hs[:, k]
-            g = zr[:, k]
-            ck = cand[:, k]
-            if k:
-                g += w_zr @ h_prev
-            _sigmoid(g, out=g)
-            if k:
-                np.multiply(g[:, h:], h_prev, out=rh[:, k])
-                ck += w_c @ rh[:, k]
-            np.tanh(ck, out=ck)
-            hs[:, k + 1] = (1.0 - g[:, :h]) * h_prev + g[:, :h] * ck
-        st.update(hs=hs, zr=zr, cand=cand, rh=rh)
-        final = hs[:, t]
-
-    cache.hidden_final = final
-    yhat = _t(p["W_out"] @ final + p["b_out"][..., None])  # (S, B, out)
-    return (yhat if net is stack else yhat[0]), cache
+            _gru_step(pre[:, k], hs[:, k], w_h, k, rh[:, k], hs[:, k + 1])
+        st.update(zr=pre[:, :, : 2 * h], cand=pre[:, :, 2 * h :], rh=rh)
+    cache.hidden_final = hs[:, t]
+    return _output(p, hs[:, t]), cache
 
 
-def backward(
-    net: NetworkModel | ModelStack, cache: ForwardCache, dl_dyhat
-) -> dict[str, np.ndarray]:
-    """Exact gradients of L w.r.t. every parameter, given dL/dyhat.
+def predict(stack: ModelStack, x) -> np.ndarray:
+    """Forward-only predictions (S, n, out) of every model of `stack` for n
+    windows.
 
-    dl_dyhat has the shape of the forward output: (S, B, out) for a stack,
-    (B, out) for a NetworkModel. Batch contributions are summed, so the
-    caller folds any 1/B averaging into the cotangent. The gradients are
-    written into `net.grad`; the returned dict is `net.grads`, its named
-    views, which the next call overwrites.
+    Runs the samples in chunks of CHUNK, the last chunk also taking the
+    remainder (up to 2*CHUNK - 1 samples), and keeps only a chunk's running
+    state: h, the LSTM c (or GRU r * h) and one step's gates. Every chunk
+    starts at a multiple of CHUNK, so BLAS treats its samples as it treats
+    them in one product over all n, and the predictions are those of
+    `forward_batch` on all n bit for bit, unless BLAS picks another kernel
+    for that larger product: OpenBLAS 0.3.31 switches from its small-matrix
+    kernel above 10^6 multiply-adds, which can change the last bit of the
+    last n mod 8 predictions.
     """
-    if cache.model is not net:
-        raise ValueError("cache was produced by a different model")
-    stack = cache.stack
+    x = _as_batch(stack, x)
+    p = stack.params
+    n, t, _ = x.shape
+    s, h, arch = len(stack), stack.spec.hidden, stack.spec.arch
+    yhat = np.empty((s, n, stack.spec.output_dim))
+    bounds = list(range(0, n, CHUNK))[: max(n // CHUNK, 1)] + [n]
+    for lo, hi in zip(bounds, bounds[1:]):
+        xt = np.ascontiguousarray(x[lo:hi].transpose(1, 2, 0))
+        if arch == "mlp":
+            yhat[:, lo:hi] = _output(p, _mlp_hidden(p, xt))
+            continue
+        w_x, bias, w_h = stack._recurrent[0]
+        hs = np.zeros((s, h, hi - lo))
+        cs = np.zeros_like(hs)  # LSTM c
+        scratch = np.empty_like(hs)  # LSTM tanh(c), GRU r * h
+        for k in range(t):
+            g = _input_half(w_x, bias, xt[k : k + 1])[:, 0]
+            if arch == "srnn":
+                if k:
+                    g += w_h @ hs
+                np.tanh(g, out=hs)
+            elif arch == "lstm":
+                _lstm_step(g, hs, cs, w_h, k, cs, scratch, hs)
+            else:
+                _gru_step(g, hs, w_h, k, scratch, hs)
+        yhat[:, lo:hi] = _output(p, hs)
+    return yhat
+
+
+def backward(stack: ModelStack, cache: ForwardCache, dl_dyhat) -> dict[str, np.ndarray]:
+    """Exact gradients of L w.r.t. every parameter of every model, given
+    dL/dyhat of shape (S, B, out).
+
+    Batch contributions are summed, so the caller folds any 1/B averaging
+    into the cotangent. The gradients are written into `stack.grad`; the
+    returned dict is `stack.grads`, its named views, which the next call
+    overwrites.
+    """
+    if cache.stack is not stack:
+        raise ValueError("cache was produced by a different model stack")
     spec = stack.spec
     p = stack.params
     grads = stack.grads
-    b, t, d = cache.x.shape
-    s = len(stack)
-    h = spec.hidden
+    b, t, _ = cache.x.shape
+    s, h = len(stack), spec.hidden
 
     dy = np.asarray(dl_dyhat, dtype=np.float64)
-    want = (s, b, spec.output_dim) if net is stack else (b, spec.output_dim)
-    if dy.shape != want:
-        raise ValueError(f"cotangent shape {dy.shape} does not match {want}")
-    dy = _t(dy.reshape(s, b, spec.output_dim))  # (S, out, B)
+    if dy.shape != (s, b, spec.output_dim):
+        raise ValueError(f"cotangent shape {dy.shape} does not match {(s, b, spec.output_dim)}")
+    dy = _t(dy)  # (S, out, B)
 
     st = cache.steps
     x_cols = _t(_columns(st["xt"]))  # (T*B, d)
@@ -512,24 +522,19 @@ def backward(
         dpre = dh * hidden * (1.0 - hidden)
         np.matmul(dpre, x_cols, out=grads["W_h"])
         np.add.reduce(dpre, axis=2, out=grads["b_h"])
-    elif spec.arch == "srnn":
-        hs = st["hs"]
-        w_h_t = _t(p["W_h"])
-        dpre = np.empty((s, t, h, b))
+        return grads
+
+    hs = st["hs"]
+    w_h_t = _t(stack._recurrent[0][2])
+    h2, h3 = 2 * h, 3 * h
+    dz = np.empty((s, t, w_h_t.shape[-1], b))  # (S, T, G*W, B)
+    if spec.arch == "srnn":
         for k in range(t - 1, -1, -1):
-            np.multiply(dh, 1.0 - hs[:, k + 1] ** 2, out=dpre[:, k])
+            np.multiply(dh, 1.0 - hs[:, k + 1] ** 2, out=dz[:, k])
             if k:
-                dh = w_h_t @ dpre[:, k]
-        cols = _columns(dpre)
-        np.matmul(cols, x_cols, out=grads["W_x"])
-        np.matmul(cols[..., b:], _t(_columns(hs[:, 1:t])), out=grads["W_h"])
-        np.add.reduce(cols, axis=2, out=grads["b"])
+                dh = w_h_t @ dz[:, k]
     elif spec.arch == "lstm":
-        hs, cs, gates, tanh_c = st["hs"], st["cs"], st["gates"], st["tanh_c"]
-        w, _, gw, gb = stack._gates
-        w_h_t = _t(w[..., d:])
-        h2, h3 = 2 * h, 3 * h
-        dz = np.empty((s, t, 4 * h, b))
+        cs, gates, tanh_c = st["cs"], st["gates"], st["tanh_c"]
         dc = np.zeros((s, h, b))
         for k in range(t - 1, -1, -1):
             g = gates[:, k]
@@ -551,16 +556,9 @@ def backward(
             dzk[:, h3:] *= 1.0 - cand ** 2
             if k:
                 dh = w_h_t @ dzk
-        cols = _columns(dz)
-        np.matmul(cols, x_cols, out=gw[..., :d])
-        np.matmul(cols[..., b:], _t(_columns(hs[:, 1:t])), out=gw[..., d:])
-        np.add.reduce(cols, axis=2, out=gb)
     else:  # gru
-        hs, zr, cand, rh = st["hs"], st["zr"], st["cand"], st["rh"]
-        w, _, gw, gb = stack._gates
-        h2 = 2 * h
-        wzr_h_t, wc_h_t = _t(w[:, :h2, d:]), _t(w[:, h2:, d:])
-        dz = np.empty((s, t, 3 * h, b))
+        zr, cand = st["zr"], st["cand"]
+        wzr_h_t, wc_h_t = w_h_t[..., :h2], w_h_t[..., h2:]
         for k in range(t - 1, -1, -1):
             h_prev = hs[:, k]
             g = zr[:, k]
@@ -580,14 +578,14 @@ def backward(
             dsig *= 1.0 - g
             if k:
                 dh = dh * (1.0 - gz) + drh * g[:, h:] + wzr_h_t @ dsig
-        cols = _columns(dz)
-        np.matmul(cols, x_cols, out=gw[..., :d])
-        np.matmul(cols[:, :h2, b:], _t(_columns(hs[:, 1:t])), out=gw[:, :h2, d:])
-        np.matmul(cols[:, h2:, b:], _t(_columns(rh[:, 1:])), out=gw[:, h2:, d:])
-        np.add.reduce(cols, axis=2, out=gb)
-
-    if net is stack:
-        return grads
-    for name, g in net.grads.items():
-        g[...] = grads[name][0][_corner(g.shape)]
-    return net.grads
+    gw_x, gb, gw_h = stack._recurrent[1]
+    cols = _columns(dz)
+    np.matmul(cols, x_cols, out=gw_x)
+    np.add.reduce(cols, axis=2, out=gb)
+    h_cols = _t(_columns(hs[:, 1:t]))
+    if spec.arch == "gru":  # the candidate's recurrent input is r * h_{t-1}
+        np.matmul(cols[:, :h2, b:], h_cols, out=gw_h[:, :h2])
+        np.matmul(cols[:, h2:, b:], _t(_columns(st["rh"][:, 1:])), out=gw_h[:, h2:])
+    else:
+        np.matmul(cols[..., b:], h_cols, out=gw_h)
+    return grads

@@ -3,7 +3,8 @@
 Contract: exit 0 on success; on failure print exactly one line of the form
 `fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
 failures, 2 for usage errors). All file outputs are byte-identical across
-runs given identical inputs and seeds. FXBENCH_LOG in {error, warn, info,
+runs given identical inputs and seeds, and each replaces its target
+atomically (`data.write_atomic`). FXBENCH_LOG in {error, warn, info,
 debug} sets stderr log verbosity (default info).
 """
 
@@ -13,7 +14,6 @@ import argparse
 import logging
 import os
 import sys
-from pathlib import Path
 
 from .cells import ARCHS, arch_id
 from .data import (
@@ -22,6 +22,7 @@ from .data import (
     normalize_dataset,
     prepare_splits,
     read_ohlc_csv,
+    write_atomic,
     write_ohlc_csv,
 )
 from .experiment import (
@@ -142,7 +143,9 @@ def cmd_sweep(args) -> int:
         measure_time=args.timings,
     )
     criterion = f"{args.select}_mae"
-    Path(args.report).write_bytes(emit_report_csv(report))
+    blob = emit_report_csv(report)
+    with write_atomic(args.report) as fh:
+        fh.write(blob)
     o = select_best(report, criterion).overall
     value = getattr(o, criterion)
     scale = norm.target_max - norm.target_min
@@ -163,7 +166,9 @@ def cmd_train(args) -> int:
     spec = model.spec
     config = _train_config(args)
     train(model, data.train, data.validation, config)
-    Path(args.model_out).write_bytes(save_model(model, norm))
+    blob = save_model(model, norm)
+    with write_atomic(args.model_out) as fh:
+        fh.write(blob)
     print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
     for label, split in (("train", data.train), ("val", data.validation), ("test", data.test)):
         _print_mae(label, evaluate(model, split).mae, norm)
@@ -182,7 +187,9 @@ def cmd_predict(args) -> int:
     records = read_ohlc_csv(args.data)
     dataset = normalize_dataset(build_supervised(records), norm)
     result = evaluate(model, dataset)
-    Path(args.series_out).write_bytes(emit_series_csv(result))
+    blob = emit_series_csv(result)
+    with write_atomic(args.series_out) as fh:
+        fh.write(blob)
     print(f"predictions: {len(result.dates)}")
     _print_mae("series", result.mae, norm)
     print(f"wrote series: {args.series_out}")
@@ -238,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "--window",
                 type=int,
                 default=1,
-                help="lag vectors per sample for recurrent cells (default 1)",
+                help="lag vectors per sample for recurrent cells (default 1); mlp always "
+                "uses 1, so at window w it is scored on w-1 more days per split",
             )
 
     p = sub.add_parser("sweep", help="train the full architecture x hidden-size grid")

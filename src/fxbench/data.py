@@ -8,10 +8,12 @@ close, so a series of n records yields n-1 samples.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import io
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +132,35 @@ def read_ohlc_csv(path, **kwargs) -> list[OhlcRecord]:
         return parse_ohlc_csv(fh, **kwargs)
 
 
+@contextlib.contextmanager
+def write_atomic(path):
+    """A binary file whose bytes replace `path` only once the with-block
+    ends without an exception.
+
+    They go to a temporary file in the target's directory, which
+    `os.replace` then renames onto the target, so a reader (or a process
+    killed part-way) never sees a truncated file. If the block raises,
+    the temporary file is removed and `path` is left as it was.
+    """
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_ohlc_csv(records: list[OhlcRecord], path):
-    """Write records in the canonical CSV format (exact float round trip)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n")
+    """Write records in the canonical CSV format (exact float round trip),
+    replacing `path` atomically (`write_atomic`)."""
+    with write_atomic(path) as fh:
+        fh.write((",".join(CSV_HEADER) + "\n").encode())
         for r in records:
-            fh.write(f"{r.date.isoformat()},{r.open!r},{r.high!r},{r.low!r},{r.close!r}\n")
+            fh.write(f"{r.date.isoformat()},{r.open!r},{r.high!r},{r.low!r},{r.close!r}\n".encode())
 
 
 @dataclass(frozen=True, eq=False)

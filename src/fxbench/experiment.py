@@ -7,7 +7,10 @@ normalized dataset carries (`dataset.norm`).
 A sweep trains its trials in lockstep: the hidden sizes of one
 architecture that pad to the same width (`cells.padded_width`) form one
 `ModelStack`, and every batch runs one stacked forward, backward and
-optimizer step for all of them. Evaluation stays per trial.
+optimizer step for all of them. `evaluate` is the one scoring path: it
+scores every model of a stack in one forward-only pass over a split
+(`cells.predict`), a single model as a stack of one. A sweep scores each
+trained stack once per split, leaving out the models that diverged.
 
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
@@ -35,6 +38,7 @@ from .cells import (
     forward_batch,
     init_model,
     padded_width,
+    predict,
 )
 from .data import SplitDataset, SupervisedDataset, denormalize
 from .optim import Optimizer, OptimizerConfig, mae_grad, mae_loss
@@ -148,7 +152,8 @@ class BestSelection:
 
 
 def _windowed(dataset: SupervisedDataset, window: int):
-    """Stack consecutive lag vectors into (n-w+1, w, 4) windows.
+    """Consecutive lag vectors as (n-w+1, w, 4) windows, a read-only view
+    of the features.
 
     Window k covers samples k..k+w-1 and predicts the target of its last
     sample; the first w-1 samples have no full history and are dropped.
@@ -158,11 +163,8 @@ def _windowed(dataset: SupervisedDataset, window: int):
         raise ValueError(f"window must be >= 1, got {window}")
     if n < window:
         raise ValueError(f"dataset has {n} samples, fewer than window={window}")
-    if window == 1:
-        x = dataset.features[:, None, :]
-    else:
-        x = np.stack([dataset.features[k : n - window + 1 + k] for k in range(window)], axis=1)
-    return x, dataset.targets[window - 1 :], dataset.dates[window - 1 :]
+    x = np.lib.stride_tricks.sliding_window_view(dataset.features, window, axis=0)
+    return x.transpose(0, 2, 1), dataset.targets[window - 1 :], dataset.dates[window - 1 :]
 
 
 def _check_normalized(dataset: SupervisedDataset, name: str):
@@ -241,12 +243,14 @@ def train(
                 every = max(1, config.epochs // 10)
                 if (epoch + 1) % every == 0 or epoch == config.epochs - 1:
                     stack.store()
-                    for k in np.flatnonzero(running):
+                    ks = np.flatnonzero(running)
+                    scores = evaluate(ModelStack(stack.models[k] for k in ks), val_set)
+                    for k, score in zip(ks, scores):
                         model = stack.models[k]
                         log.debug(
                             "%s h=%d epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
                             model.spec.arch, model.spec.hidden, epoch + 1, config.epochs,
-                            epoch_loss[k], evaluate(model, val_set).mae_norm,
+                            epoch_loss[k], score.mae_norm,
                         )
     stack.store()
     for k in np.flatnonzero(running):
@@ -259,28 +263,37 @@ def train(
     return result
 
 
-def evaluate(model: NetworkModel, dataset: SupervisedDataset) -> EvalResult:
-    """Predict every sample, denormalize predictions and targets with the
-    dataset's NormParams, report MAE in original currency units (and on the
-    normalized scale). The model runs alone, as a stack of one at its
-    padded width, so its results never depend on a sweep's other trials."""
+def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
+    """Predict every sample with every model of `net`, denormalize
+    predictions and targets with the dataset's NormParams, and report each
+    model's MAE in original currency units (and on the normalized scale).
+
+    One forward-only pass (`cells.predict`) scores the whole stack. A
+    model's predictions depend on its own weights only, so a model scores
+    the same in any stack as alone. For a ModelStack, returns one
+    EvalResult per model; for a NetworkModel, run as a stack of one, its
+    EvalResult.
+    """
+    stack = net if isinstance(net, ModelStack) else ModelStack([net])
     _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     norm = dataset.norm
-    x, targets, dates = _windowed(dataset, model.spec.window)
-    yhat, _ = forward_batch(model, x)
-    pred_norm = yhat[:, 0]
-    mae_norm = mae_loss(pred_norm, targets)
+    x, targets, dates = _windowed(dataset, stack.spec.window)
     actual = denormalize(targets, norm.target_min, norm.target_max)
-    predicted = denormalize(pred_norm, norm.target_min, norm.target_max)
-    return EvalResult(
-        mae=mae_loss(predicted, actual),
-        mae_norm=mae_norm,
-        dates=dates,
-        actual=actual,
-        predicted=predicted,
-    )
+    results = []
+    for pred_norm in predict(stack, x)[:, :, 0]:
+        predicted = denormalize(pred_norm, norm.target_min, norm.target_max)
+        results.append(
+            EvalResult(
+                mae=mae_loss(predicted, actual),
+                mae_norm=mae_loss(pred_norm, targets),
+                dates=dates,
+                actual=actual,
+                predicted=predicted,
+            )
+        )
+    return results if net is stack else results[0]
 
 
 def persistence_baseline(dataset: SupervisedDataset) -> float:
@@ -313,10 +326,11 @@ def run_sweep(
     """Train one model per (arch, hidden) grid point and record its MAEs.
 
     The hidden sizes of an architecture that share a padded width train as
-    one stack, in lockstep. A diverging trial is recorded with NaN errors
-    and affects neither the sweep nor its stack. wall_time_s is 0.0 unless
-    measure_time is set; then each trial records the wall time of its
-    whole stack (training plus the evaluation of every trial in it).
+    one stack, in lockstep, and each trained stack is scored once per
+    split. A diverging trial is recorded with NaN errors, is left out of
+    the scoring and affects neither the sweep nor its stack. wall_time_s
+    is 0.0 unless measure_time is set; then each trial records the wall
+    time of its whole stack (training plus scoring).
     Measured times differ between runs and would break byte-identical
     reports.
     """
@@ -339,14 +353,19 @@ def run_sweep(
             models = [trial_model(arch, h, input_dim, window, config.seed) for h in group]
             t0 = time.perf_counter()
             outcomes = train(ModelStack(models), data.train, data.validation, config)
-            maes = []
-            for model, outcome in zip(models, outcomes):
+            maes = [(float("nan"),) * 3] * len(models)
+            ok = []
+            for k, (model, outcome) in enumerate(zip(models, outcomes)):
                 if isinstance(outcome, TrainingDiverged):
                     log.warning("trial %s h=%d diverged: %s", arch, model.spec.hidden, outcome)
-                    maes.append((float("nan"),) * 3)
                 else:
-                    splits = (data.train, data.validation, data.test)
-                    maes.append(tuple(evaluate(model, split).mae for split in splits))
+                    ok.append(k)
+            if ok:
+                trained = ModelStack(models[k] for k in ok)
+                splits = (data.train, data.validation, data.test)
+                scores = zip(*(evaluate(trained, split) for split in splits))
+                for k, per_split in zip(ok, scores):
+                    maes[k] = tuple(r.mae for r in per_split)
             elapsed = time.perf_counter() - t0
             for model, (train_mae, val_mae, test_mae) in zip(models, maes):
                 spec = model.spec

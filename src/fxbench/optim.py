@@ -1,10 +1,9 @@
 """MAE loss with its subgradient, plus one SGD/RMSProp stepper.
 
 `Optimizer` works on parameters and gradients as two float64 arrays of one
-shape, updated in place elementwise: a model's flat vectors (`model.flat`,
-`model.grad`), or the (S, n) arrays of a stack of S models
-(`stack.flat`, `stack.grad`; see `fxbench.cells`), where each row steps
-exactly as it would alone. It owns its RMSProp accumulator, so each model
+shape, updated in place elementwise: typically the (S, n) arrays of a
+stack of S models (`stack.flat`, `stack.grad`; see `fxbench.cells`), where
+each row steps exactly as it would alone. It owns its RMSProp accumulator, so each model
 or stack needs its own instance (never shared across trainers).
 """
 

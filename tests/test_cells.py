@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 from fxbench import (
     ARCHS,
     ModelSpec,
+    ModelStack,
     NetworkModel,
     backward,
     forward_batch,
     init_model,
     param_shapes,
+    trial_model,
 )
-from fxbench.cells import _sigmoid
+import fxbench.cells as cells
+from fxbench.cells import CHUNK, _sigmoid, predict
 from gradcheck import check_model_gradients
 
 
@@ -23,6 +27,15 @@ def zeroed(spec, seed=0):
     for arr in model.params.values():
         arr[:] = 0.0
     return model
+
+
+def one(model):
+    """A single model as the stack of one the kernels run."""
+    return ModelStack([model])
+
+
+def n_params(spec):
+    return sum(a.size for a in init_model(spec, 0).params.values())
 
 
 # ---------------------------------------------------------------- specs
@@ -44,16 +57,13 @@ def test_spec_validation():
 
 def test_parameter_counts_match_closed_forms():
     # hand-expanded: weights + biases per block, plus the output layer
-    assert init_model(ModelSpec(arch="mlp", hidden=6), 0).flat.size == 4 * 6 + 6 + 6 + 1
-    assert init_model(ModelSpec(arch="lstm", hidden=5), 0).flat.size == 4 * (
-        5 * (4 + 5) + 5
-    ) + 5 + 1
-    assert init_model(ModelSpec(arch="gru", hidden=7), 0).flat.size == 3 * (
-        7 * (4 + 7) + 7
-    ) + 7 + 1
-    assert init_model(ModelSpec(arch="srnn", hidden=3), 0).flat.size == (
-        3 * 4 + 3 * 3 + 3 + 3 + 1
-    )
+    assert n_params(ModelSpec(arch="mlp", hidden=6)) == 4 * 6 + 6 + 6 + 1
+    assert n_params(ModelSpec(arch="lstm", hidden=5)) == 4 * (5 * (4 + 5) + 5) + 5 + 1
+    assert n_params(ModelSpec(arch="gru", hidden=7)) == 3 * (7 * (4 + 7) + 7) + 7 + 1
+    assert n_params(ModelSpec(arch="srnn", hidden=3)) == 3 * 4 + 3 * 3 + 3 + 3 + 1
+    # a stack's buffer holds one model of its padded width per row
+    stack = one(init_model(ModelSpec(arch="lstm", hidden=5), 0))
+    assert stack.flat.shape == (1, n_params(ModelSpec(arch="lstm", hidden=8)))
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -74,33 +84,39 @@ def test_param_shapes_consistent_with_spec(arch):
 def test_params_are_views_into_the_flat_buffer(arch):
     spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
     model = init_model(spec, 4)
+    stack = ModelStack([model, init_model(spec, 5)])
     assert list(model.params) == list(param_shapes(spec))
-    assert model.flat.shape == model.grad.shape
-    assert sum(a.size for a in model.params.values()) == model.flat.size
-    for name, arr in model.params.items():
-        assert np.shares_memory(arr, model.flat)
-        assert np.shares_memory(model.grads[name], model.grad)
-        before = model.flat.copy()
-        arr.flat[-1] = 1e6  # a write through the view shows in the flat vector
-        changed = np.flatnonzero(model.flat != before)
-        assert changed.size == 1 and model.flat[changed[0]] == 1e6
-    model.flat[:] = 0.0  # and a write to the flat vector shows in every view
+    assert list(stack.params) == list(param_shapes(stack.spec))
+    assert stack.flat.shape == stack.grad.shape
+    assert sum(a[0].size for a in stack.params.values()) == stack.flat.shape[1]
+    for name, arr in stack.params.items():
+        assert np.shares_memory(arr, stack.flat)
+        assert np.shares_memory(stack.grads[name], stack.grad)
+        before = stack.flat.copy()
+        arr[1].flat[-1] = 1e6  # a write through the view shows in the flat buffer
+        changed = np.argwhere(stack.flat != before)
+        assert changed.tolist() == [[1, changed[0, 1]]] and stack.flat[1, changed[0, 1]] == 1e6
+    stack.flat[:] = 0.0  # and a write to the flat buffer shows in every view
+    assert all(np.all(arr == 0.0) for arr in stack.params.values())
+    stack.store()  # and reaches the models only through store
     assert all(np.all(arr == 0.0) for arr in model.params.values())
 
 
 @pytest.mark.parametrize("arch,gates", [("lstm", "ifoc"), ("gru", "zrh")])
 def test_gate_weights_form_one_block_then_biases(arch, gates):
-    h, d = 3, 4
+    h, d = 8, 4  # a padded width, so the stack holds the model unpadded
     model = init_model(ModelSpec(arch=arch, hidden=h, window=2), 6)
-    p = model.params
+    stack = one(model)
+    flat = stack.flat[0]
+    p = {name: arr[0] for name, arr in stack.params.items()}
     rows = len(gates) * h
-    w = model.flat[: rows * (d + h)].reshape(rows, d + h)
-    b = model.flat[rows * (d + h) : rows * (d + h + 1)]
-    assert np.array_equal(w, np.vstack([p[f"W_{g}"] for g in gates]))
+    w = flat[: rows * (d + h)].reshape(rows, d + h)
+    b = flat[rows * (d + h) : rows * (d + h + 1)]
+    assert np.array_equal(w, np.vstack([model.params[f"W_{g}"] for g in gates]))
     for arr in p.values():
         arr[...] = np.arange(arr.size).reshape(arr.shape) + 1.0
     assert np.array_equal(b, np.concatenate([p[f"b_{g}"] for g in gates]))
-    assert np.array_equal(model.flat[-h - 1 :], np.concatenate([p["W_out"].ravel(), p["b_out"]]))
+    assert np.array_equal(flat[-h - 1 :], np.concatenate([p["W_out"].ravel(), p["b_out"]]))
 
 
 def test_network_model_rejects_foreign_parameters():
@@ -172,8 +188,8 @@ def test_sigmoid_symmetry(x):
 
 def test_lstm_zero_weights_outputs_zero():
     model = zeroed(ModelSpec(arch="lstm", hidden=3, input_dim=2))
-    yhat, cache = forward_batch(model, [[[0.4, -1.2]]])
-    assert np.array_equal(yhat, [[0.0]])
+    yhat, cache = forward_batch(one(model), [[[0.4, -1.2]]])
+    assert np.array_equal(yhat, [[[0.0]]])
     # a single model runs as a stack of one at the padded width 8, its
     # steps laid out as (model, step, unit, sample)
     assert cache.steps["gates"].shape == (1, 1, 4 * 8, 1)
@@ -187,7 +203,7 @@ def test_lstm_seeded_cell_state_hand_value():
     # cand = tanh(0) = 0: c2 = f*c1 + i*cand = 0.5*c1, h2 = o*tanh(c2)
     model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2, window=2))
     model.params["W_c"][0, 0] = 2.0
-    _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
+    _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
     c1 = cache.steps["cs"][0, 1, 0, 0]
     assert c1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
     assert cache.steps["hs"][0, 1, 0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
@@ -200,7 +216,7 @@ def test_gru_seeded_hidden_state_hand_value():
     # step 2 sees x2 = 0, hence z = 0.5 and cand = tanh(0) = 0: h2 = 0.5*h1
     model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2, window=2))
     model.params["W_h"][0, 0] = 2.0
-    _, cache = forward_batch(model, [[[0.3, 0.7], [0.0, 0.0]]])
+    _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
     h1 = cache.steps["hs"][0, 1, 0, 0]
     assert h1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
     assert cache.steps["zr"][0, 1, 0, 0] == 0.5
@@ -210,43 +226,87 @@ def test_gru_seeded_hidden_state_hand_value():
 
 def test_srnn_zero_weights_hidden_zero():
     model = zeroed(ModelSpec(arch="srnn", hidden=2, input_dim=3))
-    _, cache = forward_batch(model, [[[1.0, 2.0, 3.0]]])
+    _, cache = forward_batch(one(model), [[[1.0, 2.0, 3.0]]])
     assert np.all(cache.hidden_final == 0.0)
 
 
 def test_forward_rejects_wrong_window_and_dim():
     model = init_model(ModelSpec(arch="srnn", hidden=2, input_dim=4, window=2), 0)
-    with pytest.raises(ValueError, match="window length mismatch"):
-        forward_batch(model, np.zeros((1, 3, 4)))
-    with pytest.raises(ValueError, match="input_dim mismatch"):
-        forward_batch(model, np.zeros((1, 2, 5)))
-    with pytest.raises(ValueError, match="batched input"):
-        forward_batch(model, np.zeros((2, 4)))
+    for kernel in (forward_batch, predict):
+        with pytest.raises(ValueError, match="window length mismatch"):
+            kernel(one(model), np.zeros((1, 3, 4)))
+        with pytest.raises(ValueError, match="input_dim mismatch"):
+            kernel(one(model), np.zeros((1, 2, 5)))
+        with pytest.raises(ValueError, match="batched input"):
+            kernel(one(model), np.zeros((2, 4)))
+        with pytest.raises(TypeError, match="expected a ModelStack"):
+            kernel(model, np.zeros((1, 2, 4)))
 
 
 def test_forward_deterministic_and_matches_batch():
     for arch in ARCHS:
         spec = ModelSpec(arch=arch, hidden=4, window=1 if arch == "mlp" else 3)
-        model = init_model(spec, 5)
+        stack = one(init_model(spec, 5))
         rng = np.random.default_rng(8)
         xb = rng.normal(size=(6, spec.window, 4))
-        y_batch, _ = forward_batch(model, xb)
-        again, _ = forward_batch(model, xb)
+        y_batch, _ = forward_batch(stack, xb)
+        again, _ = forward_batch(stack, xb)
         assert np.array_equal(y_batch, again)
         for i in range(xb.shape[0]):
-            y_one, _ = forward_batch(model, xb[i : i + 1])
+            y_one, _ = forward_batch(stack, xb[i : i + 1])
             # within a larger batch BLAS may sum in a different order, so
             # row i agrees with a batch of one numerically, not bitwise
-            assert y_one[0, 0] == pytest.approx(y_batch[i, 0], rel=1e-12, abs=1e-15)
+            assert y_one[0, 0, 0] == pytest.approx(y_batch[0, i, 0], rel=1e-12, abs=1e-15)
 
 
 def test_output_layer_is_linear_unbounded():
     model = zeroed(ModelSpec(arch="mlp", hidden=2, input_dim=1))
     model.params["W_out"][:] = 100.0
     model.params["b_out"][:] = 3.0
-    yhat, _ = forward_batch(model, [[[0.0]]])
+    yhat, _ = forward_batch(one(model), [[[0.0]]])
     # hidden = sigmoid(0) = 0.5 twice, output = 100*0.5*2 + 3
-    assert yhat[0, 0] == pytest.approx(103.0, abs=1e-12)
+    assert yhat[0, 0, 0] == pytest.approx(103.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------- predict
+
+N_SAMPLES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)  # one chunk, exact multiples, ragged tails
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("window", [1, 3])
+@pytest.mark.parametrize("hiddens", [(5,), (2, 5, 8)], ids=["alone", "mixed"])
+def test_predict_matches_forward_batch_bitwise(arch, window, hiddens):
+    stack = ModelStack(trial_model(arch, h, 4, window, 3) for h in hiddens)
+    rng = np.random.default_rng(window)
+    for n in N_SAMPLES:
+        x = rng.uniform(0.0, 1.0, size=(n, stack.spec.window, 4))
+        expected, _ = forward_batch(stack, x)
+        got = predict(stack, x)
+        assert got.shape == (len(hiddens), n, 1)
+        assert np.array_equal(got, expected), f"n={n}"
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_predict_runs_in_chunks(arch, monkeypatch):
+    # no product sees more than 2*CHUNK - 1 samples (the last chunk also
+    # takes the remainder), and every chunk starts at a multiple of CHUNK
+    widths = []
+
+    def recording(kernel):
+        def wrapped(*args):
+            widths.append(args[-1].shape[-1])
+            return kernel(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(cells, "_input_half", recording(cells._input_half))
+    monkeypatch.setattr(cells, "_mlp_hidden", recording(cells._mlp_hidden))
+    stack = one(trial_model(arch, 4, 4, 2, 0))
+    x = np.zeros((4 * CHUNK + 7, stack.spec.window, 4))
+    predict(stack, x)
+    per_chunk = [CHUNK] * 3 + [CHUNK + 7]
+    assert widths == [w for w in per_chunk for _ in range(stack.spec.window)]
 
 
 # ---------------------------------------------------------------- backward
@@ -255,57 +315,59 @@ def test_output_layer_is_linear_unbounded():
 def test_backward_zero_cotangent_gives_zero_gradients():
     for arch in ARCHS:
         spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
-        model = init_model(spec, 3)
-        _, cache = forward_batch(model, np.random.default_rng(0).normal(size=(2, spec.window, 4)))
-        grads = backward(model, cache, np.zeros((2, 1)))
-        assert set(grads) == set(model.params)
+        stack = one(init_model(spec, 3))
+        _, cache = forward_batch(stack, np.random.default_rng(0).normal(size=(2, spec.window, 4)))
+        grads = backward(stack, cache, np.zeros((1, 2, 1)))
+        assert set(grads) == set(param_shapes(spec))
         for name, g in grads.items():
-            assert g.shape == model.params[name].shape
+            assert g.shape == stack.params[name].shape
             assert np.all(g == 0.0)
 
 
 def test_backward_fills_the_model_gradient_buffer():
     for arch in ARCHS:
         spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 3)
-        model = init_model(spec, 8)
+        spec = dataclasses.replace(spec, hidden=8)  # a padded width: no padded entries
+        stack = one(init_model(spec, 8))
         rng = np.random.default_rng(1)
-        _, cache = forward_batch(model, rng.normal(size=(4, spec.window, 4)))
-        grads = backward(model, cache, rng.normal(size=(4, 1)))
-        assert grads is model.grads
-        first = model.grad.copy()
+        _, cache = forward_batch(stack, rng.normal(size=(4, spec.window, 4)))
+        grads = backward(stack, cache, rng.normal(size=(1, 4, 1)))
+        assert grads is stack.grads
+        first = stack.grad.copy()
         assert np.all(first != 0.0)
         # the next call overwrites every entry rather than accumulating
-        again = backward(model, cache, rng.normal(size=(4, 1)))
-        assert again is grads and not np.array_equal(model.grad, first)
-        backward(model, cache, np.zeros((4, 1)))
-        assert np.all(model.grad == 0.0)
+        again = backward(stack, cache, rng.normal(size=(1, 4, 1)))
+        assert again is grads and not np.array_equal(stack.grad, first)
+        backward(stack, cache, np.zeros((1, 4, 1)))
+        assert np.all(stack.grad == 0.0)
 
 
 def test_backward_mlp_hand_chain_rule():
     # 1-1-1 with all weights zero except W_out=1: d yhat / d W_out = hidden = sigmoid(0)
     model = zeroed(ModelSpec(arch="mlp", hidden=1, input_dim=1))
     model.params["W_out"][:] = 1.0
-    _, cache = forward_batch(model, [[[1.0]]])
-    grads = backward(model, cache, np.array([[1.0]]))
-    assert grads["W_out"][0, 0] == 0.5
+    stack = one(model)
+    _, cache = forward_batch(stack, [[[1.0]]])
+    grads = backward(stack, cache, np.array([[[1.0]]]))
+    assert grads["W_out"][0, 0, 0] == 0.5
 
 
 def test_backward_rejects_foreign_cache():
     spec = ModelSpec(arch="srnn", hidden=2)
-    a = init_model(spec, 1)
-    b = init_model(spec, 2)
+    a = one(init_model(spec, 1))
+    b = one(init_model(spec, 2))
     _, cache = forward_batch(a, np.zeros((1, 1, 4)))
     with pytest.raises(ValueError, match="different model"):
-        backward(b, cache, np.array([[1.0]]))
+        backward(b, cache, np.array([[[1.0]]]))
 
 
 def test_backward_rejects_bad_cotangent_shape():
-    model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
-    _, cache = forward_batch(model, np.zeros((3, 1, 4)))
-    with pytest.raises(ValueError, match=r"cotangent shape \(3,\) does not match \(3, 1\)"):
-        backward(model, cache, np.zeros(3))
+    stack = one(init_model(ModelSpec(arch="mlp", hidden=2), 0))
+    _, cache = forward_batch(stack, np.zeros((3, 1, 4)))
+    with pytest.raises(ValueError, match=r"cotangent shape \(3, 1\) does not match \(1, 3, 1\)"):
+        backward(stack, cache, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="cotangent shape"):
-        backward(model, cache, np.zeros((2, 1)))
+        backward(stack, cache, np.zeros((1, 2, 1)))
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -332,7 +394,7 @@ def test_gru_next_hidden_interpolates_toward_candidate(seed):
     for arr in model.params.values():
         arr[:] = rng.normal(scale=0.5, size=arr.shape)
     x = rng.uniform(-2.0, 2.0, size=(1, 2, 4))
-    _, cache = forward_batch(model, x)
+    _, cache = forward_batch(one(model), x)
     h1 = cache.steps["hs"][0, 1, :, 0]  # the padded units stay at 0.0
     h2 = cache.hidden_final[0, :, 0]
     lower = np.minimum(h1, -1.0)

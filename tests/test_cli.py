@@ -404,3 +404,20 @@ def test_log_levels_accepted(tmp_path, data_csv, capsys, monkeypatch):
             capsys, "ingest", "--input", data_csv, "--output", str(tmp_path / f"{level}.csv")
         )
         assert code == 0
+
+
+def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
+    tmp_path, data_csv, capsys, monkeypatch
+):
+    # the bytes are built, then renaming them onto an existing directory fails
+    monkeypatch.setenv("FXBENCH_LOG", "error")
+    out = tmp_path / "taken"
+    out.mkdir()
+    before = sorted(tmp_path.iterdir())
+    code, _, err = run(
+        capsys, "sweep", "--data", data_csv, "--archs", "mlp", "--hidden", "2",
+        "--epochs", "1", "--report", str(out),
+    )
+    assert code == 1
+    assert "taken" in one_error_line(err)
+    assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())

@@ -16,6 +16,7 @@ from fxbench import (
     parse_ohlc_csv,
     prepare_splits,
     read_ohlc_csv,
+    write_atomic,
     write_ohlc_csv,
 )
 from conftest import make_records
@@ -112,6 +113,32 @@ def test_csv_write_read_round_trip(tmp_path, wavy_records):
     write_ohlc_csv(wavy_records, path)
     back = read_ohlc_csv(path)
     assert back == wavy_records
+
+
+def test_write_atomic_replaces_the_target_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with write_atomic(target) as fh:
+        fh.write(b"new ")
+        assert target.read_bytes() == b"old"  # not replaced before the block ends
+        fh.write(b"bytes")
+    assert target.read_bytes() == b"new bytes"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records):
+    target = tmp_path / "data.csv"
+    write_ohlc_csv(wavy_records[:5], target)
+    old = target.read_bytes()
+    with pytest.raises(KeyboardInterrupt):
+        with write_atomic(target) as fh:
+            fh.write(b"partial")
+            raise KeyboardInterrupt  # killed mid-write
+    # a record that cannot be formatted stops write_ohlc_csv after 30 rows
+    with pytest.raises(AttributeError):
+        write_ohlc_csv(wavy_records[:30] + [None] + wavy_records[30:], target)
+    assert target.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [target]
 
 
 # ---------------------------------------------------------------- lag features

@@ -1,4 +1,5 @@
 import datetime as dt
+import logging
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from fxbench import (
 )
 from fxbench.experiment import splitmix64
 import fxbench.experiment
-from conftest import make_records
+from conftest import make_records, wavy_closes
 
 
 def quick_config(epochs=3, **kw):
@@ -276,6 +277,63 @@ def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
     assert repr(beside[0]) == repr(alone[0])
 
 
+@pytest.mark.parametrize("arch", ARCHS)
+def test_stacked_scoring_equals_each_model_scored_alone(arch):
+    # the train split (489 samples) spans a full chunk and a ragged one
+    data, _ = prepare_splits(make_records(wavy_closes(700)))
+    models = [trial_model(arch, h, 4, 3, 9) for h in (2, 5, 8)]
+    train(ModelStack(models), data.train, None, quick_config(epochs=2, batch_size=32))
+    stack = ModelStack(models)
+    for split in (data.train, data.validation, data.test):
+        stacked = evaluate(stack, split)
+        assert len(stacked) == len(models)
+        for model, result in zip(models, stacked):
+            alone = evaluate(model, split)
+            assert repr((result.mae, result.mae_norm)) == repr((alone.mae, alone.mae_norm))
+            assert np.array_equal(result.predicted, alone.predicted)
+            assert np.array_equal(result.actual, alone.actual)
+            assert result.dates == alone.dates
+
+
+def spy_on_evaluate(monkeypatch, caplog):
+    """Record (hidden sizes of the models scored, samples scored) per
+    evaluate call that run_sweep makes."""
+    caplog.set_level(logging.INFO, logger="fxbench")  # no DEBUG validation scores
+    calls = []
+    real_evaluate = fxbench.experiment.evaluate
+
+    def spy(net, dataset):
+        results = real_evaluate(net, dataset)
+        calls.append(([m.spec.hidden for m in net.models], len(results[0].dates)))
+        return results
+
+    monkeypatch.setattr(fxbench.experiment, "evaluate", spy)
+    return calls
+
+
+def test_a_sweep_scores_each_stack_once_per_split(wavy_records, monkeypatch, caplog):
+    data, _ = prepare_splits(wavy_records)
+    calls = spy_on_evaluate(monkeypatch, caplog)
+    run_sweep(["gru", "lstm"], range(2, 11), data, quick_config(epochs=1))
+    sizes = [len(data.train), len(data.validation), len(data.test)]
+    stacks = [list(range(2, 9)), [9, 10]] * 2
+    assert calls == [(hs, n) for hs in stacks for n in sizes]
+
+
+def test_mlp_at_window_3_is_scored_on_two_more_samples_per_split(
+    wavy_records, monkeypatch, caplog
+):
+    # mlp runs at window 1, so at window w it keeps the w-1 first samples
+    # of each split that the recurrent trials drop: the report compares
+    # MAEs over different sets of days (documented in the README)
+    data, _ = prepare_splits(wavy_records)
+    calls = spy_on_evaluate(monkeypatch, caplog)
+    run_sweep(["mlp", "lstm"], [2], data, quick_config(epochs=1), window=3)
+    mlp, lstm = calls[:3], calls[3:]
+    assert [n for _, n in mlp] == [len(s) for s in (data.train, data.validation, data.test)]
+    assert [n for _, n in mlp] == [n + 2 for _, n in lstm]
+
+
 def poison_trial(monkeypatch, arch, hidden):
     """Make run_sweep's (arch, hidden) trial start from a NaN weight."""
     real_trial_model = fxbench.experiment.trial_model
@@ -289,10 +347,12 @@ def poison_trial(monkeypatch, arch, hidden):
     monkeypatch.setattr(fxbench.experiment, "trial_model", poisoned)
 
 
-def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch):
+def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch, caplog):
     data, _ = prepare_splits(wavy_records)
     poison_trial(monkeypatch, "gru", 3)
+    calls = spy_on_evaluate(monkeypatch, caplog)
     report = run_sweep(["gru"], [2, 3], data, quick_config(epochs=2))
+    assert [hs for hs, _ in calls] == [[2]] * 3  # the diverged trial is not scored
     assert len(report.trials) == 2
     ok, failed = report.trials
     assert math.isfinite(ok.test_mae)
@@ -342,7 +402,20 @@ def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
         alone = trial_model("lstm", models[k].spec.hidden, 4, 2, 42)
         assert outcomes[k] == train(alone, data.train, None, cfg)
         assert models[k].epochs_trained == alone.epochs_trained == 3
-        assert np.array_equal(models[k].flat, alone.flat)
+        assert save_model(models[k]) == save_model(alone)
+
+
+def test_debug_log_scores_the_running_models_on_validation(wavy_records, caplog):
+    data, _ = prepare_splits(wavy_records)
+    models = [trial_model("gru", h, 4, 2, 42) for h in (3, 5)]
+    models[1].params["b_out"][0] = float("inf")  # diverges at epoch 0
+    caplog.set_level(logging.DEBUG, logger="fxbench")
+    train(ModelStack(models), data.train, data.validation, quick_config(epochs=1))
+    lines = [r.getMessage() for r in caplog.records if "val_mae_norm" in r.getMessage()]
+    val = evaluate(models[0], data.validation).mae_norm
+    assert len(lines) == 1
+    assert lines[0].startswith("gru h=3 epoch 1/1 ")
+    assert lines[0].endswith(f" val_mae_norm={val:.6g}")
 
 
 def test_stack_rejects_models_of_another_shape():

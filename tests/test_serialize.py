@@ -14,6 +14,7 @@ from fxbench import (
     ARCHS,
     EvalResult,
     ModelSpec,
+    ModelStack,
     NormParams,
     SweepReport,
     TrialResult,
@@ -71,9 +72,9 @@ def test_init_model_file_matches_golden_hash(arch):
 def test_load_model_packs_arrays_into_the_flat_buffer():
     model = init_model(ModelSpec(arch="lstm", hidden=3, window=2), 5)
     loaded, _ = load_model(save_model(model))
-    assert np.array_equal(loaded.flat, model.flat)
+    assert np.array_equal(ModelStack([loaded]).flat, ModelStack([model]).flat)
     loaded.params["W_c"][0, 0] = 123.0
-    assert 123.0 in loaded.flat
+    assert 123.0 in ModelStack([loaded]).flat
 
 
 def test_loaded_model_is_bitwise_identical():
