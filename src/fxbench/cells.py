@@ -26,6 +26,26 @@ models of its stack. Padded units carry zero weights, compute h = 0
 (recurrent cells) and get zero gradients; MLP padded units output
 sigmoid(0) = 0.5, so their W_out gradient is masked to zero.
 
+The per-step arrays of `forward_batch`, `predict` and `backward` are
+unit-major, (T, units, S, B): step, then unit or gate row, then model,
+then sample (`ForwardCache` lists them). Each step is then one contiguous
+(G*W, S, B) block and each gate's rows one contiguous block within it,
+so every elementwise op of the time loops runs on contiguous memory,
+numpy's fast path; with the model axis first, every gate slice was
+strided across the models, and these ops, not the small products, set a
+step's time. The products stay one GEMM per model: the input half writes
+its (T, G*W, S, B) result through a transposed `out=` view, and
+`_stack_matmul` takes each model's (n, B) block of a unit-major array
+with a row stride of S*B. Two rules keep the bits those of the
+model-major layout the results were first produced with. The output
+layer reads a contiguous (S, W, B) copy of the final state: at B = 1
+numpy runs that product as a matrix-vector one, which on a state
+strided across the models can change the last bit, so a model's
+prediction would depend on its stack. The weight-gradient products read
+the inputs and the hidden states as transposed views of their
+(n, T*B) columns, not as contiguous copies, which change gradient bits.
+The MLP keeps its one (S, W, B) block.
+
 `forward_batch`, for training, runs the input half of every step before
 the time loop (Appleyard et al. 2016) and keeps every per-step array for
 `backward`, which overwrites `stack.grad` on every call and returns its
@@ -307,11 +327,19 @@ def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
 @dataclass
 class ForwardCache:
     """Everything backward needs: the stack run, its inputs and the
-    per-step arrays, (S, T, units, B) so that each step's (and each gate's)
-    block is contiguous per model: hs (and LSTM cs) (S, T+1, W, B) with
-    hs[:, 0] the zero initial state, fused gate activations (S, T, G*W, B)
-    (LSTM i, f, o, cand; GRU z, r), GRU `cand` and `rh` (r * h_{t-1})
-    (S, T, W, B); W is the padded width. `xt` is the input as (T, d, B).
+    per-step arrays of `steps`, laid out unit-major as (T, units, S, B):
+    step, then unit or gate row, then model, then sample, so that each
+    step, and each gate's rows within it, is one contiguous block for the
+    elementwise ops. hs (and LSTM cs) are (T+1, W, S, B) with hs[0] the
+    zero initial state; the fused gate activations are (T, G*W, S, B)
+    (LSTM `gates` i, f, o, cand; GRU `zr` z, r); LSTM `tanh_c` and GRU
+    `cand` and `rh` (r * h_{t-1}) are (T, W, S, B). W is the padded width.
+    `xt` is the input as (T, d, B); the MLP's `hidden` is (S, W, B).
+    `hidden_final` is a contiguous (S, W, B) copy of the final state, the
+    operand of the output layer, since a state strided across the models
+    can change the last bit of a B = 1 prediction; the weight-gradient
+    products read `xt` and hs as transposed views of their columns, as
+    contiguous copies change gradient bits (see the module docstring).
     """
 
     stack: ModelStack
@@ -340,17 +368,33 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _model_major(a: np.ndarray) -> np.ndarray:
+    """A unit-major (W, S, B) state as a contiguous (S, W, B) copy."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+
 def _columns(a: np.ndarray) -> np.ndarray:
-    """Per-step arrays (..., T, n, B) as (..., n, T*B): one column per
-    (step, sample), for the weight-gradient products (a copy unless T = 1)."""
-    *lead, t, n, b = a.shape
-    return a.swapaxes(-3, -2).reshape(*lead, n, t * b)
+    """Per-step arrays (T, n, S, B) as (S, n, T*B): one column per (step,
+    sample) of each model, for the weight-gradient products (a copy
+    unless T = 1)."""
+    t, n, s, b = a.shape
+    return a.transpose(2, 1, 0, 3).reshape(s, n, t * b)
+
+
+def _stack_matmul(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """w (S, rows, n) times a (n, S, B), model by model: (rows, S, B)."""
+    out = np.empty((w.shape[1],) + a.shape[1:])
+    np.matmul(w, a.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+    return out
 
 
 def _input_half(w_x: np.ndarray, bias: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """W_x x_t + b for every model and every step of xt (T, d, B): (S, T, rows, B)."""
-    pre = np.matmul(w_x[:, None], xt)
-    pre += bias[:, None, :, None]
+    """W_x x_t + b for every model and every step of xt (T, d, B): (T, rows, S, B)."""
+    s, rows, _ = w_x.shape
+    t, _, b = xt.shape
+    pre = np.empty((t, rows, s, b))
+    np.matmul(w_x[:, None], xt, out=pre.transpose(2, 0, 1, 3))
+    pre += bias.T[:, :, None]
     return pre
 
 
@@ -364,31 +408,31 @@ def _lstm_step(g, h_prev, c_prev, w_h, k, c_next, tanh_c, h_next):
     """Step k of an LSTM: turns the input half g (bias included) of the
     fused gates into i, f, o, cand in place and writes c_t, tanh(c_t) and
     h_t. The outputs may alias h_prev and c_prev."""
-    w = h_prev.shape[-2]
+    w = len(h_prev)
     w2, w3 = 2 * w, 3 * w
     if k:
-        g += w_h @ h_prev
-    _sigmoid(g[:, :w3], out=g[:, :w3])
-    np.tanh(g[:, w3:], out=g[:, w3:])
-    c_next[...] = g[:, w:w2] * c_prev + g[:, :w] * g[:, w3:]
+        g += _stack_matmul(w_h, h_prev)
+    _sigmoid(g[:w3], out=g[:w3])
+    np.tanh(g[w3:], out=g[w3:])
+    c_next[...] = g[w:w2] * c_prev + g[:w] * g[w3:]
     np.tanh(c_next, out=tanh_c)
-    np.multiply(g[:, w2:w3], tanh_c, out=h_next)
+    np.multiply(g[w2:w3], tanh_c, out=h_next)
 
 
 def _gru_step(g, h_prev, w_h, k, rh, h_next):
     """Step k of a GRU: turns the input half g (bias included) of z, r and
     the candidate into their activations in place and writes
     rh = r * h_{t-1} (from step 1 on) and h_t, which may alias h_prev."""
-    w = h_prev.shape[-2]
-    zr, cand = g[:, : 2 * w], g[:, 2 * w :]
+    w = len(h_prev)
+    zr, cand = g[: 2 * w], g[2 * w :]
     if k:
-        zr += w_h[:, : 2 * w] @ h_prev
+        zr += _stack_matmul(w_h[:, : 2 * w], h_prev)
     _sigmoid(zr, out=zr)
     if k:
-        np.multiply(zr[:, w:], h_prev, out=rh)
-        cand += w_h[:, 2 * w :] @ rh
+        np.multiply(zr[w:], h_prev, out=rh)
+        cand += _stack_matmul(w_h[:, 2 * w :], rh)
     np.tanh(cand, out=cand)
-    h_next[...] = (1.0 - zr[:, :w]) * h_prev + zr[:, :w] * cand
+    h_next[...] = (1.0 - zr[:w]) * h_prev + zr[:w] * cand
 
 
 def _output(p: dict, final: np.ndarray) -> np.ndarray:
@@ -415,27 +459,27 @@ def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
     # loop, bias included; each step then adds the recurrent half.
     w_x, bias, w_h = stack._recurrent[0]
     pre = _input_half(w_x, bias, xt)  # LSTM i, f, o, cand; GRU z, r, cand
-    hs = st["hs"] = np.empty((s, t + 1, h, b))
-    hs[:, 0] = 0.0
+    hs = st["hs"] = np.empty((t + 1, h, s, b))
+    hs[0] = 0.0
     if arch == "srnn":
         for k in range(t):
             if k:
-                pre[:, k] += w_h @ hs[:, k]
-            np.tanh(pre[:, k], out=hs[:, k + 1])
+                pre[k] += _stack_matmul(w_h, hs[k])
+            np.tanh(pre[k], out=hs[k + 1])
     elif arch == "lstm":
-        cs = np.empty((s, t + 1, h, b))
-        cs[:, 0] = 0.0
-        tanh_c = np.empty((s, t, h, b))
+        cs = np.empty((t + 1, h, s, b))
+        cs[0] = 0.0
+        tanh_c = np.empty((t, h, s, b))
         for k in range(t):
-            _lstm_step(pre[:, k], hs[:, k], cs[:, k], w_h, k, cs[:, k + 1], tanh_c[:, k], hs[:, k + 1])
+            _lstm_step(pre[k], hs[k], cs[k], w_h, k, cs[k + 1], tanh_c[k], hs[k + 1])
         st.update(cs=cs, gates=pre, tanh_c=tanh_c)
     else:  # gru
-        rh = np.zeros((s, t, h, b))  # r * h_{t-1}; zero at step 0
+        rh = np.zeros((t, h, s, b))  # r * h_{t-1}; zero at step 0
         for k in range(t):
-            _gru_step(pre[:, k], hs[:, k], w_h, k, rh[:, k], hs[:, k + 1])
-        st.update(zr=pre[:, :, : 2 * h], cand=pre[:, :, 2 * h :], rh=rh)
-    cache.hidden_final = hs[:, t]
-    return _output(p, hs[:, t]), cache
+            _gru_step(pre[k], hs[k], w_h, k, rh[k], hs[k + 1])
+        st.update(zr=pre[:, : 2 * h], cand=pre[:, 2 * h :], rh=rh)
+    final = cache.hidden_final = _model_major(hs[t])
+    return _output(p, final), cache
 
 
 def predict(stack: ModelStack, x) -> np.ndarray:
@@ -464,20 +508,20 @@ def predict(stack: ModelStack, x) -> np.ndarray:
             yhat[:, lo:hi] = _output(p, _mlp_hidden(p, xt))
             continue
         w_x, bias, w_h = stack._recurrent[0]
-        hs = np.zeros((s, h, hi - lo))
+        hs = np.zeros((h, s, hi - lo))
         cs = np.zeros_like(hs)  # LSTM c
         scratch = np.empty_like(hs)  # LSTM tanh(c), GRU r * h
         for k in range(t):
-            g = _input_half(w_x, bias, xt[k : k + 1])[:, 0]
+            g = _input_half(w_x, bias, xt[k : k + 1])[0]
             if arch == "srnn":
                 if k:
-                    g += w_h @ hs
+                    g += _stack_matmul(w_h, hs)
                 np.tanh(g, out=hs)
             elif arch == "lstm":
                 _lstm_step(g, hs, cs, w_h, k, cs, scratch, hs)
             else:
                 _gru_step(g, hs, w_h, k, scratch, hs)
-        yhat[:, lo:hi] = _output(p, hs)
+        yhat[:, lo:hi] = _output(p, _model_major(hs))
     return yhat
 
 
@@ -504,7 +548,7 @@ def backward(stack: ModelStack, cache: ForwardCache, dl_dyhat) -> dict[str, np.n
     dy = _t(dy)  # (S, out, B)
 
     st = cache.steps
-    x_cols = _t(_columns(st["xt"]))  # (T*B, d)
+    x_cols = _t(st["xt"].transpose(1, 0, 2).reshape(-1, t * b))  # (T*B, d), shared by every model
     np.matmul(dy, _t(cache.hidden_final), out=grads["W_out"])
     if stack._wout_mask is not None:
         grads["W_out"] *= stack._wout_mask
@@ -512,7 +556,7 @@ def backward(stack: ModelStack, cache: ForwardCache, dl_dyhat) -> dict[str, np.n
     dh = _t(p["W_out"]) @ dy  # (S, W, B)
 
     # Recurrent cells store each step's pre-activation gradients in one
-    # (S, T, G*W, B) array, then form each weight gradient with one GEMM
+    # (T, G*W, S, B) array, then form each weight gradient with one GEMM
     # per model over its T*B columns: the input weights against every
     # step's input, the recurrent weights against h_1..h_{T-1} only
     # (h_0 = 0). dh of step 0 would flow into the zero initial state and
@@ -524,68 +568,69 @@ def backward(stack: ModelStack, cache: ForwardCache, dl_dyhat) -> dict[str, np.n
         np.add.reduce(dpre, axis=2, out=grads["b_h"])
         return grads
 
+    dh = dh.transpose(1, 0, 2)  # unit-major (W, S, B), as every step array
     hs = st["hs"]
     w_h_t = _t(stack._recurrent[0][2])
     h2, h3 = 2 * h, 3 * h
-    dz = np.empty((s, t, w_h_t.shape[-1], b))  # (S, T, G*W, B)
+    dz = np.empty((t, w_h_t.shape[-1], s, b))  # (T, G*W, S, B)
     if spec.arch == "srnn":
         for k in range(t - 1, -1, -1):
-            np.multiply(dh, 1.0 - hs[:, k + 1] ** 2, out=dz[:, k])
+            np.multiply(dh, 1.0 - hs[k + 1] ** 2, out=dz[k])
             if k:
-                dh = w_h_t @ dz[:, k]
+                dh = _stack_matmul(w_h_t, dz[k])
     elif spec.arch == "lstm":
         cs, gates, tanh_c = st["cs"], st["gates"], st["tanh_c"]
-        dc = np.zeros((s, h, b))
+        dc = np.zeros((h, s, b))
         for k in range(t - 1, -1, -1):
-            g = gates[:, k]
-            cand = g[:, h3:]
-            tc = tanh_c[:, k]
-            dzk = dz[:, k]
+            g = gates[k]
+            cand = g[h3:]
+            tc = tanh_c[k]
+            dzk = dz[k]
             # first the gradients w.r.t. the gate outputs, then through
             # their activations: sigmoid' = s(1-s), tanh' = 1-t^2
-            np.multiply(dh, tc, out=dzk[:, h2:h3])  # o
-            dc = dc + dh * g[:, h2:h3] * (1.0 - tc ** 2)
-            np.multiply(dc, cand, out=dzk[:, :h])  # i
-            np.multiply(dc, cs[:, k], out=dzk[:, h:h2])  # f
-            np.multiply(dc, g[:, :h], out=dzk[:, h3:])  # cand
-            dc = dc * g[:, h:h2]  # carried to c_{k-1}
-            sig = g[:, :h3]
-            dsig = dzk[:, :h3]
+            np.multiply(dh, tc, out=dzk[h2:h3])  # o
+            dc = dc + dh * g[h2:h3] * (1.0 - tc ** 2)
+            np.multiply(dc, cand, out=dzk[:h])  # i
+            np.multiply(dc, cs[k], out=dzk[h:h2])  # f
+            np.multiply(dc, g[:h], out=dzk[h3:])  # cand
+            dc = dc * g[h:h2]  # carried to c_{k-1}
+            sig = g[:h3]
+            dsig = dzk[:h3]
             dsig *= sig
             dsig *= 1.0 - sig
-            dzk[:, h3:] *= 1.0 - cand ** 2
+            dzk[h3:] *= 1.0 - cand ** 2
             if k:
-                dh = w_h_t @ dzk
+                dh = _stack_matmul(w_h_t, dzk)
     else:  # gru
         zr, cand = st["zr"], st["cand"]
         wzr_h_t, wc_h_t = w_h_t[..., :h2], w_h_t[..., h2:]
         for k in range(t - 1, -1, -1):
-            h_prev = hs[:, k]
-            g = zr[:, k]
-            gz = g[:, :h]
-            ck = cand[:, k]
-            dzk = dz[:, k]
-            dzc = dzk[:, h2:]
+            h_prev = hs[k]
+            g = zr[k]
+            gz = g[:h]
+            ck = cand[k]
+            dzk = dz[k]
+            dzc = dzk[h2:]
             np.multiply(dh * gz, 1.0 - ck ** 2, out=dzc)
-            np.multiply(dh, ck - h_prev, out=dzk[:, :h])  # z
+            np.multiply(dh, ck - h_prev, out=dzk[:h])  # z
             if k:
-                drh = wc_h_t @ dzc  # gradient w.r.t. r * h_prev
-                np.multiply(drh, h_prev, out=dzk[:, h:h2])  # r
+                drh = _stack_matmul(wc_h_t, dzc)  # gradient w.r.t. r * h_prev
+                np.multiply(drh, h_prev, out=dzk[h:h2])  # r
             else:
-                dzk[:, h:h2] = 0.0  # r acts on h_0 = 0
-            dsig = dzk[:, :h2]
+                dzk[h:h2] = 0.0  # r acts on h_0 = 0
+            dsig = dzk[:h2]
             dsig *= g
             dsig *= 1.0 - g
             if k:
-                dh = dh * (1.0 - gz) + drh * g[:, h:] + wzr_h_t @ dsig
+                dh = dh * (1.0 - gz) + drh * g[h:] + _stack_matmul(wzr_h_t, dsig)
     gw_x, gb, gw_h = stack._recurrent[1]
     cols = _columns(dz)
     np.matmul(cols, x_cols, out=gw_x)
     np.add.reduce(cols, axis=2, out=gb)
-    h_cols = _t(_columns(hs[:, 1:t]))
+    h_cols = _t(_columns(hs[1:t]))
     if spec.arch == "gru":  # the candidate's recurrent input is r * h_{t-1}
         np.matmul(cols[:, :h2, b:], h_cols, out=gw_h[:, :h2])
-        np.matmul(cols[:, h2:, b:], _t(_columns(st["rh"][:, 1:])), out=gw_h[:, h2:])
+        np.matmul(cols[:, h2:, b:], _t(_columns(st["rh"][1:])), out=gw_h[:, h2:])
     else:
         np.matmul(cols[..., b:], h_cols, out=gw_h)
     return grads

@@ -11,6 +11,7 @@ debug} sets stderr log verbosity (default info).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -97,18 +98,27 @@ def parse_archs(text: str) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=arch_id))
 
 
-def _setup_logging() -> None:
+@contextlib.contextmanager
+def _logging_to_stderr():
+    """Send the `fxbench` logs to the current sys.stderr at the FXBENCH_LOG
+    level while the block runs, then remove the handler and restore the
+    logger's level, so one call's settings never reach the next."""
     name = os.environ.get("FXBENCH_LOG", "info").strip().lower()
     if name not in LOG_LEVELS:
         raise UsageError(
             f"invalid FXBENCH_LOG {name!r} (choose from {', '.join(LOG_LEVELS)})"
         )
-    root = logging.getLogger("fxbench")
-    root.setLevel(LOG_LEVELS[name])
-    if not root.handlers:
-        handler = logging.StreamHandler(sys.stderr)
-        handler.setFormatter(logging.Formatter("fxbench %(levelname)s: %(message)s"))
-        root.addHandler(handler)
+    logger = logging.getLogger("fxbench")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("fxbench %(levelname)s: %(message)s"))
+    level = logger.level
+    logger.setLevel(LOG_LEVELS[name])
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def _train_config(args) -> TrainConfig:
@@ -309,9 +319,9 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _setup_logging()
-        args = parser.parse_args(argv)
-        return args.func(args)
+        with _logging_to_stderr():
+            args = parser.parse_args(argv)
+            return args.func(args)
     except UsageError as e:
         return _fail(str(e), 2)
     except (ValueError, OSError, TrainingDiverged) as e:

@@ -191,10 +191,10 @@ def test_lstm_zero_weights_outputs_zero():
     yhat, cache = forward_batch(one(model), [[[0.4, -1.2]]])
     assert np.array_equal(yhat, [[[0.0]]])
     # a single model runs as a stack of one at the padded width 8, its
-    # steps laid out as (model, step, unit, sample)
-    assert cache.steps["gates"].shape == (1, 1, 4 * 8, 1)
-    assert np.all(cache.steps["gates"][:, :, : 3 * 8] == 0.5)  # i, f, o
-    assert np.all(cache.steps["cs"][:, 1] == 0.0)
+    # steps laid out as (step, unit, model, sample)
+    assert cache.steps["gates"].shape == (1, 4 * 8, 1, 1)
+    assert np.all(cache.steps["gates"][:, : 3 * 8] == 0.5)  # i, f, o
+    assert np.all(cache.steps["cs"][1] == 0.0)
 
 
 def test_lstm_seeded_cell_state_hand_value():
@@ -204,10 +204,10 @@ def test_lstm_seeded_cell_state_hand_value():
     model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2, window=2))
     model.params["W_c"][0, 0] = 2.0
     _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
-    c1 = cache.steps["cs"][0, 1, 0, 0]
+    c1 = cache.steps["cs"][1, 0, 0, 0]
     assert c1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
-    assert cache.steps["hs"][0, 1, 0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
-    assert cache.steps["cs"][0, 2, 0, 0] == pytest.approx(0.5 * c1, abs=1e-15)
+    assert cache.steps["hs"][1, 0, 0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
+    assert cache.steps["cs"][2, 0, 0, 0] == pytest.approx(0.5 * c1, abs=1e-15)
     assert cache.hidden_final[0, 0, 0] == pytest.approx(0.5 * math.tanh(0.5 * c1), abs=1e-15)
 
 
@@ -217,10 +217,10 @@ def test_gru_seeded_hidden_state_hand_value():
     model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2, window=2))
     model.params["W_h"][0, 0] = 2.0
     _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
-    h1 = cache.steps["hs"][0, 1, 0, 0]
+    h1 = cache.steps["hs"][1, 0, 0, 0]
     assert h1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
-    assert cache.steps["zr"][0, 1, 0, 0] == 0.5
-    assert cache.steps["cand"][0, 1, 0, 0] == 0.0
+    assert cache.steps["zr"][1, 0, 0, 0] == 0.5
+    assert cache.steps["cand"][1, 0, 0, 0] == 0.0
     assert cache.hidden_final[0, 0, 0] == 0.5 * h1
 
 
@@ -285,6 +285,31 @@ def test_predict_matches_forward_batch_bitwise(arch, window, hiddens):
         got = predict(stack, x)
         assert got.shape == (len(hiddens), n, 1)
         assert np.array_equal(got, expected), f"n={n}"
+
+
+@pytest.mark.parametrize("arch", ["srnn", "gru", "lstm"])
+@pytest.mark.parametrize("window", [1, 8])
+def test_a_mixed_stack_gives_each_model_its_results_alone_bitwise(arch, window):
+    # ragged batch sizes, B = 1 included: there a product whose operand is
+    # strided across the models can take another BLAS kernel than it does
+    # for a stack of one
+    models = [trial_model(arch, h, 4, window, 7) for h in range(2, 9)]
+    mixed = ModelStack(models)
+    rng = np.random.default_rng(window)
+    for b in (1, 7, 25, 32):
+        x = rng.uniform(0.0, 1.0, size=(b, window, 4))
+        dy = rng.normal(size=(len(models), b, 1))
+        yhat, cache = forward_batch(mixed, x)
+        backward(mixed, cache, dy)
+        scored = predict(mixed, x)
+        for k, model in enumerate(models):
+            alone = one(model)
+            yhat_alone, cache_alone = forward_batch(alone, x)
+            backward(alone, cache_alone, dy[k : k + 1])
+            where = f"hidden {model.spec.hidden}, batch {b}"
+            assert np.array_equal(yhat[k], yhat_alone[0]), where
+            assert np.array_equal(mixed.grad[k], alone.grad[0]), where
+            assert np.array_equal(scored[k], predict(alone, x)[0]), where
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -395,7 +420,7 @@ def test_gru_next_hidden_interpolates_toward_candidate(seed):
         arr[:] = rng.normal(scale=0.5, size=arr.shape)
     x = rng.uniform(-2.0, 2.0, size=(1, 2, 4))
     _, cache = forward_batch(one(model), x)
-    h1 = cache.steps["hs"][0, 1, :, 0]  # the padded units stay at 0.0
+    h1 = cache.steps["hs"][1, :, 0, 0]  # the padded units stay at 0.0
     h2 = cache.hidden_final[0, :, 0]
     lower = np.minimum(h1, -1.0)
     upper = np.maximum(h1, 1.0)

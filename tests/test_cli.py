@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import logging
+import sys
 
 import pytest
 
@@ -404,6 +406,35 @@ def test_log_levels_accepted(tmp_path, data_csv, capsys, monkeypatch):
             capsys, "ingest", "--input", data_csv, "--output", str(tmp_path / f"{level}.csv")
         )
         assert code == 0
+
+
+def test_each_call_logs_to_its_own_stderr_then_restores_the_logger(
+    tmp_path, data_csv, capsys, monkeypatch
+):
+    sweep = [
+        "sweep", "--data", data_csv, "--archs", "mlp", "--hidden", "2", "--epochs", "1",
+        "--report", str(tmp_path / "r.csv"),
+    ]
+    trial_line = "fxbench INFO: trial mlp 4-2-1"
+    logger = logging.getLogger("fxbench")
+    saved = logger.level
+    logger.setLevel(logging.CRITICAL)
+    try:
+        monkeypatch.setenv("FXBENCH_LOG", "info")
+        code, _, err = run(capsys, *sweep)
+        assert code == 0 and trial_line in err
+        assert not logger.handlers and logger.level == logging.CRITICAL
+
+        for level, logged in (("info", True), ("error", False)):
+            monkeypatch.setenv("FXBENCH_LOG", level)
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", stream)
+            assert main(sweep) == 0
+            assert (trial_line in stream.getvalue()) is logged
+            assert not logger.handlers and logger.level == logging.CRITICAL
+        assert capsys.readouterr().err == ""  # the first call's stream got nothing more
+    finally:
+        logger.setLevel(saved)
 
 
 def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
