@@ -26,9 +26,9 @@ models of its stack. Padded units carry zero weights, compute h = 0
 (recurrent cells) and get zero gradients; MLP padded units output
 sigmoid(0) = 0.5, so their W_out gradient is masked to zero.
 
-The per-step arrays of `forward_batch`, `predict` and `backward` are
-unit-major, (T, units, S, B): step, then unit or gate row, then model,
-then sample (`ForwardCache` lists them). Each step is then one contiguous
+The per-step arrays of `forward_batch` and `backward` are unit-major,
+(T, units, S, B): step, then unit or gate row, then model, then sample
+(`ForwardCache` lists them). Each step is then one contiguous
 (G*W, S, B) block and each gate's rows one contiguous block within it,
 so every elementwise op of the time loops runs on contiguous memory,
 numpy's fast path; with the model axis first, every gate slice was
@@ -46,14 +46,15 @@ the inputs and the hidden states as transposed views of their
 (n, T*B) columns, not as contiguous copies, which change gradient bits.
 The MLP keeps its one (S, W, B) block.
 
-`forward_batch`, for training, runs the input half of every step before
-the time loop (Appleyard et al. 2016) and keeps every per-step array for
-`backward`, which overwrites `stack.grad` on every call and returns its
-named views (valid until the next call). `predict`, for scoring, is
-forward-only and chunked: it keeps only the running state of one chunk
-of samples, so its memory does not grow with their number, and it
-takes each step's products in the same order, so its predictions are
-those of `forward_batch` bit for bit (see `predict` for the one caveat).
+`forward_batch` is the one forward kernel. It runs the input half of
+every step before the time loop (Appleyard et al. 2016) and keeps every
+per-step array for `backward`, which overwrites `stack.grad` on every
+call and returns its named views (valid until the next call). `predict`,
+for scoring, runs `forward_batch` on one chunk of samples at a time, so
+it holds one chunk's forward cache and its memory does not grow with the
+number of samples. Its predictions are those of `forward_batch` on all
+samples bit for bit; the one caveat (see `predict`) concerns only such a
+whole-split `forward_batch`, which nothing in the product calls.
 
 Cell equations, with x_t the input at step t and [a; b] concatenation:
 
@@ -94,8 +95,9 @@ ARCHS = ("mlp", "srnn", "gru", "lstm")
 # Stacked models are padded to a multiple of this many hidden units.
 PAD_MULTIPLE = 8
 
-# Samples per pass of `predict`.
-CHUNK = 256
+# Samples per pass of `predict`: the largest power of two whose forward
+# cache per chunk stays below the memory peak of training itself.
+CHUNK = 64
 
 
 def _sigmoid(z, out=None):
@@ -368,11 +370,6 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _model_major(a: np.ndarray) -> np.ndarray:
-    """A unit-major (W, S, B) state as a contiguous (S, W, B) copy."""
-    return np.ascontiguousarray(a.transpose(1, 0, 2))
-
-
 def _columns(a: np.ndarray) -> np.ndarray:
     """Per-step arrays (T, n, S, B) as (S, n, T*B): one column per (step,
     sample) of each model, for the weight-gradient products (a copy
@@ -398,43 +395,6 @@ def _input_half(w_x: np.ndarray, bias: np.ndarray, xt: np.ndarray) -> np.ndarray
     return pre
 
 
-def _mlp_hidden(p: dict, xt: np.ndarray) -> np.ndarray:
-    hidden = p["W_h"] @ xt[0]
-    hidden += p["b_h"][..., None]
-    return _sigmoid(hidden, out=hidden)
-
-
-def _lstm_step(g, h_prev, c_prev, w_h, k, c_next, tanh_c, h_next):
-    """Step k of an LSTM: turns the input half g (bias included) of the
-    fused gates into i, f, o, cand in place and writes c_t, tanh(c_t) and
-    h_t. The outputs may alias h_prev and c_prev."""
-    w = len(h_prev)
-    w2, w3 = 2 * w, 3 * w
-    if k:
-        g += _stack_matmul(w_h, h_prev)
-    _sigmoid(g[:w3], out=g[:w3])
-    np.tanh(g[w3:], out=g[w3:])
-    c_next[...] = g[w:w2] * c_prev + g[:w] * g[w3:]
-    np.tanh(c_next, out=tanh_c)
-    np.multiply(g[w2:w3], tanh_c, out=h_next)
-
-
-def _gru_step(g, h_prev, w_h, k, rh, h_next):
-    """Step k of a GRU: turns the input half g (bias included) of z, r and
-    the candidate into their activations in place and writes
-    rh = r * h_{t-1} (from step 1 on) and h_t, which may alias h_prev."""
-    w = len(h_prev)
-    zr, cand = g[: 2 * w], g[2 * w :]
-    if k:
-        zr += _stack_matmul(w_h[:, : 2 * w], h_prev)
-    _sigmoid(zr, out=zr)
-    if k:
-        np.multiply(zr[w:], h_prev, out=rh)
-        cand += _stack_matmul(w_h[:, 2 * w :], rh)
-    np.tanh(cand, out=cand)
-    h_next[...] = (1.0 - zr[:w]) * h_prev + zr[:w] * cand
-
-
 def _output(p: dict, final: np.ndarray) -> np.ndarray:
     """yhat (S, B, out) from the final hidden state (S, W, B)."""
     return _t(p["W_out"] @ final + p["b_out"][..., None])
@@ -452,7 +412,9 @@ def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
     st = cache.steps
     xt = st["xt"] = np.ascontiguousarray(x.transpose(1, 2, 0))
     if arch == "mlp":
-        final = cache.hidden_final = st["hidden"] = _mlp_hidden(p, xt)
+        hidden = p["W_h"] @ xt[0]
+        hidden += p["b_h"][..., None]
+        final = cache.hidden_final = st["hidden"] = _sigmoid(hidden, out=hidden)
         return _output(p, final), cache
 
     # The input half of every product runs for all steps before the time
@@ -461,6 +423,7 @@ def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
     pre = _input_half(w_x, bias, xt)  # LSTM i, f, o, cand; GRU z, r, cand
     hs = st["hs"] = np.empty((t + 1, h, s, b))
     hs[0] = 0.0
+    h2, h3 = 2 * h, 3 * h
     if arch == "srnn":
         for k in range(t):
             if k:
@@ -471,57 +434,51 @@ def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
         cs[0] = 0.0
         tanh_c = np.empty((t, h, s, b))
         for k in range(t):
-            _lstm_step(pre[k], hs[k], cs[k], w_h, k, cs[k + 1], tanh_c[k], hs[k + 1])
+            g = pre[k]
+            if k:
+                g += _stack_matmul(w_h, hs[k])
+            _sigmoid(g[:h3], out=g[:h3])
+            np.tanh(g[h3:], out=g[h3:])
+            cs[k + 1] = g[h:h2] * cs[k] + g[:h] * g[h3:]
+            np.tanh(cs[k + 1], out=tanh_c[k])
+            np.multiply(g[h2:h3], tanh_c[k], out=hs[k + 1])
         st.update(cs=cs, gates=pre, tanh_c=tanh_c)
     else:  # gru
         rh = np.zeros((t, h, s, b))  # r * h_{t-1}; zero at step 0
         for k in range(t):
-            _gru_step(pre[k], hs[k], w_h, k, rh[k], hs[k + 1])
-        st.update(zr=pre[:, : 2 * h], cand=pre[:, 2 * h :], rh=rh)
-    final = cache.hidden_final = _model_major(hs[t])
+            zr, cand = pre[k, :h2], pre[k, h2:]
+            if k:
+                zr += _stack_matmul(w_h[:, :h2], hs[k])
+            _sigmoid(zr, out=zr)
+            if k:
+                np.multiply(zr[h:], hs[k], out=rh[k])
+                cand += _stack_matmul(w_h[:, h2:], rh[k])
+            np.tanh(cand, out=cand)
+            hs[k + 1] = (1.0 - zr[:h]) * hs[k] + zr[:h] * cand
+        st.update(zr=pre[:, :h2], cand=pre[:, h2:], rh=rh)
+    final = cache.hidden_final = np.ascontiguousarray(hs[t].transpose(1, 0, 2))  # (S, W, B)
     return _output(p, final), cache
 
 
 def predict(stack: ModelStack, x) -> np.ndarray:
     """Forward-only predictions (S, n, out) of every model of `stack` for n
-    windows.
+    windows: `forward_batch` per chunk of CHUNK samples, the last chunk
+    also taking the remainder (up to 2*CHUNK - 1 samples).
 
-    Runs the samples in chunks of CHUNK, the last chunk also taking the
-    remainder (up to 2*CHUNK - 1 samples), and keeps only a chunk's running
-    state: h, the LSTM c (or GRU r * h) and one step's gates. Every chunk
-    starts at a multiple of CHUNK, so BLAS treats its samples as it treats
-    them in one product over all n, and the predictions are those of
-    `forward_batch` on all n bit for bit, unless BLAS picks another kernel
-    for that larger product: OpenBLAS 0.3.31 switches from its small-matrix
-    kernel above 10^6 multiply-adds, which can change the last bit of the
-    last n mod 8 predictions.
+    So scoring holds one chunk's forward cache at a time, and its memory
+    does not grow with n. Every chunk starts at a multiple of CHUNK, so
+    BLAS treats its samples as it treats them in one product over all n,
+    and the predictions are those of `forward_batch` on all n bit for bit,
+    unless BLAS picks another kernel for that larger product: OpenBLAS
+    0.3.31 switches from its small-matrix kernel above 10^6 multiply-adds,
+    which can change the last bit of the last n mod 8 predictions.
     """
     x = _as_batch(stack, x)
-    p = stack.params
-    n, t, _ = x.shape
-    s, h, arch = len(stack), stack.spec.hidden, stack.spec.arch
-    yhat = np.empty((s, n, stack.spec.output_dim))
+    n = len(x)
+    yhat = np.empty((len(stack), n, stack.spec.output_dim))
     bounds = list(range(0, n, CHUNK))[: max(n // CHUNK, 1)] + [n]
     for lo, hi in zip(bounds, bounds[1:]):
-        xt = np.ascontiguousarray(x[lo:hi].transpose(1, 2, 0))
-        if arch == "mlp":
-            yhat[:, lo:hi] = _output(p, _mlp_hidden(p, xt))
-            continue
-        w_x, bias, w_h = stack._recurrent[0]
-        hs = np.zeros((h, s, hi - lo))
-        cs = np.zeros_like(hs)  # LSTM c
-        scratch = np.empty_like(hs)  # LSTM tanh(c), GRU r * h
-        for k in range(t):
-            g = _input_half(w_x, bias, xt[k : k + 1])[0]
-            if arch == "srnn":
-                if k:
-                    g += _stack_matmul(w_h, hs)
-                np.tanh(g, out=hs)
-            elif arch == "lstm":
-                _lstm_step(g, hs, cs, w_h, k, cs, scratch, hs)
-            else:
-                _gru_step(g, hs, w_h, k, scratch, hs)
-        yhat[:, lo:hi] = _output(p, _model_major(hs))
+        yhat[:, lo:hi] = forward_batch(stack, x[lo:hi])[0]
     return yhat
 
 

@@ -131,7 +131,22 @@ def _print_mae(label: str, mae: float, norm) -> None:
     print(f"{label} mae: denormalized {mae!r} | normalized {mae / scale!r}")
 
 
+def _check_output(path: str) -> None:
+    """Make sure `path` can be written before any input is read: create its
+    missing parent directories, and fail naming `path` when its parent is
+    not a directory or `path` itself is one."""
+    parent = os.path.dirname(path)
+    if parent:
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise OSError(f"cannot write {path}: {parent} is not a directory") from None
+    if os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
+
+
 def cmd_ingest(args) -> int:
+    _check_output(args.output)
     records = read_ohlc_csv(args.input, sort=True, validate="error" if args.strict else "warn")
     if not records:
         raise ValueError(f"no data rows in {args.input}")
@@ -141,11 +156,13 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    archs, hidden = parse_archs(args.archs), parse_hidden_sizes(args.hidden)
+    _check_output(args.report)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     config = _train_config(args)
     report = run_sweep(
-        parse_archs(args.archs),
-        parse_hidden_sizes(args.hidden),
+        archs,
+        hidden,
         data,
         config,
         pair=args.pair,
@@ -170,6 +187,7 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise UsageError(f"unknown arch {args.arch!r} (choose from {', '.join(ARCHS)})")
+    _check_output(args.model_out)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     input_dim = data.train.features.shape[1]
     model = trial_model(args.arch, args.hidden, input_dim, args.window, args.seed)
@@ -187,6 +205,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_output(args.series_out)
     with open(args.model, "rb") as fh:
         model, norm = load_model(fh.read())
     if norm is None:

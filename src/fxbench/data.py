@@ -140,7 +140,8 @@ def write_atomic(path):
     They go to a temporary file in the target's directory, which
     `os.replace` then renames onto the target, so a reader (or a process
     killed part-way) never sees a truncated file. If the block raises,
-    the temporary file is removed and `path` is left as it was.
+    the temporary file is removed and `path` is left as it was. An error
+    in creating or renaming the temporary file names `path`.
     """
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
@@ -148,9 +149,11 @@ def write_atomic(path):
         with open(tmp, "xb") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename == tmp:
+            raise OSError(e.errno, e.strerror, os.fspath(path)) from None
         raise
 
 

@@ -270,7 +270,9 @@ def test_output_layer_is_linear_unbounded():
 
 # ---------------------------------------------------------------- predict
 
-N_SAMPLES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)  # one chunk, exact multiples, ragged tails
+# one chunk, exact multiples, ragged tails; the absolute sizes keep the
+# coverage of larger splits whatever CHUNK is
+N_SAMPLES = sorted({1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 255, 256, 257, 515})
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -314,24 +316,20 @@ def test_a_mixed_stack_gives_each_model_its_results_alone_bitwise(arch, window):
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_predict_runs_in_chunks(arch, monkeypatch):
-    # no product sees more than 2*CHUNK - 1 samples (the last chunk also
-    # takes the remainder), and every chunk starts at a multiple of CHUNK
+    # no forward pass sees more than 2*CHUNK - 1 samples (the last chunk
+    # also takes the remainder), and every chunk starts at a multiple of CHUNK
     widths = []
+    forward = cells.forward_batch
 
-    def recording(kernel):
-        def wrapped(*args):
-            widths.append(args[-1].shape[-1])
-            return kernel(*args)
+    def recording(stack, x):
+        widths.append(len(x))
+        return forward(stack, x)
 
-        return wrapped
-
-    monkeypatch.setattr(cells, "_input_half", recording(cells._input_half))
-    monkeypatch.setattr(cells, "_mlp_hidden", recording(cells._mlp_hidden))
+    monkeypatch.setattr(cells, "forward_batch", recording)
     stack = one(trial_model(arch, 4, 4, 2, 0))
     x = np.zeros((4 * CHUNK + 7, stack.spec.window, 4))
     predict(stack, x)
-    per_chunk = [CHUNK] * 3 + [CHUNK + 7]
-    assert widths == [w for w in per_chunk for _ in range(stack.spec.window)]
+    assert widths == [CHUNK] * 3 + [CHUNK + 7]
 
 
 # ---------------------------------------------------------------- backward

@@ -440,7 +440,7 @@ def test_each_call_logs_to_its_own_stderr_then_restores_the_logger(
 def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
     tmp_path, data_csv, capsys, monkeypatch
 ):
-    # the bytes are built, then renaming them onto an existing directory fails
+    # the target is an existing directory
     monkeypatch.setenv("FXBENCH_LOG", "error")
     out = tmp_path / "taken"
     out.mkdir()
@@ -452,3 +452,73 @@ def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
     assert code == 1
     assert "taken" in one_error_line(err)
     assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
+
+
+# ---------------------------------------------------------------- output paths
+
+
+def command_argv(command, data, model, out):
+    """The argument list of `command` with its one output at `out`."""
+    return {
+        "ingest": ["ingest", "--input", data, "--output", out],
+        "sweep": [
+            "sweep", "--data", data, "--archs", "mlp", "--hidden", "2", "--epochs", "1",
+            "--report", out,
+        ],
+        "train": [
+            "train", "--data", data, "--arch", "mlp", "--hidden", "2", "--epochs", "1",
+            "--model-out", out,
+        ],
+        "predict": ["predict", "--model", model, "--data", data, "--series-out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
+def test_an_output_under_a_regular_file_fails_before_any_work(
+    tmp_path, data_csv, capsys, monkeypatch, command
+):
+    # ingest and predict get inputs that do not exist, so an error naming
+    # the output shows that no input was read; sweep and train would
+    # raise here had training started
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("fxbench.experiment.train", refuse)
+    monkeypatch.setattr("fxbench.cli.train", refuse)
+    monkeypatch.setenv("FXBENCH_LOG", "error")
+    data = str(tmp_path / "missing.csv") if command == "ingest" else data_csv
+    (tmp_path / "notadir").write_text("a regular file\n")
+    for out in (tmp_path / "notadir" / "out", tmp_path / "notadir" / "sub" / "out"):
+        argv = command_argv(command, data, str(tmp_path / "missing.json"), str(out))
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        line = one_error_line(err)
+        assert str(out) in line and "is not a directory" in line
+        assert ".tmp" not in line
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["notadir", "pair.csv"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
+def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monkeypatch, command):
+    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    model_path = tmp_path / "m.json"
+    model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
+    monkeypatch.setenv("FXBENCH_LOG", "error")
+    out = tmp_path / "results" / "run 1" / "out"
+    code, _, err = run(capsys, *command_argv(command, data_csv, str(model_path), str(out)))
+    assert (code, err) == (0, "")
+    assert out.is_file()
+    assert list(out.parent.iterdir()) == [out]
+
+
+def test_a_usage_error_creates_no_output_directory(tmp_path, data_csv, capsys):
+    out = str(tmp_path / "new" / "out")
+    for argv in (
+        ["sweep", "--data", data_csv, "--archs", "cnn", "--report", out],
+        ["sweep", "--data", data_csv, "--hidden", "9..2", "--report", out],
+        ["train", "--data", data_csv, "--arch", "cnn", "--hidden", "2", "--model-out", out],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        one_error_line(err)
+    assert not (tmp_path / "new").exists()

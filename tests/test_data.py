@@ -126,6 +126,17 @@ def test_write_atomic_replaces_the_target_and_leaves_no_temp_file(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+def test_write_atomic_errors_name_the_target_not_the_temp_file(tmp_path):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for target in (tmp_path / "missing" / "out.csv", taken):  # no directory; is a directory
+        with pytest.raises(OSError) as info:
+            with write_atomic(target) as fh:
+                fh.write(b"bytes")
+        assert info.value.filename == str(target) and ".tmp" not in str(info.value)
+    assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
+
+
 def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records):
     target = tmp_path / "data.csv"
     write_ohlc_csv(wavy_records[:5], target)
