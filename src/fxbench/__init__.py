@@ -40,7 +40,6 @@ from .data import (
 from .experiment import (
     BestSelection,
     EvalResult,
-    SweepReport,
     TrainConfig,
     TrainingDiverged,
     TrialResult,
@@ -88,7 +87,6 @@ __all__ = [
     "OptimizerConfig",
     "SplitDataset",
     "SupervisedDataset",
-    "SweepReport",
     "TrainConfig",
     "TrainingDiverged",
     "TrialResult",

@@ -64,17 +64,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive(kind):
+    """argparse type: a `kind` above 0, not NaN; OptimizerConfig refuses an infinite --lr."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def parse_hidden_sizes(text: str) -> tuple[int, ...]:
     """Parse a hidden-size grid: '2..10' (inclusive range), '5', or '2,5,7'."""
 
     def one(tok: str) -> int:
         try:
-            value = int(tok)
-        except ValueError:
-            raise UsageError(f"bad hidden size {tok!r}") from None
-        if value < 1:
-            raise UsageError(f"hidden sizes must be >= 1, got {value}")
-        return value
+            return _positive(int)(tok)
+        except (ValueError, argparse.ArgumentTypeError):
+            raise UsageError(f"bad hidden size {tok!r}, expected an integer above 0") from None
 
     text = text.strip()
     if ".." in text:
@@ -157,9 +167,9 @@ def cmd_ingest(args) -> int:
 
 def cmd_sweep(args) -> int:
     archs, hidden = parse_archs(args.archs), parse_hidden_sizes(args.hidden)
+    config = _train_config(args)
     _check_output(args.report)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
-    config = _train_config(args)
     report = run_sweep(
         archs,
         hidden,
@@ -176,7 +186,7 @@ def cmd_sweep(args) -> int:
     o = select_best(report, criterion).overall
     value = getattr(o, criterion)
     scale = norm.target_max - norm.target_min
-    print(f"wrote report: {args.report} ({len(report.trials)} trials)")
+    print(f"wrote report: {args.report} ({len(report)} trials)")
     print(
         f"overall best ({criterion}): {o.arch.upper()},{o.structure},{value!r}"
         f" | normalized {value / scale!r}"
@@ -187,12 +197,12 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     if args.arch not in ARCHS:
         raise UsageError(f"unknown arch {args.arch!r} (choose from {', '.join(ARCHS)})")
+    config = _train_config(args)
     _check_output(args.model_out)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     input_dim = data.train.features.shape[1]
     model = trial_model(args.arch, args.hidden, input_dim, args.window, args.seed)
     spec = model.spec
-    config = _train_config(args)
     train(model, data.train, data.validation, config)
     blob = save_model(model, norm)
     with write_atomic(args.model_out) as fh:
@@ -249,16 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="treat OHLC sanity violations as errors")
     p.set_defaults(func=cmd_ingest)
 
-    def add_training_flags(p, *, with_window=True):
+    def add_training_flags(p):
         p.add_argument("--data", required=True, help="dataset CSV (date,open,high,low,close)")
-        p.add_argument("--epochs", type=int, default=1500, help="training epochs (default 1500)")
-        p.add_argument("--batch", type=int, default=32, help="mini-batch size (default 32)")
+        p.add_argument(
+            "--epochs", type=_positive(int), default=1500, help="training epochs (default 1500)"
+        )
+        p.add_argument(
+            "--batch", type=_positive(int), default=32, help="mini-batch size (default 32)"
+        )
         p.add_argument(
             "--optimizer", choices=OPTIMIZERS, default="rmsprop", help="training algorithm"
         )
         p.add_argument(
             "--lr",
-            type=float,
+            type=_positive(float),
             default=None,
             help="learning rate (default 0.001 rmsprop, 0.01 sgd)",
         )
@@ -269,14 +283,13 @@ def build_parser() -> argparse.ArgumentParser:
             default="train",
             help="fit normalization on the train split only, or on all data",
         )
-        if with_window:
-            p.add_argument(
-                "--window",
-                type=int,
-                default=1,
-                help="lag vectors per sample for recurrent cells (default 1); mlp always "
-                "uses 1, so at window w it is scored on w-1 more days per split",
-            )
+        p.add_argument(
+            "--window",
+            type=_positive(int),
+            default=1,
+            help="lag vectors per sample for recurrent cells (default 1); mlp always "
+            "uses 1, so at window w it is scored on w-1 more days per split",
+        )
 
     p = sub.add_parser("sweep", help="train the full architecture x hidden-size grid")
     add_training_flags(p)
@@ -305,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a single model and save it")
     add_training_flags(p)
     p.add_argument("--arch", required=True, help="one of mlp,srnn,lstm,gru")
-    p.add_argument("--hidden", type=int, required=True, help="hidden layer size")
+    p.add_argument("--hidden", type=_positive(int), required=True, help="hidden layer size")
     p.add_argument("--model-out", required=True, help="output model file path")
     p.set_defaults(func=cmd_train)
 

@@ -106,7 +106,7 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
                 value = float(field)
             except ValueError:
                 raise ValueError(f"row {line}: bad {name} value {field!r}") from None
-            if not np.isfinite(value) or value <= 0:
+            if not 0 < value < np.inf:  # also false for NaN
                 raise ValueError(f"row {line}: {name} must be a positive finite price, got {field}")
             prices.append(value)
         rows.append((line, OhlcRecord(date, *prices)))

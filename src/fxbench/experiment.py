@@ -138,17 +138,9 @@ class TrialResult:
 
 
 @dataclass
-class SweepReport:
-    trials: list[TrialResult]
-    archs: tuple[str, ...]
-    hiddens: tuple[int, ...]
-
-
-@dataclass
 class BestSelection:
     per_arch: dict[str, TrialResult]
     overall: TrialResult
-    criterion: str
 
 
 def _windowed(dataset: SupervisedDataset, window: int):
@@ -159,8 +151,6 @@ def _windowed(dataset: SupervisedDataset, window: int):
     sample; the first w-1 samples have no full history and are dropped.
     """
     n = len(dataset)
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
     if n < window:
         raise ValueError(f"dataset has {n} samples, fewer than window={window}")
     x = np.lib.stride_tricks.sliding_window_view(dataset.features, window, axis=0)
@@ -322,8 +312,8 @@ def run_sweep(
     pair: str = "UNKNOWN",
     window: int = 1,
     measure_time: bool = False,
-) -> SweepReport:
-    """Train one model per (arch, hidden) grid point and record its MAEs.
+) -> list[TrialResult]:
+    """Train one model per grid point; return the TrialResults in (arch, hidden) order.
 
     The hidden sizes of an architecture that share a padded width train as
     one stack, in lockstep, and each trained stack is scored once per
@@ -347,6 +337,7 @@ def run_sweep(
 
     input_dim = data.train.features.shape[1]
     trials: list[TrialResult] = []
+    # widths ascend and padded_width grows with hidden: rows come in (arch, hidden) order
     for arch in archs:
         for width in sorted({padded_width(h) for h in hiddens}):
             group = [h for h in hiddens if padded_width(h) == width]
@@ -386,18 +377,17 @@ def run_sweep(
                     "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
                     arch, spec.structure, train_mae, val_mae, test_mae, len(models), elapsed,
                 )
-    trials.sort(key=lambda tr: (arch_id(tr.arch), tr.hidden))
-    return SweepReport(trials=trials, archs=archs, hiddens=hiddens)
+    return trials
 
 
-def select_best(report: SweepReport, criterion: str = "test_mae") -> BestSelection:
+def select_best(report: list[TrialResult], criterion: str = "test_mae") -> BestSelection:
     """Argmin by criterion; ties break to smaller hidden, then arch order.
 
     Trials with non-finite criterion values (diverged) are excluded.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    usable = [t for t in report.trials if math.isfinite(getattr(t, criterion))]
+    usable = [t for t in report if math.isfinite(getattr(t, criterion))]
     if not usable:
         raise ValueError("no successful trials to select from")
 
@@ -408,4 +398,4 @@ def select_best(report: SweepReport, criterion: str = "test_mae") -> BestSelecti
     for arch in sorted({t.arch for t in usable}, key=arch_id):
         per_arch[arch] = min((t for t in usable if t.arch == arch), key=key)
     overall = min(usable, key=key)
-    return BestSelection(per_arch=per_arch, overall=overall, criterion=criterion)
+    return BestSelection(per_arch=per_arch, overall=overall)

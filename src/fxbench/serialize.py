@@ -22,7 +22,7 @@ import numpy as np
 
 from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id, param_shapes
 from .data import NormParams, _csv_rows
-from .experiment import CRITERIA, EvalResult, SweepReport, TrialResult, select_best
+from .experiment import CRITERIA, EvalResult, TrialResult, select_best
 
 FORMAT_VERSION = 1
 QUOTE_CHARS = 32  # an error message quotes at most this much of a file's value
@@ -222,14 +222,14 @@ def emit_series_csv(result: EvalResult) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def emit_report_csv(report: SweepReport) -> bytes:
+def emit_report_csv(report: list[TrialResult]) -> bytes:
     """Sweep results as CSV bytes with the fixed report column set."""
-    if not report.trials:
+    if not report:
         raise ValueError("cannot emit an empty report")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for t in sorted(report.trials, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
+    for t in sorted(report, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
         writer.writerow(
             (
                 t.pair,
@@ -246,8 +246,8 @@ def emit_report_csv(report: SweepReport) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def parse_report_csv(data) -> SweepReport:
-    """Read a report CSV back into a SweepReport (pure formatting inverse)."""
+def parse_report_csv(data) -> list[TrialResult]:
+    """Read a report CSV back into its trial rows (pure formatting inverse)."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     reader = csv.reader(io.StringIO(text))
     rows_in = _csv_rows(reader, "report line")
@@ -288,9 +288,7 @@ def parse_report_csv(data) -> SweepReport:
     if not trials:
         raise ValueError("report file has no trial rows")
     trials.sort(key=lambda tr: (arch_id(tr.arch), tr.hidden))
-    archs = tuple(sorted({t.arch for t in trials}, key=arch_id))
-    hiddens = tuple(sorted({t.hidden for t in trials}))
-    return SweepReport(trials=trials, archs=archs, hiddens=hiddens)
+    return trials
 
 
 def _fmt_mae(value: float) -> str:
@@ -299,14 +297,14 @@ def _fmt_mae(value: float) -> str:
     return format(value, ".6g")
 
 
-def render_report_table(report: SweepReport, criterion: str) -> str:
+def render_report_table(report: list[TrialResult], criterion: str) -> str:
     """Human-readable grid with per-arch best (*) and overall best (**) marks
     by `criterion` ("test_mae" or "val_mae").
 
     The summary block repeats the winning values exactly (shortest
     round-trip floats) so they can be quoted without loss.
     """
-    if not report.trials:
+    if not report:
         raise ValueError("cannot render an empty report")
     try:
         best = select_best(report, criterion)
@@ -315,7 +313,7 @@ def render_report_table(report: SweepReport, criterion: str) -> str:
             raise
         best = None  # no successful trials
     rows = []
-    for t in sorted(report.trials, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
+    for t in sorted(report, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
         if best is not None and t == best.overall:
             mark = "**"
         elif best is not None and best.per_arch.get(t.arch) == t:

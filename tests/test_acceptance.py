@@ -19,7 +19,6 @@ import pytest
 from fxbench import (
     ARCHS,
     DEFAULT_FRACTIONS,
-    SweepReport,
     TrainConfig,
     TrialResult,
     build_supervised,
@@ -140,14 +139,13 @@ def test_mae_oracle_and_selection_examples():
     assert worst <= 1e-12, f"mae_loss deviates from direct summation by {worst:.3g}"
 
     def grid(maes_by_arch, hiddens):
-        trials = [
+        return [
             TrialResult(
                 pair="REF", arch=a, structure=f"4-{h}-1", hidden=h,
                 train_mae=m, val_mae=m, test_mae=m, seed=0, wall_time_s=0.0,
             )
             for (a, m), h in zip(maes_by_arch.items(), hiddens)
         ]
-        return SweepReport(trials=trials, archs=ARCHS, hiddens=tuple(sorted(hiddens)))
 
     best = select_best(grid({"mlp": 0.0858, "srnn": 0.019, "gru": 0.084, "lstm": 0.013},
                             (6, 4, 7, 5)))
@@ -177,11 +175,11 @@ def test_split_sizes_on_1500_samples():
 def test_sweep_shape_and_runtime(walk_sweep):
     report, _, elapsed = walk_sweep
     budget = 120.0 if ACCEPT_EPOCHS <= 200 else 600.0
-    assert len(report.trials) == 36, f"expected 36 trials, got {len(report.trials)}"
-    assert all(t.structure == f"4-{t.hidden}-1" for t in report.trials)
-    assert {t.arch for t in report.trials} == set(ARCHS)
-    assert sorted({t.hidden for t in report.trials}) == list(range(2, 11))
-    finite = [t for t in report.trials if math.isfinite(t.test_mae)]
+    assert len(report) == 36, f"expected 36 trials, got {len(report)}"
+    assert all(t.structure == f"4-{t.hidden}-1" for t in report)
+    assert {t.arch for t in report} == set(ARCHS)
+    assert sorted({t.hidden for t in report}) == list(range(2, 11))
+    finite = [t for t in report if math.isfinite(t.test_mae)]
     assert finite, "every trial diverged"
     assert elapsed < budget, f"sweep took {elapsed:.0f}s, budget {budget:.0f}s"
     return f"36 trials at epochs={ACCEPT_EPOCHS}, {elapsed:.0f}s < {budget:.0f}s"

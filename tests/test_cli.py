@@ -511,6 +511,51 @@ def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monke
     assert list(out.parent.iterdir()) == [out]
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("sweep", "--epochs", "0"),
+        ("sweep", "--batch", "0"),
+        ("sweep", "--window", "0"),
+        ("sweep", "--lr", "-1"),
+        ("sweep", "--lr", "nan"),
+        ("train", "--hidden", "0"),
+        ("train", "--window", "0"),
+        ("train", "--epochs", "-5"),
+    ],
+)
+def test_an_out_of_range_flag_is_a_usage_error_before_any_work(
+    tmp_path, data_csv, capsys, monkeypatch, command, flag, value
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", refuse)
+    out = str(tmp_path / "new" / "out")
+    argv = command_argv(command, data_csv, None, out)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {flag}:" in one_error_line(err)
+    assert stdout == ""
+    assert not (tmp_path / "new").exists()
+
+
+def test_an_infinite_learning_rate_fails_before_any_work(tmp_path, data_csv, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the data file was read")
+
+    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", refuse)
+    out = str(tmp_path / "new" / "out")
+    code, _, err = run(capsys, *command_argv("sweep", data_csv, None, out), "--lr", "inf")
+    assert code == 1
+    assert "learning_rate must be finite" in one_error_line(err)
+    assert not (tmp_path / "new").exists()
+
+
 def test_a_usage_error_creates_no_output_directory(tmp_path, data_csv, capsys):
     out = str(tmp_path / "new" / "out")
     for argv in (

@@ -46,6 +46,14 @@ def test_parse_rejects_negative_price_naming_row():
         parse_ohlc_csv(text)
 
 
+@pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "0", "-0", "-1", "1e309"])
+def test_parse_rejects_non_positive_or_non_finite_price(field):
+    text = HEADER + f"2018-01-02,115.0,115.6,114.8,{field}\n"
+    with pytest.raises(ValueError) as err:
+        parse_ohlc_csv(text)
+    assert str(err.value) == f"row 2: close must be a positive finite price, got {field}"
+
+
 def test_parse_rejects_bad_header():
     with pytest.raises(ValueError, match="row 1"):
         parse_ohlc_csv("date,open,high,close,low\n")

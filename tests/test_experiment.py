@@ -15,7 +15,6 @@ from fxbench import (
     NormParams,
     OhlcRecord,
     SupervisedDataset,
-    SweepReport,
     TrainConfig,
     TrainingDiverged,
     TrialResult,
@@ -237,8 +236,8 @@ def test_persistence_baseline_empty_dataset():
 def test_sweep_single_point_grid(wavy_records):
     data, _ = prepare_splits(wavy_records)
     report = run_sweep(["lstm"], [5], data, quick_config(epochs=2), pair="X/Y")
-    assert len(report.trials) == 1
-    t = report.trials[0]
+    assert len(report) == 1
+    t = report[0]
     assert (t.pair, t.arch, t.hidden, t.structure) == ("X/Y", "lstm", 5, "4-5-1")
     assert t.seed == trial_seed(42, "lstm", 5)
     assert t.wall_time_s == 0.0
@@ -248,14 +247,21 @@ def test_sweep_single_point_grid(wavy_records):
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
     data, _ = prepare_splits(wavy_records)
     report = run_sweep(["lstm", "mlp"], [3, 2], data, quick_config(epochs=2))
-    assert [(t.arch, t.hidden) for t in report.trials] == [
+    assert [(t.arch, t.hidden) for t in report] == [
         ("mlp", 2),
         ("mlp", 3),
         ("lstm", 2),
         ("lstm", 3),
     ]
-    assert report.archs == ("mlp", "lstm")
-    assert report.hiddens == (2, 3)
+
+
+def test_sweep_rows_come_in_arch_then_hidden_order_across_widths(wavy_records):
+    data, _ = prepare_splits(wavy_records)
+    report = run_sweep(["gru", "srnn"], [17, 9, 2], data, quick_config(epochs=1))
+    assert len({padded_width(h) for h in (2, 9, 17)}) == 3
+    assert [(t.arch, t.hidden) for t in report] == [
+        ("srnn", 2), ("srnn", 9), ("srnn", 17), ("gru", 2), ("gru", 9), ("gru", 17),
+    ]
 
 
 def test_sweep_is_deterministic(wavy_records):
@@ -272,8 +278,8 @@ def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
     # LSTM window-3 row within these 30 epochs
     data, _ = prepare_splits(wavy_records)
     cfg = quick_config(epochs=30, batch_size=32)
-    alone = run_sweep(["lstm"], [8], data, cfg, window=3).trials
-    beside = run_sweep(["lstm"], [8, 17], data, cfg, window=3).trials
+    alone = run_sweep(["lstm"], [8], data, cfg, window=3)
+    beside = run_sweep(["lstm"], [8, 17], data, cfg, window=3)
     assert repr(beside[0]) == repr(alone[0])
 
 
@@ -353,8 +359,8 @@ def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch, capl
     calls = spy_on_evaluate(monkeypatch, caplog)
     report = run_sweep(["gru"], [2, 3], data, quick_config(epochs=2))
     assert [hs for hs, _ in calls] == [[2]] * 3  # the diverged trial is not scored
-    assert len(report.trials) == 2
-    ok, failed = report.trials
+    assert len(report) == 2
+    ok, failed = report
     assert math.isfinite(ok.test_mae)
     assert math.isnan(failed.test_mae) and math.isnan(failed.train_mae)
     best = select_best(report)
@@ -370,8 +376,8 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
     clean = run_sweep(ARCHS, range(2, 11), data, cfg)
     poison_trial(monkeypatch, arch, hidden)
     poisoned = run_sweep(ARCHS, range(2, 11), data, cfg)
-    assert len(poisoned.trials) == 36
-    for a, b in zip(clean.trials, poisoned.trials):
+    assert len(poisoned) == 36
+    for a, b in zip(clean, poisoned):
         if (b.arch, b.hidden) == (arch, hidden):
             assert all(math.isnan(v) for v in (b.train_mae, b.val_mae, b.test_mae))
         else:
@@ -489,23 +495,13 @@ def trial(arch, hidden, test_mae, val_mae=None, pair="USD/NPR"):
     )
 
 
-def report_from(trials):
-    return SweepReport(
-        trials=trials,
-        archs=tuple(sorted({t.arch for t in trials}, key=ARCHS.index)),
-        hiddens=tuple(sorted({t.hidden for t in trials})),
-    )
-
-
 def test_select_best_reference_grid_one():
-    report = report_from(
-        [
-            trial("mlp", 6, 0.0858),
-            trial("srnn", 4, 0.019),
-            trial("gru", 7, 0.084),
-            trial("lstm", 5, 0.013),
-        ]
-    )
+    report = [
+        trial("mlp", 6, 0.0858),
+        trial("srnn", 4, 0.019),
+        trial("gru", 7, 0.084),
+        trial("lstm", 5, 0.013),
+    ]
     best = select_best(report, "test_mae")
     assert best.overall.arch == "lstm"
     assert best.overall.structure == "4-5-1"
@@ -514,14 +510,12 @@ def test_select_best_reference_grid_one():
 
 
 def test_select_best_reference_grid_two():
-    report = report_from(
-        [
-            trial("mlp", 9, 0.052, pair="GBP/NPR"),
-            trial("srnn", 6, 0.214, pair="GBP/NPR"),
-            trial("gru", 7, 0.0177, pair="GBP/NPR"),
-            trial("lstm", 5, 0.0388, pair="GBP/NPR"),
-        ]
-    )
+    report = [
+        trial("mlp", 9, 0.052, pair="GBP/NPR"),
+        trial("srnn", 6, 0.214, pair="GBP/NPR"),
+        trial("gru", 7, 0.0177, pair="GBP/NPR"),
+        trial("lstm", 5, 0.0388, pair="GBP/NPR"),
+    ]
     best = select_best(report, "test_mae")
     assert best.overall.arch == "gru"
     assert best.overall.structure == "4-7-1"
@@ -529,34 +523,32 @@ def test_select_best_reference_grid_two():
 
 
 def test_select_best_single_trial():
-    report = report_from([trial("srnn", 3, 0.5)])
-    assert select_best(report).overall == report.trials[0]
+    report = [trial("srnn", 3, 0.5)]
+    assert select_best(report).overall == report[0]
 
 
 def test_select_best_tie_breaks():
     # equal criterion: smaller hidden wins
-    report = report_from([trial("lstm", 7, 0.1), trial("lstm", 4, 0.1)])
+    report = [trial("lstm", 7, 0.1), trial("lstm", 4, 0.1)]
     assert select_best(report).overall.hidden == 4
     # equal criterion and hidden: earlier architecture in canonical order wins
-    report = report_from([trial("lstm", 4, 0.1), trial("srnn", 4, 0.1)])
+    report = [trial("lstm", 4, 0.1), trial("srnn", 4, 0.1)]
     assert select_best(report).overall.arch == "srnn"
-    report = report_from([trial("gru", 4, 0.1), trial("mlp", 4, 0.1)])
+    report = [trial("gru", 4, 0.1), trial("mlp", 4, 0.1)]
     assert select_best(report).overall.arch == "mlp"
 
 
 def test_select_best_by_validation_criterion():
-    report = report_from(
-        [trial("mlp", 2, 0.5, val_mae=0.1), trial("mlp", 3, 0.1, val_mae=0.5)]
-    )
+    report = [trial("mlp", 2, 0.5, val_mae=0.1), trial("mlp", 3, 0.1, val_mae=0.5)]
     assert select_best(report, "test_mae").overall.hidden == 3
     assert select_best(report, "val_mae").overall.hidden == 2
 
 
 def test_select_best_rejects_bad_criterion_and_all_failed():
-    report = report_from([trial("mlp", 2, 0.5)])
+    report = [trial("mlp", 2, 0.5)]
     with pytest.raises(ValueError, match="criterion"):
         select_best(report, "train_mae")
-    failed = report_from([trial("mlp", 2, float("nan"))])
+    failed = [trial("mlp", 2, float("nan"))]
     with pytest.raises(ValueError, match="no successful trials"):
         select_best(failed)
 
@@ -575,9 +567,9 @@ def test_select_best_rejects_bad_criterion_and_all_failed():
     )
 )
 def test_select_best_is_argmin_by_brute_force(grid):
-    report = report_from([trial(a, h, m) for a, h, m in grid])
+    report = [trial(a, h, m) for a, h, m in grid]
     best = select_best(report, "test_mae")
-    assert best.overall.test_mae == min(t.test_mae for t in report.trials)
+    assert best.overall.test_mae == min(t.test_mae for t in report)
     for arch, t in best.per_arch.items():
-        others = [u.test_mae for u in report.trials if u.arch == arch]
+        others = [u.test_mae for u in report if u.arch == arch]
         assert t.test_mae == min(others)

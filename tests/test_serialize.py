@@ -16,7 +16,6 @@ from fxbench import (
     ModelSpec,
     ModelStack,
     NormParams,
-    SweepReport,
     TrialResult,
     emit_report_csv,
     emit_series_csv,
@@ -258,13 +257,12 @@ def trial(arch, hidden, test_mae, pair="EUR/USD", seed=0):
 
 
 def small_report():
-    trials = [
+    return [
         trial("mlp", 6, 0.0858),
         trial("srnn", 4, 0.019),
         trial("gru", 7, 0.084),
         trial("lstm", 5, 0.013),
     ]
-    return SweepReport(trials=trials, archs=ARCHS, hiddens=(4, 5, 6, 7))
 
 
 def test_report_csv_header_is_exact():
@@ -284,30 +282,24 @@ def test_report_csv_round_trips_to_equal_report():
 
 
 def test_report_csv_orders_rows_canonically():
-    shuffled = SweepReport(
-        trials=list(reversed(small_report().trials)),
-        archs=ARCHS,
-        hiddens=(4, 5, 6, 7),
-    )
+    shuffled = list(reversed(small_report()))
     rows = emit_report_csv(shuffled).decode("utf-8").splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == ["mlp", "srnn", "gru", "lstm"]
 
 
 def test_report_csv_keeps_float_precision():
     value = 0.1234567890123456789
-    report = SweepReport(trials=[trial("mlp", 2, value)], archs=("mlp",), hiddens=(2,))
+    report = [trial("mlp", 2, value)]
     back = parse_report_csv(emit_report_csv(report))
-    assert back.trials[0].test_mae == report.trials[0].test_mae
+    assert back[0].test_mae == report[0].test_mae
 
 
 def test_report_csv_represents_failed_trials_as_nan():
-    report = SweepReport(
-        trials=[trial("mlp", 2, float("nan"))], archs=("mlp",), hiddens=(2,)
-    )
+    report = [trial("mlp", 2, float("nan"))]
     text = emit_report_csv(report).decode("utf-8")
     assert ",nan," in text.splitlines()[1] + ","
     back = parse_report_csv(emit_report_csv(report))
-    assert math.isnan(back.trials[0].test_mae)
+    assert math.isnan(back[0].test_mae)
 
 
 def test_parse_report_rejects_bad_header_and_rows():
@@ -337,29 +329,25 @@ def test_rendered_table_marks_per_arch_and_overall_best():
 
 
 def test_rendered_table_second_reference_grid():
-    trials = [
+    report = [
         trial("mlp", 9, 0.052, pair="GBP/NPR"),
         trial("srnn", 6, 0.214, pair="GBP/NPR"),
         trial("gru", 7, 0.0177, pair="GBP/NPR"),
         trial("lstm", 5, 0.0388, pair="GBP/NPR"),
     ]
-    report = SweepReport(trials=trials, archs=ARCHS, hiddens=(5, 6, 7, 9))
     table = render_report_table(report, "test_mae")
     assert "Overall best: GRU,4-7-1,0.0177" in table
 
 
 def test_rendered_table_handles_all_diverged():
-    report = SweepReport(
-        trials=[trial("mlp", 2, float("nan"))], archs=("mlp",), hiddens=(2,)
-    )
+    report = [trial("mlp", 2, float("nan"))]
     table = render_report_table(report, "test_mae")
     assert "No successful trials" in table
 
 
 def test_rendered_table_marks_by_the_given_criterion():
     # hidden 2 has the lower test MAE, hidden 3 the lower validation MAE
-    trials = [replace(trial("mlp", 2, 0.1), val_mae=0.9), trial("mlp", 3, 0.5)]
-    report = SweepReport(trials=trials, archs=("mlp",), hiddens=(2, 3))
+    report = [replace(trial("mlp", 2, 0.1), val_mae=0.9), trial("mlp", 3, 0.5)]
     assert "Overall best: MLP,4-2-1,0.1\n" in render_report_table(report, "test_mae")
     by_val = render_report_table(report, "val_mae")
     assert "Best per architecture (by val_mae):" in by_val
