@@ -36,12 +36,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output CSV path")
     args = parser.parse_args(argv)
 
-    if args.kind == "walk":
-        records = random_walk_ohlc(
-            args.n, seed=args.seed, start=args.start, step_frac=args.step_frac
-        )
-    else:
-        records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
+    try:
+        if args.kind == "walk":
+            records = random_walk_ohlc(
+                args.n, seed=args.seed, start=args.start, step_frac=args.step_frac
+            )
+        else:
+            records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
+    except ValueError as e:  # the generator's own range checks
+        parser.error(str(e))
 
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import os
 import sys
 
@@ -65,12 +66,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(kind):
-    """argparse type: a `kind` above 0, not NaN; OptimizerConfig refuses an infinite --lr."""
+    """argparse type: a finite `kind` above 0 (so not NaN or inf)."""
 
     def parse(text: str):
         value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
         return value
 
     parse.__name__ = kind.__name__

@@ -4,6 +4,10 @@ Input CSV contract: header `date,open,high,low,close`, UTF-8, ISO-8601
 dates, decimal-point floats, one record per trading day. Each supervised
 sample pairs yesterday's four prices [open, high, low, close] with today's
 close, so a series of n records yields n-1 samples.
+
+A record is an `OhlcRecord`, a NamedTuple of the five CSV fields. It
+stores its prices as given; `write_ohlc_csv` formats any real price
+(a numpy scalar or an int too) as the `repr` of its float.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import io
 import logging
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,19 +29,12 @@ CSV_HEADER = ("date", "open", "high", "low", "close")
 FEATURE_NAMES = ("open", "high", "low", "close")
 
 
-@dataclass(frozen=True)
-class OhlcRecord:
+class OhlcRecord(NamedTuple):
     date: dt.date
     open: float
     high: float
     low: float
     close: float
-
-    def __post_init__(self):
-        # pin the price fields to builtin floats so formatting (repr) and
-        # equality behave identically regardless of what produced them
-        for name in ("open", "high", "low", "close"):
-            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _validate_record(rec: OhlcRecord, line: int, mode: str):
@@ -158,12 +156,14 @@ def write_atomic(path):
 
 
 def write_ohlc_csv(records: list[OhlcRecord], path):
-    """Write records in the canonical CSV format (exact float round trip),
-    replacing `path` atomically (`write_atomic`)."""
+    """Write records in the canonical CSV format, each price as the `repr`
+    of its float (exact round trip), replacing `path` atomically
+    (`write_atomic`)."""
     with write_atomic(path) as fh:
         fh.write((",".join(CSV_HEADER) + "\n").encode())
         for r in records:
-            fh.write(f"{r.date.isoformat()},{r.open!r},{r.high!r},{r.low!r},{r.close!r}\n".encode())
+            prices = (repr(float(v)) for v in (r.open, r.high, r.low, r.close))
+            fh.write(",".join((r.date.isoformat(), *prices)).encode() + b"\n")
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +214,9 @@ def build_supervised(records: list[OhlcRecord]) -> SupervisedDataset:
     """Pair each day's close with the previous day's [open, high, low, close]."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to build samples, got {len(records)}")
-    feats = np.array([[r.open, r.high, r.low, r.close] for r in records[:-1]])
-    targets = np.array([r.close for r in records[1:]])
+    prices = np.array([r[1:] for r in records], dtype=np.float64)  # (n, 4) in FEATURE_NAMES order
     dates = tuple(r.date for r in records[1:])
-    return SupervisedDataset(features=feats, targets=targets, dates=dates)
+    return SupervisedDataset(features=prices[:-1], targets=prices[1:, 3], dates=dates)
 
 
 def fit_minmax(dataset: SupervisedDataset) -> NormParams:

@@ -4,7 +4,9 @@ Two generators: a multiplicative random walk (close moves by a uniform
 fraction of its level each day) and a noiseless constant-increment ramp.
 Both emit records that satisfy the OHLC sanity constraints
 low <= min(open, close) and high >= max(open, close), with strictly
-increasing dates, so they pass strict ingestion.
+increasing dates, so they pass strict ingestion. Each computes its
+series as float64 arrays and returns a list of `OhlcRecord` NamedTuples
+holding builtin floats and `datetime.date`s.
 """
 
 from __future__ import annotations
@@ -16,6 +18,13 @@ import numpy as np
 from .data import OhlcRecord
 
 DEFAULT_START_DATE = dt.date(2018, 1, 1)
+
+
+def _records(start_date: dt.date, opens, highs, lows, closes) -> list[OhlcRecord]:
+    """One record per day from start_date on, from (n,) price arrays."""
+    dates = (np.datetime64(start_date, "D") + np.arange(len(closes))).tolist()
+    prices = (a.tolist() for a in (opens, highs, lows, closes))
+    return list(map(OhlcRecord, dates, *prices))
 
 
 def random_walk_ohlc(
@@ -34,29 +43,17 @@ def random_walk_ohlc(
         raise ValueError(f"need n >= 1 records, got {n}")
     if not (0 < step_frac < 1):
         raise ValueError(f"step_frac must be in (0, 1), got {step_frac}")
-    if start <= 0:
-        raise ValueError(f"start price must be positive, got {start}")
+    if not 0 < start < np.inf:
+        raise ValueError(f"start price must be positive and finite, got {start}")
     rng = np.random.default_rng(seed)
     steps = rng.uniform(-step_frac, step_frac, size=n)
     pads = rng.uniform(0.0, step_frac / 2, size=(n, 2))
-    records = []
-    prev_close = start
-    for t in range(n):
-        open_ = prev_close
-        close = prev_close * (1.0 + steps[t])
-        hi_base = max(open_, close)
-        lo_base = min(open_, close)
-        records.append(
-            OhlcRecord(
-                date=start_date + dt.timedelta(days=t),
-                open=open_,
-                high=hi_base * (1.0 + pads[t, 0]),
-                low=lo_base * (1.0 - pads[t, 1]),
-                close=close,
-            )
-        )
-        prev_close = close
-    return records
+    # start, then each close as the running product in day order
+    path = np.multiply.accumulate(np.concatenate(([start], 1.0 + steps)))
+    opens, closes = path[:-1], path[1:]
+    highs = np.maximum(opens, closes) * (1.0 + pads[:, 0])
+    lows = np.minimum(opens, closes) * (1.0 - pads[:, 1])
+    return _records(start_date, opens, highs, lows, closes)
 
 
 def ramp_ohlc(
@@ -72,22 +69,15 @@ def ramp_ohlc(
     """
     if n < 1:
         raise ValueError(f"need n >= 1 records, got {n}")
-    if increment <= 0:
-        raise ValueError(f"increment must be positive, got {increment}")
-    if start <= 0:
-        raise ValueError(f"start price must be positive, got {start}")
+    if not 0 < increment < np.inf:
+        raise ValueError(f"increment must be positive and finite, got {increment}")
+    if not 0 < start < np.inf:
+        raise ValueError(f"start price must be positive and finite, got {start}")
+    increment, start = float(increment), float(start)
+    closes = start + np.arange(n) * increment
+    opens = closes - increment
+    opens[0] = start
     pad = increment * 0.25
-    records = []
-    for t in range(n):
-        close = start + t * increment
-        open_ = close - increment if t > 0 else start
-        records.append(
-            OhlcRecord(
-                date=start_date + dt.timedelta(days=t),
-                open=open_,
-                high=max(open_, close) + pad,
-                low=min(open_, close) - pad,
-                close=close,
-            )
-        )
-    return records
+    highs = np.maximum(opens, closes) + pad
+    lows = np.minimum(opens, closes) - pad
+    return _records(start_date, opens, highs, lows, closes)

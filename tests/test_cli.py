@@ -260,17 +260,22 @@ def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch
 
 
 @pytest.mark.parametrize(
-    "lr,message",
-    [("1e308", "non-finite weights (training loss"), ("inf", "learning_rate must be finite")],
+    "lr,exit_code,message",
+    [
+        ("1e308", 1, "non-finite weights (training loss"),
+        ("inf", 2, "argument --lr: must be finite and above 0, got inf"),
+    ],
     ids=["diverging", "infinite"],
 )
-def test_train_divergence_is_one_error_line_and_no_file(tmp_path, data_csv, capsys, lr, message):
+def test_train_divergence_is_one_error_line_and_no_file(
+    tmp_path, data_csv, capsys, lr, exit_code, message
+):
     model_path = tmp_path / "m.json"
     code, _, err = run(
         capsys, "train", "--data", data_csv, "--arch", "lstm", "--hidden", "3",
         "--epochs", "1", "--batch", "1000", "--lr", lr, "--model-out", str(model_path),
     )
-    assert code == 1
+    assert code == exit_code
     assert message in one_error_line(err)
     assert not model_path.exists()
 
@@ -551,8 +556,8 @@ def test_an_infinite_learning_rate_fails_before_any_work(tmp_path, data_csv, cap
     monkeypatch.setattr("fxbench.cli.read_ohlc_csv", refuse)
     out = str(tmp_path / "new" / "out")
     code, _, err = run(capsys, *command_argv("sweep", data_csv, None, out), "--lr", "inf")
-    assert code == 1
-    assert "learning_rate must be finite" in one_error_line(err)
+    assert code == 2
+    assert "argument --lr: must be finite and above 0, got inf" in one_error_line(err)
     assert not (tmp_path / "new").exists()
 
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fxbench import (
     normalize_dataset,
     parse_ohlc_csv,
     prepare_splits,
+    ramp_ohlc,
+    random_walk_ohlc,
     read_ohlc_csv,
     write_atomic,
     write_ohlc_csv,
@@ -121,6 +124,25 @@ def test_csv_write_read_round_trip(tmp_path, wavy_records):
     write_ohlc_csv(wavy_records, path)
     back = read_ohlc_csv(path)
     assert back == wavy_records
+
+
+@pytest.mark.parametrize(
+    "prices",
+    [
+        tuple(np.float64(v) for v in (1.1, 1.2000000000000002, 0.3, 1.15)),
+        (101, 103, 99, 102),
+    ],
+    ids=["float64", "int"],
+)
+def test_write_ohlc_csv_writes_any_real_price_as_its_float(tmp_path, prices):
+    record = OhlcRecord(dt.date(2018, 1, 2), *prices)
+    as_floats = OhlcRecord(record.date, *(float(v) for v in prices))
+    write_ohlc_csv([record], tmp_path / "given.csv")
+    write_ohlc_csv([as_floats], tmp_path / "floats.csv")
+    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "floats.csv").read_bytes()
+    back = read_ohlc_csv(tmp_path / "given.csv")
+    assert back == [record]
+    assert all(type(v) is float for v in back[0][1:])
 
 
 def test_write_atomic_replaces_the_target_and_leaves_no_temp_file(tmp_path):
@@ -338,3 +360,62 @@ def test_prepare_splits_rejects_unknown_fit_norm(wavy_records):
 
 def test_default_fractions_constant():
     assert DEFAULT_FRACTIONS == (0.70, 0.15, 0.15)
+
+
+# ---------------------------------------------------------------- synthetic series
+
+# sha256 of write_ohlc_csv's output, recorded when both generators still
+# built each row in a Python loop. The walk's closes are a running product
+# taken in day order; any other order changes their last bits.
+GOLDEN_WALK_SHA256 = {
+    (7, 1): "14555184eb9ab463f2b75119107182e5828cbb97f857fd4e5978f4cb5595ea90",
+    (7, 2): "b4dfcfc8eb90b866c107abf66f2dcbdfc213f60b914a58359f1abe51afc511f1",
+    (7, 1500): "5d258c9cd2d17297d4fb5838919edf60c8f53924952d98c87086b70560e87708",
+    (101, 1): "3dbb026aab337e3767d10019db4e4e885a8f3a0251f4e1fa984aab39705874db",
+    (101, 2): "01b79306ed23b45d822e5b409e5c25aca2fc83c538ac0f7c3f05a99f71a75e98",
+    (101, 1500): "b20393c77646263ec5f18c6ad184ad5b9ffc24ae21b1d7beb49674caf81d41f7",
+    (202, 1): "c85eee18213b7d374de61f5b6f9f577cad306d2e662651fc2f08f18c33764334",
+    (202, 2): "7d49b21506bfa519f20635388a6f33459d8b8d7bd4edf08f7db3e2ab4aff691c",
+    (202, 1500): "e1fe798dbc68c6a1a296f25aa587beb36aae42b47597d63f997cc2d5537d0054",
+    (303, 1): "b9d9901f5a7598b8f04bc646990d55ba6bc21e3eab71cb9734a66dac48eaffe9",
+    (303, 2): "a9d42ee4668f4609db727776dcabc6d6ca2a025cf0cd090acade7f3f763e78f4",
+    (303, 1500): "696b73db5f58891752435d1e1f6ae62d7694cc7f27d39084cb9c1b014e3d992d",
+}
+RAMP_ARGS = {"defaults": {}, "int-args": {"increment": 2, "start": 100}}
+GOLDEN_RAMP_SHA256 = {
+    (1, "defaults"): "b217649142ed622229432344294ecead3d4f67baa61b9ea62e22db69745dcaaa",
+    (2, "defaults"): "60fbeeb47366de02eb281b6a6f59df3dd985a656d5657bfd4151bc3408c420a2",
+    (400, "defaults"): "345df41facfaf7932625822217ab015484290145c9413c5229df63db1273d687",
+    (1, "int-args"): "0fb6b669b6a0ff91a5064b3498f1033344a3844fbafbeb77bb9accd45f8f3b08",
+    (2, "int-args"): "424052a4662d5dc233920c929243c55e54ff1e16b34acacb8c9d791ebe18464b",
+    (400, "int-args"): "aae16246d0834d3488ea6cbeedfe9298d7122945911562a3c47c569e580d79ef",
+}
+
+
+def written_sha256(records, path):
+    """sha256 of the CSV write_ohlc_csv makes of records, which must hold
+    builtin floats only: an int argument may not reach a record as an int."""
+    for r in records:
+        assert all(type(v) is float for v in r[1:]), r
+    write_ohlc_csv(records, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed,n", sorted(GOLDEN_WALK_SHA256))
+def test_random_walk_bytes_are_pinned(tmp_path, seed, n):
+    records = random_walk_ohlc(n, seed)
+    assert len(records) == n
+    assert written_sha256(records, tmp_path / "walk.csv") == GOLDEN_WALK_SHA256[seed, n]
+
+
+@pytest.mark.parametrize("n,args", sorted(GOLDEN_RAMP_SHA256))
+def test_ramp_bytes_are_pinned(tmp_path, n, args):
+    records = ramp_ohlc(n, **RAMP_ARGS[args])
+    assert len(records) == n
+    assert written_sha256(records, tmp_path / "ramp.csv") == GOLDEN_RAMP_SHA256[n, args]
+
+
+def test_an_int_walk_start_gives_the_float_start_records():
+    records = random_walk_ohlc(3, seed=7, start=100)
+    assert records == random_walk_ohlc(3, seed=7, start=100.0)
+    assert all(type(v) is float for r in records for v in r[1:])

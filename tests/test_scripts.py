@@ -1,7 +1,10 @@
-"""The scripts under scripts/, run in process through their main(argv)."""
+"""The scripts under scripts/, run in process through their main(argv), or as
+programs where their command-line errors are checked."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -62,3 +65,28 @@ def test_make_data_writes_csvs_that_pass_strict_ingest(tmp_path, capsys, kind):
     clean = tmp_path / "clean.csv"
     assert fxbench_main(["ingest", "--strict", "--input", str(raw), "--output", str(clean)]) == 0
     assert f"wrote 200 records: {clean}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "0"], "need n >= 1 records, got 0"),
+        (["--step-frac", "1"], "step_frac must be in (0, 1), got 1.0"),
+        (["--start", "nan"], "start price must be positive and finite, got nan"),
+        (["--kind", "ramp", "--start", "-1"], "start price must be positive and finite, got -1.0"),
+        (["--kind", "ramp", "--increment", "inf"], "increment must be positive and finite, got inf"),
+    ],
+    ids=["n", "step-frac", "start-walk", "start-ramp", "increment"],
+)
+def test_make_data_reports_a_bad_value_in_one_error_line(tmp_path, flags, message):
+    out = tmp_path / "new" / "data.csv"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "make_data.py"), *flags, "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"make_data.py: error: {message}"
+    assert not out.parent.exists()
