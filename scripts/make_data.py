@@ -47,8 +47,11 @@ def main(argv=None) -> int:
         parser.error(str(e))
 
     out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_ohlc_csv(records, out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_ohlc_csv(records, out)
+    except OSError as e:
+        parser.exit(1, f"{parser.prog}: error: cannot write {out}: {e}\n")
     print(f"wrote {len(records)} {args.kind} records: {out}")
     return 0
 

@@ -98,15 +98,21 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    out_dir = pathlib.Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     epochs = 200 if args.quick else args.epochs
-    config = TrainConfig(
-        optimizer=default_config("rmsprop"),
-        epochs=epochs,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
+    try:
+        config = TrainConfig(
+            optimizer=default_config("rmsprop"),
+            epochs=epochs,
+            batch_size=args.batch,
+            seed=args.seed,
+        )
+    except ValueError as e:  # TrainConfig's own range checks
+        parser.error(str(e))
+    out_dir = pathlib.Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        parser.exit(1, f"{parser.prog}: error: cannot create output directory {out_dir}: {e}\n")
 
     print(f"benchmark: 3 pairs x 36 trials at {epochs} epochs -> {out_dir}/")
     rows = [benchmark_pair(p, s, f, out_dir, config) for p, s, f in PAIRS]

@@ -5,9 +5,11 @@ dates, decimal-point floats, one record per trading day. Each supervised
 sample pairs yesterday's four prices [open, high, low, close] with today's
 close, so a series of n records yields n-1 samples.
 
-A record is an `OhlcRecord`, a NamedTuple of the five CSV fields. It
-stores its prices as given; `write_ohlc_csv` formats any real price
-(a numpy scalar or an int too) as the `repr` of its float.
+A record is an `OhlcRecord`, a NamedTuple of the five CSV fields: the
+header `CSV_HEADER` is its field names in order, and `FEATURE_NAMES` the
+four prices after the date. It stores its prices as given;
+`write_ohlc_csv` formats any real price (a numpy scalar or an int too) as
+the `repr` of its float.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = ("date", "open", "high", "low", "close")
-FEATURE_NAMES = ("open", "high", "low", "close")
-
 
 class OhlcRecord(NamedTuple):
     date: dt.date
@@ -35,6 +34,10 @@ class OhlcRecord(NamedTuple):
     high: float
     low: float
     close: float
+
+
+CSV_HEADER = OhlcRecord._fields
+FEATURE_NAMES = CSV_HEADER[1:]
 
 
 def _validate_record(rec: OhlcRecord, line: int, mode: str):
@@ -81,10 +84,10 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
     rows_in = _csv_rows(reader, "row")
     header = next(rows_in, None)
     if header is None:
-        raise ValueError("row 1: missing header, expected date,open,high,low,close")
+        raise ValueError(f"row 1: missing header, expected {','.join(CSV_HEADER)}")
     if tuple(c.strip().lower() for c in header) != CSV_HEADER:
         raise ValueError(
-            f"row 1: bad header {','.join(header)!r}, expected date,open,high,low,close"
+            f"row 1: bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}"
         )
 
     rows: list[tuple[int, OhlcRecord]] = []
@@ -92,14 +95,14 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         line = reader.line_num
         if not row:
             continue
-        if len(row) != 5:
-            raise ValueError(f"row {line}: expected 5 fields, got {len(row)}")
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError as e:
             raise ValueError(f"row {line}: bad date {row[0]!r}: {e}") from None
         prices = []
-        for name, field in zip(CSV_HEADER[1:], row[1:]):
+        for name, field in zip(FEATURE_NAMES, row[1:]):
             try:
                 value = float(field)
             except ValueError:

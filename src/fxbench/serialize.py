@@ -6,17 +6,22 @@ row-major values. Floats are written with Python's repr, the shortest
 decimal string that round-trips to the identical float64, so save -> load
 -> save is a byte-level fixed point and weights survive exactly.
 
-CSV emitters share the same float convention; report files use the fixed
-column set `pair,arch,structure,hidden,train_mae,val_mae,test_mae,seed,
-wall_time_s`.
+CSV emitters share the same float convention. Each format takes its
+columns from one type: a report's `REPORT_COLUMNS` are the fields of
+`TrialResult` in order, each cell converted by its field's type, and a
+model file's spec and norm blocks hold the fields of `ModelSpec` and
+`NormParams`.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import operator
+import typing
 
 import numpy as np
 
@@ -27,17 +32,17 @@ from .experiment import CRITERIA, EvalResult, TrialResult, select_best
 FORMAT_VERSION = 1
 QUOTE_CHARS = 32  # an error message quotes at most this much of a file's value
 
-REPORT_COLUMNS = (
-    "pair",
-    "arch",
-    "structure",
-    "hidden",
-    "train_mae",
-    "val_mae",
-    "test_mae",
-    "seed",
-    "wall_time_s",
-)
+REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
+_REPORT_TYPES = tuple(typing.get_type_hints(TrialResult)[name] for name in REPORT_COLUMNS)
+_report_values = operator.attrgetter(*REPORT_COLUMNS)
+_ARCH_COLUMN = REPORT_COLUMNS.index("arch")
+_SPEC_TYPES = typing.get_type_hints(ModelSpec)  # field name -> type, in field order
+_NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> np.ndarray or float
+
+
+def _report_order(t: TrialResult):
+    """Canonical report row order: architecture, then hidden size."""
+    return arch_id(t.arch), t.hidden
 
 
 def _array_to_json(name: str, arr: np.ndarray) -> dict:
@@ -85,28 +90,29 @@ def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
     fails here with its field named, not later inside numpy."""
     if not isinstance(norm_doc, dict):
         raise ValueError(f"model file 'norm' must be an object or null, got {_quoted(norm_doc)}")
-    for key in ("feature_min", "feature_max", "target_min", "target_max"):
+    for key in _NORM_TYPES:
         if key not in norm_doc:
             raise ValueError(f"model file norm block is missing field {key!r}")
-    bounds = []
-    for key in ("feature_min", "feature_max"):
-        values = norm_doc[key]
-        if not isinstance(values, list) or len(values) != input_dim:
+    fields = {}
+    for key, kind in _NORM_TYPES.items():
+        value = norm_doc[key]
+        if kind is float:
+            fields[key] = _finite_number(value, key)
+            continue
+        if not isinstance(value, list) or len(value) != input_dim:
             raise ValueError(
                 f"model file field {key!r} must be a list of {input_dim} numbers "
-                f"(input_dim), got {_quoted(values)}"
+                f"(input_dim), got {_quoted(value)}"
             )
-        bounds.append(np.array([_finite_number(v, key) for v in values]))
-    fmin, fmax = bounds
-    tmin = _finite_number(norm_doc["target_min"], "target_min")
-    tmax = _finite_number(norm_doc["target_max"], "target_max")
-    if not np.all(fmax > fmin):
+        fields[key] = np.array([_finite_number(v, key) for v in value])
+    norm = NormParams(**fields)
+    if not np.all(norm.feature_max > norm.feature_min):
         raise ValueError(
             "model file field 'feature_max' must exceed 'feature_min' for every feature"
         )
-    if not tmax > tmin:
+    if not norm.target_max > norm.target_min:
         raise ValueError("model file field 'target_max' must exceed 'target_min'")
-    return NormParams(feature_min=fmin, feature_max=fmax, target_min=tmin, target_max=tmax)
+    return norm
 
 
 def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.ndarray:
@@ -132,26 +138,16 @@ def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.nd
 
 def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
     """Serialize a model (and optionally its NormParams) to JSON bytes."""
-    spec = model.spec
     doc = {
         "format_version": FORMAT_VERSION,
-        "arch": spec.arch,
-        "input_dim": spec.input_dim,
-        "hidden": spec.hidden,
-        "output_dim": spec.output_dim,
-        "window": spec.window,
-        "activations": activation_names(spec),
+        **dataclasses.asdict(model.spec),
+        "activations": activation_names(model.spec),
         "rng_seed": int(model.rng_seed),
         "epochs_trained": int(model.epochs_trained),
         "params": {name: _array_to_json(name, arr) for name, arr in model.params.items()},
         "norm": None
         if norm is None
-        else {
-            "feature_min": [float(v) for v in norm.feature_min],
-            "feature_max": [float(v) for v in norm.feature_max],
-            "target_min": float(norm.target_min),
-            "target_max": float(norm.target_max),
-        },
+        else {key: np.asarray(getattr(norm, key), dtype=float).tolist() for key in _NORM_TYPES},
     }
     return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
@@ -170,15 +166,14 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             f"unsupported model file format_version {_quoted(version)}, "
             f"this build reads {FORMAT_VERSION}"
         )
-    for key in ("arch", "input_dim", "hidden", "output_dim", "window", "params"):
+    for key in (*_SPEC_TYPES, "params"):
         if key not in doc:
             raise ValueError(f"model file is missing required field {key!r}")
     spec = ModelSpec(
-        arch=doc["arch"],
-        hidden=_int_field(doc, "hidden"),
-        input_dim=_int_field(doc, "input_dim"),
-        output_dim=_int_field(doc, "output_dim"),
-        window=_int_field(doc, "window"),
+        **{
+            key: _int_field(doc, key) if kind is int else doc[key]
+            for key, kind in _SPEC_TYPES.items()
+        }
     )
     expected = param_shapes(spec)
     stored = doc["params"]
@@ -229,19 +224,12 @@ def emit_report_csv(report: list[TrialResult]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
-    for t in sorted(report, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
+    for t in sorted(report, key=_report_order):
         writer.writerow(
-            (
-                t.pair,
-                t.arch,
-                t.structure,
-                t.hidden,
-                repr(float(t.train_mae)),
-                repr(float(t.val_mae)),
-                repr(float(t.test_mae)),
-                t.seed,
-                repr(float(t.wall_time_s)),
-            )
+            [
+                repr(float(v)) if kind is float else v
+                for v, kind in zip(_report_values(t), _REPORT_TYPES)
+            ]
         )
     return buf.getvalue().encode("utf-8")
 
@@ -267,27 +255,14 @@ def parse_report_csv(data) -> list[TrialResult]:
                 f"report line {reader.line_num}: expected {len(REPORT_COLUMNS)} fields, got {len(row)}"
             )
         try:
-            pair, arch, structure = row[0], row[1], row[2]
-            if arch not in ARCHS:
-                raise ValueError(f"unknown arch {arch!r}")
-            trials.append(
-                TrialResult(
-                    pair=pair,
-                    arch=arch,
-                    structure=structure,
-                    hidden=int(row[3]),
-                    train_mae=float(row[4]),
-                    val_mae=float(row[5]),
-                    test_mae=float(row[6]),
-                    seed=int(row[7]),
-                    wall_time_s=float(row[8]),
-                )
-            )
+            if row[_ARCH_COLUMN] not in ARCHS:
+                raise ValueError(f"unknown arch {row[_ARCH_COLUMN]!r}")
+            trials.append(TrialResult(*[kind(cell) for kind, cell in zip(_REPORT_TYPES, row)]))
         except ValueError as e:
             raise ValueError(f"report line {reader.line_num}: {e}") from None
     if not trials:
         raise ValueError("report file has no trial rows")
-    trials.sort(key=lambda tr: (arch_id(tr.arch), tr.hidden))
+    trials.sort(key=_report_order)
     return trials
 
 
@@ -313,7 +288,7 @@ def render_report_table(report: list[TrialResult], criterion: str) -> str:
             raise
         best = None  # no successful trials
     rows = []
-    for t in sorted(report, key=lambda tr: (arch_id(tr.arch), tr.hidden)):
+    for t in sorted(report, key=_report_order):
         if best is not None and t == best.overall:
             mark = "**"
         elif best is not None and best.per_arch.get(t.arch) == t:

@@ -20,19 +20,15 @@ from .data import OhlcRecord
 DEFAULT_START_DATE = dt.date(2018, 1, 1)
 
 
-def _records(start_date: dt.date, opens, highs, lows, closes) -> list[OhlcRecord]:
-    """One record per day from start_date on, from (n,) price arrays."""
-    dates = (np.datetime64(start_date, "D") + np.arange(len(closes))).tolist()
+def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
+    """One record per day from DEFAULT_START_DATE on, from (n,) price arrays."""
+    dates = (np.datetime64(DEFAULT_START_DATE, "D") + np.arange(len(closes))).tolist()
     prices = (a.tolist() for a in (opens, highs, lows, closes))
     return list(map(OhlcRecord, dates, *prices))
 
 
 def random_walk_ohlc(
-    n: int,
-    seed: int,
-    start: float = 100.0,
-    step_frac: float = 0.001,
-    start_date: dt.date = DEFAULT_START_DATE,
+    n: int, seed: int, start: float = 100.0, step_frac: float = 0.001
 ) -> list[OhlcRecord]:
     """Random-walk series: close_t = close_{t-1} * (1 + u_t), u_t ~ U(-s, s).
 
@@ -53,15 +49,10 @@ def random_walk_ohlc(
     opens, closes = path[:-1], path[1:]
     highs = np.maximum(opens, closes) * (1.0 + pads[:, 0])
     lows = np.minimum(opens, closes) * (1.0 - pads[:, 1])
-    return _records(start_date, opens, highs, lows, closes)
+    return _records(opens, highs, lows, closes)
 
 
-def ramp_ohlc(
-    n: int,
-    increment: float = 0.05,
-    start: float = 100.0,
-    start_date: dt.date = DEFAULT_START_DATE,
-) -> list[OhlcRecord]:
+def ramp_ohlc(n: int, increment: float = 0.05, start: float = 100.0) -> list[OhlcRecord]:
     """Noiseless ramp: close_t = start + t * increment, open at prior close.
 
     Deterministic by construction (no RNG). The high/low pad is a fixed
@@ -80,4 +71,4 @@ def ramp_ohlc(
     pad = increment * 0.25
     highs = np.maximum(opens, closes) + pad
     lows = np.minimum(opens, closes) - pad
-    return _records(start_date, opens, highs, lows, closes)
+    return _records(opens, highs, lows, closes)

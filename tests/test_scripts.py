@@ -29,6 +29,12 @@ def load_script(name):
     return module
 
 
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *args], capture_output=True, text=True
+    )
+
+
 def test_run_benchmark_writes_every_output_and_its_winner_matches_the_sweep(tmp_path, capsys):
     run_benchmark = load_script("run_benchmark")
     assert run_benchmark.main(["--epochs", "2", "--out", str(tmp_path)]) == 0
@@ -80,13 +86,55 @@ def test_make_data_writes_csvs_that_pass_strict_ingest(tmp_path, capsys, kind):
 )
 def test_make_data_reports_a_bad_value_in_one_error_line(tmp_path, flags, message):
     out = tmp_path / "new" / "data.csv"
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "make_data.py"), *flags, "--out", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_script("make_data", *flags, "--out", str(out))
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1] == f"make_data.py: error: {message}"
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--epochs", "0"], "epochs must be a positive integer, got 0"),
+        (["--batch", "-1"], "batch_size must be a positive integer, got -1"),
+    ],
+    ids=["epochs", "batch"],
+)
+def test_run_benchmark_reports_a_bad_value_in_one_error_line(tmp_path, flags, message):
+    out = tmp_path / "new"
+    proc = run_script("run_benchmark", *flags, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"run_benchmark.py: error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["the-file", "under-the-file"])
+def test_run_benchmark_reports_an_output_directory_it_cannot_create_in_one_line(tmp_path, below):
+    regular = tmp_path / "file"
+    regular.write_text("keep\n")
+    out = regular / below if below else regular
+    proc = run_script("run_benchmark", "--epochs", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"run_benchmark.py: error: cannot create output directory {out}: "
+    )
+    assert regular.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("below", ["data.csv", "new/data.csv"], ids=["in-file", "deeper"])
+def test_make_data_reports_an_output_path_it_cannot_create_in_one_line(tmp_path, below):
+    regular = tmp_path / "file"
+    regular.write_text("keep\n")
+    out = regular / below
+    proc = run_script("make_data", "--n", "20", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"make_data.py: error: cannot write {out}: ")
+    assert regular.read_text() == "keep\n"

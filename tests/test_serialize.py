@@ -148,6 +148,25 @@ def test_load_rejects_truncated_and_non_json_bytes():
         load_model(b"\x00\x01binary junk")
 
 
+@pytest.mark.parametrize("key", ["arch", "hidden", "input_dim", "output_dim", "window", "params"])
+def test_load_names_a_missing_required_field(key):
+    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), None))
+    del doc[key]
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == f"model file is missing required field {key!r}"
+
+
+@pytest.mark.parametrize("value", [True, "5"], ids=["true", "string"])
+@pytest.mark.parametrize("key", ["hidden", "input_dim", "output_dim", "window"])
+def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value):
+    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), None))
+    doc[key] = value
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == f"model file field {key!r} must be an integer, got {value!r}"
+
+
 def _paths(node, prefix=()):
     """Every key/index path into a JSON document, the root excluded."""
     if isinstance(node, dict):
@@ -285,6 +304,32 @@ def test_report_csv_orders_rows_canonically():
     shuffled = list(reversed(small_report()))
     rows = emit_report_csv(shuffled).decode("utf-8").splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == ["mlp", "srnn", "gru", "lstm"]
+
+
+def test_report_csv_of_numpy_scalars_matches_builtins_and_parses_to_builtins():
+    # a float32 MAE is written as the repr of its float64 value: str() of a
+    # numpy float32 would write its shorter float32 digits instead
+    maes = (np.float32(0.1), np.float64(0.2), np.float32(1 / 3))
+    numpy_row = TrialResult(
+        pair="EUR/USD",
+        arch="gru",
+        structure="4-3-1",
+        hidden=np.int64(3),
+        train_mae=maes[0],
+        val_mae=maes[1],
+        test_mae=maes[2],
+        seed=np.int64(11),
+        wall_time_s=np.float64(0.0),
+    )
+    builtin_row = TrialResult("EUR/USD", "gru", "4-3-1", 3, *map(float, maes), 11, 0.0)
+    blob = emit_report_csv([numpy_row])
+    assert blob == emit_report_csv([builtin_row])
+    assert "0.10000000149011612" in blob.decode("utf-8")
+    (back,) = parse_report_csv(blob)
+    assert back == builtin_row
+    types = {"pair": str, "arch": str, "structure": str, "hidden": int, "seed": int}
+    for name in REPORT_COLUMNS:
+        assert type(getattr(back, name)) is types.get(name, float), name
 
 
 def test_report_csv_keeps_float_precision():
