@@ -209,7 +209,7 @@ def cmd_train(args) -> int:
     with write_atomic(args.model_out) as fh:
         fh.write(blob)
     print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
-    for label, split in (("train", data.train), ("val", data.validation), ("test", data.test)):
+    for label, split in zip(("train", "val", "test"), data):
         _print_mae(label, evaluate(model, split).mae, norm)
     print(f"wrote model: {args.model_out}")
     return 0

@@ -1,15 +1,20 @@
 """OHLC ingestion, lag features, min-max normalization and chronological splits.
 
-Input CSV contract: header `date,open,high,low,close`, UTF-8, ISO-8601
-dates, decimal-point floats, one record per trading day. Each supervised
-sample pairs yesterday's four prices [open, high, low, close] with today's
-close, so a series of n records yields n-1 samples.
+Input CSV contract: header `date,open,high,low,close`, UTF-8, dates
+exactly `YYYY-MM-DD` on every Python version, decimal-point floats, one
+record per trading day. Each supervised sample pairs yesterday's four
+prices [open, high, low, close] with today's close, so a series of n
+records yields n-1 samples.
 
 A record is an `OhlcRecord`, a NamedTuple of the five CSV fields: the
 header `CSV_HEADER` is its field names in order, and `FEATURE_NAMES` the
 four prices after the date. It stores its prices as given;
 `write_ohlc_csv` formats any real price (a numpy scalar or an int too) as
 the `repr` of its float.
+
+The fitted scaling and the splits are immutable values: `NormParams`
+holds tuples of floats and compares with `==`, and `SplitDataset` is a
+NamedTuple that iterates train, validation, test.
 """
 
 from __future__ import annotations
@@ -97,8 +102,12 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
             continue
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        cell = row[0].strip()
         try:
-            date = dt.date.fromisoformat(row[0].strip())
+            # Python 3.11+ also reads forms such as 20180102 and 2018-W01-2
+            if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
+                raise ValueError(f"Invalid isoformat string: {cell!r}")
+            date = dt.date.fromisoformat(cell)
         except ValueError as e:
             raise ValueError(f"row {line}: bad date {row[0]!r}: {e}") from None
         prices = []
@@ -169,22 +178,20 @@ def write_ohlc_csv(records: list[OhlcRecord], path):
             fh.write(",".join((r.date.isoformat(), *prices)).encode() + b"\n")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class NormParams:
-    """Fitted min/max per input feature (4) plus the close target (1)."""
+    """Fitted min/max per input feature (4) plus the close target (1), an
+    immutable value: the feature bounds become tuples of floats, so equal
+    fits compare equal and hash alike."""
 
-    feature_min: np.ndarray
-    feature_max: np.ndarray
+    feature_min: tuple[float, ...]
+    feature_max: tuple[float, ...]
     target_min: float
     target_max: float
 
-    def same_as(self, other: "NormParams") -> bool:
-        return (
-            np.array_equal(self.feature_min, other.feature_min)
-            and np.array_equal(self.feature_max, other.feature_max)
-            and self.target_min == other.target_min
-            and self.target_max == other.target_max
-        )
+    def __post_init__(self):
+        for name in ("feature_min", "feature_max"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
 
 
 @dataclass(eq=False)
@@ -275,9 +282,8 @@ def normalize_dataset(dataset: SupervisedDataset, norm: NormParams) -> Supervise
     )
 
 
-@dataclass(eq=False)
-class SplitDataset:
-    """Chronologically contiguous train < validation < test views."""
+class SplitDataset(NamedTuple):
+    """Chronologically contiguous train < validation < test views, in that order."""
 
     train: SupervisedDataset
     validation: SupervisedDataset
@@ -327,9 +333,4 @@ def prepare_splits(
     dataset = build_supervised(records)
     split = chrono_split(dataset)
     norm = fit_minmax(dataset if fit_norm == "all" else split.train)
-    normalized = SplitDataset(
-        train=normalize_dataset(split.train, norm),
-        validation=normalize_dataset(split.validation, norm),
-        test=normalize_dataset(split.test, norm),
-    )
-    return normalized, norm
+    return SplitDataset(*(normalize_dataset(part, norm) for part in split)), norm

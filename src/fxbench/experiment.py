@@ -191,7 +191,7 @@ def train(
     _check_normalized(train_set, "train")
     if val_set is not None:
         _check_normalized(val_set, "validation")
-        if not val_set.norm.same_as(train_set.norm):
+        if val_set.norm != train_set.norm:
             raise ValueError("validation dataset was normalized with different NormParams")
     if train_set.features.shape[1] != spec.input_dim:
         raise ValueError(
@@ -353,8 +353,7 @@ def run_sweep(
                     ok.append(k)
             if ok:
                 trained = ModelStack(models[k] for k in ok)
-                splits = (data.train, data.validation, data.test)
-                scores = zip(*(evaluate(trained, split) for split in splits))
+                scores = zip(*(evaluate(trained, split) for split in data))
                 for k, per_split in zip(ok, scores):
                     maes[k] = tuple(r.mae for r in per_split)
             elapsed = time.perf_counter() - t0

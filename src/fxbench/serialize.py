@@ -11,6 +11,12 @@ columns from one type: a report's `REPORT_COLUMNS` are the fields of
 `TrialResult` in order, each cell converted by its field's type, and a
 model file's spec and norm blocks hold the fields of `ModelSpec` and
 `NormParams`.
+
+A report row read back must be one `run_sweep` can write: `hidden` at
+least 1, the `structure` `4-{hidden}-1`, the three MAEs all NaN (a
+diverged trial) or all finite and not negative, a `seed` in [0, 2**64), a
+finite, non-negative `wall_time_s`, and no (arch, hidden) pair twice.
+Otherwise the read fails naming the report line and the field.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import typing
 import numpy as np
 
 from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id, param_shapes
-from .data import NormParams, _csv_rows
+from .data import FEATURE_NAMES, NormParams, _csv_rows
 from .experiment import CRITERIA, EvalResult, TrialResult, select_best
 
 FORMAT_VERSION = 1
@@ -37,12 +43,38 @@ _REPORT_TYPES = tuple(typing.get_type_hints(TrialResult)[name] for name in REPOR
 _report_values = operator.attrgetter(*REPORT_COLUMNS)
 _ARCH_COLUMN = REPORT_COLUMNS.index("arch")
 _SPEC_TYPES = typing.get_type_hints(ModelSpec)  # field name -> type, in field order
-_NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> np.ndarray or float
+_NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> tuple[float, ...] or float
 
 
 def _report_order(t: TrialResult):
     """Canonical report row order: architecture, then hidden size."""
     return arch_id(t.arch), t.hidden
+
+
+def _check_trial(t: TrialResult) -> None:
+    """Refuse a report row that `run_sweep` cannot write, naming its field."""
+    if t.hidden < 1:
+        raise ValueError(f"field 'hidden' must be at least 1, got {_quoted(t.hidden)}")
+    structure = f"{len(FEATURE_NAMES)}-{t.hidden}-1"
+    if t.structure != structure:
+        raise ValueError(
+            f"field 'structure' must be {structure!r} for hidden {t.hidden}, "
+            f"got {_quoted(t.structure)}"
+        )
+    maes = {"train_mae": t.train_mae, "val_mae": t.val_mae, "test_mae": t.test_mae}
+    if not all(math.isnan(v) for v in maes.values()):  # all nan: a diverged trial
+        for field, value in maes.items():
+            if not 0 <= value < math.inf:  # also false for NaN
+                raise ValueError(
+                    f"field {field!r} must be finite and not negative "
+                    f"(or all three MAEs nan), got {value!r}"
+                )
+    if not 0 <= t.seed < 1 << 64:
+        raise ValueError(f"field 'seed' must lie in [0, 2**64), got {_quoted(t.seed)}")
+    if not 0 <= t.wall_time_s < math.inf:
+        raise ValueError(
+            f"field 'wall_time_s' must be finite and not negative, got {t.wall_time_s!r}"
+        )
 
 
 def _array_to_json(name: str, arr: np.ndarray) -> dict:
@@ -104,9 +136,9 @@ def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
                 f"model file field {key!r} must be a list of {input_dim} numbers "
                 f"(input_dim), got {_quoted(value)}"
             )
-        fields[key] = np.array([_finite_number(v, key) for v in value])
+        fields[key] = tuple(_finite_number(v, key) for v in value)
     norm = NormParams(**fields)
-    if not np.all(norm.feature_max > norm.feature_min):
+    if not all(hi > lo for lo, hi in zip(norm.feature_min, norm.feature_max)):
         raise ValueError(
             "model file field 'feature_max' must exceed 'feature_min' for every feature"
         )
@@ -235,7 +267,9 @@ def emit_report_csv(report: list[TrialResult]) -> bytes:
 
 
 def parse_report_csv(data) -> list[TrialResult]:
-    """Read a report CSV back into its trial rows (pure formatting inverse)."""
+    """Read a report CSV back into its trial rows (pure formatting inverse),
+    refusing a row that `run_sweep` cannot write (`_check_trial`) or a
+    repeated (arch, hidden) pair."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     reader = csv.reader(io.StringIO(text))
     rows_in = _csv_rows(reader, "report line")
@@ -247,6 +281,7 @@ def parse_report_csv(data) -> list[TrialResult]:
             f"report header {tuple(header)} does not match expected {REPORT_COLUMNS}"
         )
     trials = []
+    lines = {}  # (arch, hidden) -> the report line that holds it
     for row in rows_in:
         if not row:
             continue
@@ -257,9 +292,16 @@ def parse_report_csv(data) -> list[TrialResult]:
         try:
             if row[_ARCH_COLUMN] not in ARCHS:
                 raise ValueError(f"unknown arch {row[_ARCH_COLUMN]!r}")
-            trials.append(TrialResult(*[kind(cell) for kind, cell in zip(_REPORT_TYPES, row)]))
+            t = TrialResult(*[kind(cell) for kind, cell in zip(_REPORT_TYPES, row)])
+            _check_trial(t)
+            first = lines.setdefault((t.arch, t.hidden), reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(
+                    f"duplicate row for arch {t.arch!r} hidden {t.hidden}, first on line {first}"
+                )
         except ValueError as e:
             raise ValueError(f"report line {reader.line_num}: {e}") from None
+        trials.append(t)
     if not trials:
         raise ValueError("report file has no trial rows")
     trials.sort(key=_report_order)

@@ -394,6 +394,19 @@ def test_report_rejects_malformed_file(tmp_path, capsys):
     assert err.startswith("fxbench: error: ")
 
 
+def test_report_refuses_a_row_the_sweep_cannot_write(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        ",".join(REPORT_COLUMNS) + "\n"
+        "EUR/USD,gru,4-5-1,-3,0.1,0.2,-0.3,7,0.0\n"
+    )
+    code, stdout, err = run(capsys, "report", "--in", str(bad))
+    assert code == 1 and stdout == ""
+    assert one_error_line(err) == (
+        "fxbench: error: report line 2: field 'hidden' must be at least 1, got -3"
+    )
+
+
 # ---------------------------------------------------------------- logging env
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 from fxbench import (
     DEFAULT_FRACTIONS,
     OhlcRecord,
+    SplitDataset,
     build_supervised,
     chrono_split,
     denormalize,
@@ -55,6 +57,14 @@ def test_parse_rejects_non_positive_or_non_finite_price(field):
     with pytest.raises(ValueError) as err:
         parse_ohlc_csv(text)
     assert str(err.value) == f"row 2: close must be a positive finite price, got {field}"
+
+
+@pytest.mark.parametrize("date", ["20180102", "2018W012", "2018-W01-2", "2018-W01"])
+def test_parse_accepts_only_yyyy_mm_dd_dates(date):
+    # Python 3.11+ `date.fromisoformat` reads these as 2018-01-02 or 2018-01-01
+    with pytest.raises(ValueError) as err:
+        parse_ohlc_csv(HEADER + f"{date},115.0,115.6,114.8,115.2\n")
+    assert str(err.value) == f"row 2: bad date {date!r}: Invalid isoformat string: {date!r}"
 
 
 def test_parse_rejects_bad_header():
@@ -238,6 +248,20 @@ def test_fit_minmax_rejects_constant_feature():
         fit_minmax(build_supervised(records))
 
 
+def test_norm_params_is_an_immutable_value(wavy_records):
+    raw = build_supervised(wavy_records)
+    norm, refit = fit_minmax(raw), fit_minmax(raw)
+    assert norm is not refit and norm == refit and hash(norm) == hash(refit)
+    assert norm.feature_min == tuple(raw.features.min(axis=0).tolist())
+    assert all(type(v) is float for v in norm.feature_min + norm.feature_max)
+    assert norm != dataclasses.replace(norm, target_max=norm.target_max + 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        norm.feature_min = (0.0,) * 4
+    with pytest.raises(TypeError):
+        norm.feature_min[0] = 0.0
+    assert norm == refit
+
+
 def test_normalize_hand_value():
     assert normalize(115.2, 110.0, 120.0) == pytest.approx(0.52, abs=1e-12)
     assert normalize(110.0, 110.0, 120.0) == 0.0
@@ -326,6 +350,12 @@ def test_split_order_is_strictly_chronological(wavy_records):
     assert max(split.validation.dates) < min(split.test.dates)
 
 
+def test_splits_iterate_in_train_validation_test_order(wavy_records):
+    for data in (chrono_split(build_supervised(wavy_records)), prepare_splits(wavy_records)[0]):
+        assert isinstance(data, SplitDataset)
+        assert tuple(data) == (data.train, data.validation, data.test)
+
+
 def test_split_rejects_empty_slices():
     # 6 samples split 4/0/2: floor(0.15 * 6) leaves no validation sample
     ds = build_supervised(make_records([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
@@ -338,7 +368,7 @@ def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_no
     data, norm = prepare_splits(wavy_records, fit_norm)
     raw = build_supervised(wavy_records)
     raw_split = chrono_split(raw)
-    assert norm.same_as(fit_minmax(raw if fit_norm == "all" else raw_split.train))
+    assert norm == fit_minmax(raw if fit_norm == "all" else raw_split.train)
     for part, raw_part in (
         (data.train, raw_split.train),
         (data.validation, raw_split.validation),

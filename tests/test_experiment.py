@@ -21,9 +21,11 @@ from fxbench import (
     build_supervised,
     chrono_split,
     default_config,
+    emit_report_csv,
     evaluate,
     init_model,
     padded_width,
+    parse_report_csv,
     persistence_baseline,
     prepare_splits,
     run_sweep,
@@ -115,6 +117,19 @@ def test_train_rejects_feature_width_mismatch(wavy_records):
     model = init_model(ModelSpec(arch="mlp", hidden=2, input_dim=3), 0)
     with pytest.raises(ValueError, match="input_dim"):
         train(model, data.train, None, quick_config())
+
+
+def test_train_refuses_a_validation_split_normalized_with_another_fit():
+    records = make_records(list(np.linspace(100.0, 120.0, 60)))  # later days fit wider
+    data, norm = prepare_splits(records)
+    whole, whole_norm = prepare_splits(records, "all")
+    refit, refit_norm = prepare_splits(records)
+    assert whole_norm != norm and refit_norm == norm and refit_norm is not norm
+    model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
+    with pytest.raises(ValueError) as err:
+        train(model, data.train, whole.validation, quick_config(epochs=1))
+    assert str(err.value) == "validation dataset was normalized with different NormParams"
+    assert len(train(model, data.train, refit.validation, quick_config(epochs=1))) == 1
 
 
 def test_non_finite_loss_aborts_with_epoch_index():
@@ -365,6 +380,27 @@ def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch, capl
     assert math.isnan(failed.test_mae) and math.isnan(failed.train_mae)
     best = select_best(report)
     assert best.overall == ok
+
+
+@pytest.mark.parametrize(
+    "window,poisoned,timings",
+    [(1, False, False), (3, False, False), (1, True, False), (1, False, True)],
+    ids=["window-1", "window-3", "one-diverged", "timings"],
+)
+def test_a_sweep_report_parses_and_re_emits_its_bytes(
+    wavy_records, monkeypatch, window, poisoned, timings
+):
+    data, _ = prepare_splits(wavy_records)
+    if poisoned:
+        poison_trial(monkeypatch, "gru", 3)
+    report = run_sweep(
+        ARCHS, range(1, 5), data, quick_config(epochs=2), window=window, measure_time=timings
+    )
+    blob = emit_report_csv(report)
+    back = parse_report_csv(blob)
+    assert emit_report_csv(back) == blob
+    assert [math.isnan(t.test_mae) for t in back].count(True) == poisoned
+    assert all(t.wall_time_s > 0.0 for t in back) == timings
 
 
 @pytest.mark.parametrize("arch,hidden", [("mlp", 9), ("srnn", 2), ("gru", 10), ("lstm", 5)])

@@ -56,7 +56,7 @@ def test_run_benchmark_writes_every_output_and_its_winner_matches_the_sweep(tmp_
         model, norm = load_model((tmp_path / f"{slug}_best_model.json").read_bytes())
         assert (model.spec.arch, model.spec.hidden) == (best.arch, best.hidden)
         data, _ = prepare_splits(read_ohlc_csv(tmp_path / f"{slug}_data.csv"))
-        assert norm.same_as(data.test.norm)
+        assert norm == data.test.norm
         result = evaluate(model, data.test)
         # the retrained winner is the very model the sweep scored
         assert repr(result.mae) == repr(best.test_mae)

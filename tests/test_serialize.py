@@ -1,5 +1,7 @@
 import copy
+import csv
 import functools
+import io
 import hashlib
 import json
 import math
@@ -85,7 +87,7 @@ def test_loaded_model_is_bitwise_identical():
     assert set(loaded.params) == set(model.params)
     for name, arr in model.params.items():
         assert np.array_equal(loaded.params[name], arr)
-    assert norm is not None and norm.same_as(sample_norm())
+    assert norm is not None and norm == sample_norm()
 
 
 def test_model_without_norm_round_trips():
@@ -165,6 +167,17 @@ def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
     assert str(err.value) == f"model file field {key!r} must be an integer, got {value!r}"
+
+
+def test_load_checks_feature_max_above_feature_min_in_every_feature():
+    # the first feature is in order, so a lexicographic tuple `>` would pass
+    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc["norm"]["feature_max"][2] = doc["norm"]["feature_min"][2] - 1.0
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == (
+        "model file field 'feature_max' must exceed 'feature_min' for every feature"
+    )
 
 
 def _paths(node, prefix=()):
@@ -357,6 +370,84 @@ def test_parse_report_rejects_bad_header_and_rows():
     short = "\n".join([good[0], "only,three,fields"]) + "\n"
     with pytest.raises(ValueError, match="line 2"):
         parse_report_csv(short.encode("utf-8"))
+
+
+MAE_RULE = "must be finite and not negative (or all three MAEs nan)"
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"hidden": 0, "structure": "4-0-1"}, "field 'hidden' must be at least 1, got 0"),
+        ({"hidden": -3, "test_mae": -0.3}, "field 'hidden' must be at least 1, got -3"),
+        ({"structure": "4-5-1"}, "field 'structure' must be '4-4-1' for hidden 4, got '4-5-1'"),
+        ({"structure": "3-4-1"}, "field 'structure' must be '4-4-1' for hidden 4, got '3-4-1'"),
+        ({"train_mae": math.inf, "val_mae": math.nan}, f"field 'train_mae' {MAE_RULE}, got inf"),
+        ({"val_mae": math.nan}, f"field 'val_mae' {MAE_RULE}, got nan"),
+        ({"test_mae": -0.3}, f"field 'test_mae' {MAE_RULE}, got -0.3"),
+        ({"seed": -1}, "field 'seed' must lie in [0, 2**64), got -1"),
+        ({"seed": 2**64}, "field 'seed' must lie in [0, 2**64), got 18446744073709551616"),
+        ({"wall_time_s": -5.0}, "field 'wall_time_s' must be finite and not negative, got -5.0"),
+        ({"wall_time_s": math.nan}, "field 'wall_time_s' must be finite and not negative, got nan"),
+        ({"wall_time_s": math.inf}, "field 'wall_time_s' must be finite and not negative, got inf"),
+    ],
+    ids=["hidden-0", "hidden-negative", "structure-other-hidden", "structure-other-input",
+         "mae-inf-beside-nan", "mae-one-nan", "mae-negative", "seed-negative", "seed-2**64",
+         "wall-time-negative", "wall-time-nan", "wall-time-inf"],
+)
+def test_parse_report_refuses_a_row_the_sweep_cannot_write(changes, message):
+    bad = replace(trial("gru", 4, 0.1), **changes)
+    blob = emit_report_csv([trial("mlp", 2, 0.2), bad])
+    with pytest.raises(ValueError) as err:
+        parse_report_csv(blob)
+    assert str(err.value) == f"report line 3: {message}"
+
+
+def test_parse_report_accepts_the_bounds_of_every_rule():
+    nan = math.nan
+    rows = [
+        replace(trial("gru", 1, 0.0), seed=2**64 - 1),
+        replace(trial("gru", 2, nan), wall_time_s=12.5),
+        trial("lstm", 1, 0.3, seed=0),
+    ]
+    assert emit_report_csv(parse_report_csv(emit_report_csv(rows))) == emit_report_csv(rows)
+
+
+def test_parse_report_refuses_a_repeated_arch_and_hidden_naming_both_lines():
+    rows = [trial("gru", 4, 0.1), trial("mlp", 2, 0.2), trial("gru", 4, 0.3, pair="GBP/USD")]
+    lines = emit_report_csv(rows).decode("utf-8").splitlines()
+    blob = "\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n"
+    with pytest.raises(ValueError) as err:
+        parse_report_csv(blob)
+    assert str(err.value) == "report line 4: duplicate row for arch 'gru' hidden 4, first on line 2"
+
+
+REPORT_CELLS = (
+    st.text(max_size=4),
+    st.sampled_from(ARCHS + ("dnn",)),
+    st.sampled_from(["4-1-1", "4-2-1", "4-3-1", "4--1-1"]),
+    st.sampled_from(["1", "2", "3", "0", "-1", " 2", "1_0"]),
+    *[st.floats().map(repr) | st.sampled_from(["nan", "1e3", "-0.0", "x"])] * 3,
+    st.integers(-1, 2**64).map(str),
+    st.floats().map(repr),
+)
+
+
+def _report_body(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(st.tuples(*REPORT_CELLS), max_size=4).map(_report_body)))
+def test_parse_report_of_any_text_raises_value_error_or_re_emits_its_bytes(body):
+    try:
+        rows = parse_report_csv(",".join(REPORT_COLUMNS) + "\n" + body)
+    except ValueError:
+        return
+    blob = emit_report_csv(rows)
+    assert emit_report_csv(parse_report_csv(blob)) == blob
 
 
 # ---------------------------------------------------------------- table
