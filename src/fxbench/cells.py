@@ -9,12 +9,12 @@ A `NetworkModel` is a spec plus its named weight arrays (`param_shapes`).
 The kernels take only a `ModelStack`, a single model being a stack of
 one: S models of one architecture, each zero-padded to the width
 `padded_width(hidden)`, with their weights in one (S, n) float64 array
-`stack.flat`. Each row is the buffer of one model of that width: the
-arrays in `param_shapes` order, except that LSTM and GRU gate weights sit
-adjacent as one (G*W, d+W) block (G = 4 for LSTM i, f, o, c; 3 for GRU z,
-r, h), followed by the gate biases as one (G*W,) vector, then W_out and
-b_out. `stack.grad` has the same layout; `params`/`grads` are named
-views. Model files and the weight draw order do not see the layout.
+`stack.flat`. Each row is the buffer of one model of that width: its
+arrays end to end in `param_shapes` order. LSTM and GRU list every gate
+weight before any gate bias, so the gate weights form one (G*W, d+W)
+block (G = 4 for LSTM i, f, o, c; 3 for GRU z, r, h) and the gate biases
+one (G*W,) vector. `stack.grad` has the same layout; `params`/`grads`
+are named views.
 
 Every model of a stack takes the same input batch. Each product is one
 3-D matmul, which BLAS runs as one GEMM per model: per step, the input
@@ -82,7 +82,6 @@ arrays.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,8 +94,10 @@ ARCHS = ("mlp", "srnn", "gru", "lstm")
 # Stacked models are padded to a multiple of this many hidden units.
 PAD_MULTIPLE = 8
 
-# Samples per pass of `predict`: the largest power of two whose forward
-# cache per chunk stays below the memory peak of training itself.
+# Samples per pass of `predict`. Scoring holds one chunk's forward cache
+# at a time, of at most 2*CHUNK - 1 samples whatever n is; that bounds its
+# memory, which is above training's and sets a sweep's peak. The chunk
+# bounds fix prediction bits, so the value is part of the results.
 CHUNK = 64
 
 
@@ -155,10 +156,12 @@ class ModelSpec:
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter array, in canonical order.
+    """Name -> shape of every parameter array, in canonical order: LSTM
+    and GRU list every gate weight, then every gate bias, in gate order.
 
     The order is load-bearing: weight initialization draws matrices in this
-    order, so it is part of the determinism contract.
+    order, so it is part of the determinism contract, and a stack's buffer
+    holds the arrays in this order.
     """
     d, h, out = spec.input_dim, spec.hidden, spec.output_dim
     shapes: dict[str, tuple[int, ...]] = {}
@@ -170,13 +173,11 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         shapes["W_h"] = (h, h)
         shapes["b"] = (h,)
     elif spec.arch == "lstm":
-        for g in ("i", "f", "o", "c"):
-            shapes[f"W_{g}"] = (h, d + h)
-            shapes[f"b_{g}"] = (h,)
+        shapes.update({f"W_{g}": (h, d + h) for g in "ifoc"})
+        shapes.update({f"b_{g}": (h,) for g in "ifoc"})
     elif spec.arch == "gru":
-        for g in ("z", "r", "h"):
-            shapes[f"W_{g}"] = (h, d + h)
-            shapes[f"b_{g}"] = (h,)
+        shapes.update({f"W_{g}": (h, d + h) for g in "zrh"})
+        shapes.update({f"b_{g}": (h,) for g in "zrh"})
     shapes["W_out"] = (out, h)
     shapes["b_out"] = (out,)
     return shapes
@@ -191,33 +192,16 @@ def activation_names(spec: ModelSpec) -> dict[str, str]:
     return {"gate": "sigmoid", "hidden": "tanh", "output": "linear"}
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(spec: ModelSpec) -> tuple[int, tuple[tuple[str, int, int, tuple[int, ...]], ...]]:
-    """(parameter count, (name, offset, size, shape) per parameter in
-    `param_shapes` order) of one model's buffer (see the module docstring)."""
-    shapes = param_shapes(spec)
-    order = list(shapes)
-    if spec.arch in ("lstm", "gru"):
-        gates = order[:-2]  # W_g, b_g pairs
-        order = gates[0::2] + gates[1::2] + order[-2:]
-    offsets = {}
-    total = 0
-    for name in order:
-        offsets[name] = total
-        total += math.prod(shapes[name])
-    return total, tuple(
-        (name, offsets[name], math.prod(shape), shape) for name, shape in shapes.items()
-    )
-
-
 def _views(buf: np.ndarray, spec: ModelSpec) -> dict[str, np.ndarray]:
-    """Named reshaped views into the last axis of `buf`, keyed in
-    `param_shapes` order; leading axes are kept."""
+    """Named reshaped views into the last axis of `buf`, which holds the
+    arrays end to end in `param_shapes` order; leading axes are kept."""
     lead = buf.shape[:-1]
-    return {
-        name: buf[..., offset : offset + size].reshape(lead + shape)
-        for name, offset, size, shape in _layout(spec)[1]
-    }
+    views, offset = {}, 0
+    for name, shape in param_shapes(spec).items():
+        size = math.prod(shape)
+        views[name] = buf[..., offset : offset + size].reshape(lead + shape)
+        offset += size
+    return views
 
 
 def _recurrent_views(buf: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, ...]:
@@ -284,7 +268,8 @@ class ModelStack:
                     f"cannot stack {model.spec} with {first}: stacked models share "
                     "architecture, input and output sizes, window and padded width"
                 )
-        self.flat = np.zeros((len(self.models), _layout(self.spec)[0]))
+        size = sum(math.prod(shape) for shape in param_shapes(self.spec).values())
+        self.flat = np.zeros((len(self.models), size))
         self.grad = np.zeros_like(self.flat)
         self.params = _views(self.flat, self.spec)
         self.grads = _views(self.grad, self.spec)

@@ -19,6 +19,7 @@ import sys
 
 from .cells import ARCHS, arch_id
 from .data import (
+    FEATURE_NAMES,
     FIT_NORMS,
     build_supervised,
     normalize_dataset,
@@ -223,6 +224,11 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"model file {args.model} carries no normalization parameters; "
             "retrain with the train command to embed them"
+        )
+    if model.spec.input_dim != len(FEATURE_NAMES):
+        raise ValueError(
+            f"model file {args.model} has input_dim {model.spec.input_dim}, but the "
+            f"data gives {len(FEATURE_NAMES)} features ({','.join(FEATURE_NAMES)})"
         )
     records = read_ohlc_csv(args.data)
     dataset = normalize_dataset(build_supervised(records), norm)

@@ -1,10 +1,12 @@
 """OHLC ingestion, lag features, min-max normalization and chronological splits.
 
 Input CSV contract: header `date,open,high,low,close`, UTF-8, dates
-exactly `YYYY-MM-DD` on every Python version, decimal-point floats, one
+exactly `YYYY-MM-DD` on every Python version, decimal-point floats in
+ASCII without `_` digit separators (surrounding spaces are allowed), one
 record per trading day. Each supervised sample pairs yesterday's four
 prices [open, high, low, close] with today's close, so a series of n
-records yields n-1 samples.
+records yields n-1 samples, and a model of them takes 4 inputs and gives
+1 output: `fxbench predict` refuses a model file of other sizes.
 
 A record is an `OhlcRecord`, a NamedTuple of the five CSV fields: the
 header `CSV_HEADER` is its field names in order, and `FEATURE_NAMES` the
@@ -55,6 +57,14 @@ def _validate_record(rec: OhlcRecord, line: int, mode: str):
         if mode == "error":
             raise ValueError(msg)
         log.warning(msg)
+
+
+def _price(cell: str) -> float:
+    """float(cell), refusing the `_` separators and non-ASCII digits that
+    float() also reads; surrounding ASCII spaces are allowed."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return float(cell)
 
 
 def _csv_rows(reader, label: str):
@@ -113,7 +123,7 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         prices = []
         for name, field in zip(FEATURE_NAMES, row[1:]):
             try:
-                value = float(field)
+                value = _price(field)
             except ValueError:
                 raise ValueError(f"row {line}: bad {name} value {field!r}") from None
             if not 0 < value < np.inf:  # also false for NaN

@@ -262,8 +262,14 @@ def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
     model's predictions depend on its own weights only, so a model scores
     the same in any stack as alone. For a ModelStack, returns one
     EvalResult per model; for a NetworkModel, run as a stack of one, its
-    EvalResult.
+    EvalResult. The target is one close price, so a model whose
+    output_dim is not 1 is refused.
     """
+    if net.spec.output_dim != 1:
+        raise ValueError(
+            f"cannot score a model with output_dim {net.spec.output_dim}: "
+            "the target is one close price (output_dim 1)"
+        )
     stack = net if isinstance(net, ModelStack) else ModelStack([net])
     _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:

@@ -10,13 +10,18 @@ CSV emitters share the same float convention. Each format takes its
 columns from one type: a report's `REPORT_COLUMNS` are the fields of
 `TrialResult` in order, each cell converted by its field's type, and a
 model file's spec and norm blocks hold the fields of `ModelSpec` and
-`NormParams`.
+`NormParams`. A file may hold any positive `input_dim` and `output_dim`,
+but the data gives 4 features and one close target: `fxbench predict`
+refuses another `input_dim` before it reads the data, and `evaluate`
+refuses an `output_dim` other than 1.
 
-A report row read back must be one `run_sweep` can write: `hidden` at
-least 1, the `structure` `4-{hidden}-1`, the three MAEs all NaN (a
-diverged trial) or all finite and not negative, a `seed` in [0, 2**64), a
-finite, non-negative `wall_time_s`, and no (arch, hidden) pair twice.
-Otherwise the read fails naming the report line and the field.
+A report row read back must be one `run_sweep` can write: each cell the
+`str` of its int or the `repr` of its float (so no `_` separators,
+surrounding spaces, `+` signs or non-ASCII digits), `hidden` at least 1,
+the `structure` `4-{hidden}-1`, the three MAEs all NaN (a diverged trial)
+or all finite and not negative, a `seed` in [0, 2**64), a finite,
+non-negative `wall_time_s`, and no (arch, hidden) pair twice. Otherwise
+the read fails naming the report line and the field.
 """
 
 from __future__ import annotations
@@ -75,6 +80,30 @@ def _check_trial(t: TrialResult) -> None:
         raise ValueError(
             f"field 'wall_time_s' must be finite and not negative, got {t.wall_time_s!r}"
         )
+
+
+def _cell(value, kind) -> str:
+    """The report cell of a field value: `repr` of a float, `str` otherwise."""
+    return repr(float(value)) if kind is float else str(value)
+
+
+def _read_trial(row: list[str]) -> TrialResult:
+    """The trial a report row holds, refusing a cell that is not the one
+    `emit_report_csv` writes for its value (such as `1_0`, ` 7 `, `+8` or
+    non-ASCII digits), naming its field."""
+    values = []
+    for name, kind, cell in zip(REPORT_COLUMNS, _REPORT_TYPES, row):
+        try:
+            value = kind(cell)
+        except ValueError:
+            raise ValueError(
+                f"field {name!r} must be written as {kind.__name__}, got {_quoted(cell)}"
+            ) from None
+        written = _cell(value, kind)
+        if cell != written:
+            raise ValueError(f"field {name!r} must be written as {written!r}, got {_quoted(cell)}")
+        values.append(value)
+    return TrialResult(*values)
 
 
 def _array_to_json(name: str, arr: np.ndarray) -> dict:
@@ -257,19 +286,15 @@ def emit_report_csv(report: list[TrialResult]) -> bytes:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_COLUMNS)
     for t in sorted(report, key=_report_order):
-        writer.writerow(
-            [
-                repr(float(v)) if kind is float else v
-                for v, kind in zip(_report_values(t), _REPORT_TYPES)
-            ]
-        )
+        writer.writerow([_cell(v, kind) for v, kind in zip(_report_values(t), _REPORT_TYPES)])
     return buf.getvalue().encode("utf-8")
 
 
 def parse_report_csv(data) -> list[TrialResult]:
     """Read a report CSV back into its trial rows (pure formatting inverse),
-    refusing a row that `run_sweep` cannot write (`_check_trial`) or a
-    repeated (arch, hidden) pair."""
+    refusing a row that `run_sweep` cannot write: a cell in another form
+    than `emit_report_csv` gives its value (`_read_trial`), a value out of
+    range (`_check_trial`) or a repeated (arch, hidden) pair."""
     text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
     reader = csv.reader(io.StringIO(text))
     rows_in = _csv_rows(reader, "report line")
@@ -292,7 +317,7 @@ def parse_report_csv(data) -> list[TrialResult]:
         try:
             if row[_ARCH_COLUMN] not in ARCHS:
                 raise ValueError(f"unknown arch {row[_ARCH_COLUMN]!r}")
-            t = TrialResult(*[kind(cell) for kind, cell in zip(_REPORT_TYPES, row)])
+            t = _read_trial(row)
             _check_trial(t)
             first = lines.setdefault((t.arch, t.hidden), reader.line_num)
             if first != reader.line_num:

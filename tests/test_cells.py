@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import warnings
 
@@ -100,6 +101,49 @@ def test_params_are_views_into_the_flat_buffer(arch):
     assert all(np.all(arr == 0.0) for arr in stack.params.values())
     stack.store()  # and reaches the models only through store
     assert all(np.all(arr == 0.0) for arr in model.params.values())
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_stack_views_lie_end_to_end_in_param_shapes_order(arch):
+    stack = one(init_model(ModelSpec(arch=arch, hidden=5, window=1 if arch == "mlp" else 2), 3))
+    row = stack.flat[0]
+    end = 0
+    for name, shape in param_shapes(stack.spec).items():
+        view = stack.params[name][0]
+        assert view.shape == shape
+        assert (view.ctypes.data - row.ctypes.data) // row.itemsize == end, name
+        end += view.size
+    assert end == stack.flat.shape[1]
+
+
+@pytest.mark.parametrize("arch", ["lstm", "gru"])
+def test_param_shapes_lists_every_gate_weight_before_any_gate_bias(arch):
+    names = list(param_shapes(ModelSpec(arch=arch, hidden=3)))
+    weights = [k for k, n in enumerate(names) if n.startswith("W_") and n != "W_out"]
+    biases = [k for k, n in enumerate(names) if n.startswith("b_") and n != "b_out"]
+    assert max(weights) < min(biases)
+    assert names[-2:] == ["W_out", "b_out"]
+
+
+# sha256 of ModelStack([init_model(ModelSpec(arch, hidden), 7)]).flat.tobytes(),
+# recorded when the buffer order was computed apart from `param_shapes`: the
+# buffer of one model padded (hidden 5, to width 8) and unpadded (hidden 8)
+GOLDEN_STACK_SHA256 = {
+    ("mlp", 5): "27954d1e38208b20cbb95d7e8621a85808fa8e305f66177083a1a195217e1ed7",
+    ("mlp", 8): "7d0be75926d9a654dec35d3383f2fab1d18b8e4a8dc23448901ac886e3b3241d",
+    ("srnn", 5): "d587adfc28b239d97d776cf84439bbb4ae2019aa440573e3f20f2212a4eec65e",
+    ("srnn", 8): "de88dc36960b78ab5fe5b7b05721051fae48b3bd7c18d77b416551539b64a2bd",
+    ("gru", 5): "23871e630eed0cfdcfee7d6747e9e46e1bf7b719f675778d574a57b93fab1cde",
+    ("gru", 8): "a0023db778f4c13bd32630058aa91b03cd5fe69623199b064f705c1b5e227fbb",
+    ("lstm", 5): "703cfa3eead96bea2a6a1d1eb7b13755504206b8cee941bd2a4e3299389f1cf8",
+    ("lstm", 8): "9444ba54d6a02696605035c3e4b49dc3406b804f0a8f203250021ec5c1319d1c",
+}
+
+
+@pytest.mark.parametrize("arch,hidden", sorted(GOLDEN_STACK_SHA256))
+def test_stack_buffer_matches_golden_hash(arch, hidden):
+    flat = one(init_model(ModelSpec(arch=arch, hidden=hidden), 7)).flat
+    assert hashlib.sha256(flat.tobytes()).hexdigest() == GOLDEN_STACK_SHA256[arch, hidden]
 
 
 @pytest.mark.parametrize("arch,gates", [("lstm", "ifoc"), ("gru", "zrh")])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -114,6 +115,16 @@ def test_oversized_csv_field_is_a_single_line_error(tmp_path, capsys, command, h
     assert code == 1
     assert "2: field larger than field limit" in one_error_line(err)
     assert stdout == "" and not out.exists()
+
+
+def test_ingest_refuses_a_price_in_a_form_no_writer_produces(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("date,open,high,low,close\n2018-01-02,1_15.0,115.6,114.8,115.2\n")
+    out = tmp_path / "clean.csv"
+    code, stdout, err = run(capsys, "ingest", "--input", str(raw), "--output", str(out))
+    assert code == 1 and stdout == ""
+    assert one_error_line(err) == "fxbench: error: row 2: bad open value '1_15.0'"
+    assert not out.exists()
 
 
 def test_missing_input_is_a_single_line_error(tmp_path, capsys):
@@ -367,6 +378,35 @@ def test_predict_rejects_malformed_model_file_in_one_line(
     assert not series.exists()
 
 
+@pytest.mark.parametrize("field", ["output_dim", "input_dim"])
+def test_predict_refuses_a_model_it_would_misread(tmp_path, data_csv, capsys, field):
+    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    model = tmp_path / "model.json"
+    if field == "output_dim":  # scoring would keep output 0 and say nothing
+        spec = ModelSpec(arch="lstm", hidden=3, output_dim=2)
+        message = (
+            "cannot score a model with output_dim 2: the target is one close price (output_dim 1)"
+        )
+    else:  # refused before the data is read, so a missing data file is never opened
+        spec = ModelSpec(arch="lstm", hidden=3, input_dim=5)
+        norm = dataclasses.replace(
+            norm, feature_min=norm.feature_min + (0.0,), feature_max=norm.feature_max + (1.0,)
+        )
+        data_csv = str(tmp_path / "missing.csv")
+        message = (
+            f"model file {model} has input_dim 5, but the data gives 4 features "
+            "(open,high,low,close)"
+        )
+    model.write_bytes(save_model(init_model(spec, 1), norm))
+    series = tmp_path / "s.csv"
+    code, stdout, err = run(
+        capsys, "predict", "--model", str(model), "--data", data_csv, "--series-out", str(series)
+    )
+    assert code == 1 and stdout == ""
+    assert one_error_line(err) == f"fxbench: error: {message}"
+    assert not series.exists()
+
+
 # ---------------------------------------------------------------- report
 
 
@@ -404,6 +444,19 @@ def test_report_refuses_a_row_the_sweep_cannot_write(tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert one_error_line(err) == (
         "fxbench: error: report line 2: field 'hidden' must be at least 1, got -3"
+    )
+
+
+def test_report_refuses_a_number_in_a_form_the_sweep_does_not_write(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        ",".join(REPORT_COLUMNS) + "\n"
+        "EUR/USD,gru,4-10-1,1_0,0.1,0.2,0.3,7,0.0\n"
+    )
+    code, stdout, err = run(capsys, "report", "--in", str(bad), "--format", "csv")
+    assert code == 1 and stdout == ""
+    assert one_error_line(err) == (
+        "fxbench: error: report line 2: field 'hidden' must be written as '10', got '1_0'"
     )
 
 

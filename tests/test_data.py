@@ -24,7 +24,7 @@ from fxbench import (
     write_atomic,
     write_ohlc_csv,
 )
-from conftest import make_records
+from conftest import make_records, mangled_numbers
 
 HEADER = "date,open,high,low,close\n"
 
@@ -115,6 +115,42 @@ def test_parse_accepts_crlf_and_bytes():
     payload = (HEADER + "2018-01-02,115.0,115.6,114.8,115.2\n").replace("\n", "\r\n")
     records = parse_ohlc_csv(payload.encode("utf-8"))
     assert records[0].close == 115.2
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2018-01-02,1_15.0,115.6,114.8,115.2", "row 2: bad open value '1_15.0'"),
+        (
+            "2018-01-02,115.0,\u0661\u0662\u0660.0,114.8,115.2",
+            "row 2: bad high value '\u0661\u0662\u0660.0'",
+        ),
+    ],
+    ids=["underscore", "arabic-indic-digits"],
+)
+def test_parse_refuses_a_price_in_a_form_no_writer_produces(row, message):
+    # float() reads both, as 115.0 and 120.0
+    with pytest.raises(ValueError) as err:
+        parse_ohlc_csv(HEADER + row + "\n")
+    assert str(err.value) == message
+
+
+def test_parse_accepts_a_price_with_surrounding_spaces():
+    (record,) = parse_ohlc_csv(HEADER + "2018-01-02, 115.0 ,115.6,114.8,115.2\n")
+    assert record.open == 115.0
+
+
+@given(mangled_numbers(st.floats(min_value=1e-300, max_value=1e300).map(repr)))
+def test_parse_reads_a_price_only_in_ascii_without_separators(case):
+    number, cell = case
+    try:
+        (record,) = parse_ohlc_csv(HEADER + f"2018-01-02,{cell},{number},{number},{number}\n")
+    except ValueError as err:
+        assert str(err) == f"row 2: bad open value {cell!r}"
+        assert cell.strip() != number
+        return
+    assert cell.strip() == number  # only spaces around it
+    assert record.open == float(number)
 
 
 CSV_LIKE = st.text(alphabet="0123456789-.,:eE+naif \"'\n\r\t\x00")

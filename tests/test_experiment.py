@@ -213,6 +213,17 @@ def test_evaluate_rejects_empty_and_unnormalized(wavy_records):
         evaluate(constant_predictor(0.5), raw)
 
 
+def test_evaluate_refuses_a_model_with_more_than_one_output(wavy_records):
+    data, _ = prepare_splits(wavy_records)
+    model = init_model(ModelSpec(arch="lstm", hidden=3, output_dim=2), 5)
+    for net in (model, ModelStack([model])):
+        with pytest.raises(ValueError) as err:
+            evaluate(net, data.test)
+        assert str(err.value) == (
+            "cannot score a model with output_dim 2: the target is one close price (output_dim 1)"
+        )
+
+
 # ---------------------------------------------------------------- baseline
 
 

@@ -28,6 +28,7 @@ from fxbench import (
     save_model,
 )
 from fxbench.serialize import FORMAT_VERSION, REPORT_COLUMNS
+from conftest import mangled_numbers
 
 import datetime as dt
 
@@ -422,6 +423,60 @@ def test_parse_report_refuses_a_repeated_arch_and_hidden_naming_both_lines():
     assert str(err.value) == "report line 4: duplicate row for arch 'gru' hidden 4, first on line 2"
 
 
+def report_with(**cells) -> str:
+    """A one-row report whose cells are those of a valid row but `cells`."""
+    header, line = emit_report_csv([trial("gru", 3, 0.25, seed=7)]).decode("utf-8").splitlines()
+    row = dict(zip(REPORT_COLUMNS, line.split(",")))
+    row.update(cells)
+    return header + "\n" + ",".join(row.values()) + "\n"
+
+
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        (
+            {"hidden": "1_0", "structure": "4-10-1"},
+            "field 'hidden' must be written as '10', got '1_0'",
+        ),
+        ({"hidden": "\u0663"}, "field 'hidden' must be written as '3', got '\u0663'"),
+        ({"seed": " 7 "}, "field 'seed' must be written as '7', got ' 7 '"),
+        ({"hidden": "+8", "structure": "4-8-1"}, "field 'hidden' must be written as '8', got '+8'"),
+        ({"train_mae": "1_0.5"}, "field 'train_mae' must be written as '10.5', got '1_0.5'"),
+        ({"val_mae": "0.3750"}, "field 'val_mae' must be written as '0.375', got '0.3750'"),
+        ({"test_mae": "NaN"}, "field 'test_mae' must be written as 'nan', got 'NaN'"),
+        ({"hidden": "3.0"}, "field 'hidden' must be written as int, got '3.0'"),
+        ({"wall_time_s": "x"}, "field 'wall_time_s' must be written as float, got 'x'"),
+    ],
+    ids=["underscore-int", "arabic-indic-digit", "spaces", "plus-sign", "underscore-float",
+         "trailing-zero", "upper-case-nan", "float-in-int-field", "not-a-number"],
+)
+def test_parse_report_refuses_a_cell_the_sweep_does_not_write(cells, message):
+    with pytest.raises(ValueError) as err:
+        parse_report_csv(report_with(**cells))
+    assert str(err.value) == f"report line 2: {message}"
+
+
+NUMBER_CELLS = {
+    "hidden": st.integers(1, 99).map(str),
+    "train_mae": st.floats(0, 10).map(repr),
+    "val_mae": st.floats(0, 10).map(repr),
+    "test_mae": st.floats(0, 10).map(repr),
+    "seed": st.integers(0, 2**64 - 1).map(str),
+    "wall_time_s": st.floats(0, 1e3).map(repr),
+}
+
+
+@given(st.sampled_from(sorted(NUMBER_CELLS)).flatmap(
+    lambda name: mangled_numbers(NUMBER_CELLS[name]).map(lambda case: (name, case[1]))
+))
+def test_parse_report_refuses_a_number_in_any_other_form(case):
+    name, cell = case
+    with pytest.raises(ValueError) as err:
+        parse_report_csv(report_with(**{name: cell}))
+    assert str(err.value).startswith(f"report line 2: field {name!r} must be written as ")
+    assert str(err.value).endswith(f", got {cell!r}")
+
+
 REPORT_CELLS = (
     st.text(max_size=4),
     st.sampled_from(ARCHS + ("dnn",)),
@@ -448,6 +503,9 @@ def test_parse_report_of_any_text_raises_value_error_or_re_emits_its_bytes(body)
         return
     blob = emit_report_csv(rows)
     assert emit_report_csv(parse_report_csv(blob)) == blob
+    # each accepted row is, cell for cell, the row emitted for it
+    emitted = list(csv.reader(io.StringIO(blob.decode("utf-8"))))[1:]
+    assert sorted(row for row in csv.reader(io.StringIO(body)) if row) == sorted(emitted)
 
 
 # ---------------------------------------------------------------- table
