@@ -77,7 +77,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 
     # retrain the winner (same per-trial seed, so the same model) to save
     # its weights and emit the test-set series for plotting
-    model = trial_model(best.arch, best.hidden, data.train.features.shape[1], WINDOW, config.seed)
+    model = trial_model(best.arch, best.hidden, WINDOW, config.seed)
     train(model, data.train, data.validation, config)
     write_file(out_dir / f"{slug}_best_model.json", save_model(model, norm))
     result = evaluate(model, data.test)

@@ -75,17 +75,21 @@ exactly 0 or 1 without an overflow warning.
 
 `backward` is exact analytic backpropagation through the whole window
 (untruncated BPTT); every gradient is checked against central finite
-differences in the test suite. Inputs are (batch, window, input_dim)
-arrays.
+differences in the test suite. Inputs are (batch, window, 4) arrays:
+every model takes the four daily prices (`ModelSpec.input_dim`) and
+predicts one value (`ModelSpec.output_dim`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
+from typing import ClassVar
 
 import numpy as np
+
+from .data import FEATURE_NAMES
 
 # Canonical order: report sorting, selection tie-breaks and per-trial seed
 # derivation all index architectures by position in this tuple.
@@ -132,17 +136,22 @@ def padded_width(hidden: int) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture plus layer sizes; `window` is the sequence length per sample."""
+    """Architecture plus hidden size; `window` is the sequence length per
+    sample. Every model maps the four daily prices to one next-day close,
+    so `input_dim` and `output_dim` are constants, not fields. `window`
+    is keyword-only: a third positional argument used to be `input_dim`."""
+
+    input_dim: ClassVar[int] = len(FEATURE_NAMES)
+    output_dim: ClassVar[int] = 1
 
     arch: str
     hidden: int
-    input_dim: int = 4
-    output_dim: int = 1
+    _: KW_ONLY
     window: int = 1
 
     def __post_init__(self):
         arch_id(self.arch)
-        for name in ("hidden", "input_dim", "output_dim", "window"):
+        for name in ("hidden", "window"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
@@ -244,8 +253,8 @@ class NetworkModel:
 
 
 class ModelStack:
-    """S models of one architecture, input size, output size and window,
-    whose hidden sizes pad to the same `padded_width`.
+    """S models of one architecture and window whose hidden sizes pad to
+    the same `padded_width`.
 
     `spec` is the spec of the padded model (hidden = the width); `flat` and
     `grad` are (S, n) arrays in that model's buffer layout, `params` and
@@ -266,7 +275,7 @@ class ModelStack:
             if dataclasses.replace(model.spec, hidden=padded_width(model.spec.hidden)) != self.spec:
                 raise ValueError(
                     f"cannot stack {model.spec} with {first}: stacked models share "
-                    "architecture, input and output sizes, window and padded width"
+                    "architecture, window and padded width"
                 )
         size = sum(math.prod(shape) for shape in param_shapes(self.spec).values())
         self.flat = np.zeros((len(self.models), size))

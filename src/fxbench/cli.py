@@ -19,7 +19,6 @@ import sys
 
 from .cells import ARCHS, arch_id
 from .data import (
-    FEATURE_NAMES,
     FIT_NORMS,
     build_supervised,
     normalize_dataset,
@@ -96,17 +95,25 @@ def parse_hidden_sizes(text: str) -> tuple[int, ...]:
             raise UsageError(f"empty hidden range {text!r}")
         return tuple(range(lo, hi + 1))
     if "," in text:
-        return tuple(sorted({one(tok) for tok in text.split(",") if tok.strip()}))
+        sizes = {one(tok) for tok in text.split(",") if tok.strip()}
+        if not sizes:
+            raise UsageError(f"no hidden sizes given in {text!r}")
+        return tuple(sorted(sizes))
     return (one(text),)
 
 
+def parse_arch(text: str) -> str:
+    """One architecture name; surrounding spaces and case are ignored."""
+    name = text.strip().lower()
+    if name not in ARCHS:
+        raise UsageError(f"unknown arch {name!r} (choose from {', '.join(ARCHS)})")
+    return name
+
+
 def parse_archs(text: str) -> tuple[str, ...]:
-    names = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
+    names = [parse_arch(tok) for tok in text.split(",") if tok.strip()]
     if not names:
         raise UsageError("no architectures given")
-    for name in names:
-        if name not in ARCHS:
-            raise UsageError(f"unknown arch {name!r} (choose from {', '.join(ARCHS)})")
     return tuple(sorted(set(names), key=arch_id))
 
 
@@ -197,13 +204,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.arch not in ARCHS:
-        raise UsageError(f"unknown arch {args.arch!r} (choose from {', '.join(ARCHS)})")
+    arch = parse_arch(args.arch)
     config = _train_config(args)
     _check_output(args.model_out)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
-    input_dim = data.train.features.shape[1]
-    model = trial_model(args.arch, args.hidden, input_dim, args.window, args.seed)
+    model = trial_model(arch, args.hidden, args.window, args.seed)
     spec = model.spec
     train(model, data.train, data.validation, config)
     blob = save_model(model, norm)
@@ -224,11 +229,6 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"model file {args.model} carries no normalization parameters; "
             "retrain with the train command to embed them"
-        )
-    if model.spec.input_dim != len(FEATURE_NAMES):
-        raise ValueError(
-            f"model file {args.model} has input_dim {model.spec.input_dim}, but the "
-            f"data gives {len(FEATURE_NAMES)} features ({','.join(FEATURE_NAMES)})"
         )
     records = read_ohlc_csv(args.data)
     dataset = normalize_dataset(build_supervised(records), norm)

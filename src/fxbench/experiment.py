@@ -69,22 +69,14 @@ def trial_seed(base_seed: int, arch: str, hidden: int) -> int:
     return splitmix64(s ^ hidden)
 
 
-def trial_model(
-    arch: str, hidden: int, input_dim: int, window: int, base_seed: int
-) -> NetworkModel:
+def trial_model(arch: str, hidden: int, window: int, base_seed: int) -> NetworkModel:
     """The freshly initialized model of one sweep trial.
 
     mlp has no recurrence, so it always runs at window 1. The sweep, the
     train command and any retrain of a sweep winner build trials here, so a
     single trial reproduces its sweep row exactly.
     """
-    spec = ModelSpec(
-        arch=arch,
-        hidden=hidden,
-        input_dim=input_dim,
-        output_dim=1,
-        window=1 if arch == "mlp" else window,
-    )
+    spec = ModelSpec(arch=arch, hidden=hidden, window=1 if arch == "mlp" else window)
     return init_model(spec, trial_seed(base_seed, arch, hidden))
 
 
@@ -193,11 +185,6 @@ def train(
         _check_normalized(val_set, "validation")
         if val_set.norm != train_set.norm:
             raise ValueError("validation dataset was normalized with different NormParams")
-    if train_set.features.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"model input_dim {spec.input_dim} does not match "
-            f"feature length {train_set.features.shape[1]}"
-        )
 
     x, targets, _ = _windowed(train_set, spec.window)
     n = len(targets)
@@ -262,14 +249,8 @@ def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
     model's predictions depend on its own weights only, so a model scores
     the same in any stack as alone. For a ModelStack, returns one
     EvalResult per model; for a NetworkModel, run as a stack of one, its
-    EvalResult. The target is one close price, so a model whose
-    output_dim is not 1 is refused.
+    EvalResult. The target is one close price, every model's one output.
     """
-    if net.spec.output_dim != 1:
-        raise ValueError(
-            f"cannot score a model with output_dim {net.spec.output_dim}: "
-            "the target is one close price (output_dim 1)"
-        )
     stack = net if isinstance(net, ModelStack) else ModelStack([net])
     _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:
@@ -341,13 +322,12 @@ def run_sweep(
     if not data.train.normalized:
         raise ValueError("sweep requires normalized splits (fit and apply NormParams first)")
 
-    input_dim = data.train.features.shape[1]
     trials: list[TrialResult] = []
     # widths ascend and padded_width grows with hidden: rows come in (arch, hidden) order
     for arch in archs:
         for width in sorted({padded_width(h) for h in hiddens}):
             group = [h for h in hiddens if padded_width(h) == width]
-            models = [trial_model(arch, h, input_dim, window, config.seed) for h in group]
+            models = [trial_model(arch, h, window, config.seed) for h in group]
             t0 = time.perf_counter()
             outcomes = train(ModelStack(models), data.train, data.validation, config)
             maes = [(float("nan"),) * 3] * len(models)

@@ -10,10 +10,10 @@ CSV emitters share the same float convention. Each format takes its
 columns from one type: a report's `REPORT_COLUMNS` are the fields of
 `TrialResult` in order, each cell converted by its field's type, and a
 model file's spec and norm blocks hold the fields of `ModelSpec` and
-`NormParams`. A file may hold any positive `input_dim` and `output_dim`,
-but the data gives 4 features and one close target: `fxbench predict`
-refuses another `input_dim` before it reads the data, and `evaluate`
-refuses an `output_dim` other than 1.
+`NormParams`. Every model maps the 4 daily prices to one close, and its
+file also carries that shape as `input_dim` 4 and `output_dim` 1
+(`ModelSpec`'s constants): a file is the one way another shape can reach
+the program, and `load_model` refuses it, naming the field.
 
 A report row read back must be one `run_sweep` can write: each cell the
 `str` of its int or the `repr` of its float (so no `_` separators,
@@ -47,7 +47,12 @@ REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
 _REPORT_TYPES = tuple(typing.get_type_hints(TrialResult)[name] for name in REPORT_COLUMNS)
 _report_values = operator.attrgetter(*REPORT_COLUMNS)
 _ARCH_COLUMN = REPORT_COLUMNS.index("arch")
-_SPEC_TYPES = typing.get_type_hints(ModelSpec)  # field name -> type, in field order
+# ModelSpec's fields -> type, in field order; its type hints also name its constants
+_SPEC_TYPES = {
+    f.name: typing.get_type_hints(ModelSpec)[f.name] for f in dataclasses.fields(ModelSpec)
+}
+# the one shape of every model: ModelSpec constants, written to and checked in each file
+_SHAPE = {"input_dim": ModelSpec.input_dim, "output_dim": ModelSpec.output_dim}
 _NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> tuple[float, ...] or float
 
 
@@ -146,7 +151,7 @@ def _finite_number(value, field: str) -> float:
     return float(value)
 
 
-def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
+def _norm_from_json(norm_doc) -> NormParams:
     """NormParams from a model file's norm block, checked so that a bad block
     fails here with its field named, not later inside numpy."""
     if not isinstance(norm_doc, dict):
@@ -160,9 +165,9 @@ def _norm_from_json(norm_doc, input_dim: int) -> NormParams:
         if kind is float:
             fields[key] = _finite_number(value, key)
             continue
-        if not isinstance(value, list) or len(value) != input_dim:
+        if not isinstance(value, list) or len(value) != ModelSpec.input_dim:
             raise ValueError(
-                f"model file field {key!r} must be a list of {input_dim} numbers "
+                f"model file field {key!r} must be a list of {ModelSpec.input_dim} numbers "
                 f"(input_dim), got {_quoted(value)}"
             )
         fields[key] = tuple(_finite_number(v, key) for v in value)
@@ -202,6 +207,7 @@ def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
     doc = {
         "format_version": FORMAT_VERSION,
         **dataclasses.asdict(model.spec),
+        **_SHAPE,
         "activations": activation_names(model.spec),
         "rng_seed": int(model.rng_seed),
         "epochs_trained": int(model.epochs_trained),
@@ -227,9 +233,12 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             f"unsupported model file format_version {_quoted(version)}, "
             f"this build reads {FORMAT_VERSION}"
         )
-    for key in (*_SPEC_TYPES, "params"):
+    for key in (*_SPEC_TYPES, *_SHAPE, "params"):
         if key not in doc:
             raise ValueError(f"model file is missing required field {key!r}")
+    for key, value in _SHAPE.items():
+        if _int_field(doc, key) != value:
+            raise ValueError(f"model file field {key!r} must be {value}, got {_quoted(doc[key])}")
     spec = ModelSpec(
         **{
             key: _int_field(doc, key) if kind is int else doc[key]
@@ -260,7 +269,7 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
         epochs_trained=_int_field(doc, "epochs_trained", 0),
     )
     norm_doc = doc.get("norm")
-    norm = None if norm_doc is None else _norm_from_json(norm_doc, spec.input_dim)
+    norm = None if norm_doc is None else _norm_from_json(norm_doc)
     return model, norm
 
 

@@ -48,13 +48,7 @@ def check_model_gradients(arch: str, hidden: int, window: int, seed: int, batch:
     Returns the worst error seen; raises AssertionError with the offending
     parameter entry on the first failure.
     """
-    spec = ModelSpec(
-        arch=arch,
-        hidden=hidden,
-        input_dim=4,
-        output_dim=1,
-        window=1 if arch == "mlp" else window,
-    )
+    spec = ModelSpec(arch=arch, hidden=hidden, window=1 if arch == "mlp" else window)
     stack = ModelStack([init_model(spec, seed)])
     rng = np.random.default_rng(seed ^ 0x5EED)
     x = rng.uniform(-1.0, 1.0, size=(batch, spec.window, spec.input_dim))

@@ -44,7 +44,17 @@ def n_params(spec):
 
 def test_structure_string():
     assert ModelSpec(arch="lstm", hidden=5).structure == "4-5-1"
-    assert ModelSpec(arch="mlp", hidden=6, input_dim=4, output_dim=1).structure == "4-6-1"
+    assert ModelSpec(arch="mlp", hidden=6).structure == "4-6-1"
+
+
+def test_spec_has_four_inputs_and_one_output():
+    assert [f.name for f in dataclasses.fields(ModelSpec)] == ["arch", "hidden", "window"]
+    assert (ModelSpec.input_dim, ModelSpec.output_dim) == (4, 1)
+    for field in ("input_dim", "output_dim"):
+        with pytest.raises(TypeError, match=field):
+            ModelSpec(arch="lstm", hidden=3, **{field: 2})
+    with pytest.raises(TypeError):  # the third argument once was input_dim
+        ModelSpec("lstm", 3, 4)
 
 
 def test_spec_validation():
@@ -69,7 +79,7 @@ def test_parameter_counts_match_closed_forms():
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_param_shapes_consistent_with_spec(arch):
-    spec = ModelSpec(arch=arch, hidden=5, input_dim=4, output_dim=1)
+    spec = ModelSpec(arch=arch, hidden=5)
     shapes = param_shapes(spec)
     model = init_model(spec, 7)
     assert set(model.params) == set(shapes)
@@ -231,8 +241,8 @@ def test_sigmoid_symmetry(x):
 
 
 def test_lstm_zero_weights_outputs_zero():
-    model = zeroed(ModelSpec(arch="lstm", hidden=3, input_dim=2))
-    yhat, cache = forward_batch(one(model), [[[0.4, -1.2]]])
+    model = zeroed(ModelSpec(arch="lstm", hidden=3))
+    yhat, cache = forward_batch(one(model), [[[0.4, -1.2, 0.9, 2.5]]])
     assert np.array_equal(yhat, [[[0.0]]])
     # a single model runs as a stack of one at the padded width 8, its
     # steps laid out as (step, unit, model, sample)
@@ -244,10 +254,11 @@ def test_lstm_zero_weights_outputs_zero():
 def test_lstm_seeded_cell_state_hand_value():
     # only the candidate's input weight is nonzero, so step 1 sets a cell
     # state c1 != 0; step 2 sees x2 = 0, hence i = f = o = 0.5 and
-    # cand = tanh(0) = 0: c2 = f*c1 + i*cand = 0.5*c1, h2 = o*tanh(c2)
-    model = zeroed(ModelSpec(arch="lstm", hidden=1, input_dim=2, window=2))
+    # cand = tanh(0) = 0: c2 = f*c1 + i*cand = 0.5*c1, h2 = o*tanh(c2);
+    # the last two inputs have zero weights
+    model = zeroed(ModelSpec(arch="lstm", hidden=1, window=2))
     model.params["W_c"][0, 0] = 2.0
-    _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
+    _, cache = forward_batch(one(model), [[[0.3, 0.7, -1.5, 4.0], [0.0, 0.0, 0.0, 0.0]]])
     c1 = cache.steps["cs"][1, 0, 0, 0]
     assert c1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
     assert cache.steps["hs"][1, 0, 0, 0] == pytest.approx(0.5 * math.tanh(c1), abs=1e-15)
@@ -257,10 +268,11 @@ def test_lstm_seeded_cell_state_hand_value():
 
 def test_gru_seeded_hidden_state_hand_value():
     # only the candidate's input weight is nonzero, so step 1 sets h1 != 0;
-    # step 2 sees x2 = 0, hence z = 0.5 and cand = tanh(0) = 0: h2 = 0.5*h1
-    model = zeroed(ModelSpec(arch="gru", hidden=1, input_dim=2, window=2))
+    # step 2 sees x2 = 0, hence z = 0.5 and cand = tanh(0) = 0: h2 = 0.5*h1;
+    # the last two inputs have zero weights
+    model = zeroed(ModelSpec(arch="gru", hidden=1, window=2))
     model.params["W_h"][0, 0] = 2.0
-    _, cache = forward_batch(one(model), [[[0.3, 0.7], [0.0, 0.0]]])
+    _, cache = forward_batch(one(model), [[[0.3, 0.7, -1.5, 4.0], [0.0, 0.0, 0.0, 0.0]]])
     h1 = cache.steps["hs"][1, 0, 0, 0]
     assert h1 == pytest.approx(0.5 * math.tanh(0.6), abs=1e-15)
     assert cache.steps["zr"][1, 0, 0, 0] == 0.5
@@ -269,13 +281,13 @@ def test_gru_seeded_hidden_state_hand_value():
 
 
 def test_srnn_zero_weights_hidden_zero():
-    model = zeroed(ModelSpec(arch="srnn", hidden=2, input_dim=3))
-    _, cache = forward_batch(one(model), [[[1.0, 2.0, 3.0]]])
+    model = zeroed(ModelSpec(arch="srnn", hidden=2))
+    _, cache = forward_batch(one(model), [[[1.0, 2.0, 3.0, 4.0]]])
     assert np.all(cache.hidden_final == 0.0)
 
 
 def test_forward_rejects_wrong_window_and_dim():
-    model = init_model(ModelSpec(arch="srnn", hidden=2, input_dim=4, window=2), 0)
+    model = init_model(ModelSpec(arch="srnn", hidden=2, window=2), 0)
     for kernel in (forward_batch, predict):
         with pytest.raises(ValueError, match="window length mismatch"):
             kernel(one(model), np.zeros((1, 3, 4)))
@@ -304,10 +316,10 @@ def test_forward_deterministic_and_matches_batch():
 
 
 def test_output_layer_is_linear_unbounded():
-    model = zeroed(ModelSpec(arch="mlp", hidden=2, input_dim=1))
+    model = zeroed(ModelSpec(arch="mlp", hidden=2))
     model.params["W_out"][:] = 100.0
     model.params["b_out"][:] = 3.0
-    yhat, _ = forward_batch(one(model), [[[0.0]]])
+    yhat, _ = forward_batch(one(model), [[[0.0, 0.0, 0.0, 0.0]]])
     # hidden = sigmoid(0) = 0.5 twice, output = 100*0.5*2 + 3
     assert yhat[0, 0, 0] == pytest.approx(103.0, abs=1e-12)
 
@@ -323,7 +335,7 @@ N_SAMPLES = sorted({1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3, 255, 256, 257
 @pytest.mark.parametrize("window", [1, 3])
 @pytest.mark.parametrize("hiddens", [(5,), (2, 5, 8)], ids=["alone", "mixed"])
 def test_predict_matches_forward_batch_bitwise(arch, window, hiddens):
-    stack = ModelStack(trial_model(arch, h, 4, window, 3) for h in hiddens)
+    stack = ModelStack(trial_model(arch, h, window, 3) for h in hiddens)
     rng = np.random.default_rng(window)
     for n in N_SAMPLES:
         x = rng.uniform(0.0, 1.0, size=(n, stack.spec.window, 4))
@@ -339,7 +351,7 @@ def test_a_mixed_stack_gives_each_model_its_results_alone_bitwise(arch, window):
     # ragged batch sizes, B = 1 included: there a product whose operand is
     # strided across the models can take another BLAS kernel than it does
     # for a stack of one
-    models = [trial_model(arch, h, 4, window, 7) for h in range(2, 9)]
+    models = [trial_model(arch, h, window, 7) for h in range(2, 9)]
     mixed = ModelStack(models)
     rng = np.random.default_rng(window)
     for b in (1, 7, 25, 32):
@@ -370,7 +382,7 @@ def test_predict_runs_in_chunks(arch, monkeypatch):
         return forward(stack, x)
 
     monkeypatch.setattr(cells, "forward_batch", recording)
-    stack = one(trial_model(arch, 4, 4, 2, 0))
+    stack = one(trial_model(arch, 4, 2, 0))
     x = np.zeros((4 * CHUNK + 7, stack.spec.window, 4))
     predict(stack, x)
     assert widths == [CHUNK] * 3 + [CHUNK + 7]
@@ -410,11 +422,11 @@ def test_backward_fills_the_model_gradient_buffer():
 
 
 def test_backward_mlp_hand_chain_rule():
-    # 1-1-1 with all weights zero except W_out=1: d yhat / d W_out = hidden = sigmoid(0)
-    model = zeroed(ModelSpec(arch="mlp", hidden=1, input_dim=1))
+    # 4-1-1 with all weights zero except W_out=1: d yhat / d W_out = hidden = sigmoid(0)
+    model = zeroed(ModelSpec(arch="mlp", hidden=1))
     model.params["W_out"][:] = 1.0
     stack = one(model)
-    _, cache = forward_batch(stack, [[[1.0]]])
+    _, cache = forward_batch(stack, [[[1.0, 1.0, 1.0, 1.0]]])
     grads = backward(stack, cache, np.array([[[1.0]]]))
     assert grads["W_out"][0, 0, 0] == 0.5
 
@@ -456,7 +468,7 @@ def test_gru_next_hidden_interpolates_toward_candidate(seed):
     # kept moderate so no gate rounds to exactly 0.0/1.0 in float64, which
     # would collapse the strict inequality
     rng = np.random.default_rng(seed)
-    spec = ModelSpec(arch="gru", hidden=4, input_dim=4, window=2)
+    spec = ModelSpec(arch="gru", hidden=4, window=2)
     model = init_model(spec, seed)
     for arr in model.params.values():
         arr[:] = rng.normal(scale=0.5, size=arr.shape)

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -41,7 +40,7 @@ def test_hidden_size_grammar():
     assert parse_hidden_sizes("2..10") == tuple(range(2, 11))
     assert parse_hidden_sizes("5") == (5,)
     assert parse_hidden_sizes("7,2,5") == (2, 5, 7)
-    for bad in ("abc", "0", "5..2", "2..x"):
+    for bad in ("abc", "0", "5..2", "2..x", ",", ", ,"):
         with pytest.raises(UsageError):
             parse_hidden_sizes(bad)
 
@@ -220,6 +219,19 @@ def test_train_then_predict_round_trip(tmp_path, data_csv, capsys):
     assert "predictions: 59" in stdout
 
 
+def test_train_reads_its_arch_as_sweep_reads_archs(tmp_path, data_csv, capsys):
+    blobs = []
+    for arch in (" LSTM ", "lstm"):
+        model_path = tmp_path / f"{arch.strip()}.json"
+        code, _, _ = run(
+            capsys, "train", "--data", data_csv, "--arch", arch, "--hidden", "3",
+            "--epochs", "2", "--model-out", str(model_path),
+        )
+        assert code == 0
+        blobs.append(model_path.read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def printed_maes(stdout):
     """{label: the repr printed after 'denormalized'} for every MAE line."""
     return {
@@ -379,31 +391,30 @@ def test_predict_rejects_malformed_model_file_in_one_line(
 
 
 @pytest.mark.parametrize("field", ["output_dim", "input_dim"])
-def test_predict_refuses_a_model_it_would_misread(tmp_path, data_csv, capsys, field):
+def test_predict_refuses_a_model_it_would_misread(
+    tmp_path, data_csv, capsys, monkeypatch, field
+):
+    # a model file is the one way another shape reaches the program; it is
+    # refused on load, before the data is read
     _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    doc = json.loads(save_model(init_model(ModelSpec(arch="lstm", hidden=3), 1), norm))
+    doc[field] = {"output_dim": 2, "input_dim": 5}[field]
     model = tmp_path / "model.json"
-    if field == "output_dim":  # scoring would keep output 0 and say nothing
-        spec = ModelSpec(arch="lstm", hidden=3, output_dim=2)
-        message = (
-            "cannot score a model with output_dim 2: the target is one close price (output_dim 1)"
-        )
-    else:  # refused before the data is read, so a missing data file is never opened
-        spec = ModelSpec(arch="lstm", hidden=3, input_dim=5)
-        norm = dataclasses.replace(
-            norm, feature_min=norm.feature_min + (0.0,), feature_max=norm.feature_max + (1.0,)
-        )
-        data_csv = str(tmp_path / "missing.csv")
-        message = (
-            f"model file {model} has input_dim 5, but the data gives 4 features "
-            "(open,high,low,close)"
-        )
-    model.write_bytes(save_model(init_model(spec, 1), norm))
+    model.write_text(json.dumps(doc))
+
+    def never(*args, **kwargs):
+        raise AssertionError("the data was read")
+
+    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", never)
     series = tmp_path / "s.csv"
     code, stdout, err = run(
         capsys, "predict", "--model", str(model), "--data", data_csv, "--series-out", str(series)
     )
     assert code == 1 and stdout == ""
-    assert one_error_line(err) == f"fxbench: error: {message}"
+    shape = {"output_dim": 1, "input_dim": 4}[field]
+    assert one_error_line(err) == (
+        f"fxbench: error: model file field {field!r} must be {shape}, got {doc[field]}"
+    )
     assert not series.exists()
 
 
@@ -632,6 +643,8 @@ def test_a_usage_error_creates_no_output_directory(tmp_path, data_csv, capsys):
     for argv in (
         ["sweep", "--data", data_csv, "--archs", "cnn", "--report", out],
         ["sweep", "--data", data_csv, "--hidden", "9..2", "--report", out],
+        ["sweep", "--data", data_csv, "--hidden", ",", "--report", out],
+        ["sweep", "--data", data_csv, "--hidden", ", ,", "--report", out],
         ["train", "--data", data_csv, "--arch", "cnn", "--hidden", "2", "--model-out", out],
     ):
         code, _, err = run(capsys, *argv)

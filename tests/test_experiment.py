@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import logging
 import math
@@ -114,9 +115,10 @@ def test_train_requires_normalized_data(wavy_records):
 
 def test_train_rejects_feature_width_mismatch(wavy_records):
     data, _ = prepare_splits(wavy_records)
-    model = init_model(ModelSpec(arch="mlp", hidden=2, input_dim=3), 0)
-    with pytest.raises(ValueError, match="input_dim"):
-        train(model, data.train, None, quick_config())
+    narrow = dataclasses.replace(data.train, features=data.train.features[:, :3])
+    model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
+    with pytest.raises(ValueError, match="input_dim mismatch: model expects 4, got 3"):
+        train(model, narrow, None, quick_config())
 
 
 def test_train_refuses_a_validation_split_normalized_with_another_fit():
@@ -163,7 +165,7 @@ def test_windowed_training_and_prediction_counts(wavy_records):
 
 
 def constant_predictor(value):
-    spec = ModelSpec(arch="mlp", hidden=1, input_dim=4)
+    spec = ModelSpec(arch="mlp", hidden=1)
     model = init_model(spec, 0)
     for arr in model.params.values():
         arr[:] = 0.0
@@ -211,17 +213,6 @@ def test_evaluate_rejects_empty_and_unnormalized(wavy_records):
     raw = build_supervised(wavy_records)
     with pytest.raises(ValueError, match="normalized"):
         evaluate(constant_predictor(0.5), raw)
-
-
-def test_evaluate_refuses_a_model_with_more_than_one_output(wavy_records):
-    data, _ = prepare_splits(wavy_records)
-    model = init_model(ModelSpec(arch="lstm", hidden=3, output_dim=2), 5)
-    for net in (model, ModelStack([model])):
-        with pytest.raises(ValueError) as err:
-            evaluate(net, data.test)
-        assert str(err.value) == (
-            "cannot score a model with output_dim 2: the target is one close price (output_dim 1)"
-        )
 
 
 # ---------------------------------------------------------------- baseline
@@ -313,7 +304,7 @@ def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
 def test_stacked_scoring_equals_each_model_scored_alone(arch):
     # the train split (489 samples) spans a full chunk and a ragged one
     data, _ = prepare_splits(make_records(wavy_closes(700)))
-    models = [trial_model(arch, h, 4, 3, 9) for h in (2, 5, 8)]
+    models = [trial_model(arch, h, 3, 9) for h in (2, 5, 8)]
     train(ModelStack(models), data.train, None, quick_config(epochs=2, batch_size=32))
     stack = ModelStack(models)
     for split in (data.train, data.validation, data.test):
@@ -432,11 +423,11 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
     # trained alone, the poisoned trial diverges at the epoch its stack
     # recorded for it
     group = [h for h in range(2, 11) if padded_width(h) == padded_width(hidden)]
-    poisoned_models = [fxbench.experiment.trial_model(arch, h, 4, 1, cfg.seed) for h in group]
+    poisoned_models = [fxbench.experiment.trial_model(arch, h, 1, cfg.seed) for h in group]
     outcome = train(ModelStack(poisoned_models), data.train, data.validation, cfg)[
         group.index(hidden)
     ]
-    alone = fxbench.experiment.trial_model(arch, hidden, 4, 1, cfg.seed)
+    alone = fxbench.experiment.trial_model(arch, hidden, 1, cfg.seed)
     with pytest.raises(TrainingDiverged) as exc:
         train(alone, data.train, data.validation, cfg)
     assert isinstance(outcome, TrainingDiverged)
@@ -446,13 +437,13 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
 def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
     data, _ = prepare_splits(wavy_records)
     cfg = quick_config(epochs=3)
-    models = [trial_model("lstm", h, 4, 2, 42) for h in (3, 5, 8)]
+    models = [trial_model("lstm", h, 2, 42) for h in (3, 5, 8)]
     models[1].params["b_out"][0] = float("inf")
     outcomes = train(ModelStack(models), data.train, None, cfg)
     assert isinstance(outcomes[1], TrainingDiverged) and outcomes[1].epoch == 0
     assert models[1].epochs_trained == 0
     for k in (0, 2):
-        alone = trial_model("lstm", models[k].spec.hidden, 4, 2, 42)
+        alone = trial_model("lstm", models[k].spec.hidden, 2, 42)
         assert outcomes[k] == train(alone, data.train, None, cfg)
         assert models[k].epochs_trained == alone.epochs_trained == 3
         assert save_model(models[k]) == save_model(alone)
@@ -460,7 +451,7 @@ def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
 
 def test_debug_log_scores_the_running_models_on_validation(wavy_records, caplog):
     data, _ = prepare_splits(wavy_records)
-    models = [trial_model("gru", h, 4, 2, 42) for h in (3, 5)]
+    models = [trial_model("gru", h, 2, 42) for h in (3, 5)]
     models[1].params["b_out"][0] = float("inf")  # diverges at epoch 0
     caplog.set_level(logging.DEBUG, logger="fxbench")
     train(ModelStack(models), data.train, data.validation, quick_config(epochs=1))
@@ -473,11 +464,11 @@ def test_debug_log_scores_the_running_models_on_validation(wavy_records, caplog)
 
 def test_stack_rejects_models_of_another_shape():
     with pytest.raises(ValueError, match="padded width"):
-        ModelStack([trial_model("gru", 8, 4, 1, 0), trial_model("gru", 9, 4, 1, 0)])
+        ModelStack([trial_model("gru", 8, 1, 0), trial_model("gru", 9, 1, 0)])
     with pytest.raises(ValueError, match="cannot stack"):
-        ModelStack([trial_model("gru", 3, 4, 1, 0), trial_model("gru", 4, 4, 2, 0)])
+        ModelStack([trial_model("gru", 3, 1, 0), trial_model("gru", 4, 2, 0)])
     with pytest.raises(ValueError, match="cannot stack"):
-        ModelStack([trial_model("gru", 3, 4, 1, 0), trial_model("lstm", 3, 4, 1, 0)])
+        ModelStack([trial_model("gru", 3, 1, 0), trial_model("lstm", 3, 1, 0)])
     with pytest.raises(ValueError, match="at least one"):
         ModelStack([])
 
@@ -489,7 +480,7 @@ def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
     data, norm = prepare_splits(wavy_records)
     window = 1 if arch == "mlp" else 2
     cfg = quick_config(epochs=3)
-    models = [trial_model(arch, h, 4, window, 7) for h in (2, 5, 8)]
+    models = [trial_model(arch, h, window, 7) for h in (2, 5, 8)]
     stack = ModelStack(models)
     opts = []
 
@@ -510,7 +501,7 @@ def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
         assert np.all(buf[padded] == 0.0)
     monkeypatch.undo()
     for model in models:
-        alone = trial_model(arch, model.spec.hidden, 4, window, 7)
+        alone = trial_model(arch, model.spec.hidden, window, 7)
         train(alone, data.train, None, cfg)
         assert save_model(model, norm) == save_model(alone, norm)
 

@@ -170,6 +170,15 @@ def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value
     assert str(err.value) == f"model file field {key!r} must be an integer, got {value!r}"
 
 
+@pytest.mark.parametrize("key, value, shape", [("input_dim", 5, 4), ("output_dim", 2, 1)])
+def test_load_refuses_a_model_of_another_shape_naming_the_field(key, value, shape):
+    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc[key] = value
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == f"model file field {key!r} must be {shape}, got {value!r}"
+
+
 def test_load_checks_feature_max_above_feature_min_in_every_feature():
     # the first feature is in order, so a lexicographic tuple `>` would pass
     doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
