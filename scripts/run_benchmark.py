@@ -28,7 +28,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from fxbench import (
     ARCHS,
     TrainConfig,
-    default_config,
     emit_report_csv,
     emit_series_csv,
     evaluate,
@@ -90,9 +89,9 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--epochs", type=int, default=1500, help="epochs per trial")
-    parser.add_argument("--batch", type=int, default=32, help="mini-batch size")
-    parser.add_argument("--seed", type=int, default=42, help="base seed for the grid")
+    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
+    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")
     parser.add_argument(
         "--quick", action="store_true", help="use 200 epochs for a fast smoke run"
     )
@@ -100,12 +99,7 @@ def main(argv=None) -> int:
 
     epochs = 200 if args.quick else args.epochs
     try:
-        config = TrainConfig(
-            optimizer=default_config("rmsprop"),
-            epochs=epochs,
-            batch_size=args.batch,
-            seed=args.seed,
-        )
+        config = TrainConfig(epochs=epochs, batch_size=args.batch, seed=args.seed)
     except ValueError as e:  # TrainConfig's own range checks
         parser.error(str(e))
     out_dir = pathlib.Path(args.out)

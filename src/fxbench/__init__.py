@@ -51,14 +51,7 @@ from .experiment import (
     trial_model,
     trial_seed,
 )
-from .optim import (
-    OPTIMIZERS,
-    Optimizer,
-    OptimizerConfig,
-    default_config,
-    mae_grad,
-    mae_loss,
-)
+from .optim import OPTIMIZERS, Optimizer, mae_grad, mae_loss
 from .serialize import (
     emit_report_csv,
     emit_series_csv,
@@ -84,7 +77,6 @@ __all__ = [
     "OPTIMIZERS",
     "OhlcRecord",
     "Optimizer",
-    "OptimizerConfig",
     "SplitDataset",
     "SupervisedDataset",
     "TrainConfig",
@@ -93,7 +85,6 @@ __all__ = [
     "backward",
     "build_supervised",
     "chrono_split",
-    "default_config",
     "denormalize",
     "emit_report_csv",
     "emit_series_csv",

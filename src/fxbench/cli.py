@@ -28,15 +28,17 @@ from .data import (
     write_ohlc_csv,
 )
 from .experiment import (
+    CRITERIA,
     TrainConfig,
     TrainingDiverged,
+    _check_window,
     evaluate,
     run_sweep,
     select_best,
     train,
     trial_model,
 )
-from .optim import OPTIMIZERS, default_config
+from .optim import DEFAULT_LR, OPTIMIZERS
 from .serialize import (
     emit_report_csv,
     emit_series_csv,
@@ -47,6 +49,8 @@ from .serialize import (
 )
 
 log = logging.getLogger(__name__)
+
+SELECT = tuple(c.removesuffix("_mae") for c in CRITERIA)  # --select names a criterion
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -141,8 +145,13 @@ def _logging_to_stderr():
 
 
 def _train_config(args) -> TrainConfig:
-    opt = default_config(args.optimizer, args.lr)
-    return TrainConfig(optimizer=opt, epochs=args.epochs, batch_size=args.batch, seed=args.seed)
+    return TrainConfig(
+        optimizer=args.optimizer,
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch,
+        seed=args.seed,
+    )
 
 
 def _print_mae(label: str, mae: float, norm) -> None:
@@ -210,13 +219,15 @@ def cmd_train(args) -> int:
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     model = trial_model(arch, args.hidden, args.window, args.seed)
     spec = model.spec
+    _check_window(data, spec.window)
     train(model, data.train, data.validation, config)
+    maes = [evaluate(model, split).mae for split in data]
     blob = save_model(model, norm)
     with write_atomic(args.model_out) as fh:
         fh.write(blob)
     print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
-    for label, split in zip(("train", "val", "test"), data):
-        _print_mae(label, evaluate(model, split).mae, norm)
+    for label, mae in zip(("train", "val", "test"), maes):
+        _print_mae(label, mae, norm)
     print(f"wrote model: {args.model_out}")
     return 0
 
@@ -269,21 +280,34 @@ def build_parser() -> argparse.ArgumentParser:
     def add_training_flags(p):
         p.add_argument("--data", required=True, help="dataset CSV (date,open,high,low,close)")
         p.add_argument(
-            "--epochs", type=_positive(int), default=1500, help="training epochs (default 1500)"
+            "--epochs",
+            type=_positive(int),
+            default=TrainConfig.epochs,
+            help="training epochs (default %(default)s)",
         )
         p.add_argument(
-            "--batch", type=_positive(int), default=32, help="mini-batch size (default 32)"
+            "--batch",
+            type=_positive(int),
+            default=TrainConfig.batch_size,
+            help="mini-batch size (default %(default)s)",
         )
         p.add_argument(
-            "--optimizer", choices=OPTIMIZERS, default="rmsprop", help="training algorithm"
+            "--optimizer",
+            choices=OPTIMIZERS,
+            default=TrainConfig.optimizer,
+            help="training algorithm",
         )
+        default_first = sorted(OPTIMIZERS, key=lambda name: name != TrainConfig.optimizer)
         p.add_argument(
             "--lr",
             type=_positive(float),
-            default=None,
-            help="learning rate (default 0.001 rmsprop, 0.01 sgd)",
+            default=TrainConfig.learning_rate,
+            help="learning rate (default %s)"
+            % ", ".join(f"{DEFAULT_LR[name]} {name}" for name in default_first),
         )
-        p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
+        p.add_argument(
+            "--seed", type=int, default=TrainConfig.seed, help="base seed (default %(default)s)"
+        )
         p.add_argument(
             "--fit-norm",
             choices=FIT_NORMS,
@@ -302,15 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_training_flags(p)
     p.add_argument("--pair", default="UNKNOWN", help="currency pair label for the report")
     p.add_argument(
-        "--archs",
-        default="mlp,srnn,lstm,gru",
-        help="comma-separated subset of mlp,srnn,lstm,gru",
+        "--archs", default=",".join(ARCHS), help=f"comma-separated subset of {','.join(ARCHS)}"
     )
     p.add_argument("--hidden", default="2..10", help="hidden sizes: '2..10', '5', or '2,5,7'")
     p.add_argument(
         "--select",
-        choices=("test", "val"),
-        default="test",
+        choices=SELECT,
+        default=SELECT[0],
         help="selection criterion (test or validation MAE)",
     )
     p.add_argument("--report", required=True, help="output report CSV path")
@@ -324,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single model and save it")
     add_training_flags(p)
-    p.add_argument("--arch", required=True, help="one of mlp,srnn,lstm,gru")
+    p.add_argument("--arch", required=True, help=f"one of {','.join(ARCHS)}")
     p.add_argument("--hidden", type=_positive(int), required=True, help="hidden layer size")
     p.add_argument("--model-out", required=True, help="output model file path")
     p.set_defaults(func=cmd_train)
@@ -339,10 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="report CSV from the sweep command")
     p.add_argument("--format", choices=("table", "csv"), default="table", help="output format")
     p.add_argument(
-        "--select",
-        choices=("test", "val"),
-        default="test",
-        help="criterion used for best-model marks",
+        "--select", choices=SELECT, default=SELECT[0], help="criterion used for best-model marks"
     )
     p.set_defaults(func=cmd_report)
 

@@ -1,8 +1,9 @@
 """Training loop, denormalized evaluation, the arch x hidden-size sweep,
 best-model selection and the persistence baseline.
 
-Evaluation and the baseline denormalize with the NormParams that a
-normalized dataset carries (`dataset.norm`).
+A run's training settings are one `TrainConfig`. Evaluation and the
+baseline denormalize with the NormParams that a normalized dataset
+carries (`dataset.norm`).
 
 A sweep trains its trials in lockstep: the hidden sizes of one
 architecture that pad to the same width (`cells.padded_width`) form one
@@ -41,7 +42,7 @@ from .cells import (
     predict,
 )
 from .data import SplitDataset, SupervisedDataset, denormalize
-from .optim import Optimizer, OptimizerConfig, mae_grad, mae_loss
+from .optim import DEFAULT_LR, OPTIMIZERS, Optimizer, mae_grad, mae_loss
 
 log = logging.getLogger(__name__)
 
@@ -95,12 +96,22 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    optimizer: OptimizerConfig
+    """A run's training settings, checked once; a `learning_rate` of None
+    becomes the optimizer's rate in `optim.DEFAULT_LR`."""
+
+    optimizer: str = "rmsprop"
+    learning_rate: float | None = None
     epochs: int = 1500
     batch_size: int = 32
     seed: int = 42
 
     def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
+        if self.learning_rate is None:
+            object.__setattr__(self, "learning_rate", DEFAULT_LR[self.optimizer])
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not isinstance(self.epochs, int) or self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
@@ -149,6 +160,13 @@ def _windowed(dataset: SupervisedDataset, window: int):
     return x.transpose(0, 2, 1), dataset.targets[window - 1 :], dataset.dates[window - 1 :]
 
 
+def _check_window(data: SplitDataset, window: int) -> None:
+    """Refuse, before any training, a split too short for one window."""
+    for name, split in zip(SplitDataset._fields, data):
+        if len(split) < window:
+            raise ValueError(f"{name} split has {len(split)} samples, fewer than window={window}")
+
+
 def _check_normalized(dataset: SupervisedDataset, name: str):
     if not dataset.normalized:
         raise ValueError(f"{name} dataset must be normalized before training/evaluation")
@@ -189,7 +207,7 @@ def train(
     x, targets, _ = _windowed(train_set, spec.window)
     n = len(targets)
     y = targets[:, None]  # (n, 1) to match one model's yhat
-    opt = Optimizer(stack.flat.shape, config.optimizer)
+    opt = Optimizer(stack.flat.shape, config)
 
     results: list = [[] for _ in stack.models]  # loss lists, then TrainingDiverged
     running = np.ones(len(stack), dtype=bool)
@@ -304,12 +322,13 @@ def run_sweep(
 
     The hidden sizes of an architecture that share a padded width train as
     one stack, in lockstep, and each trained stack is scored once per
-    split. A diverging trial is recorded with NaN errors, is left out of
-    the scoring and affects neither the sweep nor its stack. wall_time_s
-    is 0.0 unless measure_time is set; then each trial records the wall
-    time of its whole stack (training plus scoring).
-    Measured times differ between runs and would break byte-identical
-    reports.
+    split. Every model is built before any training, and a split too short
+    for the longest window among them is refused then. A diverging trial
+    is recorded with NaN errors, is left out of the scoring and affects
+    neither the sweep nor its stack. wall_time_s is 0.0 unless
+    measure_time is set; then each trial records the wall time of its
+    whole stack (training plus scoring). Measured times differ between
+    runs and would break byte-identical reports.
     """
     archs = tuple(sorted(set(archs), key=arch_id))
     if not archs:
@@ -322,46 +341,53 @@ def run_sweep(
     if not data.train.normalized:
         raise ValueError("sweep requires normalized splits (fit and apply NormParams first)")
 
+    # one stack per (arch, width); widths ascend and padded_width grows with
+    # hidden, so rows come in (arch, hidden) order
+    widths = sorted({padded_width(h) for h in hiddens})
+    stacks = [
+        [trial_model(arch, h, window, config.seed) for h in hiddens if padded_width(h) == width]
+        for arch in archs
+        for width in widths
+    ]
+    _check_window(data, max(models[0].spec.window for models in stacks))
+
     trials: list[TrialResult] = []
-    # widths ascend and padded_width grows with hidden: rows come in (arch, hidden) order
-    for arch in archs:
-        for width in sorted({padded_width(h) for h in hiddens}):
-            group = [h for h in hiddens if padded_width(h) == width]
-            models = [trial_model(arch, h, window, config.seed) for h in group]
-            t0 = time.perf_counter()
-            outcomes = train(ModelStack(models), data.train, data.validation, config)
-            maes = [(float("nan"),) * 3] * len(models)
-            ok = []
-            for k, (model, outcome) in enumerate(zip(models, outcomes)):
-                if isinstance(outcome, TrainingDiverged):
-                    log.warning("trial %s h=%d diverged: %s", arch, model.spec.hidden, outcome)
-                else:
-                    ok.append(k)
-            if ok:
-                trained = ModelStack(models[k] for k in ok)
-                scores = zip(*(evaluate(trained, split) for split in data))
-                for k, per_split in zip(ok, scores):
-                    maes[k] = tuple(r.mae for r in per_split)
-            elapsed = time.perf_counter() - t0
-            for model, (train_mae, val_mae, test_mae) in zip(models, maes):
-                spec = model.spec
-                trials.append(
-                    TrialResult(
-                        pair=pair,
-                        arch=arch,
-                        structure=spec.structure,
-                        hidden=spec.hidden,
-                        train_mae=train_mae,
-                        val_mae=val_mae,
-                        test_mae=test_mae,
-                        seed=model.rng_seed,
-                        wall_time_s=elapsed if measure_time else 0.0,
-                    )
+    for models in stacks:
+        arch = models[0].spec.arch
+        t0 = time.perf_counter()
+        outcomes = train(ModelStack(models), data.train, data.validation, config)
+        maes = [(float("nan"),) * 3] * len(models)
+        ok = []
+        for k, (model, outcome) in enumerate(zip(models, outcomes)):
+            if isinstance(outcome, TrainingDiverged):
+                log.warning("trial %s h=%d diverged: %s", arch, model.spec.hidden, outcome)
+            else:
+                ok.append(k)
+        if ok:
+            trained = ModelStack(models[k] for k in ok)
+            scores = zip(*(evaluate(trained, split) for split in data))
+            for k, per_split in zip(ok, scores):
+                maes[k] = tuple(r.mae for r in per_split)
+        elapsed = time.perf_counter() - t0
+        for model, (train_mae, val_mae, test_mae) in zip(models, maes):
+            spec = model.spec
+            trials.append(
+                TrialResult(
+                    pair=pair,
+                    arch=arch,
+                    structure=spec.structure,
+                    hidden=spec.hidden,
+                    train_mae=train_mae,
+                    val_mae=val_mae,
+                    test_mae=test_mae,
+                    seed=model.rng_seed,
+                    wall_time_s=elapsed if measure_time else 0.0,
                 )
-                log.info(
-                    "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
-                    arch, spec.structure, train_mae, val_mae, test_mae, len(models), elapsed,
-                )
+            )
+            log.info(
+                "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
+                arch, spec.structure, train_mae, val_mae, test_mae, len(models), elapsed,
+            )
     return trials
 
 

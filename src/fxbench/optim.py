@@ -4,44 +4,21 @@
 shape, updated in place elementwise: typically the (S, n) arrays of a
 stack of S models (`stack.flat`, `stack.grad`; see `fxbench.cells`), where
 each row steps exactly as it would alone. It owns its RMSProp accumulator, so each model
-or stack needs its own instance (never shared across trainers).
+or stack needs its own instance (never shared across trainers). It reads
+the optimizer and learning rate from a run's `experiment.TrainConfig`,
+which checks them and fills in the rate from `DEFAULT_LR`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-OPTIMIZERS = ("sgd", "rmsprop")
-
-# Widely published values. The learning rates are defaults for when none is
-# given; RMSProp's rho and eps are fixed.
-SGD_LR = 0.01
-RMSPROP_LR = 0.001
+# Widely published values: each optimizer's learning rate for when none is
+# given, in `OPTIMIZERS` order; RMSProp's rho and eps are fixed.
+DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001}
+OPTIMIZERS = tuple(DEFAULT_LR)
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str
-    learning_rate: float
-
-    def __post_init__(self):
-        if self.kind not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-
-
-def default_config(kind: str, learning_rate: float | None = None) -> OptimizerConfig:
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {kind!r}, expected one of {OPTIMIZERS}")
-    if learning_rate is None:
-        learning_rate = SGD_LR if kind == "sgd" else RMSPROP_LR
-    return OptimizerConfig(kind=kind, learning_rate=learning_rate)
 
 
 def mae_loss(yhat, y) -> float:
@@ -85,11 +62,11 @@ class Optimizer:
     SGD), starting at zero.
     """
 
-    def __init__(self, shape: int | tuple[int, ...], config: OptimizerConfig):
+    def __init__(self, shape: int | tuple[int, ...], config):
         self._lr = config.learning_rate
         self._tmp = np.empty(shape)
         self._den = np.empty(shape)
-        self.acc = np.zeros(shape) if config.kind == "rmsprop" else None
+        self.acc = np.zeros(shape) if config.optimizer == "rmsprop" else None
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         tmp = self._tmp

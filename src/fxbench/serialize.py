@@ -13,7 +13,8 @@ model file's spec and norm blocks hold the fields of `ModelSpec` and
 `NormParams`. Every model maps the 4 daily prices to one close, and its
 file also carries that shape as `input_dim` 4 and `output_dim` 1
 (`ModelSpec`'s constants): a file is the one way another shape can reach
-the program, and `load_model` refuses it, naming the field.
+the program, and `load_model` refuses it, naming the field, as it refuses
+a negative `rng_seed` or `epochs_trained`.
 
 A report row read back must be one `run_sweep` can write: each cell the
 `str` of its int or the `repr` of its float (so no `_` separators,
@@ -262,12 +263,11 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             f"model file activations {_quoted(declared_acts)} do not match "
             f"architecture {spec.arch!r}"
         )
-    model = NetworkModel(
-        spec=spec,
-        params=params,
-        rng_seed=_int_field(doc, "rng_seed", 0),
-        epochs_trained=_int_field(doc, "epochs_trained", 0),
-    )
+    counts = {key: _int_field(doc, key, 0) for key in ("rng_seed", "epochs_trained")}
+    for key, value in counts.items():
+        if value < 0:
+            raise ValueError(f"model file field {key!r} must be at least 0, got {_quoted(value)}")
+    model = NetworkModel(spec=spec, params=params, **counts)
     norm_doc = doc.get("norm")
     norm = None if norm_doc is None else _norm_from_json(norm_doc)
     return model, norm

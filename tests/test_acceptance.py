@@ -23,7 +23,6 @@ from fxbench import (
     TrialResult,
     build_supervised,
     chrono_split,
-    default_config,
     denormalize,
     load_model,
     mae_loss,
@@ -78,12 +77,7 @@ def walk_sweep():
     """
     records = random_walk_ohlc(1500, seed=20180102)
     data, _ = prepare_splits(records, "train")
-    config = TrainConfig(
-        optimizer=default_config("rmsprop"),
-        epochs=ACCEPT_EPOCHS,
-        batch_size=32,
-        seed=42,
-    )
+    config = TrainConfig(epochs=ACCEPT_EPOCHS, batch_size=32, seed=42)
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair="WALK/SYN")
     elapsed = time.perf_counter() - t0
@@ -195,12 +189,7 @@ def test_learnability_on_walk_and_ramp(walk_sweep):
 
     ramp_records = ramp_ohlc(400, increment=0.05, start=100.0)
     ramp_data, ramp_norm = prepare_splits(ramp_records, "all")
-    config = TrainConfig(
-        optimizer=default_config("rmsprop"),
-        epochs=6000,
-        batch_size=64,
-        seed=42,
-    )
+    config = TrainConfig(epochs=6000, batch_size=64, seed=42)
     ramp_report = run_sweep(ARCHS, range(2, 11), ramp_data, config, pair="RAMP/SYN")
     scale = ramp_norm.target_max - ramp_norm.target_min
     ramp_best = select_best(ramp_report, "test_mae").overall
@@ -271,7 +260,7 @@ RMSPROP_REFERENCE = [
 
 @criterion(8, "20-step rmsprop trajectory matches scalar oracle")
 def test_rmsprop_trajectory_oracle():
-    config = default_config("rmsprop")
+    config = TrainConfig()
     assert (config.learning_rate, RMSPROP_RHO, RMSPROP_EPS) == (0.001, 0.9, 1e-8)
     theta = np.array([1.0])
     opt = Optimizer(1, config)

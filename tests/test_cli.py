@@ -334,6 +334,73 @@ def test_no_output_file_is_opened_before_its_bytes_exist(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("train", "--arch", "lstm", "--hidden", "3", "--model-out"),
+        ("sweep", "--hidden", "2,9", "--report"),
+        ("sweep", "--archs", "mlp,gru", "--hidden", "2", "--report"),
+    ],
+    ids=["train", "sweep", "sweep-mlp-first"],
+)
+def test_a_window_longer_than_a_split_fails_before_any_training(
+    tmp_path, data_csv, capsys, monkeypatch, argv
+):
+    data, _ = prepare_splits(read_ohlc_csv(data_csv))
+    assert len(data.train) > len(data.test) > len(data.validation)
+    window = len(data.validation) + 1
+
+    def refuse(*args):
+        raise AssertionError("train was called")
+
+    monkeypatch.setattr("fxbench.cli.train", refuse)
+    monkeypatch.setattr("fxbench.experiment.train", refuse)
+    out_path = tmp_path / "out"
+    code, out, err = run(
+        capsys, *argv, str(out_path), "--data", data_csv, "--window", str(window)
+    )
+    assert (code, out) == (1, "")
+    assert one_error_line(err) == (
+        "fxbench: error: validation split has "
+        f"{len(data.validation)} samples, fewer than window={window}"
+    )
+    assert not out_path.exists()
+
+
+def test_train_scores_every_split_before_it_writes_the_model(
+    tmp_path, data_csv, capsys, monkeypatch
+):
+    def refuse(model, split):
+        raise ValueError("cannot score this split")
+
+    monkeypatch.setattr("fxbench.cli.evaluate", refuse)
+    model_out = tmp_path / "m.json"
+    code, out, err = run(
+        capsys, "train", "--data", data_csv, "--arch", "mlp", "--hidden", "2",
+        "--epochs", "1", "--model-out", str(model_out),
+    )
+    assert (code, out) == (1, "")
+    assert one_error_line(err) == "fxbench: error: cannot score this split"
+    assert not model_out.exists()
+
+
+def test_an_mlp_only_run_ignores_a_window_longer_than_every_split(tmp_path, data_csv, capsys):
+    report = tmp_path / "report.csv"
+    code, out, _ = run(
+        capsys, "sweep", "--data", data_csv, "--archs", "mlp", "--hidden", "2",
+        "--epochs", "1", "--window", "5000", "--report", str(report),
+    )
+    assert code == 0
+    assert "wrote report" in out and report.exists()
+    model_out = tmp_path / "m.json"
+    code, out, _ = run(
+        capsys, "train", "--data", data_csv, "--arch", "mlp", "--hidden", "2",
+        "--epochs", "1", "--window", "5000", "--model-out", str(model_out),
+    )
+    assert code == 0
+    assert "wrote model" in out and load_model(model_out.read_bytes())[0].spec.window == 1
+
+
 def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
     code, _, err = run(
         capsys, "train", "--data", data_csv, "--arch", "transformer", "--hidden", "3",

@@ -21,7 +21,6 @@ from fxbench import (
     TrialResult,
     build_supervised,
     chrono_split,
-    default_config,
     emit_report_csv,
     evaluate,
     init_model,
@@ -42,7 +41,6 @@ from conftest import make_records, wavy_closes
 
 
 def quick_config(epochs=3, **kw):
-    kw.setdefault("optimizer", default_config("rmsprop"))
     kw.setdefault("batch_size", 8)
     kw.setdefault("seed", 42)
     return TrainConfig(epochs=epochs, **kw)
@@ -69,10 +67,29 @@ def test_trial_seeds_distinct_and_order_free():
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError, match="epochs"):
-        quick_config(epochs=0)
-    with pytest.raises(ValueError, match="batch_size"):
-        quick_config(batch_size=0)
+    for kw, message in (
+        ({"epochs": 0}, "epochs must be a positive integer, got 0"),
+        ({"epochs": 2.0}, "epochs must be a positive integer, got 2.0"),
+        ({"batch_size": 0}, "batch_size must be a positive integer, got 0"),
+        ({"batch_size": None}, "batch_size must be a positive integer, got None"),
+    ):
+        with pytest.raises(ValueError) as e:
+            quick_config(**kw)
+        assert str(e.value) == message
+
+
+def test_train_config_is_one_flat_frozen_value():
+    config = TrainConfig(optimizer="sgd", epochs=3)
+    assert dataclasses.asdict(config) == {
+        "optimizer": "sgd",
+        "learning_rate": 0.01,
+        "epochs": 3,
+        "batch_size": 32,
+        "seed": 42,
+    }
+    assert config == TrainConfig("sgd", 0.01, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.learning_rate = 0.5
 
 
 # ---------------------------------------------------------------- train

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fxbench.experiment import TrainConfig
 from fxbench.optim import (
+    DEFAULT_LR,
+    OPTIMIZERS,
     RMSPROP_EPS,
     RMSPROP_RHO,
     Optimizer,
-    OptimizerConfig,
-    default_config,
     mae_grad,
     mae_loss,
 )
@@ -19,22 +20,23 @@ vec = st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_si
 
 
 def test_config_defaults():
-    sgd = default_config("sgd")
-    assert (sgd.kind, sgd.learning_rate) == ("sgd", 0.01)
-    rp = default_config("rmsprop")
-    assert (rp.kind, rp.learning_rate) == ("rmsprop", 0.001)
+    # the default run: rmsprop at its default rate, 1500 epochs, batch 32, seed 42
+    assert TrainConfig() == TrainConfig("rmsprop", 0.001, 1500, 32, 42)
+    assert TrainConfig(optimizer="sgd").learning_rate == 0.01
+    assert TrainConfig(learning_rate=0.005).learning_rate == 0.005
+    assert DEFAULT_LR == {"sgd": 0.01, "rmsprop": 0.001}
+    assert OPTIMIZERS == ("sgd", "rmsprop")
     assert (RMSPROP_RHO, RMSPROP_EPS) == (0.9, 1e-8)
-    assert default_config("rmsprop", 0.005).learning_rate == 0.005
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown optimizer"):
-        OptimizerConfig(kind="adam", learning_rate=0.1)
-    with pytest.raises(ValueError, match="learning_rate"):
-        OptimizerConfig(kind="sgd", learning_rate=0.0)
-    for lr in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="learning_rate must be finite"):
-            OptimizerConfig(kind="rmsprop", learning_rate=lr)
+    with pytest.raises(ValueError) as e:
+        TrainConfig(optimizer="adam")
+    assert str(e.value) == "unknown optimizer 'adam', expected one of ('sgd', 'rmsprop')"
+    for lr, shown in ((0.0, "0.0"), (-1, "-1"), (float("inf"), "inf"), (float("nan"), "nan")):
+        with pytest.raises(ValueError) as e:
+            TrainConfig(optimizer="sgd", learning_rate=lr)
+        assert str(e.value) == f"learning_rate must be finite and > 0, got {shown}"
 
 
 # ---------------------------------------------------------------- mae
@@ -99,7 +101,7 @@ def test_mae_grad_matches_finite_difference_away_from_kinks():
 
 
 def sgd(learning_rate):
-    return Optimizer(1, OptimizerConfig(kind="sgd", learning_rate=learning_rate))
+    return Optimizer(1, TrainConfig(optimizer="sgd", learning_rate=learning_rate))
 
 
 def test_sgd_zero_gradient_is_identity():
@@ -119,7 +121,7 @@ def test_sgd_hand_steps():
 
 
 def test_sgd_shape_mismatch():
-    opt = Optimizer(2, default_config("sgd", 0.1))
+    opt = Optimizer(2, TrainConfig(optimizer="sgd", learning_rate=0.1))
     with pytest.raises(ValueError):
         opt.step(np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
@@ -132,7 +134,7 @@ def test_sgd_shape_mismatch():
 
 
 def test_rmsprop_zero_gradient_decays_accumulator_only():
-    opt = Optimizer(1, default_config("rmsprop"))
+    opt = Optimizer(1, TrainConfig())
     theta = np.array([2.0])
     opt.acc[:] = 1.0
     opt.step(theta, np.array([0.0]))
@@ -141,7 +143,7 @@ def test_rmsprop_zero_gradient_decays_accumulator_only():
 
 
 def test_rmsprop_first_step_hand_value():
-    opt = Optimizer(1, default_config("rmsprop"))
+    opt = Optimizer(1, TrainConfig())
     theta = np.array([0.0])
     opt.step(theta, np.array([1.0]))
     assert opt.acc[0] == pytest.approx(0.1, abs=1e-15)
@@ -151,7 +153,7 @@ def test_rmsprop_first_step_hand_value():
 
 
 def test_rmsprop_steady_state_step_magnitude_bounded_by_lr():
-    cfg = default_config("rmsprop")
+    cfg = TrainConfig()
     opt = Optimizer(1, cfg)
     theta = np.array([0.0])
     g = np.array([3.7])
@@ -165,7 +167,7 @@ def test_rmsprop_steady_state_step_magnitude_bounded_by_lr():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=30))
 def test_rmsprop_accumulators_stay_nonnegative(gradients):
-    opt = Optimizer(1, default_config("rmsprop"))
+    opt = Optimizer(1, TrainConfig())
     theta = np.array([1.0])
     for g in gradients:
         opt.step(theta, np.array([g]))
@@ -173,7 +175,7 @@ def test_rmsprop_accumulators_stay_nonnegative(gradients):
 
 
 def test_rmsprop_state_requires_matching_shapes():
-    opt = Optimizer(2, default_config("rmsprop"))
+    opt = Optimizer(2, TrainConfig())
     with pytest.raises(ValueError, match="2 parameters"):
         opt.step(np.zeros(2), np.zeros(3))
     # a rejected step leaves the accumulator untouched
@@ -186,7 +188,7 @@ def test_rmsprop_state_requires_matching_shapes():
 def test_optimizer_class_dispatches_both_kinds():
     for kind in ("sgd", "rmsprop"):
         theta = np.array([1.0])
-        opt = Optimizer(1, default_config(kind))
+        opt = Optimizer(1, TrainConfig(optimizer=kind))
         before = theta[0]
         opt.step(theta, np.array([0.5]))
         assert theta[0] < before
@@ -194,14 +196,14 @@ def test_optimizer_class_dispatches_both_kinds():
 
 def test_optimizer_rmsprop_keeps_state_across_steps():
     theta = np.array([0.0])
-    opt = Optimizer(1, default_config("rmsprop"))
+    opt = Optimizer(1, TrainConfig())
     opt.step(theta, np.array([1.0]))
     first = theta[0]
     opt.step(theta, np.array([1.0]))
     # second step divides by a larger accumulator, so it moves less than 2x
     assert abs(theta[0]) < 2 * abs(first)
     assert opt.acc.shape == (1,)
-    assert Optimizer(1, default_config("sgd")).acc is None
+    assert Optimizer(1, TrainConfig(optimizer="sgd")).acc is None
 
 
 def reference_steps(kind, theta, grads, lr, rho=0.9, eps=1e-8):
@@ -227,7 +229,7 @@ def test_flat_step_matches_elementwise_reference_bitwise(kind):
     grads = [rng.normal(scale=rng.uniform(0.01, 10.0), size=n) for _ in range(200)]
     for g in grads[::17]:
         g[rng.integers(n)] = 0.0  # zero gradients decay the accumulator only
-    cfg = default_config(kind)
+    cfg = TrainConfig(optimizer=kind)
     opt = Optimizer(n, cfg)
     theta = theta0.copy()
     for g in grads:
@@ -239,7 +241,7 @@ def test_step_updates_in_place_and_leaves_gradient_alone():
     theta = np.array([1.0, -2.0, 3.0])
     view = theta[:]
     g = np.array([0.5, 0.0, -1.0])
-    opt = Optimizer(3, default_config("rmsprop"))
+    opt = Optimizer(3, TrainConfig())
     opt.step(view, g)
     assert theta[0] < 1.0 and theta[1] == -2.0 and theta[2] > 3.0
     assert np.array_equal(g, [0.5, 0.0, -1.0])

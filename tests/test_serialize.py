@@ -179,6 +179,18 @@ def test_load_refuses_a_model_of_another_shape_naming_the_field(key, value, shap
     assert str(err.value) == f"model file field {key!r} must be {shape}, got {value!r}"
 
 
+@pytest.mark.parametrize("key, value", [("rng_seed", -1), ("epochs_trained", -3)])
+def test_load_refuses_a_negative_seed_or_epoch_count_naming_the_field(key, value):
+    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc[key] = value
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == f"model file field {key!r} must be at least 0, got {value}"
+    doc[key] = 0  # the bound itself loads, and saves to the same bytes
+    blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    assert save_model(*load_model(blob)) == blob
+
+
 def test_load_checks_feature_max_above_feature_min_in_every_feature():
     # the first feature is in order, so a lexicographic tuple `>` would pass
     doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
