@@ -18,22 +18,31 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import ramp_ohlc, random_walk_ohlc, write_ohlc_csv
+from fxbench.synthetic import DEFAULT_INCREMENT, DEFAULT_START_PRICE, DEFAULT_STEP_FRAC
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", choices=("walk", "ramp"), default="walk")
     parser.add_argument("--n", type=int, default=1500, help="number of daily records")
     parser.add_argument("--seed", type=int, default=7, help="walk noise seed")
-    parser.add_argument("--start", type=float, default=100.0, help="starting price level")
     parser.add_argument(
-        "--step-frac", type=float, default=0.001,
+        "--start", type=float, default=DEFAULT_START_PRICE, help="starting price level"
+    )
+    parser.add_argument(
+        "--step-frac", type=float, default=DEFAULT_STEP_FRAC,
         help="walk: daily move is uniform within +/- this fraction of the level",
     )
     parser.add_argument(
-        "--increment", type=float, default=0.05, help="ramp: constant daily close increase"
+        "--increment", type=float, default=DEFAULT_INCREMENT,
+        help="ramp: constant daily close increase",
     )
     parser.add_argument("--out", required=True, help="output CSV path")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     try:

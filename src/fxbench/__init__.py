@@ -30,7 +30,6 @@ from .data import (
     denormalize,
     fit_minmax,
     normalize,
-    normalize_dataset,
     parse_ohlc_csv,
     prepare_splits,
     read_ohlc_csv,
@@ -96,7 +95,6 @@ __all__ = [
     "mae_grad",
     "mae_loss",
     "normalize",
-    "normalize_dataset",
     "padded_width",
     "param_shapes",
     "parse_ohlc_csv",

@@ -17,11 +17,10 @@ import math
 import os
 import sys
 
-from .cells import ARCHS, arch_id
+from .cells import ARCHS, ModelSpec, arch_id
 from .data import (
     FIT_NORMS,
     build_supervised,
-    normalize_dataset,
     prepare_splits,
     read_ohlc_csv,
     write_atomic,
@@ -29,6 +28,7 @@ from .data import (
 )
 from .experiment import (
     CRITERIA,
+    DEFAULT_PAIR,
     TrainConfig,
     TrainingDiverged,
     _check_window,
@@ -241,8 +241,7 @@ def cmd_predict(args) -> int:
             f"model file {args.model} carries no normalization parameters; "
             "retrain with the train command to embed them"
         )
-    records = read_ohlc_csv(args.data)
-    dataset = normalize_dataset(build_supervised(records), norm)
+    dataset = build_supervised(read_ohlc_csv(args.data), norm)
     result = evaluate(model, dataset)
     blob = emit_series_csv(result)
     with write_atomic(args.series_out) as fh:
@@ -311,20 +310,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--fit-norm",
             choices=FIT_NORMS,
-            default="train",
+            default=FIT_NORMS[0],
             help="fit normalization on the train split only, or on all data",
         )
         p.add_argument(
             "--window",
             type=_positive(int),
-            default=1,
-            help="lag vectors per sample for recurrent cells (default 1); mlp always "
+            default=ModelSpec.window,
+            help="lag vectors per sample for recurrent cells (default %(default)s); mlp always "
             "uses 1, so at window w it is scored on w-1 more days per split",
         )
 
     p = sub.add_parser("sweep", help="train the full architecture x hidden-size grid")
     add_training_flags(p)
-    p.add_argument("--pair", default="UNKNOWN", help="currency pair label for the report")
+    p.add_argument("--pair", default=DEFAULT_PAIR, help="currency pair label for the report")
     p.add_argument(
         "--archs", default=",".join(ARCHS), help=f"comma-separated subset of {','.join(ARCHS)}"
     )

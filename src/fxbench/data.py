@@ -14,6 +14,10 @@ four prices after the date. It stores its prices as given;
 `write_ohlc_csv` formats any real price (a numpy scalar or an int too) as
 the `repr` of its float.
 
+Every sample is min-max scaled, and its `SupervisedDataset` carries the
+`NormParams`: `build_supervised(records, norm)` is the one path from
+records to samples, for `prepare_splits` and `fxbench predict` alike.
+
 The fitted scaling and the splits are immutable values: `NormParams`
 holds tuples of floats and compares with `==`, and `SplitDataset` is a
 NamedTuple that iterates train, validation, test.
@@ -206,12 +210,12 @@ class NormParams:
 
 @dataclass(eq=False)
 class SupervisedDataset:
-    """Lag-feature windows: features[k] is yesterday's OHLC, targets[k] today's close."""
+    """Scaled lag features: features[k] is yesterday's OHLC, targets[k] today's close."""
 
     features: np.ndarray  # (n, 4)
     targets: np.ndarray  # (n,)
     dates: tuple[dt.date, ...]  # date of each target day
-    norm: NormParams | None = None  # set once the dataset is normalized
+    norm: NormParams  # the scaling of features and targets
 
     def __post_init__(self):
         if self.features.ndim != 2 or len(self.targets) != len(self.features):
@@ -222,40 +226,50 @@ class SupervisedDataset:
         if len(self.dates) != len(self.targets):
             raise ValueError("one date per sample required")
 
-    @property
-    def normalized(self) -> bool:
-        return self.norm is not None
-
     def __len__(self) -> int:
         return len(self.targets)
 
 
-def build_supervised(records: list[OhlcRecord]) -> SupervisedDataset:
-    """Pair each day's close with the previous day's [open, high, low, close]."""
+def _price_array(records: list[OhlcRecord]) -> np.ndarray:
+    """The (n, 4) raw prices of n >= 2 records, in FEATURE_NAMES order."""
     if len(records) < 2:
         raise ValueError(f"need at least 2 records to build samples, got {len(records)}")
-    prices = np.array([r[1:] for r in records], dtype=np.float64)  # (n, 4) in FEATURE_NAMES order
-    dates = tuple(r.date for r in records[1:])
-    return SupervisedDataset(features=prices[:-1], targets=prices[1:, 3], dates=dates)
+    return np.array([r[1:] for r in records], dtype=np.float64)
 
 
-def fit_minmax(dataset: SupervisedDataset) -> NormParams:
-    """Per-feature and target min/max over the given fit region.
+def _scaled_samples(records: list[OhlcRecord], prices: np.ndarray, norm: NormParams):
+    """The samples of `records`, whose raw prices are `prices`, scaled by `norm`."""
+    return SupervisedDataset(
+        features=normalize(prices[:-1], norm.feature_min, norm.feature_max),
+        targets=normalize(prices[1:, 3], norm.target_min, norm.target_max),
+        dates=tuple(r.date for r in records[1:]),
+        norm=norm,
+    )
 
-    Pass the training split to avoid look-ahead leakage, or the whole
-    dataset to mimic whole-series fitting.
+
+def build_supervised(records: list[OhlcRecord], norm: NormParams) -> SupervisedDataset:
+    """Pair each day's close with the previous day's [open, high, low, close],
+    both scaled by `norm`."""
+    return _scaled_samples(records, _price_array(records), norm)
+
+
+def fit_minmax(prices: np.ndarray) -> NormParams:
+    """Min/max of the samples that the (n, 4) raw prices of n consecutive
+    days make: of each feature over days 0..n-2, of the close target over
+    days 1..n-1.
+
+    Pass the train days (the first n_train + 1) to avoid look-ahead
+    leakage, or every day to mimic whole-series fitting.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot fit normalization on an empty dataset")
-    if dataset.normalized:
-        raise ValueError("refusing to fit normalization on an already normalized dataset")
-    fmin = dataset.features.min(axis=0)
-    fmax = dataset.features.max(axis=0)
+    if len(prices) < 2:
+        raise ValueError(f"cannot fit normalization on fewer than 2 days, got {len(prices)}")
+    fmin = prices[:-1].min(axis=0)
+    fmax = prices[:-1].max(axis=0)
     for i, name in enumerate(FEATURE_NAMES):
         if not fmax[i] > fmin[i]:
             raise ValueError(f"feature '{name}' is constant (min == max == {fmin[i]})")
-    tmin = float(dataset.targets.min())
-    tmax = float(dataset.targets.max())
+    tmin = float(prices[1:, 3].min())
+    tmax = float(prices[1:, 3].max())
     if not tmax > tmin:
         raise ValueError(f"target 'close' is constant (min == max == {tmin})")
     return NormParams(feature_min=fmin, feature_max=fmax, target_min=tmin, target_max=tmax)
@@ -281,17 +295,6 @@ def denormalize(norm_value, feature_min, feature_max):
     return np.asarray(norm_value, dtype=np.float64) * (hi - lo) + lo
 
 
-def normalize_dataset(dataset: SupervisedDataset, norm: NormParams) -> SupervisedDataset:
-    if dataset.normalized:
-        raise ValueError("dataset is already normalized")
-    return SupervisedDataset(
-        features=normalize(dataset.features, norm.feature_min, norm.feature_max),
-        targets=normalize(dataset.targets, norm.target_min, norm.target_max),
-        dates=dataset.dates,
-        norm=norm,
-    )
-
-
 class SplitDataset(NamedTuple):
     """Chronologically contiguous train < validation < test views, in that order."""
 
@@ -304,10 +307,8 @@ DEFAULT_FRACTIONS = (0.70, 0.15, 0.15)
 FIT_NORMS = ("train", "all")
 
 
-def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
-    """Slice into train/validation/test of floor(0.70 n), floor(0.15 n) and
-    the remainder (DEFAULT_FRACTIONS)."""
-    n = len(dataset)
+def _split_sizes(n: int) -> tuple[int, int, int]:
+    """The split of n samples by DEFAULT_FRACTIONS, refusing an empty slice."""
     n_train = int(np.floor(DEFAULT_FRACTIONS[0] * n))
     n_val = int(np.floor(DEFAULT_FRACTIONS[1] * n))
     n_test = n - n_train - n_val
@@ -316,6 +317,13 @@ def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
             f"split of {n} samples as {DEFAULT_FRACTIONS} leaves an empty slice "
             f"({n_train}/{n_val}/{n_test})"
         )
+    return n_train, n_val, n_test
+
+
+def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
+    """Slice into train/validation/test of floor(0.70 n), floor(0.15 n) and
+    the remainder (DEFAULT_FRACTIONS)."""
+    n_train, n_val, _ = _split_sizes(len(dataset))
 
     def view(lo, hi):
         return SupervisedDataset(
@@ -328,19 +336,20 @@ def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
     return SplitDataset(
         train=view(0, n_train),
         validation=view(n_train, n_train + n_val),
-        test=view(n_train + n_val, n),
+        test=view(n_train + n_val, len(dataset)),
     )
 
 
 def prepare_splits(
-    records: list[OhlcRecord], fit_norm: str = "train"
+    records: list[OhlcRecord], fit_norm: str = FIT_NORMS[0]
 ) -> tuple[SplitDataset, NormParams]:
-    """Records -> lag features -> DEFAULT_FRACTIONS chronological split ->
-    normalized splits, with the NormParams fitted on the train split
-    (fit_norm="train", no look-ahead) or on the whole series ("all")."""
+    """The DEFAULT_FRACTIONS chronological split of
+    `build_supervised(records, norm)`, with the NormParams fitted on the
+    days of the train split (fit_norm="train", no look-ahead) or on the
+    whole series ("all"). The fit and the samples read one price array."""
     if fit_norm not in FIT_NORMS:
         raise ValueError(f"fit_norm must be one of {FIT_NORMS}, got {fit_norm!r}")
-    dataset = build_supervised(records)
-    split = chrono_split(dataset)
-    norm = fit_minmax(dataset if fit_norm == "all" else split.train)
-    return SplitDataset(*(normalize_dataset(part, norm) for part in split)), norm
+    prices = _price_array(records)
+    n_train = _split_sizes(len(prices) - 1)[0]
+    norm = fit_minmax(prices if fit_norm == "all" else prices[: n_train + 1])
+    return chrono_split(_scaled_samples(records, prices, norm)), norm

@@ -1,9 +1,10 @@
 """Training loop, denormalized evaluation, the arch x hidden-size sweep,
 best-model selection and the persistence baseline.
 
-A run's training settings are one `TrainConfig`. Evaluation and the
-baseline denormalize with the NormParams that a normalized dataset
-carries (`dataset.norm`).
+A run's training settings are one `TrainConfig`. Every dataset is
+scaled and carries its NormParams (`dataset.norm`); evaluation and the
+baseline denormalize with them, and training refuses a validation split
+scaled by another fit.
 
 A sweep trains its trials in lockstep: the hidden sizes of one
 architecture that pad to the same width (`cells.padded_width`) form one
@@ -49,6 +50,7 @@ log = logging.getLogger(__name__)
 _MASK64 = (1 << 64) - 1
 
 CRITERIA = ("test_mae", "val_mae")  # what select_best can rank trials by
+DEFAULT_PAIR = "UNKNOWN"  # a sweep report's pair label when none is given
 
 
 def splitmix64(z: int) -> int:
@@ -167,11 +169,6 @@ def _check_window(data: SplitDataset, window: int) -> None:
             raise ValueError(f"{name} split has {len(split)} samples, fewer than window={window}")
 
 
-def _check_normalized(dataset: SupervisedDataset, name: str):
-    if not dataset.normalized:
-        raise ValueError(f"{name} dataset must be normalized before training/evaluation")
-
-
 def train(
     net: NetworkModel | ModelStack,
     train_set: SupervisedDataset,
@@ -198,11 +195,8 @@ def train(
     """
     stack = net if isinstance(net, ModelStack) else ModelStack([net])
     spec = stack.spec
-    _check_normalized(train_set, "train")
-    if val_set is not None:
-        _check_normalized(val_set, "validation")
-        if val_set.norm != train_set.norm:
-            raise ValueError("validation dataset was normalized with different NormParams")
+    if val_set is not None and val_set.norm != train_set.norm:
+        raise ValueError("validation dataset was normalized with different NormParams")
 
     x, targets, _ = _windowed(train_set, spec.window)
     n = len(targets)
@@ -270,7 +264,6 @@ def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
     EvalResult. The target is one close price, every model's one output.
     """
     stack = net if isinstance(net, ModelStack) else ModelStack([net])
-    _check_normalized(dataset, "evaluation")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     norm = dataset.norm
@@ -294,18 +287,15 @@ def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
 def persistence_baseline(dataset: SupervisedDataset) -> float:
     """Denormalized MAE of the naive forecast 'today's close = yesterday's close'.
 
-    Computed in original units (a normalized dataset is denormalized with
-    its own NormParams), so the result does not depend on which NormParams
-    were fitted.
+    Computed in original units (the dataset's NormParams undo its
+    scaling), so the result does not depend on which NormParams were
+    fitted.
     """
     if len(dataset) == 0:
         raise ValueError("cannot compute a baseline on an empty dataset")
-    close = dataset.features[:, 3]
-    target = dataset.targets
     norm = dataset.norm
-    if norm is not None:
-        close = denormalize(close, norm.feature_min[3], norm.feature_max[3])
-        target = denormalize(target, norm.target_min, norm.target_max)
+    close = denormalize(dataset.features[:, 3], norm.feature_min[3], norm.feature_max[3])
+    target = denormalize(dataset.targets, norm.target_min, norm.target_max)
     return float(np.mean(np.abs(close - target)))
 
 
@@ -314,8 +304,8 @@ def run_sweep(
     hidden_range,
     data: SplitDataset,
     config: TrainConfig,
-    pair: str = "UNKNOWN",
-    window: int = 1,
+    pair: str = DEFAULT_PAIR,
+    window: int = ModelSpec.window,
     measure_time: bool = False,
 ) -> list[TrialResult]:
     """Train one model per grid point; return the TrialResults in (arch, hidden) order.
@@ -338,8 +328,6 @@ def run_sweep(
         raise ValueError("hidden_range is empty")
     if any(h < 1 for h in hiddens):
         raise ValueError(f"hidden sizes must be >= 1, got {hiddens}")
-    if not data.train.normalized:
-        raise ValueError("sweep requires normalized splits (fit and apply NormParams first)")
 
     # one stack per (arch, width); widths ascend and padded_width grows with
     # hidden, so rows come in (arch, hidden) order
@@ -391,7 +379,7 @@ def run_sweep(
     return trials
 
 
-def select_best(report: list[TrialResult], criterion: str = "test_mae") -> BestSelection:
+def select_best(report: list[TrialResult], criterion: str = CRITERIA[0]) -> BestSelection:
     """Argmin by criterion; ties break to smaller hidden, then arch order.
 
     Trials with non-finite criterion values (diverged) are excluded.

@@ -18,6 +18,9 @@ import numpy as np
 from .data import OhlcRecord
 
 DEFAULT_START_DATE = dt.date(2018, 1, 1)
+DEFAULT_START_PRICE = 100.0  # first price level of either generator
+DEFAULT_STEP_FRAC = 0.001  # random walk: largest daily move, as a fraction of the level
+DEFAULT_INCREMENT = 0.05  # ramp: daily close increase
 
 
 def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
@@ -28,7 +31,7 @@ def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
 
 
 def random_walk_ohlc(
-    n: int, seed: int, start: float = 100.0, step_frac: float = 0.001
+    n: int, seed: int, start: float = DEFAULT_START_PRICE, step_frac: float = DEFAULT_STEP_FRAC
 ) -> list[OhlcRecord]:
     """Random-walk series: close_t = close_{t-1} * (1 + u_t), u_t ~ U(-s, s).
 
@@ -52,7 +55,9 @@ def random_walk_ohlc(
     return _records(opens, highs, lows, closes)
 
 
-def ramp_ohlc(n: int, increment: float = 0.05, start: float = 100.0) -> list[OhlcRecord]:
+def ramp_ohlc(
+    n: int, increment: float = DEFAULT_INCREMENT, start: float = DEFAULT_START_PRICE
+) -> list[OhlcRecord]:
     """Noiseless ramp: close_t = start + t * increment, open at prior close.
 
     Deterministic by construction (no RNG). The high/low pad is a fixed

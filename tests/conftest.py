@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fxbench import OhlcRecord
+from fxbench import NormParams, OhlcRecord
+
+# the scaling that leaves every price as it is: (v - 0) / (1 - 0) == v
+UNIT_NORM = NormParams(
+    feature_min=(0.0,) * 4, feature_max=(1.0,) * 4, target_min=0.0, target_max=1.0
+)
+
+
+def price_array(records):
+    """The (n, 4) raw prices of records, the array `fit_minmax` fits on."""
+    return np.array([r[1:] for r in records], dtype=np.float64)
 
 
 def make_records(closes, start=dt.date(2018, 1, 1), spread=0.5):

@@ -153,7 +153,7 @@ def test_mae_oracle_and_selection_examples():
 @criterion(4, "chronological 70/15/15 split arithmetic")
 def test_split_sizes_on_1500_samples():
     records = random_walk_ohlc(1501, seed=4)
-    dataset = build_supervised(records)
+    dataset = build_supervised(records, prepare_splits(records, "all")[1])
     assert len(dataset) == 1500
     assert DEFAULT_FRACTIONS == (0.70, 0.15, 0.15)
     split = chrono_split(dataset)

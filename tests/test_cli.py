@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import logging
@@ -8,14 +9,18 @@ import pytest
 
 from fxbench import (
     ModelSpec,
+    TrainConfig,
     init_model,
     load_model,
     prepare_splits,
     read_ohlc_csv,
+    run_sweep,
     save_model,
+    select_best,
     write_ohlc_csv,
 )
-from fxbench.cli import main, parse_archs, parse_hidden_sizes, UsageError
+import fxbench.cli
+from fxbench.cli import build_parser, main, parse_archs, parse_hidden_sizes, UsageError
 from fxbench.serialize import REPORT_COLUMNS
 from conftest import make_records, wavy_closes
 
@@ -52,6 +57,32 @@ def test_arch_list_grammar():
         parse_archs("cnn")
     with pytest.raises(UsageError, match="no arch"):
         parse_archs(" , ")
+
+
+def test_every_flag_default_is_the_library_default():
+    """Each command parsed with no optional flag holds the defaults of the
+    library functions and types it calls."""
+    parser = build_parser()
+    fit_norm = inspect.signature(prepare_splits).parameters["fit_norm"].default
+    sweep = inspect.signature(run_sweep).parameters
+    criterion = inspect.signature(select_best).parameters["criterion"].default
+    commands = {
+        "ingest": ["--input", "raw.csv", "--output", "clean.csv"],
+        "sweep": ["--data", "d.csv", "--report", "r.csv"],
+        "train": ["--data", "d.csv", "--arch", "mlp", "--hidden", "2", "--model-out", "m.json"],
+        "predict": ["--model", "m.json", "--data", "d.csv", "--series-out", "s.csv"],
+        "report": ["--in", "r.csv"],
+    }
+    for command, required in commands.items():
+        args = parser.parse_args([command, *required])
+        if command in ("sweep", "train"):
+            assert fxbench.cli._train_config(args) == TrainConfig()
+            assert args.fit_norm == fit_norm
+            assert args.window == sweep["window"].default == ModelSpec("lstm", 1).window
+        if command == "sweep":
+            assert args.pair == sweep["pair"].default
+        if command in ("sweep", "report"):
+            assert f"{args.select}_mae" == criterion
 
 
 def test_help_exits_zero(capsys):
@@ -410,17 +441,27 @@ def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
     assert "unknown arch" in err
 
 
-def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys):
-    from fxbench import ModelSpec, init_model, save_model
-
-    bare = tmp_path / "bare.json"
-    bare.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), None))
-    code, _, err = run(
-        capsys, "predict", "--model", str(bare), "--data", data_csv,
-        "--series-out", str(tmp_path / "s.csv"),
-    )
-    assert code == 1
-    assert "normalization" in err
+def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(fxbench.cli, "read_ohlc_csv", lambda *a, **k: reads.append(a))
+    series = tmp_path / "s.csv"
+    doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), None))
+    assert doc["norm"] is None
+    for how in ("null", "deleted"):
+        if how == "deleted":
+            del doc["norm"]
+        bare = tmp_path / f"bare_{how}.json"
+        bare.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "predict", "--model", str(bare), "--data", data_csv,
+            "--series-out", str(series),
+        )
+        assert code == 1
+        assert err == (
+            f"fxbench: error: model file {bare} carries no normalization parameters; "
+            "retrain with the train command to embed them\n"
+        )
+        assert out == "" and reads == [] and not series.exists()
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,12 @@ from fxbench import (
     DEFAULT_FRACTIONS,
     OhlcRecord,
     SplitDataset,
+    SupervisedDataset,
     build_supervised,
     chrono_split,
     denormalize,
     fit_minmax,
     normalize,
-    normalize_dataset,
     parse_ohlc_csv,
     prepare_splits,
     ramp_ohlc,
@@ -24,7 +24,7 @@ from fxbench import (
     write_atomic,
     write_ohlc_csv,
 )
-from conftest import make_records, mangled_numbers
+from conftest import UNIT_NORM, make_records, mangled_numbers, price_array
 
 HEADER = "date,open,high,low,close\n"
 
@@ -233,7 +233,7 @@ def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records)
 
 def test_build_supervised_pairs_previous_day_with_next_close():
     records = make_records([10.0, 11.0, 12.0])
-    ds = build_supervised(records)
+    ds = build_supervised(records, UNIT_NORM)
     assert len(ds) == 2
     r0, r1 = records[0], records[1]
     assert np.array_equal(ds.features[0], [r0.open, r0.high, r0.low, r0.close])
@@ -243,24 +243,24 @@ def test_build_supervised_pairs_previous_day_with_next_close():
 
 
 def test_build_supervised_counts():
-    assert len(build_supervised(make_records(list(range(100, 1600))))) == 1499
+    assert len(build_supervised(make_records(list(range(100, 1600))), UNIT_NORM)) == 1499
 
 
 def test_build_supervised_requires_two_records():
     with pytest.raises(ValueError, match="at least 2"):
-        build_supervised(make_records([10.0]))
+        build_supervised(make_records([10.0]), UNIT_NORM)
 
 
 def test_build_supervised_two_identical_records():
     r = OhlcRecord(dt.date(2018, 1, 1), 10.0, 10.5, 9.5, 10.0)
     r2 = OhlcRecord(dt.date(2018, 1, 2), 10.0, 10.5, 9.5, 10.0)
-    ds = build_supervised([r, r2])
+    ds = build_supervised([r, r2], UNIT_NORM)
     assert len(ds) == 1
     assert ds.targets[0] == ds.features[0][3] == 10.0
 
 
 def test_feature_dates_strictly_before_target_dates(wavy_records):
-    ds = build_supervised(wavy_records)
+    ds = build_supervised(wavy_records, UNIT_NORM)
     for k, target_date in enumerate(ds.dates):
         assert wavy_records[k].date < target_date
 
@@ -268,27 +268,31 @@ def test_feature_dates_strictly_before_target_dates(wavy_records):
 # ---------------------------------------------------------------- normalization
 
 
+def constant_days(n, start=0, price=10.0):
+    """Records of days start..start+n-1 that all trade at one price."""
+    return [
+        OhlcRecord(dt.date(2018, 1, 1) + dt.timedelta(days=k), price, price + 0.5, price - 0.5,
+                   price)
+        for k in range(start, start + n)
+    ]
+
+
 def test_fit_minmax_over_closes():
-    ds = build_supervised(make_records([110.0, 120.0, 112.0, 115.0]))
-    norm = fit_minmax(ds)
+    norm = fit_minmax(price_array(make_records([110.0, 120.0, 112.0, 115.0])))
     assert norm.target_min == 112.0 and norm.target_max == 120.0
     assert norm.feature_min[3] == 110.0 and norm.feature_max[3] == 120.0
 
 
 def test_fit_minmax_rejects_constant_feature():
-    records = [
-        OhlcRecord(dt.date(2018, 1, 1) + dt.timedelta(days=k), 10.0, 10.5, 9.5, 10.0)
-        for k in range(5)
-    ]
     with pytest.raises(ValueError, match="constant"):
-        fit_minmax(build_supervised(records))
+        fit_minmax(price_array(constant_days(5)))
 
 
 def test_norm_params_is_an_immutable_value(wavy_records):
-    raw = build_supervised(wavy_records)
-    norm, refit = fit_minmax(raw), fit_minmax(raw)
+    prices = price_array(wavy_records)
+    norm, refit = fit_minmax(prices), fit_minmax(prices)
     assert norm is not refit and norm == refit and hash(norm) == hash(refit)
-    assert norm.feature_min == tuple(raw.features.min(axis=0).tolist())
+    assert norm.feature_min == tuple(prices[:-1].min(axis=0).tolist())
     assert all(type(v) is float for v in norm.feature_min + norm.feature_max)
     assert norm != dataclasses.replace(norm, target_max=norm.target_max + 1.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -339,37 +343,53 @@ def test_normalize_strictly_monotonic(v, step):
     assert normalize(v + step, -200.0, 200.0) > normalize(v, -200.0, 200.0)
 
 
-def test_normalize_dataset_marks_and_scales(wavy_records):
-    ds = build_supervised(wavy_records)
-    assert not ds.normalized
-    norm = fit_minmax(ds)
-    nds = normalize_dataset(ds, norm)
-    assert nds.normalized and nds.norm is norm
+def test_build_supervised_scales_by_its_norm(wavy_records):
+    prices = price_array(wavy_records)
+    norm = fit_minmax(prices)
+    nds = build_supervised(wavy_records, norm)
+    assert nds.norm is norm
     assert np.all(nds.features >= 0.0) and np.all(nds.features <= 1.0)
     assert np.all(nds.targets >= 0.0) and np.all(nds.targets <= 1.0)
-    with pytest.raises(ValueError, match="already normalized"):
-        normalize_dataset(nds, norm)
-    with pytest.raises(ValueError, match="already normalized"):
-        fit_minmax(nds)
+    assert np.array_equal(
+        nds.features, normalize(prices[:-1], norm.feature_min, norm.feature_max)
+    )
+    assert np.array_equal(nds.targets, normalize(prices[1:, 3], norm.target_min, norm.target_max))
+
+
+def test_a_dataset_requires_its_norm():
+    with pytest.raises(TypeError, match="norm"):
+        SupervisedDataset(
+            features=np.zeros((1, 4)), targets=np.zeros(1), dates=(dt.date(2018, 1, 2),)
+        )
+
+
+def test_fit_minmax_needs_two_days():
+    with pytest.raises(ValueError, match="fewer than 2 days, got 1"):
+        fit_minmax(price_array(make_records([10.0])))
 
 
 # ---------------------------------------------------------------- splitting
 
 
+def scaled(records):
+    """The samples of records, scaled by a fit on all of them."""
+    return build_supervised(records, fit_minmax(price_array(records)))
+
+
 def test_split_sizes_1500():
-    ds = build_supervised(make_records(list(np.linspace(100, 200, 1501))))
+    ds = scaled(make_records(list(np.linspace(100, 200, 1501))))
     split = chrono_split(ds)
     assert (len(split.train), len(split.validation), len(split.test)) == (1050, 225, 225)
 
 
 def test_split_sizes_small_remainder_to_test():
-    ds = build_supervised(make_records(list(np.linspace(100, 110, 11))))
+    ds = scaled(make_records(list(np.linspace(100, 110, 11))))
     split = chrono_split(ds)
     assert (len(split.train), len(split.validation), len(split.test)) == (7, 1, 2)
 
 
 def test_split_is_a_contiguous_partition(wavy_records):
-    ds = build_supervised(wavy_records)
+    ds = scaled(wavy_records)
     split = chrono_split(ds)
     rebuilt = np.concatenate(
         [split.train.features, split.validation.features, split.test.features]
@@ -381,20 +401,20 @@ def test_split_is_a_contiguous_partition(wavy_records):
 
 
 def test_split_order_is_strictly_chronological(wavy_records):
-    split = chrono_split(build_supervised(wavy_records))
+    split = chrono_split(scaled(wavy_records))
     assert max(split.train.dates) < min(split.validation.dates)
     assert max(split.validation.dates) < min(split.test.dates)
 
 
 def test_splits_iterate_in_train_validation_test_order(wavy_records):
-    for data in (chrono_split(build_supervised(wavy_records)), prepare_splits(wavy_records)[0]):
+    for data in (chrono_split(scaled(wavy_records)), prepare_splits(wavy_records)[0]):
         assert isinstance(data, SplitDataset)
         assert tuple(data) == (data.train, data.validation, data.test)
 
 
 def test_split_rejects_empty_slices():
     # 6 samples split 4/0/2: floor(0.15 * 6) leaves no validation sample
-    ds = build_supervised(make_records([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
+    ds = scaled(make_records([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]))
     with pytest.raises(ValueError, match=r"empty slice \(4/0/2\)"):
         chrono_split(ds)
 
@@ -402,21 +422,65 @@ def test_split_rejects_empty_slices():
 @pytest.mark.parametrize("fit_norm", ["train", "all"])
 def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_norm):
     data, norm = prepare_splits(wavy_records, fit_norm)
-    raw = build_supervised(wavy_records)
-    raw_split = chrono_split(raw)
-    assert norm == fit_minmax(raw if fit_norm == "all" else raw_split.train)
-    for part, raw_part in (
-        (data.train, raw_split.train),
-        (data.validation, raw_split.validation),
-        (data.test, raw_split.test),
-    ):
-        assert part.norm is norm and part.dates == raw_part.dates
-        assert np.array_equal(
-            part.features, normalize(raw_part.features, norm.feature_min, norm.feature_max)
+    prices = price_array(wavy_records)
+    n = len(prices) - 1
+    n_train, n_val = int(0.70 * n), int(0.15 * n)
+    assert norm == fit_minmax(prices if fit_norm == "all" else prices[: n_train + 1])
+    bounds = (0, n_train, n_train + n_val, n)
+    for part, lo, hi in zip(data, bounds, bounds[1:]):
+        # sample k pairs the prices of day k with the close of day k + 1
+        assert part.norm is norm and part.dates == tuple(
+            r.date for r in wavy_records[lo + 1 : hi + 1]
         )
         assert np.array_equal(
-            part.targets, normalize(raw_part.targets, norm.target_min, norm.target_max)
+            part.features, normalize(prices[lo:hi], norm.feature_min, norm.feature_max)
         )
+        assert np.array_equal(
+            part.targets, normalize(prices[lo + 1 : hi + 1, 3], norm.target_min, norm.target_max)
+        )
+
+
+@pytest.mark.parametrize("fit_norm", ["train", "all"])
+def test_prepare_splits_builds_its_samples_as_build_supervised(wavy_records, fit_norm):
+    data, norm = prepare_splits(wavy_records, fit_norm)
+    for part, built in zip(data, chrono_split(build_supervised(wavy_records, norm))):
+        assert part.norm == built.norm
+        assert part.features.tobytes() == built.features.tobytes()
+        assert part.targets.tobytes() == built.targets.tobytes()
+        assert part.dates == built.dates
+
+
+@pytest.mark.parametrize("fit_norm", ["train", "all"])
+@pytest.mark.parametrize(
+    "n,message",
+    [
+        (0, "need at least 2 records to build samples, got 0"),
+        (1, "need at least 2 records to build samples, got 1"),
+        (2, "split of 1 samples as (0.7, 0.15, 0.15) leaves an empty slice (0/0/1)"),
+        (3, "split of 2 samples as (0.7, 0.15, 0.15) leaves an empty slice (1/0/1)"),
+        (5, "split of 4 samples as (0.7, 0.15, 0.15) leaves an empty slice (2/0/2)"),
+        (7, "split of 6 samples as (0.7, 0.15, 0.15) leaves an empty slice (4/0/2)"),
+    ],
+)
+def test_prepare_splits_refuses_too_few_records(wavy_records, fit_norm, n, message):
+    with pytest.raises(ValueError) as err:
+        prepare_splits(wavy_records[:n], fit_norm)
+    assert str(err.value) == message
+
+
+def test_prepare_splits_refuses_a_constant_fit_region():
+    message = "feature 'open' is constant (min == max == 10.0)"
+    for fit_norm in ("train", "all"):
+        with pytest.raises(ValueError) as err:
+            prepare_splits(constant_days(40), fit_norm)
+        assert str(err.value) == message
+    # constant over the 27 train samples (days 0..27) only
+    records = constant_days(30) + constant_days(10, start=30, price=11.0)
+    with pytest.raises(ValueError) as err:
+        prepare_splits(records, "train")
+    assert str(err.value) == message
+    data, _ = prepare_splits(records, "all")
+    assert [len(part) for part in data] == [27, 5, 7]
 
 
 def test_prepare_splits_rejects_unknown_fit_norm(wavy_records):

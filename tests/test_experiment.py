@@ -20,7 +20,6 @@ from fxbench import (
     TrainingDiverged,
     TrialResult,
     build_supervised,
-    chrono_split,
     emit_report_csv,
     evaluate,
     init_model,
@@ -123,13 +122,6 @@ def test_training_loss_decreases_on_learnable_series(wavy_records):
     assert losses[-1] < losses[0]
 
 
-def test_train_requires_normalized_data(wavy_records):
-    raw = build_supervised(wavy_records)
-    model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
-    with pytest.raises(ValueError, match="normalized"):
-        train(model, raw, None, quick_config())
-
-
 def test_train_rejects_feature_width_mismatch(wavy_records):
     data, _ = prepare_splits(wavy_records)
     narrow = dataclasses.replace(data.train, features=data.train.features[:, :3])
@@ -222,21 +214,24 @@ def test_evaluate_mae_matches_prediction_list(wavy_records):
     assert len(result.dates) == len(result.actual) == len(data.validation)
 
 
-def test_evaluate_rejects_empty_and_unnormalized(wavy_records):
+def test_evaluate_rejects_empty_dataset(wavy_records):
     data, norm = prepare_splits(wavy_records)
     empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=norm)
     with pytest.raises(ValueError, match="empty"):
         evaluate(constant_predictor(0.5), empty)
-    raw = build_supervised(wavy_records)
-    with pytest.raises(ValueError, match="normalized"):
-        evaluate(constant_predictor(0.5), raw)
 
 
 # ---------------------------------------------------------------- baseline
 
 
+# scales every price by 1/4, which maps and maps back the prices here exactly
+QUARTER_NORM = NormParams(
+    feature_min=(0.0,) * 4, feature_max=(4.0,) * 4, target_min=0.0, target_max=4.0
+)
+
+
 def test_persistence_baseline_hand_value():
-    ds = build_supervised(make_records([1.0, 2.0, 3.0]))
+    ds = build_supervised(make_records([1.0, 2.0, 3.0]), QUARTER_NORM)
     # predicts [1, 2] against actual [2, 3]
     assert persistence_baseline(ds) == pytest.approx(1.0, abs=1e-15)
 
@@ -246,20 +241,25 @@ def test_persistence_baseline_constant_close_is_zero():
         OhlcRecord(dt.date(2018, 1, 1) + dt.timedelta(days=k), 10.0, 10.6 + 0.1 * k, 9.5, 10.0)
         for k in range(4)
     ]
-    assert persistence_baseline(build_supervised(records)) == 0.0
+    assert persistence_baseline(build_supervised(records, QUARTER_NORM)) == 0.0
 
 
-def test_persistence_baseline_invariant_to_normalization(wavy_records):
-    raw = build_supervised(wavy_records)
-    data, _ = prepare_splits(wavy_records, "all")
-    raw_split = chrono_split(raw)
+def test_persistence_baseline_invariant_to_normalization():
+    # the same baseline under the train and the all fit, which the later,
+    # higher days of this series widen
+    records = make_records(wavy_closes(200))
+    data, norm = prepare_splits(records, "train")
+    whole, whole_norm = prepare_splits(records, "all")
+    assert norm != whole_norm
     assert persistence_baseline(data.test) == pytest.approx(
-        persistence_baseline(raw_split.test), rel=1e-12
+        persistence_baseline(whole.test), rel=1e-12
     )
 
 
 def test_persistence_baseline_empty_dataset():
-    empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=())
+    empty = SupervisedDataset(
+        features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=QUARTER_NORM
+    )
     with pytest.raises(ValueError, match="empty"):
         persistence_baseline(empty)
 

@@ -1,4 +1,5 @@
-"""The README's Quickstart and "Library use" code, run as written.
+"""The README's Quickstart and "Library use" code, run as written, and
+its list of the package's exports.
 
 The only edits: `fxbench` runs as `python -m fxbench` (the entry point
 need not be installed), and `--n` and the epochs are shrunk so the run
@@ -11,6 +12,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import fxbench
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -69,3 +72,8 @@ def test_library_use_runs_as_written(capsys):
     best = namespace["best"]
     assert capsys.readouterr().out == f"{best.arch} {best.structure} {best.test_mae}\n"
     assert namespace["yhat"].shape == (3, 32, 1)
+
+
+def test_export_list_matches_the_package_exports():
+    (paragraph,) = [p for p in README.split("\n\n") if p.startswith("The package exports ")]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == set(fxbench.__all__)

@@ -2,6 +2,7 @@
 programs where their command-line errors are checked."""
 
 import importlib.util
+import inspect
 import pathlib
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from fxbench import (
     load_model,
     parse_report_csv,
     prepare_splits,
+    ramp_ohlc,
+    random_walk_ohlc,
     read_ohlc_csv,
     select_best,
 )
@@ -138,3 +141,12 @@ def test_make_data_reports_an_output_path_it_cannot_create_in_one_line(tmp_path,
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"make_data.py: error: cannot write {out}: ")
     assert regular.read_text() == "keep\n"
+
+
+def test_make_data_flag_defaults_are_the_generators_defaults():
+    args = load_script("make_data").build_parser().parse_args(["--out", "walk.csv"])
+    walk = inspect.signature(random_walk_ohlc).parameters
+    ramp = inspect.signature(ramp_ohlc).parameters
+    assert args.start == walk["start"].default == ramp["start"].default
+    assert args.step_frac == walk["step_frac"].default
+    assert args.increment == ramp["increment"].default
