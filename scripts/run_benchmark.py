@@ -8,11 +8,11 @@ configuration and emits its actual-vs-predicted test series. A final
 summary compares every winner against the persistence baseline
 (predicting tomorrow's close as today's).
 
-Pass --quick for a 200-epoch version: it took 24 to 27 s in three runs
-on a 2-core x86-64 machine with OpenBLAS 0.3.31 (up to 39 s while other
-work shared the machine). Nearly all of that time is training, which
-grows with the epoch count, so full scale (1500 epochs per trial) takes
-about 7.5 times as long: some 3 to 3.5 minutes there.
+Pass --quick for a 200-epoch version: it took 16.5, 17.1 and 18.5 s in
+three runs on a 2-core x86-64 machine with OpenBLAS 0.3.31, numpy 2.4.6
+and Python 3.11. Nearly all of that time is training, which grows with
+the epoch count, so full scale (1500 epochs per trial) takes about 7.5
+times as long: some 2 to 2.5 minutes there.
 
 Example:
     python3 scripts/run_benchmark.py --out results --quick

@@ -32,10 +32,10 @@ from .experiment import (
     TrainConfig,
     TrainingDiverged,
     _check_window,
+    _run_stack,
     evaluate,
     run_sweep,
     select_best,
-    train,
     trial_model,
 )
 from .optim import DEFAULT_LR, OPTIMIZERS
@@ -201,10 +201,10 @@ def cmd_sweep(args) -> int:
     blob = emit_report_csv(report)
     with write_atomic(args.report) as fh:
         fh.write(blob)
+    print(f"wrote report: {args.report} ({len(report)} trials)")
     o = select_best(report, criterion).overall
     value = getattr(o, criterion)
     scale = norm.target_max - norm.target_min
-    print(f"wrote report: {args.report} ({len(report)} trials)")
     print(
         f"overall best ({criterion}): {o.arch.upper()},{o.structure},{value!r}"
         f" | normalized {value / scale!r}"
@@ -220,8 +220,9 @@ def cmd_train(args) -> int:
     model = trial_model(arch, args.hidden, args.window, args.seed)
     spec = model.spec
     _check_window(data, spec.window)
-    train(model, data.train, data.validation, config)
-    maes = [evaluate(model, split).mae for split in data]
+    (outcome,), (maes,), _ = _run_stack([model], data, config)
+    if isinstance(outcome, TrainingDiverged):
+        raise outcome
     blob = save_model(model, norm)
     with write_atomic(args.model_out) as fh:
         fh.write(blob)

@@ -6,13 +6,14 @@ scaled and carries its NormParams (`dataset.norm`); evaluation and the
 baseline denormalize with them, and training refuses a validation split
 scaled by another fit.
 
-A sweep trains its trials in lockstep: the hidden sizes of one
-architecture that pad to the same width (`cells.padded_width`) form one
-`ModelStack`, and every batch runs one stacked forward, backward and
-optimizer step for all of them. `evaluate` is the one scoring path: it
-scores every model of a stack in one forward-only pass over a split
-(`cells.predict`), a single model as a stack of one. A sweep scores each
-trained stack once per split, leaving out the models that diverged.
+A sweep is a plan and one unit of work. The plan puts the hidden sizes
+of one architecture that pad to the same width (`cells.padded_width`) in
+one stack. The unit, `_run_stack`, trains a stack's models in lockstep,
+one stacked forward, backward and optimizer step per batch for all of
+them, then scores the models that did not diverge once per split; the
+train command runs it on a stack of one. `evaluate` is the one scoring
+path: it scores every model of a stack in one forward-only pass over a
+split (`cells.predict`), a single model as a stack of one.
 
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
@@ -299,6 +300,22 @@ def persistence_baseline(dataset: SupervisedDataset) -> float:
     return float(np.mean(np.abs(close - target)))
 
 
+def _run_stack(models: list[NetworkModel], data: SplitDataset, config: TrainConfig):
+    """A sweep's unit of work: train fresh `models` as one ModelStack and
+    score each model that did not diverge on every split. Returns each
+    model's outcome (its loss list or its TrainingDiverged), its (train,
+    val, test) MAEs (NaN if it diverged) and the stack's seconds in all."""
+    t0 = time.perf_counter()
+    outcomes = train(ModelStack(models), data.train, data.validation, config)
+    ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, TrainingDiverged)]
+    maes = [(math.nan,) * 3] * len(models)
+    if ok:
+        trained = ModelStack(models[k] for k in ok)
+        for k, per_split in zip(ok, zip(*(evaluate(trained, split) for split in data))):
+            maes[k] = tuple(r.mae for r in per_split)
+    return outcomes, maes, time.perf_counter() - t0
+
+
 def run_sweep(
     archs,
     hidden_range,
@@ -310,15 +327,16 @@ def run_sweep(
 ) -> list[TrialResult]:
     """Train one model per grid point; return the TrialResults in (arch, hidden) order.
 
-    The hidden sizes of an architecture that share a padded width train as
-    one stack, in lockstep, and each trained stack is scored once per
-    split. Every model is built before any training, and a split too short
-    for the longest window among them is refused then. A diverging trial
+    First the plan: one stack of fresh models per architecture and padded
+    width, in report order, every model built before any training, and a
+    split too short for the longest window among them refused then. Then
+    one `_run_stack` per stack, which depends on no other stack, so the
+    rows do not depend on the order the stacks run in. A diverging trial
     is recorded with NaN errors, is left out of the scoring and affects
     neither the sweep nor its stack. wall_time_s is 0.0 unless
-    measure_time is set; then each trial records the wall time of its
-    whole stack (training plus scoring). Measured times differ between
-    runs and would break byte-identical reports.
+    measure_time is set; then each trial records the seconds of its whole
+    stack (training plus scoring). Measured times differ between runs and
+    would break byte-identical reports.
     """
     archs = tuple(sorted(set(archs), key=arch_id))
     if not archs:
@@ -341,40 +359,27 @@ def run_sweep(
 
     trials: list[TrialResult] = []
     for models in stacks:
-        arch = models[0].spec.arch
-        t0 = time.perf_counter()
-        outcomes = train(ModelStack(models), data.train, data.validation, config)
-        maes = [(float("nan"),) * 3] * len(models)
-        ok = []
-        for k, (model, outcome) in enumerate(zip(models, outcomes)):
-            if isinstance(outcome, TrainingDiverged):
-                log.warning("trial %s h=%d diverged: %s", arch, model.spec.hidden, outcome)
-            else:
-                ok.append(k)
-        if ok:
-            trained = ModelStack(models[k] for k in ok)
-            scores = zip(*(evaluate(trained, split) for split in data))
-            for k, per_split in zip(ok, scores):
-                maes[k] = tuple(r.mae for r in per_split)
-        elapsed = time.perf_counter() - t0
-        for model, (train_mae, val_mae, test_mae) in zip(models, maes):
+        outcomes, maes, seconds = _run_stack(models, data, config)
+        for model, outcome, (train_mae, val_mae, test_mae) in zip(models, outcomes, maes):
             spec = model.spec
+            if isinstance(outcome, TrainingDiverged):
+                log.warning("trial %s h=%d diverged: %s", spec.arch, spec.hidden, outcome)
             trials.append(
                 TrialResult(
                     pair=pair,
-                    arch=arch,
+                    arch=spec.arch,
                     structure=spec.structure,
                     hidden=spec.hidden,
                     train_mae=train_mae,
                     val_mae=val_mae,
                     test_mae=test_mae,
                     seed=model.rng_seed,
-                    wall_time_s=elapsed if measure_time else 0.0,
+                    wall_time_s=seconds if measure_time else 0.0,
                 )
             )
             log.info(
                 "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
-                arch, spec.structure, train_mae, val_mae, test_mae, len(models), elapsed,
+                spec.arch, spec.structure, train_mae, val_mae, test_mae, len(models), seconds,
             )
     return trials
 

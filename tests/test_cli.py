@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import logging
+import math
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from fxbench import (
     TrainConfig,
     init_model,
     load_model,
+    parse_report_csv,
     prepare_splits,
     read_ohlc_csv,
     run_sweep,
@@ -334,6 +336,22 @@ def test_train_divergence_is_one_error_line_and_no_file(
     assert not model_path.exists()
 
 
+def test_an_all_diverged_sweep_says_it_wrote_its_report(tmp_path, data_csv, capsys, monkeypatch):
+    monkeypatch.setenv("FXBENCH_LOG", "error")  # no per-trial divergence warnings
+    report = tmp_path / "r.csv"
+    code, out, err = run(
+        capsys, "sweep", "--data", data_csv, "--archs", "lstm,gru", "--hidden", "2..3",
+        "--epochs", "1", "--batch", "1000", "--lr", "1e308", "--report", str(report),
+    )
+    assert code == 1
+    assert err == "fxbench: error: no successful trials to select from\n"
+    assert out == f"wrote report: {report} (4 trials)\n"
+    rows = parse_report_csv(report.read_bytes())
+    assert [(t.arch, t.hidden) for t in rows] == [("gru", 2), ("gru", 3), ("lstm", 2), ("lstm", 3)]
+    for t in rows:
+        assert all(math.isnan(v) for v in (t.train_mae, t.val_mae, t.test_mae))
+
+
 @pytest.mark.parametrize(
     "command,builder,flags",
     [
@@ -384,7 +402,6 @@ def test_a_window_longer_than_a_split_fails_before_any_training(
     def refuse(*args):
         raise AssertionError("train was called")
 
-    monkeypatch.setattr("fxbench.cli.train", refuse)
     monkeypatch.setattr("fxbench.experiment.train", refuse)
     out_path = tmp_path / "out"
     code, out, err = run(
@@ -404,7 +421,7 @@ def test_train_scores_every_split_before_it_writes_the_model(
     def refuse(model, split):
         raise ValueError("cannot score this split")
 
-    monkeypatch.setattr("fxbench.cli.evaluate", refuse)
+    monkeypatch.setattr("fxbench.experiment.evaluate", refuse)
     model_out = tmp_path / "m.json"
     code, out, err = run(
         capsys, "train", "--data", data_csv, "--arch", "mlp", "--hidden", "2",
@@ -674,7 +691,6 @@ def test_an_output_under_a_regular_file_fails_before_any_work(
         raise AssertionError("training started")
 
     monkeypatch.setattr("fxbench.experiment.train", refuse)
-    monkeypatch.setattr("fxbench.cli.train", refuse)
     monkeypatch.setenv("FXBENCH_LOG", "error")
     data = str(tmp_path / "missing.csv") if command == "ingest" else data_csv
     (tmp_path / "notadir").write_text("a regular file\n")

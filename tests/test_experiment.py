@@ -422,6 +422,58 @@ def test_a_sweep_report_parses_and_re_emits_its_bytes(
     assert all(t.wall_time_s > 0.0 for t in back) == timings
 
 
+def record_stacks(monkeypatch):
+    """Record, per `_run_stack` call that run_sweep makes, its models'
+    (arch, hidden) keys and what it returned."""
+    calls = []
+    real_run_stack = fxbench.experiment._run_stack
+
+    def recording(models, data, config):
+        result = real_run_stack(models, data, config)
+        calls.append(([(m.spec.arch, m.spec.hidden) for m in models], result))
+        return result
+
+    monkeypatch.setattr(fxbench.experiment, "_run_stack", recording)
+    return calls
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_a_sweep_row_does_not_depend_on_the_order_its_stacks_run_in(
+    wavy_records, monkeypatch, window
+):
+    # each stack trains and scores on its own, so the plan's stacks can run
+    # in any order (or apart) and give the sweep's rows bit for bit
+    data, _ = prepare_splits(wavy_records)
+    cfg = quick_config(epochs=2)
+    calls = record_stacks(monkeypatch)
+    rows = run_sweep(ARCHS, range(2, 11), data, cfg, window=window)
+    plan = [keys for keys, _ in calls]
+    assert len(plan) == 8 and sum(map(len, plan)) == len(rows) == 36
+    by_key = {(t.arch, t.hidden): (t.train_mae, t.val_mae, t.test_mae) for t in rows}
+    for keys in reversed(plan):
+        models = [trial_model(arch, h, window, cfg.seed) for arch, h in keys]
+        _, maes, _ = fxbench.experiment._run_stack(models, data, cfg)
+        assert repr(maes) == repr([by_key[key] for key in keys])
+
+
+def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
+    # a fake clock that advances `step` per call: each stack reads it once
+    # before training and once after scoring
+    step = 0.25
+    clock = iter(step * k for k in range(1000))
+    monkeypatch.setattr("fxbench.experiment.time.perf_counter", lambda: next(clock))
+    data, _ = prepare_splits(wavy_records)
+    calls = record_stacks(monkeypatch)
+    rows = iter(run_sweep(["srnn", "lstm"], range(6, 11), data, quick_config(), measure_time=True))
+    assert [len(keys) for keys, _ in calls] == [3, 2, 3, 2]
+    for keys, (_, _, seconds) in calls:
+        assert seconds == step
+        stack_rows = [next(rows) for _ in keys]
+        assert [(t.arch, t.hidden) for t in stack_rows] == keys
+        assert {t.wall_time_s for t in stack_rows} == {seconds}
+    assert next(rows, None) is None
+
+
 @pytest.mark.parametrize("arch,hidden", [("mlp", 9), ("srnn", 2), ("gru", 10), ("lstm", 5)])
 def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, arch, hidden):
     # a trial's arithmetic never reads the other trials of its stack: with
