@@ -8,7 +8,8 @@ configuration and emits its actual-vs-predicted test series. A final
 summary compares every winner against the persistence baseline
 (predicting tomorrow's close as today's).
 
-Pass --quick for a 200-epoch version: it took 16.5, 17.1 and 18.5 s in
+Pass --quick for a 200-epoch version (it stands for --epochs 200, so
+giving both is a usage error): it took 16.5, 17.1 and 18.5 s in
 three runs on a 2-core x86-64 machine with OpenBLAS 0.3.31, numpy 2.4.6
 and Python 3.11. Nearly all of that time is training, which grows with
 the epoch count, so full scale (1500 epochs per trial) takes about 7.5
@@ -27,6 +28,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import (
     ARCHS,
+    ModelStack,
     TrainConfig,
     emit_report_csv,
     emit_series_csv,
@@ -77,9 +79,10 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     # retrain the winner (same per-trial seed, so the same model) to save
     # its weights and emit the test-set series for plotting
     model = trial_model(best.arch, best.hidden, WINDOW, config.seed)
-    train(model, data.train, data.validation, config)
+    stack = ModelStack([model])
+    train(stack, data.train, data.validation, config)
     write_file(out_dir / f"{slug}_best_model.json", save_model(model, norm))
-    result = evaluate(model, data.test)
+    (result,) = evaluate(stack, data.test)
     write_file(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
 
     baseline = persistence_baseline(data.test)
@@ -89,12 +92,11 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
     parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
     parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")
-    parser.add_argument(
-        "--quick", action="store_true", help="use 200 epochs for a fast smoke run"
-    )
+    group = parser.add_mutually_exclusive_group()  # --quick sets the epochs itself
+    group.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
+    group.add_argument("--quick", action="store_true", help="use 200 epochs for a fast smoke run")
     args = parser.parse_args(argv)
 
     epochs = 200 if args.quick else args.epochs

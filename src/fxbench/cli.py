@@ -2,10 +2,10 @@
 
 Contract: exit 0 on success; on failure print exactly one line of the form
 `fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
-failures, 2 for usage errors). All file outputs are byte-identical across
-runs given identical inputs and seeds, and each replaces its target
-atomically (`data.write_atomic`). FXBENCH_LOG in {error, warn, info,
-debug} sets stderr log verbosity (default info).
+failures, 2 for usage errors, 130 for an interrupt). All file outputs are
+byte-identical across runs given identical inputs and seeds, and each
+replaces its target atomically (`data.write_atomic`). FXBENCH_LOG in
+{error, warn, info, debug} sets stderr log verbosity (default info).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .cells import ARCHS, ModelSpec, arch_id
+from .cells import ARCHS, ModelSpec, ModelStack, arch_id
 from .data import (
     FIT_NORMS,
     build_supervised,
@@ -243,7 +243,7 @@ def cmd_predict(args) -> int:
             "retrain with the train command to embed them"
         )
     dataset = build_supervised(read_ohlc_csv(args.data), norm)
-    result = evaluate(model, dataset)
+    (result,) = evaluate(ModelStack([model]), dataset)
     blob = emit_series_csv(result)
     with write_atomic(args.series_out) as fh:
         fh.write(blob)
@@ -389,4 +389,10 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """`main` for the console script and `python -m fxbench`: an interrupt
+    exits 130 here, not in `main`, so Ctrl-C still stops in-process callers."""
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        code = _fail("interrupted", 130)
+    raise SystemExit(code)

@@ -11,9 +11,9 @@ of one architecture that pad to the same width (`cells.padded_width`) in
 one stack. The unit, `_run_stack`, trains a stack's models in lockstep,
 one stacked forward, backward and optimizer step per batch for all of
 them, then scores the models that did not diverge once per split; the
-train command runs it on a stack of one. `evaluate` is the one scoring
-path: it scores every model of a stack in one forward-only pass over a
-split (`cells.predict`), a single model as a stack of one.
+train command runs it on a stack of one. `train` and `evaluate` take a
+ModelStack only and return one entry per model, so a divergence is a
+returned value; `evaluate` scores a split in one forward-only pass.
 
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
@@ -115,16 +115,16 @@ class TrainConfig:
             object.__setattr__(self, "learning_rate", DEFAULT_LR[self.optimizer])
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ValueError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be a positive integer, got {self.batch_size!r}")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", -math.inf)):
+            value = getattr(self, name)  # an int, not a bool; trial_seed masks any seed
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                kind = "a positive integer" if least == 1 else "an integer"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass
 class EvalResult:
     mae: float  # denormalized (original currency units)
-    mae_norm: float  # same predictions on the normalized scale
     dates: tuple[dt.date, ...]  # one per prediction
     actual: np.ndarray  # denormalized targets
     predicted: np.ndarray  # denormalized predictions
@@ -171,18 +171,17 @@ def _check_window(data: SplitDataset, window: int) -> None:
 
 
 def train(
-    net: NetworkModel | ModelStack,
+    stack: ModelStack,
     train_set: SupervisedDataset,
     val_set: SupervisedDataset | None,
     config: TrainConfig,
 ) -> list:
-    """Mini-batch MAE training of `net` in place for exactly config.epochs
-    epochs.
+    """Mini-batch MAE training of every model of `stack` in place, in
+    lockstep, for exactly config.epochs epochs.
 
     Batches run in chronological order, the same every epoch; gradients are
-    averaged within each batch and one optimizer step is applied per batch.
-    A ModelStack trains its models in lockstep: one stacked forward,
-    backward and step per batch for all of them. A model diverges at the
+    averaged within each batch, and each batch takes one stacked forward,
+    backward and optimizer step for all the models. A model diverges at the
     first epoch whose loss, or whose weights after it, are not finite;
     numpy's overflow and invalid-value warnings are silenced in the loop
     because that check is what reports them. The other models go on (a
@@ -190,11 +189,12 @@ def train(
     once every model has diverged. Trained weights are stored back into
     the models.
 
-    For a NetworkModel, returns its per-epoch training MAE on the
-    normalized scale, or raises TrainingDiverged. For a ModelStack, returns
-    one entry per model: that list, or its TrainingDiverged.
+    Returns one entry per model: its per-epoch training MAE on the
+    normalized scale, or its TrainingDiverged. Divergence is returned,
+    never raised; a single model trains as a stack of one.
     """
-    stack = net if isinstance(net, ModelStack) else ModelStack([net])
+    if not isinstance(stack, ModelStack):
+        raise TypeError(f"expected a ModelStack, got {type(stack).__name__}")
     spec = stack.spec
     if val_set is not None and val_set.norm != train_set.norm:
         raise ValueError("validation dataset was normalized with different NormParams")
@@ -235,36 +235,29 @@ def train(
                     stack.store()
                     ks = np.flatnonzero(running)
                     scores = evaluate(ModelStack(stack.models[k] for k in ks), val_set)
+                    scale = val_set.norm.target_max - val_set.norm.target_min
                     for k, score in zip(ks, scores):
                         model = stack.models[k]
                         log.debug(
                             "%s h=%d epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
                             model.spec.arch, model.spec.hidden, epoch + 1, config.epochs,
-                            epoch_loss[k], score.mae_norm,
+                            epoch_loss[k], score.mae / scale,
                         )
     stack.store()
     for k in np.flatnonzero(running):
         stack.models[k].epochs_trained += config.epochs
-    if net is stack:
-        return results
-    (result,) = results
-    if isinstance(result, TrainingDiverged):
-        raise result
-    return result
+    return results
 
 
-def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
-    """Predict every sample with every model of `net`, denormalize
-    predictions and targets with the dataset's NormParams, and report each
-    model's MAE in original currency units (and on the normalized scale).
+def evaluate(stack: ModelStack, dataset: SupervisedDataset) -> list[EvalResult]:
+    """One EvalResult per model of `stack`: its predictions of every sample
+    and the targets, denormalized with the dataset's NormParams, and its
+    MAE in original currency units.
 
     One forward-only pass (`cells.predict`) scores the whole stack. A
-    model's predictions depend on its own weights only, so a model scores
-    the same in any stack as alone. For a ModelStack, returns one
-    EvalResult per model; for a NetworkModel, run as a stack of one, its
-    EvalResult. The target is one close price, every model's one output.
+    model's predictions depend on its own weights only, so it scores the
+    same in any stack as in a stack of one.
     """
-    stack = net if isinstance(net, ModelStack) else ModelStack([net])
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     norm = dataset.norm
@@ -276,13 +269,12 @@ def evaluate(net: NetworkModel | ModelStack, dataset: SupervisedDataset):
         results.append(
             EvalResult(
                 mae=mae_loss(predicted, actual),
-                mae_norm=mae_loss(pred_norm, targets),
                 dates=dates,
                 actual=actual,
                 predicted=predicted,
             )
         )
-    return results if net is stack else results[0]
+    return results
 
 
 def persistence_baseline(dataset: SupervisedDataset) -> float:

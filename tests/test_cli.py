@@ -661,6 +661,33 @@ def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
     assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "command,unit",
+    [("sweep", "fxbench.experiment._run_stack"), ("train", "fxbench.cli._run_stack")],
+    ids=["sweep", "train"],
+)
+def test_an_interrupt_is_one_error_line_and_leaves_no_file(
+    tmp_path, data_csv, capsys, monkeypatch, command, unit
+):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(unit, interrupt)
+    out_dir = tmp_path / "out"
+    argv = command_argv(command, data_csv, None, str(out_dir / "out"))
+    monkeypatch.setattr(sys, "argv", ["fxbench", *argv])
+    with pytest.raises(SystemExit) as exc:
+        fxbench.cli.entrypoint()
+    assert exc.value.code == 130
+    assert capsys.readouterr() == ("", "fxbench: error: interrupted\n")
+    assert list(out_dir.iterdir()) == []  # no output and no `.out.*.tmp`
+    assert not logging.getLogger("fxbench").handlers
+    # main lets the interrupt through, so it still stops an in-process caller
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    assert not logging.getLogger("fxbench").handlers
+
+
 # ---------------------------------------------------------------- output paths
 
 

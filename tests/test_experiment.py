@@ -75,6 +75,8 @@ def test_train_config_validation():
         with pytest.raises(ValueError) as e:
             quick_config(**kw)
         assert str(e.value) == message
+    # trial_seed masks any seed to 64 bits
+    assert [TrainConfig(seed=s).seed for s in (-1, 2**70)] == [-1, 2**70]
 
 
 def test_train_config_is_one_flat_frozen_value():
@@ -91,13 +93,31 @@ def test_train_config_is_one_flat_frozen_value():
         config.learning_rate = 0.5
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("epochs", True),
+        ("batch_size", True),
+        ("seed", 1.5),
+        ("seed", "7"),
+        ("seed", None),
+        ("seed", True),
+    ],
+)
+def test_train_config_refuses_a_count_or_seed_that_is_not_an_int(field, value):
+    kind = "an integer" if field == "seed" else "a positive integer"
+    with pytest.raises(ValueError) as e:
+        TrainConfig(**{field: value})
+    assert str(e.value) == f"{field} must be {kind}, got {value!r}"
+
+
 # ---------------------------------------------------------------- train
 
 
 def test_history_has_one_finite_entry_per_epoch(wavy_records):
     data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=3), 1)
-    losses = train(model, data.train, data.validation, quick_config(epochs=7))
+    (losses,) = train(ModelStack([model]), data.train, data.validation, quick_config(epochs=7))
     assert len(losses) == 7
     assert all(math.isfinite(v) for v in losses)
     assert model.epochs_trained == 7
@@ -109,7 +129,7 @@ def test_training_is_bitwise_deterministic(wavy_records):
     runs = []
     for _ in range(2):
         model = init_model(ModelSpec(arch="lstm", hidden=3), 9)
-        train(model, data.train, data.validation, cfg)
+        train(ModelStack([model]), data.train, data.validation, cfg)
         runs.append({k: v.copy() for k, v in model.params.items()})
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name])
@@ -118,7 +138,7 @@ def test_training_is_bitwise_deterministic(wavy_records):
 def test_training_loss_decreases_on_learnable_series(wavy_records):
     data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=4), 3)
-    losses = train(model, data.train, None, quick_config(epochs=150))
+    (losses,) = train(ModelStack([model]), data.train, None, quick_config(epochs=150))
     assert losses[-1] < losses[0]
 
 
@@ -127,7 +147,7 @@ def test_train_rejects_feature_width_mismatch(wavy_records):
     narrow = dataclasses.replace(data.train, features=data.train.features[:, :3])
     model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
     with pytest.raises(ValueError, match="input_dim mismatch: model expects 4, got 3"):
-        train(model, narrow, None, quick_config())
+        train(ModelStack([model]), narrow, None, quick_config())
 
 
 def test_train_refuses_a_validation_split_normalized_with_another_fit():
@@ -136,11 +156,12 @@ def test_train_refuses_a_validation_split_normalized_with_another_fit():
     whole, whole_norm = prepare_splits(records, "all")
     refit, refit_norm = prepare_splits(records)
     assert whole_norm != norm and refit_norm == norm and refit_norm is not norm
-    model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
+    stack = ModelStack([init_model(ModelSpec(arch="mlp", hidden=2), 0)])
     with pytest.raises(ValueError) as err:
-        train(model, data.train, whole.validation, quick_config(epochs=1))
+        train(stack, data.train, whole.validation, quick_config(epochs=1))
     assert str(err.value) == "validation dataset was normalized with different NormParams"
-    assert len(train(model, data.train, refit.validation, quick_config(epochs=1))) == 1
+    (losses,) = train(stack, data.train, refit.validation, quick_config(epochs=1))
+    assert len(losses) == 1
 
 
 def test_non_finite_loss_aborts_with_epoch_index():
@@ -154,18 +175,36 @@ def test_non_finite_loss_aborts_with_epoch_index():
         norm=norm,
     )
     model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
-    with pytest.raises(TrainingDiverged) as exc:
-        train(model, bad, None, quick_config(epochs=3))
-    assert exc.value.epoch == 0
-    assert "epoch 0" in str(exc.value)
+    (outcome,) = train(ModelStack([model]), bad, None, quick_config(epochs=3))
+    assert isinstance(outcome, TrainingDiverged)
+    assert outcome.epoch == 0
+    assert "epoch 0" in str(outcome)
+
+
+def test_train_and_evaluate_refuse_a_bare_model_before_any_work(wavy_records, monkeypatch):
+    data, _ = prepare_splits(wavy_records)
+    model = trial_model("gru", 3, 2, 42)
+    weights = save_model(model)
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(fxbench.experiment, "_windowed", refuse)  # train's first step
+    with pytest.raises(TypeError, match="^expected a ModelStack, got NetworkModel$"):
+        train(model, data.train, data.validation, quick_config())
+    monkeypatch.undo()
+    monkeypatch.setattr(fxbench.cells, "forward_batch", refuse)  # the scoring kernel
+    with pytest.raises(TypeError, match="^expected a ModelStack, got NetworkModel$"):
+        evaluate(model, data.test)
+    assert save_model(model) == weights and model.epochs_trained == 0
 
 
 def test_windowed_training_and_prediction_counts(wavy_records):
     data, norm = prepare_splits(wavy_records)
     spec = ModelSpec(arch="gru", hidden=3, window=3)
-    model = init_model(spec, 4)
-    train(model, data.train, None, quick_config(epochs=2))
-    result = evaluate(model, data.test)
+    stack = ModelStack([init_model(spec, 4)])
+    train(stack, data.train, None, quick_config(epochs=2))
+    (result,) = evaluate(stack, data.test)
     assert result.dates == data.test.dates[2:]
     assert len(result.actual) == len(result.predicted) == len(data.test) - 2
 
@@ -197,9 +236,8 @@ def test_evaluate_constant_predictor_hand_value():
         dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3)),
         norm=norm,
     )
-    result = evaluate(constant_predictor(0.5), ds)
+    (result,) = evaluate(ModelStack([constant_predictor(0.5)]), ds)
     assert result.mae == pytest.approx(2.0, abs=1e-12)
-    assert result.mae_norm == pytest.approx(0.1, abs=1e-12)
     assert result.dates == ds.dates
     assert result.actual == pytest.approx([108.0, 112.0], abs=1e-12)
     assert result.predicted == pytest.approx([110.0, 110.0], abs=1e-12)
@@ -208,7 +246,7 @@ def test_evaluate_constant_predictor_hand_value():
 def test_evaluate_mae_matches_prediction_list(wavy_records):
     data, _ = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="lstm", hidden=3), 5)
-    result = evaluate(model, data.validation)
+    (result,) = evaluate(ModelStack([model]), data.validation)
     recomputed = np.mean([abs(a - p) for a, p in zip(result.actual, result.predicted)])
     assert result.mae == pytest.approx(recomputed, abs=1e-12)
     assert len(result.dates) == len(result.actual) == len(data.validation)
@@ -218,7 +256,7 @@ def test_evaluate_rejects_empty_dataset(wavy_records):
     data, norm = prepare_splits(wavy_records)
     empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=norm)
     with pytest.raises(ValueError, match="empty"):
-        evaluate(constant_predictor(0.5), empty)
+        evaluate(ModelStack([constant_predictor(0.5)]), empty)
 
 
 # ---------------------------------------------------------------- baseline
@@ -328,8 +366,8 @@ def test_stacked_scoring_equals_each_model_scored_alone(arch):
         stacked = evaluate(stack, split)
         assert len(stacked) == len(models)
         for model, result in zip(models, stacked):
-            alone = evaluate(model, split)
-            assert repr((result.mae, result.mae_norm)) == repr((alone.mae, alone.mae_norm))
+            (alone,) = evaluate(ModelStack([model]), split)
+            assert repr(result.mae) == repr(alone.mae)
             assert np.array_equal(result.predicted, alone.predicted)
             assert np.array_equal(result.actual, alone.actual)
             assert result.dates == alone.dates
@@ -497,10 +535,10 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
         group.index(hidden)
     ]
     alone = fxbench.experiment.trial_model(arch, hidden, 1, cfg.seed)
-    with pytest.raises(TrainingDiverged) as exc:
-        train(alone, data.train, data.validation, cfg)
+    (alone_outcome,) = train(ModelStack([alone]), data.train, data.validation, cfg)
     assert isinstance(outcome, TrainingDiverged)
-    assert exc.value.epoch == outcome.epoch
+    assert isinstance(alone_outcome, TrainingDiverged)
+    assert alone_outcome.epoch == outcome.epoch
 
 
 def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
@@ -513,7 +551,7 @@ def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
     assert models[1].epochs_trained == 0
     for k in (0, 2):
         alone = trial_model("lstm", models[k].spec.hidden, 2, 42)
-        assert outcomes[k] == train(alone, data.train, None, cfg)
+        assert outcomes[k] == train(ModelStack([alone]), data.train, None, cfg)[0]
         assert models[k].epochs_trained == alone.epochs_trained == 3
         assert save_model(models[k]) == save_model(alone)
 
@@ -525,7 +563,8 @@ def test_debug_log_scores_the_running_models_on_validation(wavy_records, caplog)
     caplog.set_level(logging.DEBUG, logger="fxbench")
     train(ModelStack(models), data.train, data.validation, quick_config(epochs=1))
     lines = [r.getMessage() for r in caplog.records if "val_mae_norm" in r.getMessage()]
-    val = evaluate(models[0], data.validation).mae_norm
+    (score,) = evaluate(ModelStack(models[:1]), data.validation)
+    val = score.mae / (data.validation.norm.target_max - data.validation.norm.target_min)
     assert len(lines) == 1
     assert lines[0].startswith("gru h=3 epoch 1/1 ")
     assert lines[0].endswith(f" val_mae_norm={val:.6g}")
@@ -571,7 +610,7 @@ def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
     monkeypatch.undo()
     for model in models:
         alone = trial_model(arch, model.spec.hidden, window, 7)
-        train(alone, data.train, None, cfg)
+        train(ModelStack([alone]), data.train, None, cfg)
         assert save_model(model, norm) == save_model(alone, norm)
 
 

@@ -72,6 +72,7 @@ def test_library_use_runs_as_written(capsys):
     best = namespace["best"]
     assert capsys.readouterr().out == f"{best.arch} {best.structure} {best.test_mae}\n"
     assert namespace["yhat"].shape == (3, 32, 1)
+    assert len(namespace["outcomes"]) == len(namespace["scores"]) == 3
 
 
 def test_export_list_matches_the_package_exports():

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from fxbench import (
+    ModelStack,
     emit_series_csv,
     evaluate,
     load_model,
@@ -60,7 +61,7 @@ def test_run_benchmark_writes_every_output_and_its_winner_matches_the_sweep(tmp_
         assert (model.spec.arch, model.spec.hidden) == (best.arch, best.hidden)
         data, _ = prepare_splits(read_ohlc_csv(tmp_path / f"{slug}_data.csv"))
         assert norm == data.test.norm
-        result = evaluate(model, data.test)
+        (result,) = evaluate(ModelStack([model]), data.test)
         # the retrained winner is the very model the sweep scored
         assert repr(result.mae) == repr(best.test_mae)
         assert (tmp_path / f"{slug}_best_test_series.csv").read_bytes() == emit_series_csv(result)
@@ -102,8 +103,9 @@ def test_make_data_reports_a_bad_value_in_one_error_line(tmp_path, flags, messag
     [
         (["--epochs", "0"], "epochs must be a positive integer, got 0"),
         (["--batch", "-1"], "batch_size must be a positive integer, got -1"),
+        (["--quick", "--epochs", "1"], "argument --epochs: not allowed with argument --quick"),
     ],
-    ids=["epochs", "batch"],
+    ids=["epochs", "batch", "quick-with-epochs"],
 )
 def test_run_benchmark_reports_a_bad_value_in_one_error_line(tmp_path, flags, message):
     out = tmp_path / "new"

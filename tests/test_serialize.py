@@ -269,7 +269,6 @@ def test_load_model_of_a_mutated_file_loads_or_raises_value_error(mutations):
 def test_series_csv_layout_and_reparse():
     result = EvalResult(
         mae=0.75,
-        mae_norm=0.075,
         dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3)),
         actual=np.array([110.0, 112.0]),
         predicted=np.array([110.5, 111.0]),
@@ -288,7 +287,7 @@ def test_series_csv_layout_and_reparse():
 
 def test_series_csv_rejects_empty():
     nan = float("nan")
-    empty = EvalResult(mae=nan, mae_norm=nan, dates=(), actual=np.zeros(0), predicted=np.zeros(0))
+    empty = EvalResult(mae=nan, dates=(), actual=np.zeros(0), predicted=np.zeros(0))
     with pytest.raises(ValueError, match="empty"):
         emit_series_csv(empty)
 
