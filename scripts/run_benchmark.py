@@ -55,11 +55,6 @@ PAIRS = (
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
 
 
-def write_file(path, blob: bytes):
-    with write_atomic(path) as fh:
-        fh.write(blob)
-
-
 def benchmark_pair(pair, seed, step_frac, out_dir, config):
     slug = pair.replace("/", "_").lower()
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
@@ -69,8 +64,8 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW)
     elapsed = time.perf_counter() - t0
-    write_file(out_dir / f"{slug}_report.csv", emit_report_csv(report))
-    write_file(out_dir / f"{slug}_report.txt", render_report_table(report, "test_mae").encode())
+    write_atomic(out_dir / f"{slug}_report.csv", emit_report_csv(report))
+    write_atomic(out_dir / f"{slug}_report.txt", render_report_table(report, "test_mae").encode())
 
     best = select_best(report, "test_mae").overall
     print(f"{pair}: swept 36 trials in {elapsed:.0f}s, "
@@ -81,9 +76,9 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     model = trial_model(best.arch, best.hidden, WINDOW, config.seed)
     stack = ModelStack([model])
     train(stack, data.train, data.validation, config)
-    write_file(out_dir / f"{slug}_best_model.json", save_model(model, norm))
+    write_atomic(out_dir / f"{slug}_best_model.json", save_model(model, norm))
     (result,) = evaluate(stack, data.test)
-    write_file(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
+    write_atomic(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
 
     baseline = persistence_baseline(data.test)
     return pair, best, result.mae, baseline

@@ -153,7 +153,7 @@ class ModelSpec:
         arch_id(self.arch)
         for name in ("hidden", "window"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.arch == "mlp" and self.window != 1:
             raise ValueError(f"mlp supports window=1 only, got window={self.window}")

@@ -4,8 +4,8 @@ Contract: exit 0 on success; on failure print exactly one line of the form
 `fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
 failures, 2 for usage errors, 130 for an interrupt). All file outputs are
 byte-identical across runs given identical inputs and seeds, and each
-replaces its target atomically (`data.write_atomic`). FXBENCH_LOG in
-{error, warn, info, debug} sets stderr log verbosity (default info).
+replaces its target atomically (one `data.write_atomic(path, data)` call).
+FXBENCH_LOG in {error, warn, info, debug} sets stderr log verbosity (default info).
 """
 
 from __future__ import annotations
@@ -160,9 +160,11 @@ def _print_mae(label: str, mae: float, norm) -> None:
 
 
 def _check_output(path: str) -> None:
-    """Make sure `path` can be written before any input is read: create its
-    missing parent directories, and fail naming `path` when its parent is
-    not a directory or `path` itself is one."""
+    """Make sure `path` can be written before any input is read: refuse an
+    empty path, create its missing parent directories, and fail naming
+    `path` when its parent is not a directory or `path` itself is one."""
+    if not path:
+        raise OSError("cannot write to an empty output path")
     parent = os.path.dirname(path)
     if parent:
         try:
@@ -198,9 +200,7 @@ def cmd_sweep(args) -> int:
         measure_time=args.timings,
     )
     criterion = f"{args.select}_mae"
-    blob = emit_report_csv(report)
-    with write_atomic(args.report) as fh:
-        fh.write(blob)
+    write_atomic(args.report, emit_report_csv(report))
     print(f"wrote report: {args.report} ({len(report)} trials)")
     o = select_best(report, criterion).overall
     value = getattr(o, criterion)
@@ -223,9 +223,7 @@ def cmd_train(args) -> int:
     (outcome,), (maes,), _ = _run_stack([model], data, config)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
-    blob = save_model(model, norm)
-    with write_atomic(args.model_out) as fh:
-        fh.write(blob)
+    write_atomic(args.model_out, save_model(model, norm))
     print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
     for label, mae in zip(("train", "val", "test"), maes):
         _print_mae(label, mae, norm)
@@ -244,9 +242,7 @@ def cmd_predict(args) -> int:
         )
     dataset = build_supervised(read_ohlc_csv(args.data), norm)
     (result,) = evaluate(ModelStack([model]), dataset)
-    blob = emit_series_csv(result)
-    with write_atomic(args.series_out) as fh:
-        fh.write(blob)
+    write_atomic(args.series_out, emit_series_csv(result))
     print(f"predictions: {len(result.dates)}")
     _print_mae("series", result.mae, norm)
     print(f"wrote series: {args.series_out}")
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings",
         action="store_true",
         help="record measured wall_time_s: each trial gets the wall time of its "
-        "lockstep group (breaks byte-identical reruns)",
+        "stack, training plus scoring (breaks byte-identical reruns)",
     )
     p.set_defaults(func=cmd_sweep)
 

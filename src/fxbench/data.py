@@ -156,22 +156,21 @@ def read_ohlc_csv(path, **kwargs) -> list[OhlcRecord]:
         return parse_ohlc_csv(fh, **kwargs)
 
 
-@contextlib.contextmanager
-def write_atomic(path):
-    """A binary file whose bytes replace `path` only once the with-block
-    ends without an exception.
+def write_atomic(path, data: bytes) -> None:
+    """Replace `path` with the bytes `data`, whole or not at all.
 
     They go to a temporary file in the target's directory, which
     `os.replace` then renames onto the target, so a reader (or a process
-    killed part-way) never sees a truncated file. If the block raises,
-    the temporary file is removed and `path` is left as it was. An error
-    in creating or renaming the temporary file names `path`.
+    killed part-way) never sees a truncated file. If the write or the
+    rename raises, `KeyboardInterrupt` included, the temporary file is
+    removed and `path` is left as it was. An error in creating, writing or
+    renaming the temporary file names `path`.
     """
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            yield fh
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
@@ -183,13 +182,13 @@ def write_atomic(path):
 
 def write_ohlc_csv(records: list[OhlcRecord], path):
     """Write records in the canonical CSV format, each price as the `repr`
-    of its float (exact round trip), replacing `path` atomically
-    (`write_atomic`)."""
-    with write_atomic(path) as fh:
-        fh.write((",".join(CSV_HEADER) + "\n").encode())
-        for r in records:
-            prices = (repr(float(v)) for v in (r.open, r.high, r.low, r.close))
-            fh.write(",".join((r.date.isoformat(), *prices)).encode() + b"\n")
+    of its float (exact round trip), replacing `path` atomically with one
+    `write_atomic` call."""
+    rows = [",".join(CSV_HEADER)]
+    for r in records:
+        prices = (repr(float(v)) for v in (r.open, r.high, r.low, r.close))
+        rows.append(",".join((r.date.isoformat(), *prices)))
+    write_atomic(path, ("\n".join(rows) + "\n").encode())
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
+import numbers
+import operator
 import time
 from dataclasses import dataclass
 
@@ -113,8 +115,10 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate", DEFAULT_LR[self.optimizer])
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        lr = self.learning_rate  # a real number, not a bool
+        real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
+        if not (real and lr > 0 and math.isfinite(lr)):
+            raise ValueError(f"learning_rate must be finite and > 0, got {lr!r}")
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", -math.inf)):
             value = getattr(self, name)  # an int, not a bool; trial_seed masks any seed
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -308,6 +312,17 @@ def _run_stack(models: list[NetworkModel], data: SplitDataset, config: TrainConf
     return outcomes, maes, time.perf_counter() - t0
 
 
+def _hidden_size(h) -> int:
+    """`h` as an int through `operator.index`: a numpy int passes; a bool,
+    float or string is a ValueError naming it, never rounded or parsed."""
+    try:
+        if isinstance(h, bool):
+            raise TypeError
+        return operator.index(h)
+    except TypeError:
+        raise ValueError(f"hidden sizes must be integers, got {h!r}") from None
+
+
 def run_sweep(
     archs,
     hidden_range,
@@ -333,7 +348,7 @@ def run_sweep(
     archs = tuple(sorted(set(archs), key=arch_id))
     if not archs:
         raise ValueError("no architectures requested")
-    hiddens = tuple(sorted(set(int(h) for h in hidden_range)))
+    hiddens = tuple(sorted(set(_hidden_size(h) for h in hidden_range)))
     if not hiddens:
         raise ValueError("hidden_range is empty")
     if any(h < 1 for h in hiddens):

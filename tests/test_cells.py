@@ -66,6 +66,14 @@ def test_spec_validation():
         ModelSpec(arch="mlp", hidden=4, window=3)
 
 
+@pytest.mark.parametrize("field", ["hidden", "window"])
+def test_spec_refuses_a_bool_size(field):
+    sizes = {"hidden": 3, "window": 2, field: True}
+    with pytest.raises(ValueError) as e:
+        ModelSpec(arch="lstm", hidden=sizes["hidden"], window=sizes["window"])
+    assert str(e.value) == f"{field} must be a positive integer, got True"
+
+
 def test_parameter_counts_match_closed_forms():
     # hand-expanded: weights + biases per block, plus the output layer
     assert n_params(ModelSpec(arch="mlp", hidden=6)) == 4 * 6 + 6 + 6 + 1

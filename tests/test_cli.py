@@ -732,6 +732,24 @@ def test_an_output_under_a_regular_file_fails_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
+def test_an_empty_output_path_fails_before_any_work(
+    tmp_path, data_csv, capsys, monkeypatch, command
+):
+    # as above: missing inputs for ingest and predict, and no training
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("fxbench.experiment.train", refuse)
+    monkeypatch.setenv("FXBENCH_LOG", "error")
+    monkeypatch.chdir(tmp_path)  # where a file for "" would go
+    data = str(tmp_path / "missing.csv") if command == "ingest" else data_csv
+    code, out, err = run(capsys, *command_argv(command, data, str(tmp_path / "missing.json"), ""))
+    assert (code, out) == (1, "")
+    assert one_error_line(err) == "fxbench: error: cannot write to an empty output path"
+    assert [p.name for p in tmp_path.iterdir()] == ["pair.csv"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
 def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monkeypatch, command):
     _, norm = prepare_splits(read_ohlc_csv(data_csv))
     model_path = tmp_path / "m.json"

@@ -1,6 +1,8 @@
 import dataclasses
 import datetime as dt
 import hashlib
+import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fxbench import (
     write_atomic,
     write_ohlc_csv,
 )
+import fxbench.data
 from conftest import UNIT_NORM, make_records, mangled_numbers, price_array
 
 HEADER = "date,open,high,low,close\n"
@@ -191,13 +194,20 @@ def test_write_ohlc_csv_writes_any_real_price_as_its_float(tmp_path, prices):
     assert all(type(v) is float for v in back[0][1:])
 
 
-def test_write_atomic_replaces_the_target_and_leaves_no_temp_file(tmp_path):
+def test_write_atomic_replaces_the_target_and_leaves_no_temp_file(tmp_path, monkeypatch):
     target = tmp_path / "out.bin"
     target.write_bytes(b"old")
-    with write_atomic(target) as fh:
-        fh.write(b"new ")
-        assert target.read_bytes() == b"old"  # not replaced before the block ends
-        fh.write(b"bytes")
+    real_replace = os.replace
+    seen = []
+
+    def replace(src, dst):
+        # the new bytes are complete in the temporary file before the rename
+        seen.append((pathlib.Path(src).read_bytes(), target.read_bytes()))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    write_atomic(target, b"new bytes")
+    assert seen == [(b"new bytes", b"old")]  # not replaced before the rename
     assert target.read_bytes() == b"new bytes"
     assert list(tmp_path.iterdir()) == [target]
 
@@ -207,21 +217,51 @@ def test_write_atomic_errors_name_the_target_not_the_temp_file(tmp_path):
     taken.mkdir()
     for target in (tmp_path / "missing" / "out.csv", taken):  # no directory; is a directory
         with pytest.raises(OSError) as info:
-            with write_atomic(target) as fh:
-                fh.write(b"bytes")
+            write_atomic(target, b"bytes")
         assert info.value.filename == str(target) and ".tmp" not in str(info.value)
     assert list(tmp_path.iterdir()) == [taken] and not any(taken.iterdir())
 
 
-def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records):
+class _HalfWriter:
+    """A file whose write puts down half the bytes, then is interrupted."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise KeyboardInterrupt  # killed mid-write
+
+
+def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records, monkeypatch):
     target = tmp_path / "data.csv"
     write_ohlc_csv(wavy_records[:5], target)
     old = target.read_bytes()
-    with pytest.raises(KeyboardInterrupt):
-        with write_atomic(target) as fh:
-            fh.write(b"partial")
-            raise KeyboardInterrupt  # killed mid-write
-    # a record that cannot be formatted stops write_ohlc_csv after 30 rows
+    real_replace = os.replace
+
+    def interrupted_replace(src, dst):
+        if dst == target:
+            raise KeyboardInterrupt  # killed between the write and the rename
+        real_replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(fxbench.data, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(target, b"new bytes")
+    assert target.read_bytes() == old and list(tmp_path.iterdir()) == [target]
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            write_ohlc_csv(wavy_records, target)
+    assert target.read_bytes() == old and list(tmp_path.iterdir()) == [target]
+    # a record that cannot be formatted stops write_ohlc_csv before any write
     with pytest.raises(AttributeError):
         write_ohlc_csv(wavy_records[:30] + [None] + wavy_records[30:], target)
     assert target.read_bytes() == old

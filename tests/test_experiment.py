@@ -111,6 +111,18 @@ def test_train_config_refuses_a_count_or_seed_that_is_not_an_int(field, value):
     assert str(e.value) == f"{field} must be {kind}, got {value!r}"
 
 
+@pytest.mark.parametrize("value", [True, False, "0.1", [0.1], 1j, np.True_], ids=repr)
+def test_train_config_refuses_a_learning_rate_that_is_not_a_real_number(value):
+    with pytest.raises(ValueError) as e:
+        TrainConfig(learning_rate=value)
+    assert str(e.value) == f"learning_rate must be finite and > 0, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [1, 0.05, np.float64(0.05), np.float32(0.25)], ids=repr)
+def test_train_config_takes_any_real_learning_rate(value):
+    assert TrainConfig(learning_rate=value).learning_rate == value
+
+
 # ---------------------------------------------------------------- train
 
 
@@ -314,6 +326,26 @@ def test_sweep_single_point_grid(wavy_records):
     assert t.seed == trial_seed(42, "lstm", 5)
     assert t.wall_time_s == 0.0
     assert math.isfinite(t.test_mae)
+
+
+@pytest.mark.parametrize("bad", [True, 2.7, "3", np.float64(4.0)], ids=repr)
+def test_sweep_refuses_a_hidden_size_that_is_not_an_int_before_any_model(
+    wavy_records, monkeypatch, bad
+):
+    def refuse(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(fxbench.experiment, "trial_model", refuse)
+    data, _ = prepare_splits(wavy_records)
+    with pytest.raises(ValueError) as e:
+        run_sweep(["mlp"], [2, bad], data, quick_config(epochs=1))
+    assert str(e.value) == f"hidden sizes must be integers, got {bad!r}"
+
+
+def test_sweep_takes_numpy_int_hidden_sizes(wavy_records):
+    data, _ = prepare_splits(wavy_records)
+    report = run_sweep(["mlp"], np.arange(2, 4), data, quick_config(epochs=1))
+    assert [(t.hidden, type(t.hidden)) for t in report] == [(2, int), (3, int)]
 
 
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
