@@ -27,9 +27,7 @@ from .data import (
     SupervisedDataset,
     build_supervised,
     chrono_split,
-    denormalize,
     fit_minmax,
-    normalize,
     parse_ohlc_csv,
     prepare_splits,
     read_ohlc_csv,
@@ -84,7 +82,6 @@ __all__ = [
     "backward",
     "build_supervised",
     "chrono_split",
-    "denormalize",
     "emit_report_csv",
     "emit_series_csv",
     "evaluate",
@@ -94,7 +91,6 @@ __all__ = [
     "load_model",
     "mae_grad",
     "mae_loss",
-    "normalize",
     "padded_width",
     "param_shapes",
     "parse_ohlc_csv",

@@ -161,18 +161,19 @@ def _print_mae(label: str, mae: float, norm) -> None:
 
 def _check_output(path: str) -> None:
     """Make sure `path` can be written before any input is read: refuse an
-    empty path, create its missing parent directories, and fail naming
-    `path` when its parent is not a directory or `path` itself is one."""
+    empty path and one that names a directory (an existing one, or one that
+    ends in a separator), then create its missing parent directories, and
+    fail naming `path` when its parent is not a directory."""
     if not path:
         raise OSError("cannot write to an empty output path")
+    if os.path.basename(path) in ("", os.curdir, os.pardir) or os.path.isdir(path):
+        raise OSError(f"cannot write {path}: it is a directory")
     parent = os.path.dirname(path)
     if parent:
         try:
             os.makedirs(parent, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise OSError(f"cannot write {path}: {parent} is not a directory") from None
-    if os.path.isdir(path):
-        raise OSError(f"cannot write {path}: it is a directory")
 
 
 def cmd_ingest(args) -> int:

@@ -1,4 +1,4 @@
-"""OHLC ingestion, lag features, min-max normalization and chronological splits.
+"""OHLC ingestion, lag features, min-max scaling and chronological splits.
 
 Input CSV contract: header `date,open,high,low,close`, UTF-8, dates
 exactly `YYYY-MM-DD` on every Python version, decimal-point floats in
@@ -19,8 +19,9 @@ Every sample is min-max scaled, and its `SupervisedDataset` carries the
 records to samples, for `prepare_splits` and `fxbench predict` alike.
 
 The fitted scaling and the splits are immutable values: `NormParams`
-holds tuples of floats and compares with `==`, and `SplitDataset` is a
-NamedTuple that iterates train, validation, test.
+holds floats and compares with `==`, and `SplitDataset` is a NamedTuple
+that iterates train, validation, test. `NormParams` refuses an unusable
+scaling when it is built, and it scales and unscales values itself.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import csv
 import datetime as dt
 import io
 import logging
+import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -191,11 +194,27 @@ def write_ohlc_csv(records: list[OhlcRecord], path):
     write_atomic(path, ("\n".join(rows) + "\n").encode())
 
 
+def _bound(value, field: str, column: str) -> float:
+    """`value` as a float, refusing what is not a finite real number (a bool too)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        ok = real and math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        ok = False
+    if not ok:
+        raise ValueError(
+            f"field {field!r} must be a finite number for column {column!r}, got {value!r}"
+        )
+    return float(value)
+
+
 @dataclass(frozen=True)
 class NormParams:
-    """Fitted min/max per input feature (4) plus the close target (1), an
-    immutable value: the feature bounds become tuples of floats, so equal
-    fits compare equal and hash alike."""
+    """Fitted min/max per input feature (4) plus the close target (1): an
+    immutable value of floats that compares and hashes by value, and is
+    usable once built (each bound finite, each column's max above its
+    min). It scales by (v - min) / (max - min) and unscales by
+    v * (max - min) + min, elementwise and unclipped."""
 
     feature_min: tuple[float, ...]
     feature_max: tuple[float, ...]
@@ -203,8 +222,40 @@ class NormParams:
     target_max: float
 
     def __post_init__(self):
-        for name in ("feature_min", "feature_max"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        for field in ("feature_min", "feature_max"):
+            bounds = tuple(getattr(self, field))
+            if len(bounds) != len(FEATURE_NAMES):
+                raise ValueError(f"field {field!r} must hold 4 values, got {len(bounds)}")
+            bounds = tuple(_bound(v, field, column) for v, column in zip(bounds, FEATURE_NAMES))
+            object.__setattr__(self, field, bounds)
+        for field in ("target_min", "target_max"):
+            object.__setattr__(self, field, _bound(getattr(self, field), field, "close"))
+        lows, highs = self.feature_min + (self.target_min,), self.feature_max + (self.target_max,)
+        for i, (column, lo, hi) in enumerate(zip(FEATURE_NAMES + ("close",), lows, highs)):
+            if not hi > lo:
+                kind = "feature" if i < len(FEATURE_NAMES) else "target"
+                raise ValueError(
+                    f"field '{kind}_max' must exceed '{kind}_min' for column {column!r}, "
+                    f"got min {lo!r}, max {hi!r}"
+                )
+
+    def scale(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled samples of n consecutive days' (n, 4) raw prices: the
+        features of days 0..n-2 and the close targets of days 1..n-1."""
+        lo, hi = np.array(self.feature_min), np.array(self.feature_max)
+        features = (prices[:-1] - lo) / (hi - lo)
+        targets = (prices[1:, 3] - self.target_min) / (self.target_max - self.target_min)
+        return features, targets
+
+    def unscale_features(self, features) -> np.ndarray:
+        """The raw prices of scaled features, an array of rows of 4."""
+        lo, hi = np.array(self.feature_min), np.array(self.feature_max)
+        return np.asarray(features, dtype=np.float64) * (hi - lo) + lo
+
+    def unscale_targets(self, targets) -> np.ndarray:
+        """The raw closes of scaled targets or predictions."""
+        span = self.target_max - self.target_min
+        return np.asarray(targets, dtype=np.float64) * span + self.target_min
 
 
 @dataclass(eq=False)
@@ -238,12 +289,7 @@ def _price_array(records: list[OhlcRecord]) -> np.ndarray:
 
 def _scaled_samples(records: list[OhlcRecord], prices: np.ndarray, norm: NormParams):
     """The samples of `records`, whose raw prices are `prices`, scaled by `norm`."""
-    return SupervisedDataset(
-        features=normalize(prices[:-1], norm.feature_min, norm.feature_max),
-        targets=normalize(prices[1:, 3], norm.target_min, norm.target_max),
-        dates=tuple(r.date for r in records[1:]),
-        norm=norm,
-    )
+    return SupervisedDataset(*norm.scale(prices), tuple(r.date for r in records[1:]), norm)
 
 
 def build_supervised(records: list[OhlcRecord], norm: NormParams) -> SupervisedDataset:
@@ -258,40 +304,13 @@ def fit_minmax(prices: np.ndarray) -> NormParams:
     days 1..n-1.
 
     Pass the train days (the first n_train + 1) to avoid look-ahead
-    leakage, or every day to mimic whole-series fitting.
+    leakage, or every day to mimic whole-series fitting. NormParams refuses
+    a column that is constant over the days given.
     """
     if len(prices) < 2:
         raise ValueError(f"cannot fit normalization on fewer than 2 days, got {len(prices)}")
-    fmin = prices[:-1].min(axis=0)
-    fmax = prices[:-1].max(axis=0)
-    for i, name in enumerate(FEATURE_NAMES):
-        if not fmax[i] > fmin[i]:
-            raise ValueError(f"feature '{name}' is constant (min == max == {fmin[i]})")
-    tmin = float(prices[1:, 3].min())
-    tmax = float(prices[1:, 3].max())
-    if not tmax > tmin:
-        raise ValueError(f"target 'close' is constant (min == max == {tmin})")
-    return NormParams(feature_min=fmin, feature_max=fmax, target_min=tmin, target_max=tmax)
-
-
-def normalize(value, feature_min, feature_max):
-    """(v - min) / (max - min); out-of-range values map outside [0, 1], unclipped."""
-    lo = np.asarray(feature_min, dtype=np.float64)
-    hi = np.asarray(feature_max, dtype=np.float64)
-    if not np.all(hi > lo):
-        raise ValueError(f"normalize requires max > min, got min={feature_min}, max={feature_max}")
-    return (np.asarray(value, dtype=np.float64) - lo) / (hi - lo)
-
-
-def denormalize(norm_value, feature_min, feature_max):
-    """Inverse of normalize: v * (max - min) + min."""
-    lo = np.asarray(feature_min, dtype=np.float64)
-    hi = np.asarray(feature_max, dtype=np.float64)
-    if not np.all(hi > lo):
-        raise ValueError(
-            f"denormalize requires max > min, got min={feature_min}, max={feature_max}"
-        )
-    return np.asarray(norm_value, dtype=np.float64) * (hi - lo) + lo
+    features, closes = prices[:-1], prices[1:, 3]
+    return NormParams(features.min(axis=0), features.max(axis=0), closes.min(), closes.max())
 
 
 class SplitDataset(NamedTuple):

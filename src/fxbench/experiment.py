@@ -3,8 +3,9 @@ best-model selection and the persistence baseline.
 
 A run's training settings are one `TrainConfig`. Every dataset is
 scaled and carries its NormParams (`dataset.norm`); evaluation and the
-baseline denormalize with them, and training refuses a validation split
-scaled by another fit.
+baseline map samples and predictions back to prices with its
+`unscale_targets` and `unscale_features`, and training refuses a
+validation split scaled by another fit.
 
 A sweep is a plan and one unit of work. The plan puts the hidden sizes
 of one architecture that pad to the same width (`cells.padded_width`) in
@@ -45,7 +46,7 @@ from .cells import (
     padded_width,
     predict,
 )
-from .data import SplitDataset, SupervisedDataset, denormalize
+from .data import SplitDataset, SupervisedDataset
 from .optim import DEFAULT_LR, OPTIMIZERS, Optimizer, mae_grad, mae_loss
 
 log = logging.getLogger(__name__)
@@ -119,6 +120,7 @@ class TrainConfig:
         real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
         if not (real and lr > 0 and math.isfinite(lr)):
             raise ValueError(f"learning_rate must be finite and > 0, got {lr!r}")
+        object.__setattr__(self, "learning_rate", float(lr))
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", -math.inf)):
             value = getattr(self, name)  # an int, not a bool; trial_seed masks any seed
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
@@ -264,21 +266,12 @@ def evaluate(stack: ModelStack, dataset: SupervisedDataset) -> list[EvalResult]:
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    norm = dataset.norm
     x, targets, dates = _windowed(dataset, stack.spec.window)
-    actual = denormalize(targets, norm.target_min, norm.target_max)
-    results = []
-    for pred_norm in predict(stack, x)[:, :, 0]:
-        predicted = denormalize(pred_norm, norm.target_min, norm.target_max)
-        results.append(
-            EvalResult(
-                mae=mae_loss(predicted, actual),
-                dates=dates,
-                actual=actual,
-                predicted=predicted,
-            )
-        )
-    return results
+    actual = dataset.norm.unscale_targets(targets)
+    return [
+        EvalResult(mae=mae_loss(predicted, actual), dates=dates, actual=actual, predicted=predicted)
+        for predicted in dataset.norm.unscale_targets(predict(stack, x)[:, :, 0])
+    ]
 
 
 def persistence_baseline(dataset: SupervisedDataset) -> float:
@@ -290,9 +283,8 @@ def persistence_baseline(dataset: SupervisedDataset) -> float:
     """
     if len(dataset) == 0:
         raise ValueError("cannot compute a baseline on an empty dataset")
-    norm = dataset.norm
-    close = denormalize(dataset.features[:, 3], norm.feature_min[3], norm.feature_max[3])
-    target = denormalize(dataset.targets, norm.target_min, norm.target_max)
+    close = dataset.norm.unscale_features(dataset.features)[:, 3]
+    target = dataset.norm.unscale_targets(dataset.targets)
     return float(np.mean(np.abs(close - target)))
 
 

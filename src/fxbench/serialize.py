@@ -165,21 +165,14 @@ def _norm_from_json(norm_doc) -> NormParams:
         value = norm_doc[key]
         if kind is float:
             fields[key] = _finite_number(value, key)
-            continue
-        if not isinstance(value, list) or len(value) != ModelSpec.input_dim:
-            raise ValueError(
-                f"model file field {key!r} must be a list of {ModelSpec.input_dim} numbers "
-                f"(input_dim), got {_quoted(value)}"
-            )
-        fields[key] = tuple(_finite_number(v, key) for v in value)
-    norm = NormParams(**fields)
-    if not all(hi > lo for lo, hi in zip(norm.feature_min, norm.feature_max)):
-        raise ValueError(
-            "model file field 'feature_max' must exceed 'feature_min' for every feature"
-        )
-    if not norm.target_max > norm.target_min:
-        raise ValueError("model file field 'target_max' must exceed 'target_min'")
-    return norm
+        elif isinstance(value, list):
+            fields[key] = [_finite_number(v, key) for v in value]
+        else:
+            raise ValueError(f"model file field {key!r} must be a list, got {_quoted(value)}")
+    try:
+        return NormParams(**fields)
+    except ValueError as e:  # a usable scaling is NormParams' own check
+        raise ValueError(f"model file {e}") from None
 
 
 def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.ndarray:
@@ -213,9 +206,7 @@ def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
         "rng_seed": int(model.rng_seed),
         "epochs_trained": int(model.epochs_trained),
         "params": {name: _array_to_json(name, arr) for name, arr in model.params.items()},
-        "norm": None
-        if norm is None
-        else {key: np.asarray(getattr(norm, key), dtype=float).tolist() for key in _NORM_TYPES},
+        "norm": None if norm is None else dataclasses.asdict(norm),
     }
     return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 

@@ -19,14 +19,13 @@ import pytest
 from fxbench import (
     ARCHS,
     DEFAULT_FRACTIONS,
+    NormParams,
     TrainConfig,
     TrialResult,
     build_supervised,
     chrono_split,
-    denormalize,
     load_model,
     mae_loss,
-    normalize,
     persistence_baseline,
     prepare_splits,
     ramp_ohlc,
@@ -112,7 +111,12 @@ def test_normalization_round_trip_bulk():
     lo = rng.uniform(-1e3, 1e3, size=n)
     hi = lo + rng.uniform(1e-6, 2e3, size=n)
     v = rng.uniform(lo - 500.0, hi + 500.0)
-    back = denormalize(normalize(v, lo, hi), lo, hi)
+    back = np.empty(n)
+    for k in range(0, n, 5):  # one NormParams per five triples: four features, the target
+        norm = NormParams(lo[k : k + 4], hi[k : k + 4], lo[k + 4], hi[k + 4])
+        features, targets = norm.scale(np.array([v[k : k + 4], [0.0, 0.0, 0.0, v[k + 4]]]))
+        back[k : k + 4] = norm.unscale_features(features)[0]
+        back[k + 4] = norm.unscale_targets(targets)[0]
     err = np.abs(back - v)
     bound = 1e-9 * np.maximum(1.0, np.abs(v))
     worst = float((err / bound).max())

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+import os
 import sys
 
 import pytest
@@ -747,6 +748,25 @@ def test_an_empty_output_path_fails_before_any_work(
     assert (code, out) == (1, "")
     assert one_error_line(err) == "fxbench: error: cannot write to an empty output path"
     assert [p.name for p in tmp_path.iterdir()] == ["pair.csv"]
+
+
+@pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
+def test_an_output_path_that_names_a_directory_creates_no_directory(
+    tmp_path, data_csv, capsys, monkeypatch, command
+):
+    # as above: missing inputs for ingest and predict, and no training
+    def refuse(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("fxbench.experiment.train", refuse)
+    monkeypatch.setenv("FXBENCH_LOG", "error")
+    data = str(tmp_path / "missing.csv") if command == "ingest" else data_csv
+    for out in (os.path.join(tmp_path, "tdir", ""), os.path.join(tmp_path, "tdir", "sub", "")):
+        argv = command_argv(command, data, str(tmp_path / "missing.json"), out)
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert one_error_line(err) == f"fxbench: error: cannot write {out}: it is a directory"
+        assert not (tmp_path / "tdir").exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import hashlib
+import math
 import os
 import pathlib
 
@@ -10,14 +11,13 @@ from hypothesis import given, strategies as st
 
 from fxbench import (
     DEFAULT_FRACTIONS,
+    NormParams,
     OhlcRecord,
     SplitDataset,
     SupervisedDataset,
     build_supervised,
     chrono_split,
-    denormalize,
     fit_minmax,
-    normalize,
     parse_ohlc_csv,
     prepare_splits,
     ramp_ohlc,
@@ -324,7 +324,8 @@ def test_fit_minmax_over_closes():
 
 
 def test_fit_minmax_rejects_constant_feature():
-    with pytest.raises(ValueError, match="constant"):
+    message = "'feature_max' must exceed 'feature_min' for column 'open'"
+    with pytest.raises(ValueError, match=message):
         fit_minmax(price_array(constant_days(5)))
 
 
@@ -342,23 +343,101 @@ def test_norm_params_is_an_immutable_value(wavy_records):
     assert norm == refit
 
 
+def scaling(lo, hi):
+    """The NormParams that maps [lo, hi] onto [0, 1] in all five columns."""
+    return NormParams(feature_min=(lo,) * 4, feature_max=(hi,) * 4, target_min=lo, target_max=hi)
+
+
+def scaled_columns(norm, v):
+    """The price `v` scaled as each of the four features and as the target."""
+    features, targets = norm.scale(np.full((2, 4), v))
+    return np.append(features[0], targets[0])
+
+
+def unscaled_columns(norm, scaled):
+    """Five scaled values, as scaled_columns returns them, back to prices."""
+    return np.append(norm.unscale_features(scaled[:4]), norm.unscale_targets(scaled[4]))
+
+
 def test_normalize_hand_value():
-    assert normalize(115.2, 110.0, 120.0) == pytest.approx(0.52, abs=1e-12)
-    assert normalize(110.0, 110.0, 120.0) == 0.0
-    assert normalize(120.0, 110.0, 120.0) == 1.0
+    norm = scaling(110.0, 120.0)
+    assert scaled_columns(norm, 115.2) == pytest.approx([0.52] * 5, abs=1e-12)
+    assert np.all(scaled_columns(norm, 110.0) == 0.0)
+    assert np.all(scaled_columns(norm, 120.0) == 1.0)
 
 
 def test_out_of_fit_range_values_are_not_clipped():
-    assert normalize(130.0, 110.0, 120.0) == pytest.approx(2.0, abs=1e-12)
-    assert normalize(100.0, 110.0, 120.0) == pytest.approx(-1.0, abs=1e-12)
-    assert denormalize(2.0, 110.0, 120.0) == pytest.approx(130.0, abs=1e-12)
+    norm = scaling(110.0, 120.0)
+    assert scaled_columns(norm, 130.0) == pytest.approx([2.0] * 5, abs=1e-12)
+    assert scaled_columns(norm, 100.0) == pytest.approx([-1.0] * 5, abs=1e-12)
+    assert unscaled_columns(norm, np.full(5, 2.0)) == pytest.approx([130.0] * 5, abs=1e-12)
+
+
+VALID_BOUNDS = {
+    "feature_min": (1.0, 2.0, 0.5, 1.1),
+    "feature_max": (2.0, 3.0, 1.5, 2.1),
+    "target_min": 1.1,
+    "target_max": 2.1,
+}
+# (kind, index in the feature tuples or None, column name) of the five columns
+COLUMNS = [
+    ("feature", 0, "open"),
+    ("feature", 1, "high"),
+    ("feature", 2, "low"),
+    ("feature", 3, "close"),
+    ("target", None, "close"),
+]
+
+
+def bounds_with(field, index, value):
+    """VALID_BOUNDS with `value` in `field`, at `index` of a feature tuple."""
+    bounds = VALID_BOUNDS[field]
+    if index is not None:
+        value = bounds[:index] + (value,) + bounds[index + 1 :]
+    return {**VALID_BOUNDS, field: value}
 
 
 def test_normalize_rejects_degenerate_range():
-    with pytest.raises(ValueError, match="max > min"):
-        normalize(1.0, 5.0, 5.0)
-    with pytest.raises(ValueError, match="max > min"):
-        denormalize(1.0, 5.0, 3.0)
+    # NormParams refuses each unusable column by its own error, naming the
+    # column and the field
+    for kind, index, column in COLUMNS:
+        lo_field, hi_field = f"{kind}_min", f"{kind}_max"
+        lo = VALID_BOUNDS[lo_field] if index is None else VALID_BOUNDS[lo_field][index]
+        finite = f"must be a finite number for column {column!r}"
+        order = f"field {hi_field!r} must exceed {lo_field!r} for column {column!r}"
+        for field, value, message in [
+            (lo_field, math.nan, f"field {lo_field!r} {finite}, got nan"),
+            (hi_field, math.inf, f"field {hi_field!r} {finite}, got inf"),
+            (hi_field, True, f"field {hi_field!r} {finite}, got True"),
+            (hi_field, lo, f"{order}, got min {lo!r}, max {lo!r}"),
+            (hi_field, lo - 1.0, f"{order}, got min {lo!r}, max {lo - 1.0!r}"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                NormParams(**bounds_with(field, index, value))
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("field", ["feature_min", "feature_max"])
+def test_norm_params_refuses_feature_bounds_that_are_not_four_long(field):
+    for bounds in ((1.0, 2.0, 0.5), (1.0, 2.0, 0.5, 1.1, 1.2)):
+        with pytest.raises(ValueError) as err:
+            NormParams(**{**VALID_BOUNDS, field: bounds})
+        assert str(err.value) == f"field {field!r} must hold 4 values, got {len(bounds)}"
+
+
+def test_norm_params_holds_floats_of_any_real_bound():
+    norm = NormParams(
+        feature_min=np.array([1, 2, 0.5, 1.1]),
+        feature_max=[np.float32(2.0), 3, 1.5, 2.1],
+        target_min=np.int64(1),
+        target_max=2.1,
+    )
+    assert all(type(v) is float for v in (*norm.feature_min, *norm.feature_max))
+    assert type(norm.target_min) is float and type(norm.target_max) is float
+    assert norm == NormParams(
+        feature_min=(1.0, 2.0, 0.5, 1.1), feature_max=(2.0, 3.0, 1.5, 2.1),
+        target_min=1.0, target_max=2.1,
+    )
 
 
 @given(
@@ -367,20 +446,23 @@ def test_normalize_rejects_degenerate_range():
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False),
 )
 def test_normalize_round_trip(v, lo, span):
-    hi = lo + span
-    back = denormalize(normalize(v, lo, hi), lo, hi)
-    assert abs(back - v) <= 1e-9 * max(1.0, abs(v))
+    norm = scaling(lo, lo + span)
+    back = unscaled_columns(norm, scaled_columns(norm, v))
+    assert np.all(np.abs(back - v) <= 1e-9 * max(1.0, abs(v)))
 
 
 def test_round_trip_far_outside_fit_range():
     lo, hi = 100.0, 120.0
+    norm = scaling(lo, hi)
     for v in np.linspace(lo - 10 * (hi - lo), hi + 10 * (hi - lo), 41):
-        assert abs(denormalize(normalize(v, lo, hi), lo, hi) - v) <= 1e-9 * max(1.0, abs(v))
+        back = unscaled_columns(norm, scaled_columns(norm, v))
+        assert np.all(np.abs(back - v) <= 1e-9 * max(1.0, abs(v)))
 
 
 @given(st.floats(min_value=-100, max_value=100), st.floats(min_value=1e-3, max_value=10))
 def test_normalize_strictly_monotonic(v, step):
-    assert normalize(v + step, -200.0, 200.0) > normalize(v, -200.0, 200.0)
+    norm = scaling(-200.0, 200.0)
+    assert np.all(scaled_columns(norm, v + step) > scaled_columns(norm, v))
 
 
 def test_build_supervised_scales_by_its_norm(wavy_records):
@@ -390,10 +472,13 @@ def test_build_supervised_scales_by_its_norm(wavy_records):
     assert nds.norm is norm
     assert np.all(nds.features >= 0.0) and np.all(nds.features <= 1.0)
     assert np.all(nds.targets >= 0.0) and np.all(nds.targets <= 1.0)
-    assert np.array_equal(
-        nds.features, normalize(prices[:-1], norm.feature_min, norm.feature_max)
-    )
-    assert np.array_equal(nds.targets, normalize(prices[1:, 3], norm.target_min, norm.target_max))
+    lo, hi = np.array(norm.feature_min), np.array(norm.feature_max)
+    assert np.array_equal(nds.features, (prices[:-1] - lo) / (hi - lo))
+    span = norm.target_max - norm.target_min
+    assert np.array_equal(nds.targets, (prices[1:, 3] - norm.target_min) / span)
+    close = nds.norm.unscale_features(nds.features)[:, 3]
+    assert np.allclose(close, prices[:-1, 3], rtol=1e-12, atol=0)
+    assert np.allclose(nds.norm.unscale_targets(nds.targets), prices[1:, 3], rtol=1e-12, atol=0)
 
 
 def test_a_dataset_requires_its_norm():
@@ -472,12 +557,9 @@ def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_no
         assert part.norm is norm and part.dates == tuple(
             r.date for r in wavy_records[lo + 1 : hi + 1]
         )
-        assert np.array_equal(
-            part.features, normalize(prices[lo:hi], norm.feature_min, norm.feature_max)
-        )
-        assert np.array_equal(
-            part.targets, normalize(prices[lo + 1 : hi + 1, 3], norm.target_min, norm.target_max)
-        )
+        features, targets = norm.scale(prices[lo : hi + 1])
+        assert np.array_equal(part.features, features)
+        assert np.array_equal(part.targets, targets)
 
 
 @pytest.mark.parametrize("fit_norm", ["train", "all"])
@@ -509,7 +591,9 @@ def test_prepare_splits_refuses_too_few_records(wavy_records, fit_norm, n, messa
 
 
 def test_prepare_splits_refuses_a_constant_fit_region():
-    message = "feature 'open' is constant (min == max == 10.0)"
+    message = (
+        "field 'feature_max' must exceed 'feature_min' for column 'open', got min 10.0, max 10.0"
+    )
     for fit_norm in ("train", "all"):
         with pytest.raises(ValueError) as err:
             prepare_splits(constant_days(40), fit_norm)

@@ -120,7 +120,8 @@ def test_train_config_refuses_a_learning_rate_that_is_not_a_real_number(value):
 
 @pytest.mark.parametrize("value", [1, 0.05, np.float64(0.05), np.float32(0.25)], ids=repr)
 def test_train_config_takes_any_real_learning_rate(value):
-    assert TrainConfig(learning_rate=value).learning_rate == value
+    lr = TrainConfig(learning_rate=value).learning_rate
+    assert lr == value and type(lr) is float
 
 
 # ---------------------------------------------------------------- train

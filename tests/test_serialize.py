@@ -71,6 +71,24 @@ def test_init_model_file_matches_golden_hash(arch):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_INIT_SHA256[arch]
 
 
+# sha256 of a gru file that carries a norm block, recorded before the block
+# was written as `dataclasses.asdict(norm)`; the bounds are given as a numpy
+# array, a tuple holding an int, an int and a numpy float, and each is
+# written as the repr of its float
+GOLDEN_NORM_SHA256 = "cfb20921c799239d82a58f2e11c400579f43a2efca3927dbc174f15b1560209a"
+
+
+def test_model_file_with_norm_matches_golden_hash():
+    norm = NormParams(
+        feature_min=np.array([1.0, 2.0, 0.5, 1.1]),
+        feature_max=(2, 3.0, 1.5, 2.1),
+        target_min=1,
+        target_max=np.float64(2.1),
+    )
+    blob = save_model(init_model(ModelSpec(arch="gru", hidden=5, window=2), 7), norm)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_NORM_SHA256
+
+
 def test_load_model_packs_arrays_into_the_flat_buffer():
     model = init_model(ModelSpec(arch="lstm", hidden=3, window=2), 5)
     loaded, _ = load_model(save_model(model))
@@ -198,7 +216,8 @@ def test_load_checks_feature_max_above_feature_min_in_every_feature():
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
     assert str(err.value) == (
-        "model file field 'feature_max' must exceed 'feature_min' for every feature"
+        "model file field 'feature_max' must exceed 'feature_min' for column 'low', "
+        "got min 0.5, max -0.5"
     )
 
 
