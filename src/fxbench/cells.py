@@ -89,7 +89,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import FEATURE_NAMES
+from .data import FEATURE_NAMES, _is_int, _quoted
 
 # Canonical order: report sorting, selection tie-breaks and per-trial seed
 # derivation all index architectures by position in this tuple.
@@ -139,7 +139,11 @@ class ModelSpec:
     """Architecture plus hidden size; `window` is the sequence length per
     sample. Every model maps the four daily prices to one next-day close,
     so `input_dim` and `output_dim` are constants, not fields. `window`
-    is keyword-only: a third positional argument used to be `input_dim`."""
+    is keyword-only: a third positional argument used to be `input_dim`.
+
+    Building one refuses an `arch` not in ARCHS, a `hidden` or `window`
+    that is not an int of at least 1 (a bool too) and an mlp `window`
+    other than 1, each with one message naming the field."""
 
     input_dim: ClassVar[int] = len(FEATURE_NAMES)
     output_dim: ClassVar[int] = 1
@@ -150,13 +154,14 @@ class ModelSpec:
     window: int = 1
 
     def __post_init__(self):
-        arch_id(self.arch)
+        if self.arch not in ARCHS:
+            raise ValueError(f"field 'arch' must be one of {ARCHS}, got {_quoted(self.arch)}")
         for name in ("hidden", "window"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            if not (_is_int(v) and v >= 1):
+                raise ValueError(f"field {name!r} must be a positive integer, got {_quoted(v)}")
         if self.arch == "mlp" and self.window != 1:
-            raise ValueError(f"mlp supports window=1 only, got window={self.window}")
+            raise ValueError(f"field 'window' must be 1 for arch 'mlp', got {_quoted(self.window)}")
 
     @property
     def structure(self) -> str:
@@ -230,7 +235,9 @@ def _recurrent_views(buf: np.ndarray, spec: ModelSpec) -> tuple[np.ndarray, ...]
 class NetworkModel:
     """A spec plus its weights: one float64 array per `param_shapes` name,
     in `param_shapes` order. The model holds copies of the arrays it is
-    given."""
+    given. Building one refuses a missing or unknown array, an array of
+    another shape, and an `rng_seed` or `epochs_trained` that is not an
+    int of at least 0, each with one message naming the array or field."""
 
     spec: ModelSpec
     params: dict[str, np.ndarray]
@@ -238,16 +245,22 @@ class NetworkModel:
     epochs_trained: int = 0
 
     def __post_init__(self):
+        for name in ("rng_seed", "epochs_trained"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 0):
+                raise ValueError(
+                    f"field {name!r} must be an integer of at least 0, got {_quoted(v)}"
+                )
         shapes = param_shapes(self.spec)
-        if set(self.params) != set(shapes):
-            raise ValueError(
-                f"parameter names {sorted(self.params)} do not match "
-                f"{self.spec.arch} parameters {sorted(shapes)}"
-            )
+        odd = sorted(shapes.keys() ^ self.params.keys())
+        if odd:
+            what = "is missing" if odd[0] in shapes else f"is unknown to {self.spec.arch}"
+            raise ValueError(f"parameter {_quoted(odd[0])} {what}")
         for name, shape in shapes.items():
             if np.shape(self.params[name]) != shape:
                 raise ValueError(
-                    f"parameter {name!r} has shape {np.shape(self.params[name])}, expected {shape}"
+                    f"parameter {name!r} has shape {_quoted(np.shape(self.params[name]))}, "
+                    f"expected {_quoted(shape)} for hidden {_quoted(self.spec.hidden)}"
                 )
         self.params = {name: np.array(self.params[name], dtype=np.float64) for name in shapes}
 

@@ -155,8 +155,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _print_mae(label: str, mae: float, norm) -> None:
-    scale = norm.target_max - norm.target_min
-    print(f"{label} mae: denormalized {mae!r} | normalized {mae / scale!r}")
+    print(f"{label} mae: denormalized {mae!r} | normalized {mae / norm.target_span!r}")
 
 
 def _check_output(path: str) -> None:
@@ -205,10 +204,9 @@ def cmd_sweep(args) -> int:
     print(f"wrote report: {args.report} ({len(report)} trials)")
     o = select_best(report, criterion).overall
     value = getattr(o, criterion)
-    scale = norm.target_max - norm.target_min
     print(
         f"overall best ({criterion}): {o.arch.upper()},{o.structure},{value!r}"
-        f" | normalized {value / scale!r}"
+        f" | normalized {value / norm.target_span!r}"
     )
     return 0
 

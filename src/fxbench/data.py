@@ -22,6 +22,10 @@ The fitted scaling and the splits are immutable values: `NormParams`
 holds floats and compares with `==`, and `SplitDataset` is a NamedTuple
 that iterates train, validation, test. `NormParams` refuses an unusable
 scaling when it is built, and it scales and unscales values itself.
+
+Every layer's checks share three rules from here: `_is_real` (a finite
+real number, not a bool), `_is_int` (an int, not a bool) and `_quoted`
+(a refused value shown cut to QUOTE_CHARS characters plus its size).
 """
 
 from __future__ import annotations
@@ -52,6 +56,32 @@ class OhlcRecord(NamedTuple):
 
 CSV_HEADER = OhlcRecord._fields
 FEATURE_NAMES = CSV_HEADER[1:]
+QUOTE_CHARS = 32  # an error message quotes at most this much of a refused value
+
+
+def _is_int(value) -> bool:
+    """An int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite real number, not a bool; an int beyond the range of a float
+    is not finite."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _quoted(value, show=repr) -> str:
+    """`show(value)` (its repr by default) for an error message, cut to its
+    first QUOTE_CHARS characters plus its size, so the line stays short."""
+    text = show(value)
+    if len(text) <= QUOTE_CHARS:
+        return text
+    size = f"{len(str(abs(value)))} digits" if _is_int(value) else f"{len(text)} characters"
+    return f"{text[:QUOTE_CHARS]}... ({size})"
 
 
 def _validate_record(rec: OhlcRecord, line: int, mode: str):
@@ -109,7 +139,7 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         raise ValueError(f"row 1: missing header, expected {','.join(CSV_HEADER)}")
     if tuple(c.strip().lower() for c in header) != CSV_HEADER:
         raise ValueError(
-            f"row 1: bad header {','.join(header)!r}, expected {','.join(CSV_HEADER)}"
+            f"row 1: bad header {_quoted(','.join(header))}, expected {','.join(CSV_HEADER)}"
         )
 
     rows: list[tuple[int, OhlcRecord]] = []
@@ -123,18 +153,20 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         try:
             # Python 3.11+ also reads forms such as 20180102 and 2018-W01-2
             if len(cell) != 10 or cell[4] != "-" or cell[7] != "-":
-                raise ValueError(f"Invalid isoformat string: {cell!r}")
+                raise ValueError(f"Invalid isoformat string: {_quoted(cell)}")
             date = dt.date.fromisoformat(cell)
         except ValueError as e:
-            raise ValueError(f"row {line}: bad date {row[0]!r}: {e}") from None
+            raise ValueError(f"row {line}: bad date {_quoted(row[0])}: {e}") from None
         prices = []
         for name, field in zip(FEATURE_NAMES, row[1:]):
             try:
                 value = _price(field)
             except ValueError:
-                raise ValueError(f"row {line}: bad {name} value {field!r}") from None
+                raise ValueError(f"row {line}: bad {name} value {_quoted(field)}") from None
             if not 0 < value < np.inf:  # also false for NaN
-                raise ValueError(f"row {line}: {name} must be a positive finite price, got {field}")
+                raise ValueError(
+                    f"row {line}: {name} must be a positive finite price, got {_quoted(field, str)}"
+                )
             prices.append(value)
         rows.append((line, OhlcRecord(date, *prices)))
 
@@ -196,14 +228,9 @@ def write_ohlc_csv(records: list[OhlcRecord], path):
 
 def _bound(value, field: str, column: str) -> float:
     """`value` as a float, refusing what is not a finite real number (a bool too)."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    try:
-        ok = real and math.isfinite(value)
-    except OverflowError:  # an int beyond the range of a float
-        ok = False
-    if not ok:
+    if not _is_real(value):
         raise ValueError(
-            f"field {field!r} must be a finite number for column {column!r}, got {value!r}"
+            f"field {field!r} must be a finite number for column {column!r}, got {_quoted(value)}"
         )
     return float(value)
 
@@ -239,12 +266,18 @@ class NormParams:
                     f"got min {lo!r}, max {hi!r}"
                 )
 
+    @property
+    def target_span(self) -> float:
+        """target_max - target_min, the close range that scales targets and
+        turns an MAE in prices into a normalized one."""
+        return self.target_max - self.target_min
+
     def scale(self, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The scaled samples of n consecutive days' (n, 4) raw prices: the
         features of days 0..n-2 and the close targets of days 1..n-1."""
         lo, hi = np.array(self.feature_min), np.array(self.feature_max)
         features = (prices[:-1] - lo) / (hi - lo)
-        targets = (prices[1:, 3] - self.target_min) / (self.target_max - self.target_min)
+        targets = (prices[1:, 3] - self.target_min) / self.target_span
         return features, targets
 
     def unscale_features(self, features) -> np.ndarray:
@@ -254,8 +287,7 @@ class NormParams:
 
     def unscale_targets(self, targets) -> np.ndarray:
         """The raw closes of scaled targets or predictions."""
-        span = self.target_max - self.target_min
-        return np.asarray(targets, dtype=np.float64) * span + self.target_min
+        return np.asarray(targets, dtype=np.float64) * self.target_span + self.target_min
 
 
 @dataclass(eq=False)

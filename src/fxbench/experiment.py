@@ -28,7 +28,6 @@ from __future__ import annotations
 import datetime as dt
 import logging
 import math
-import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from .cells import (
     padded_width,
     predict,
 )
-from .data import SplitDataset, SupervisedDataset
+from .data import SplitDataset, SupervisedDataset, _is_int, _is_real, _quoted
 from .optim import DEFAULT_LR, OPTIMIZERS, Optimizer, mae_grad, mae_loss
 
 log = logging.getLogger(__name__)
@@ -116,16 +115,15 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate", DEFAULT_LR[self.optimizer])
-        lr = self.learning_rate  # a real number, not a bool
-        real = isinstance(lr, numbers.Real) and not isinstance(lr, bool)
-        if not (real and lr > 0 and math.isfinite(lr)):
-            raise ValueError(f"learning_rate must be finite and > 0, got {lr!r}")
+        lr = self.learning_rate
+        if not (_is_real(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {_quoted(lr)}")
         object.__setattr__(self, "learning_rate", float(lr))
         for name, least in (("epochs", 1), ("batch_size", 1), ("seed", -math.inf)):
-            value = getattr(self, name)  # an int, not a bool; trial_seed masks any seed
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            value = getattr(self, name)  # trial_seed masks any seed
+            if not (_is_int(value) and value >= least):
                 kind = "a positive integer" if least == 1 else "an integer"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
+                raise ValueError(f"{name} must be {kind}, got {_quoted(value)}")
 
 
 @dataclass
@@ -164,7 +162,7 @@ def _windowed(dataset: SupervisedDataset, window: int):
     """
     n = len(dataset)
     if n < window:
-        raise ValueError(f"dataset has {n} samples, fewer than window={window}")
+        raise ValueError(f"dataset has {n} samples, fewer than window={_quoted(window)}")
     x = np.lib.stride_tricks.sliding_window_view(dataset.features, window, axis=0)
     return x.transpose(0, 2, 1), dataset.targets[window - 1 :], dataset.dates[window - 1 :]
 
@@ -173,7 +171,9 @@ def _check_window(data: SplitDataset, window: int) -> None:
     """Refuse, before any training, a split too short for one window."""
     for name, split in zip(SplitDataset._fields, data):
         if len(split) < window:
-            raise ValueError(f"{name} split has {len(split)} samples, fewer than window={window}")
+            raise ValueError(
+                f"{name} split has {len(split)} samples, fewer than window={_quoted(window)}"
+            )
 
 
 def train(
@@ -241,13 +241,12 @@ def train(
                     stack.store()
                     ks = np.flatnonzero(running)
                     scores = evaluate(ModelStack(stack.models[k] for k in ks), val_set)
-                    scale = val_set.norm.target_max - val_set.norm.target_min
                     for k, score in zip(ks, scores):
                         model = stack.models[k]
                         log.debug(
                             "%s h=%d epoch %d/%d train_mae_norm=%.6g val_mae_norm=%.6g",
                             model.spec.arch, model.spec.hidden, epoch + 1, config.epochs,
-                            epoch_loss[k], score.mae / scale,
+                            epoch_loss[k], score.mae / val_set.norm.target_span,
                         )
     stack.store()
     for k in np.flatnonzero(running):
@@ -327,8 +326,9 @@ def run_sweep(
     """Train one model per grid point; return the TrialResults in (arch, hidden) order.
 
     First the plan: one stack of fresh models per architecture and padded
-    width, in report order, every model built before any training, and a
-    split too short for the longest window among them refused then. Then
+    width, in report order, every model built before any training, so
+    `ModelSpec` refuses a hidden size or window below 1 then, as is a
+    split too short for the longest window among them. Then
     one `_run_stack` per stack, which depends on no other stack, so the
     rows do not depend on the order the stacks run in. A diverging trial
     is recorded with NaN errors, is left out of the scoring and affects
@@ -343,8 +343,6 @@ def run_sweep(
     hiddens = tuple(sorted(set(_hidden_size(h) for h in hidden_range)))
     if not hiddens:
         raise ValueError("hidden_range is empty")
-    if any(h < 1 for h in hiddens):
-        raise ValueError(f"hidden sizes must be >= 1, got {hiddens}")
 
     # one stack per (arch, width); widths ascend and padded_width grows with
     # hidden, so rows come in (arch, hidden) order

@@ -13,8 +13,11 @@ model file's spec and norm blocks hold the fields of `ModelSpec` and
 `NormParams`. Every model maps the 4 daily prices to one close, and its
 file also carries that shape as `input_dim` 4 and `output_dim` 1
 (`ModelSpec`'s constants): a file is the one way another shape can reach
-the program, and `load_model` refuses it, naming the field, as it refuses
-a negative `rng_seed` or `epochs_trained`.
+the program, and `load_model` refuses it, naming the field. Beyond that,
+`load_model` checks only what a file alone can get wrong (its JSON, its
+keys, each array's declared shape and values, the norm block's layout);
+`ModelSpec`, `NetworkModel` and `NormParams` refuse a bad value as they
+are built, each refusal prefixed with `model file`.
 
 A report row read back must be one `run_sweep` can write: each cell the
 `str` of its int or the `repr` of its float (so no `_` separators,
@@ -37,21 +40,17 @@ import typing
 
 import numpy as np
 
-from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id, param_shapes
-from .data import FEATURE_NAMES, NormParams, _csv_rows
+from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id
+from .data import FEATURE_NAMES, NormParams, _csv_rows, _is_int, _is_real, _quoted
 from .experiment import CRITERIA, EvalResult, TrialResult, select_best
 
 FORMAT_VERSION = 1
-QUOTE_CHARS = 32  # an error message quotes at most this much of a file's value
 
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
 _REPORT_TYPES = tuple(typing.get_type_hints(TrialResult)[name] for name in REPORT_COLUMNS)
 _report_values = operator.attrgetter(*REPORT_COLUMNS)
 _ARCH_COLUMN = REPORT_COLUMNS.index("arch")
-# ModelSpec's fields -> type, in field order; its type hints also name its constants
-_SPEC_TYPES = {
-    f.name: typing.get_type_hints(ModelSpec)[f.name] for f in dataclasses.fields(ModelSpec)
-}
+_SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # the one shape of every model: ModelSpec constants, written to and checked in each file
 _SHAPE = {"input_dim": ModelSpec.input_dim, "output_dim": ModelSpec.output_dim}
 _NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> tuple[float, ...] or float
@@ -119,81 +118,44 @@ def _array_to_json(name: str, arr: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": [float(v) for v in flat]}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _quoted(value) -> str:
-    """repr of a value read from a model file, cut to its first
-    QUOTE_CHARS characters plus its size, so an error line stays short."""
-    text = repr(value)
-    if len(text) <= QUOTE_CHARS:
-        return text
-    size = f"{len(str(abs(value)))} digits" if _is_int(value) else f"{len(text)} characters"
-    return f"{text[:QUOTE_CHARS]}... ({size})"
-
-
-def _int_field(doc: dict, key: str, default=None) -> int:
-    value = doc.get(key, default)
-    if not _is_int(value):
-        raise ValueError(f"model file field {key!r} must be an integer, got {_quoted(value)}")
-    return value
-
-
 def _finite_number(value, field: str) -> float:
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
+    if not _is_real(value):
         raise ValueError(
-            f"model file field {field!r} must be a finite number, got {_quoted(value)}"
+            f"model file field {_quoted(field)} must be a finite number, got {_quoted(value)}"
         )
     return float(value)
 
 
 def _norm_from_json(norm_doc) -> NormParams:
-    """NormParams from a model file's norm block, checked so that a bad block
-    fails here with its field named, not later inside numpy."""
+    """NormParams from a model file's norm block: an object holding each
+    field, the feature bounds as lists. NormParams checks the bounds."""
     if not isinstance(norm_doc, dict):
-        raise ValueError(f"model file 'norm' must be an object or null, got {_quoted(norm_doc)}")
-    for key in _NORM_TYPES:
-        if key not in norm_doc:
-            raise ValueError(f"model file norm block is missing field {key!r}")
-    fields = {}
+        raise ValueError(f"'norm' must be an object or null, got {_quoted(norm_doc)}")
     for key, kind in _NORM_TYPES.items():
-        value = norm_doc[key]
-        if kind is float:
-            fields[key] = _finite_number(value, key)
-        elif isinstance(value, list):
-            fields[key] = [_finite_number(v, key) for v in value]
-        else:
-            raise ValueError(f"model file field {key!r} must be a list, got {_quoted(value)}")
-    try:
-        return NormParams(**fields)
-    except ValueError as e:  # a usable scaling is NormParams' own check
-        raise ValueError(f"model file {e}") from None
+        if key not in norm_doc:
+            raise ValueError(f"norm block is missing field {key!r}")
+        if kind is not float and not isinstance(norm_doc[key], list):
+            raise ValueError(f"field {key!r} must be a list, got {_quoted(norm_doc[key])}")
+    return NormParams(**{key: norm_doc[key] for key in _NORM_TYPES})
 
 
-def _array_from_json(name: str, entry, expected_shape: tuple[int, ...]) -> np.ndarray:
+def _array_from_json(name: str, entry) -> np.ndarray:
+    """The array of a model file's params entry, in the shape it declares."""
     if not isinstance(entry, dict) or "shape" not in entry or "data" not in entry:
-        raise ValueError(f"array {name!r} entry must have 'shape' and 'data' fields")
-    shape = entry["shape"]
-    if not isinstance(shape, list) or not all(_is_int(n) for n in shape):
-        raise ValueError(f"array {name!r} shape must be a list of integers, got {_quoted(shape)}")
-    shape = tuple(shape)
-    if shape != expected_shape:
+        raise ValueError(f"array {_quoted(name)} entry must have 'shape' and 'data' fields")
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(_is_int(n) and n >= 0 for n in shape):
         raise ValueError(
-            f"array {name!r} declares shape {_quoted(shape)}, expected {expected_shape}"
+            f"array {_quoted(name)} shape must be a list of sizes, got {_quoted(shape)}"
         )
-    data = entry["data"]
-    expected_len = int(np.prod(expected_shape)) if expected_shape else 1
-    if not isinstance(data, list) or len(data) != expected_len:
+    size = math.prod(shape)
+    if not isinstance(data, list) or len(data) != size:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise ValueError(
-            f"array {name!r} has {got} values, expected {expected_len} for shape {expected_shape}"
+            f"array {_quoted(name)} has {got} values, expected {_quoted(size)} "
+            f"for shape {_quoted(tuple(shape))}"
         )
-    return np.array([_finite_number(v, name) for v in data]).reshape(expected_shape)
+    return np.array([_finite_number(v, name) for v in data]).reshape(shape)
 
 
 def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
@@ -212,7 +174,8 @@ def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
 
 
 def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
-    """Inverse of save_model; weights are restored bitwise."""
+    """Inverse of save_model; weights are restored bitwise. A refusal by
+    ModelSpec, NetworkModel or NormParams is prefixed with `model file`."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -225,42 +188,32 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             f"unsupported model file format_version {_quoted(version)}, "
             f"this build reads {FORMAT_VERSION}"
         )
-    for key in (*_SPEC_TYPES, *_SHAPE, "params"):
+    for key in (*_SPEC_FIELDS, *_SHAPE, "params"):
         if key not in doc:
             raise ValueError(f"model file is missing required field {key!r}")
     for key, value in _SHAPE.items():
-        if _int_field(doc, key) != value:
-            raise ValueError(f"model file field {key!r} must be {value}, got {_quoted(doc[key])}")
-    spec = ModelSpec(
-        **{
-            key: _int_field(doc, key) if kind is int else doc[key]
-            for key, kind in _SPEC_TYPES.items()
-        }
-    )
-    expected = param_shapes(spec)
+        got = doc[key]
+        if not (_is_int(got) and got == value):
+            must = value if _is_int(got) else "an integer"
+            raise ValueError(f"model file field {key!r} must be {must}, got {_quoted(got)}")
     stored = doc["params"]
     if not isinstance(stored, dict):
         raise ValueError("model file 'params' must be an object of named arrays")
-    missing = sorted(set(expected) - set(stored))
-    if missing:
-        raise ValueError(f"model file is missing arrays: {', '.join(missing)}")
-    extra = sorted(set(stored) - set(expected))
-    if extra:
-        raise ValueError(f"model file has unexpected arrays: {', '.join(extra)}")
-    params = {name: _array_from_json(name, stored[name], shape) for name, shape in expected.items()}
+    params = {name: _array_from_json(name, entry) for name, entry in stored.items()}
+    norm_doc = doc.get("norm")
+    try:
+        spec = ModelSpec(**{key: doc[key] for key in _SPEC_FIELDS})
+        counts = {key: doc.get(key, 0) for key in ("rng_seed", "epochs_trained")}
+        model = NetworkModel(spec=spec, params=params, **counts)
+        norm = None if norm_doc is None else _norm_from_json(norm_doc)
+    except ValueError as e:
+        raise ValueError(f"model file {e}") from None
     declared_acts = doc.get("activations")
     if declared_acts is not None and declared_acts != activation_names(spec):
         raise ValueError(
             f"model file activations {_quoted(declared_acts)} do not match "
             f"architecture {spec.arch!r}"
         )
-    counts = {key: _int_field(doc, key, 0) for key in ("rng_seed", "epochs_trained")}
-    for key, value in counts.items():
-        if value < 0:
-            raise ValueError(f"model file field {key!r} must be at least 0, got {_quoted(value)}")
-    model = NetworkModel(spec=spec, params=params, **counts)
-    norm_doc = doc.get("norm")
-    norm = None if norm_doc is None else _norm_from_json(norm_doc)
     return model, norm
 
 
@@ -316,7 +269,7 @@ def parse_report_csv(data) -> list[TrialResult]:
             )
         try:
             if row[_ARCH_COLUMN] not in ARCHS:
-                raise ValueError(f"unknown arch {row[_ARCH_COLUMN]!r}")
+                raise ValueError(f"unknown arch {_quoted(row[_ARCH_COLUMN])}")
             t = _read_trial(row)
             _check_trial(t)
             first = lines.setdefault((t.arch, t.hidden), reader.line_num)

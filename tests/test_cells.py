@@ -58,11 +58,11 @@ def test_spec_has_four_inputs_and_one_output():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError, match="hidden"):
+    with pytest.raises(ValueError, match="field 'hidden' must be a positive integer, got 0"):
         ModelSpec(arch="gru", hidden=0)
-    with pytest.raises(ValueError, match="unknown architecture"):
+    with pytest.raises(ValueError, match="field 'arch' must be one of"):
         ModelSpec(arch="transformer", hidden=4)
-    with pytest.raises(ValueError, match="window=1 only"):
+    with pytest.raises(ValueError, match="field 'window' must be 1 for arch 'mlp', got 3"):
         ModelSpec(arch="mlp", hidden=4, window=3)
 
 
@@ -71,7 +71,7 @@ def test_spec_refuses_a_bool_size(field):
     sizes = {"hidden": 3, "window": 2, field: True}
     with pytest.raises(ValueError) as e:
         ModelSpec(arch="lstm", hidden=sizes["hidden"], window=sizes["window"])
-    assert str(e.value) == f"{field} must be a positive integer, got True"
+    assert str(e.value) == f"field {field!r} must be a positive integer, got True"
 
 
 def test_parameter_counts_match_closed_forms():
@@ -184,9 +184,12 @@ def test_gate_weights_form_one_block_then_biases(arch, gates):
 def test_network_model_rejects_foreign_parameters():
     spec = ModelSpec(arch="srnn", hidden=2)
     good = {name: np.zeros(shape) for name, shape in param_shapes(spec).items()}
-    with pytest.raises(ValueError, match="parameter names"):
+    with pytest.raises(ValueError, match="parameter 'W_extra' is unknown to srnn"):
         NetworkModel(spec=spec, params={**good, "W_extra": np.zeros(2)}, rng_seed=0)
-    with pytest.raises(ValueError, match="'W_h' has shape"):
+    with pytest.raises(ValueError, match="parameter 'b' is missing"):
+        NetworkModel(spec=spec, params={k: v for k, v in good.items() if k != "b"}, rng_seed=0)
+    shape = r"'W_h' has shape \(2, 3\), expected \(2, 2\) for hidden 2$"
+    with pytest.raises(ValueError, match=shape):
         NetworkModel(spec=spec, params={**good, "W_h": np.zeros((2, 3))}, rng_seed=0)
     given = {**good, "b": np.ones(2)}
     model = NetworkModel(spec=spec, params=given, rng_seed=0)

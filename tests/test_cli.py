@@ -150,6 +150,35 @@ def test_oversized_csv_field_is_a_single_line_error(tmp_path, capsys, command, h
     assert stdout == "" and not out.exists()
 
 
+LONG_CELL = 100_000  # characters, under the csv module's field limit
+
+
+@pytest.mark.parametrize(
+    "command,row,where,field",
+    [
+        ("ingest", f"2018-01-02,{'1' * LONG_CELL},115.6,114.8,115.2", "row 2", "open"),
+        ("ingest", f"{'2' * LONG_CELL},115.0,115.6,114.8,115.2", "row 2", "date"),
+        ("report", f"EUR/USD,{'a' * LONG_CELL},4-5-1,5,0.1,0.2,0.3,7,0.0", "report line 2", "arch"),
+    ],
+    ids=["ingest-price", "ingest-date", "report-arch"],
+)
+def test_a_long_cell_is_quoted_short_in_one_error_line(
+    tmp_path, capsys, command, row, where, field
+):
+    path = tmp_path / "in.csv"
+    header = "date,open,high,low,close" if command == "ingest" else ",".join(REPORT_COLUMNS)
+    path.write_text(header + "\n" + row + "\n")
+    out = tmp_path / "out.csv"
+    if command == "ingest":
+        argv = ("ingest", "--input", str(path), "--output", str(out))
+    else:
+        argv = ("report", "--in", str(path))
+    code, stdout, err = run(capsys, *argv)
+    assert code == 1 and stdout == "" and not out.exists()
+    line = one_error_line(err)
+    assert line.startswith(f"fxbench: error: {where}: ") and field in line and len(line) < 200
+
+
 def test_ingest_refuses_a_price_in_a_form_no_writer_produces(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     raw.write_text("date,open,high,low,close\n2018-01-02,1_15.0,115.6,114.8,115.2\n")
@@ -459,6 +488,10 @@ def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
     assert "unknown arch" in err
 
 
+# a gru model file, which takes a window above 1
+GRU_DOC = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 1), None))
+
+
 def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypatch):
     reads = []
     monkeypatch.setattr(fxbench.cli, "read_ohlc_csv", lambda *a, **k: reads.append(a))
@@ -493,9 +526,16 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
         ("feature_max", lambda d: d["norm"].update(feature_max=d["norm"]["feature_min"])),
         ("W_h", lambda d: d["params"]["W_h"]["data"].__setitem__(0, 10**400)),
         ("W_h", lambda d: d["params"]["W_h"]["data"].__setitem__(0, "1.5")),
+        ("hidden", lambda d: d.update(hidden=10**400)),
+        ("arch", lambda d: d.update(arch="x" * 500)),
+        ("window", lambda d: d.update(window=10**400)),
+        # loads, and predict refuses it
+        ("window", lambda d: d.update({**GRU_DOC, "norm": d["norm"], "window": 10**400})),
     ],
     ids=["hidden-null", "norm-number", "shape-int", "target-min-list",
-         "feature-min-3-long", "feature-max-equals-min", "weight-beyond-float", "weight-string"],
+         "feature-min-3-long", "feature-max-equals-min", "weight-beyond-float", "weight-string",
+         "hidden-beyond-float", "arch-500-long", "mlp-window-beyond-float",
+         "gru-window-beyond-float"],
 )
 def test_predict_rejects_malformed_model_file_in_one_line(
     tmp_path, data_csv, capsys, field, mutate
@@ -512,7 +552,7 @@ def test_predict_rejects_malformed_model_file_in_one_line(
     )
     assert code == 1
     line = one_error_line(err)
-    assert field in line and len(line) < 200  # a 401-digit weight is not quoted whole
+    assert field in line and len(line) < 200  # a 401-digit value is not quoted whole
     assert not series.exists()
 
 

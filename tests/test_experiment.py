@@ -111,11 +111,25 @@ def test_train_config_refuses_a_count_or_seed_that_is_not_an_int(field, value):
     assert str(e.value) == f"{field} must be {kind}, got {value!r}"
 
 
-@pytest.mark.parametrize("value", [True, False, "0.1", [0.1], 1j, np.True_], ids=repr)
+BEYOND_FLOAT = 10**400  # an int that math.isfinite cannot convert
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        True, False, "0.1", [0.1], 1j, np.True_,
+        pytest.param(BEYOND_FLOAT, id="10**400"),
+        pytest.param(-BEYOND_FLOAT, id="-10**400"),
+    ],
+    ids=repr,
+)
 def test_train_config_refuses_a_learning_rate_that_is_not_a_real_number(value):
     with pytest.raises(ValueError) as e:
         TrainConfig(learning_rate=value)
-    assert str(e.value) == f"learning_rate must be finite and > 0, got {value!r}"
+    got = repr(value)
+    if len(got) > 32:  # quoted short
+        got = f"{got[:32]}... (401 digits)"
+    assert str(e.value) == f"learning_rate must be finite and > 0, got {got}"
 
 
 @pytest.mark.parametrize("value", [1, 0.05, np.float64(0.05), np.float32(0.25)], ids=repr)
@@ -653,7 +667,7 @@ def test_sweep_validates_inputs(wavy_records):
         run_sweep(["cnn"], [2], data, quick_config())
     with pytest.raises(ValueError, match="empty"):
         run_sweep(["mlp"], [], data, quick_config())
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match="field 'hidden' must be a positive integer, got 0"):
         run_sweep(["mlp"], [0], data, quick_config())
 
 

@@ -185,7 +185,8 @@ def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value
     doc[key] = value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
-    assert str(err.value) == f"model file field {key!r} must be an integer, got {value!r}"
+    must = "a positive integer" if key in ("hidden", "window") else "an integer"
+    assert str(err.value) == f"model file field {key!r} must be {must}, got {value!r}"
 
 
 @pytest.mark.parametrize("key, value, shape", [("input_dim", 5, 4), ("output_dim", 2, 1)])
@@ -203,7 +204,9 @@ def test_load_refuses_a_negative_seed_or_epoch_count_naming_the_field(key, value
     doc[key] = value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
-    assert str(err.value) == f"model file field {key!r} must be at least 0, got {value}"
+    assert str(err.value) == (
+        f"model file field {key!r} must be an integer of at least 0, got {value}"
+    )
     doc[key] = 0  # the bound itself loads, and saves to the same bytes
     blob = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
     assert save_model(*load_model(blob)) == blob
