@@ -20,6 +20,7 @@ import sys
 from .cells import ARCHS, ModelSpec, ModelStack, arch_id
 from .data import (
     FIT_NORMS,
+    _quoted,
     build_supervised,
     prepare_splits,
     read_ohlc_csv,
@@ -31,12 +32,11 @@ from .experiment import (
     DEFAULT_PAIR,
     TrainConfig,
     TrainingDiverged,
-    _check_window,
+    _plan,
     _run_stack,
     evaluate,
     run_sweep,
     select_best,
-    trial_model,
 )
 from .optim import DEFAULT_LR, OPTIMIZERS
 from .serialize import (
@@ -73,12 +73,18 @@ def _positive(kind):
     """argparse type: a finite `kind` above 0 (so not NaN or inf)."""
 
     def parse(text: str):
-        value = kind(text)  # argparse reports a ValueError as "invalid <kind> value"
+        try:
+            value = kind(text)
+        except ValueError:  # argparse's own text, with the value quoted short
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {_quoted(text)}"
+            ) from None
         if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+            raise argparse.ArgumentTypeError(
+                f"must be finite and above 0, got {_quoted(text, str)}"
+            )
         return value
 
-    parse.__name__ = kind.__name__
     return parse
 
 
@@ -88,20 +94,22 @@ def parse_hidden_sizes(text: str) -> tuple[int, ...]:
     def one(tok: str) -> int:
         try:
             return _positive(int)(tok)
-        except (ValueError, argparse.ArgumentTypeError):
-            raise UsageError(f"bad hidden size {tok!r}, expected an integer above 0") from None
+        except argparse.ArgumentTypeError:
+            raise UsageError(
+                f"bad hidden size {_quoted(tok)}, expected an integer above 0"
+            ) from None
 
     text = text.strip()
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         lo, hi = one(lo_s), one(hi_s)
         if hi < lo:
-            raise UsageError(f"empty hidden range {text!r}")
+            raise UsageError(f"empty hidden range {_quoted(text)}")
         return tuple(range(lo, hi + 1))
     if "," in text:
         sizes = {one(tok) for tok in text.split(",") if tok.strip()}
         if not sizes:
-            raise UsageError(f"no hidden sizes given in {text!r}")
+            raise UsageError(f"no hidden sizes given in {_quoted(text)}")
         return tuple(sorted(sizes))
     return (one(text),)
 
@@ -110,7 +118,7 @@ def parse_arch(text: str) -> str:
     """One architecture name; surrounding spaces and case are ignored."""
     name = text.strip().lower()
     if name not in ARCHS:
-        raise UsageError(f"unknown arch {name!r} (choose from {', '.join(ARCHS)})")
+        raise UsageError(f"unknown arch {_quoted(name)} (choose from {', '.join(ARCHS)})")
     return name
 
 
@@ -216,14 +224,12 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     _check_output(args.model_out)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
-    model = trial_model(arch, args.hidden, args.window, args.seed)
-    spec = model.spec
-    _check_window(data, spec.window)
-    (outcome,), (maes,), _ = _run_stack([model], data, config)
+    (entry,) = _plan([arch], [args.hidden], data, args.window)
+    (model,), (outcome,), (maes,), _ = _run_stack(entry, data, config)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     write_atomic(args.model_out, save_model(model, norm))
-    print(f"trained {spec.arch.upper()} {spec.structure} for {config.epochs} epochs")
+    print(f"trained {arch.upper()} {model.spec.structure} for {config.epochs} epochs")
     for label, mae in zip(("train", "val", "test"), maes):
         _print_mae(label, mae, norm)
     print(f"wrote model: {args.model_out}")

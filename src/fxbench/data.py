@@ -76,11 +76,21 @@ def _is_real(value) -> bool:
 
 def _quoted(value, show=repr) -> str:
     """`show(value)` (its repr by default) for an error message, cut to its
-    first QUOTE_CHARS characters plus its size, so the line stays short."""
-    text = show(value)
+    first QUOTE_CHARS characters plus its size, so the line stays short.
+
+    An int is sized from its bits and cut by division, never converted
+    whole: Python refuses to convert one of more than 4300 digits."""
+    if _is_int(value):
+        n = abs(value)
+        digits = n.bit_length() * 30103 // 100000 + 1  # exact or one too many
+        digits -= digits > 1 and n < 10 ** (digits - 1)
+        text = "-" * (value < 0) + str(n // 10 ** max(digits - QUOTE_CHARS - 1, 0))
+        size = f"{digits} digits"
+    else:
+        text = show(value)
+        size = f"{len(text)} characters"
     if len(text) <= QUOTE_CHARS:
         return text
-    size = f"{len(str(abs(value)))} digits" if _is_int(value) else f"{len(text)} characters"
     return f"{text[:QUOTE_CHARS]}... ({size})"
 
 

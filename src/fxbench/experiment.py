@@ -7,12 +7,13 @@ baseline map samples and predictions back to prices with its
 `unscale_targets` and `unscale_features`, and training refuses a
 validation split scaled by another fit.
 
-A sweep is a plan and one unit of work. The plan puts the hidden sizes
-of one architecture that pad to the same width (`cells.padded_width`) in
-one stack. The unit, `_run_stack`, trains a stack's models in lockstep,
-one stacked forward, backward and optimizer step per batch for all of
-them, then scores the models that did not diverge once per split; the
-train command runs it on a stack of one. `train` and `evaluate` take a
+A sweep is a plan and one unit of work. The plan, `_plan`, checked in
+full before any model is built, has one entry per architecture and padded
+width (`cells.padded_width`): the tuple of its trials' ModelSpecs, which
+holds no arrays. The unit, `_run_stack`, builds an entry's models with
+`trial_model`, trains them in lockstep, one stacked forward, backward and
+optimizer step per batch, then scores those that did not diverge once per
+split; the train command runs a plan of one. `train` and `evaluate` take a
 ModelStack only and return one entry per model, so a divergence is a
 returned value; `evaluate` scores a split in one forward-only pass.
 
@@ -75,15 +76,18 @@ def trial_seed(base_seed: int, arch: str, hidden: int) -> int:
     return splitmix64(s ^ hidden)
 
 
+def _trial_spec(arch: str, hidden: int, window: int) -> ModelSpec:
+    """A trial's ModelSpec; mlp has no recurrence, so it runs at window 1."""
+    return ModelSpec(arch=arch, hidden=hidden, window=1 if arch == "mlp" else window)
+
+
 def trial_model(arch: str, hidden: int, window: int, base_seed: int) -> NetworkModel:
     """The freshly initialized model of one sweep trial.
 
-    mlp has no recurrence, so it always runs at window 1. The sweep, the
-    train command and any retrain of a sweep winner build trials here, so a
-    single trial reproduces its sweep row exactly.
+    The sweep, the train command and any retrain of a sweep winner build
+    trials here, so a single trial reproduces its sweep row exactly.
     """
-    spec = ModelSpec(arch=arch, hidden=hidden, window=1 if arch == "mlp" else window)
-    return init_model(spec, trial_seed(base_seed, arch, hidden))
+    return init_model(_trial_spec(arch, hidden, window), trial_seed(base_seed, arch, hidden))
 
 
 class TrainingDiverged(RuntimeError):
@@ -165,15 +169,6 @@ def _windowed(dataset: SupervisedDataset, window: int):
         raise ValueError(f"dataset has {n} samples, fewer than window={_quoted(window)}")
     x = np.lib.stride_tricks.sliding_window_view(dataset.features, window, axis=0)
     return x.transpose(0, 2, 1), dataset.targets[window - 1 :], dataset.dates[window - 1 :]
-
-
-def _check_window(data: SplitDataset, window: int) -> None:
-    """Refuse, before any training, a split too short for one window."""
-    for name, split in zip(SplitDataset._fields, data):
-        if len(split) < window:
-            raise ValueError(
-                f"{name} split has {len(split)} samples, fewer than window={_quoted(window)}"
-            )
 
 
 def train(
@@ -287,22 +282,6 @@ def persistence_baseline(dataset: SupervisedDataset) -> float:
     return float(np.mean(np.abs(close - target)))
 
 
-def _run_stack(models: list[NetworkModel], data: SplitDataset, config: TrainConfig):
-    """A sweep's unit of work: train fresh `models` as one ModelStack and
-    score each model that did not diverge on every split. Returns each
-    model's outcome (its loss list or its TrainingDiverged), its (train,
-    val, test) MAEs (NaN if it diverged) and the stack's seconds in all."""
-    t0 = time.perf_counter()
-    outcomes = train(ModelStack(models), data.train, data.validation, config)
-    ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, TrainingDiverged)]
-    maes = [(math.nan,) * 3] * len(models)
-    if ok:
-        trained = ModelStack(models[k] for k in ok)
-        for k, per_split in zip(ok, zip(*(evaluate(trained, split) for split in data))):
-            maes[k] = tuple(r.mae for r in per_split)
-    return outcomes, maes, time.perf_counter() - t0
-
-
 def _hidden_size(h) -> int:
     """`h` as an int through `operator.index`: a numpy int passes; a bool,
     float or string is a ValueError naming it, never rounded or parsed."""
@@ -312,6 +291,51 @@ def _hidden_size(h) -> int:
         return operator.index(h)
     except TypeError:
         raise ValueError(f"hidden sizes must be integers, got {h!r}") from None
+
+
+def _plan(archs, hidden_range, data: SplitDataset, window: int) -> list[tuple[ModelSpec, ...]]:
+    """A sweep's entries in report order, one per architecture and padded
+    width: the tuple of its trials' ModelSpecs. Every check that must come
+    before building a model runs here: the hidden sizes are ints, each
+    ModelSpec is valid, and no split is shorter than the longest window."""
+    archs = tuple(sorted(set(archs), key=arch_id))
+    if not archs:
+        raise ValueError("no architectures requested")
+    hiddens = tuple(sorted(set(_hidden_size(h) for h in hidden_range)))
+    if not hiddens:
+        raise ValueError("hidden_range is empty")
+    # padded_width grows with hidden, so the trials come in (arch, hidden) order
+    widths = sorted({padded_width(h) for h in hiddens})
+    plan = [
+        tuple(_trial_spec(arch, h, window) for h in hiddens if padded_width(h) == width)
+        for arch in archs
+        for width in widths
+    ]
+    longest = max(entry[0].window for entry in plan)
+    for name, split in zip(SplitDataset._fields, data):
+        if len(split) < longest:
+            raise ValueError(
+                f"{name} split has {len(split)} samples, fewer than window={_quoted(longest)}"
+            )
+    return plan
+
+
+def _run_stack(entry: tuple[ModelSpec, ...], data: SplitDataset, config: TrainConfig):
+    """A sweep's unit of work: build the fresh models of one plan entry
+    with `trial_model`, train them as one ModelStack and score each that
+    did not diverge on every split. Returns the trained models, each one's
+    outcome (loss list or TrainingDiverged), its (train, val, test) MAEs
+    (NaN if it diverged) and the seconds of training plus scoring."""
+    models = [trial_model(s.arch, s.hidden, s.window, config.seed) for s in entry]
+    t0 = time.perf_counter()
+    outcomes = train(ModelStack(models), data.train, data.validation, config)
+    ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, TrainingDiverged)]
+    maes = [(math.nan,) * 3] * len(models)
+    if ok:
+        trained = ModelStack(models[k] for k in ok)
+        for k, per_split in zip(ok, zip(*(evaluate(trained, split) for split in data))):
+            maes[k] = tuple(r.mae for r in per_split)
+    return models, outcomes, maes, time.perf_counter() - t0
 
 
 def run_sweep(
@@ -325,38 +349,16 @@ def run_sweep(
 ) -> list[TrialResult]:
     """Train one model per grid point; return the TrialResults in (arch, hidden) order.
 
-    First the plan: one stack of fresh models per architecture and padded
-    width, in report order, every model built before any training, so
-    `ModelSpec` refuses a hidden size or window below 1 then, as is a
-    split too short for the longest window among them. Then
-    one `_run_stack` per stack, which depends on no other stack, so the
-    rows do not depend on the order the stacks run in. A diverging trial
-    is recorded with NaN errors, is left out of the scoring and affects
-    neither the sweep nor its stack. wall_time_s is 0.0 unless
-    measure_time is set; then each trial records the seconds of its whole
-    stack (training plus scoring). Measured times differ between runs and
-    would break byte-identical reports.
+    Each plan entry runs in one `_run_stack`, independent of the others,
+    so the rows do not depend on their order. A diverging trial gets NaN
+    errors, is not scored and affects neither the sweep nor its stack.
+    wall_time_s is 0.0 unless measure_time is set; then each trial
+    records its stack's seconds (training plus scoring), which differ
+    between runs and would break byte-identical reports.
     """
-    archs = tuple(sorted(set(archs), key=arch_id))
-    if not archs:
-        raise ValueError("no architectures requested")
-    hiddens = tuple(sorted(set(_hidden_size(h) for h in hidden_range)))
-    if not hiddens:
-        raise ValueError("hidden_range is empty")
-
-    # one stack per (arch, width); widths ascend and padded_width grows with
-    # hidden, so rows come in (arch, hidden) order
-    widths = sorted({padded_width(h) for h in hiddens})
-    stacks = [
-        [trial_model(arch, h, window, config.seed) for h in hiddens if padded_width(h) == width]
-        for arch in archs
-        for width in widths
-    ]
-    _check_window(data, max(models[0].spec.window for models in stacks))
-
     trials: list[TrialResult] = []
-    for models in stacks:
-        outcomes, maes, seconds = _run_stack(models, data, config)
+    for entry in _plan(archs, hidden_range, data, window):
+        models, outcomes, maes, seconds = _run_stack(entry, data, config)
         for model, outcome, (train_mae, val_mae, test_mae) in zip(models, outcomes, maes):
             spec = model.spec
             if isinstance(outcome, TrainingDiverged):

@@ -36,6 +36,7 @@ import io
 import json
 import math
 import operator
+import sys
 import typing
 
 import numpy as np
@@ -180,6 +181,9 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
         doc = json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"model file is truncated or not valid JSON: {e}") from None
+    except ValueError:  # json's one plain ValueError: an int beyond the int-string limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"model file holds an integer of more than {limit} digits") from None
     if not isinstance(doc, dict):
         raise ValueError("model file must contain a JSON object")
     version = doc.get("format_version")

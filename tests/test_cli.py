@@ -62,6 +62,35 @@ def test_arch_list_grammar():
         parse_archs(" , ")
 
 
+LONG_ARG = 100_000  # characters
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("sweep", "--archs", "x" * LONG_ARG), "unknown arch"),
+        (("sweep", "--archs", "1" * LONG_ARG), "unknown arch"),
+        (("train", "--arch", "x" * LONG_ARG, "--hidden", "2"), "unknown arch"),
+        (("sweep", "--hidden", "x" * LONG_ARG), "bad hidden size"),
+        (("sweep", "--hidden", "1" * LONG_ARG), "bad hidden size"),
+        (("sweep", "--hidden", "1.." + "1" * (LONG_ARG - 3)), "bad hidden size"),
+        (("sweep", "--hidden", "," * LONG_ARG), "no hidden sizes given"),
+        (("train", "--arch", "mlp", "--hidden", "x" * LONG_ARG), "argument --hidden"),
+        (("train", "--arch", "mlp", "--hidden", "1" * LONG_ARG), "argument --hidden"),
+        (("sweep", "--epochs", "-" + "1" * 4000), "argument --epochs"),
+    ],
+    ids=["archs-letters", "archs-digits", "train-arch", "hidden-letters", "hidden-digits",
+         "hidden-range-digits", "hidden-commas", "train-hidden-letters", "train-hidden-digits",
+         "epochs-4001-characters"],
+)
+def test_a_long_argument_is_quoted_short_in_one_error_line(capsys, argv, flag):
+    out = {"sweep": "--report", "train": "--model-out"}[argv[0]]
+    code, stdout, err = run(capsys, *argv, "--data", "d.csv", out, "out")
+    assert (code, stdout) == (2, "")
+    line = one_error_line(err)
+    assert line.startswith(f"fxbench: error: {flag}") and len(line) < 200
+
+
 def test_every_flag_default_is_the_library_default():
     """Each command parsed with no optional flag holds the defaults of the
     library functions and types it calls."""
@@ -488,6 +517,8 @@ def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
     assert "unknown arch" in err
 
 
+HUGE_INT = "<an int of 5000 digits>"  # json.dumps cannot write one, so it is put in after
+
 # a gru model file, which takes a window above 1
 GRU_DOC = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 1), None))
 
@@ -529,13 +560,15 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
         ("hidden", lambda d: d.update(hidden=10**400)),
         ("arch", lambda d: d.update(arch="x" * 500)),
         ("window", lambda d: d.update(window=10**400)),
+        # json cannot read an int of more than 4300 digits (Python's limit)
+        ("model file", lambda d: d.update(hidden=HUGE_INT)),
         # loads, and predict refuses it
         ("window", lambda d: d.update({**GRU_DOC, "norm": d["norm"], "window": 10**400})),
     ],
     ids=["hidden-null", "norm-number", "shape-int", "target-min-list",
          "feature-min-3-long", "feature-max-equals-min", "weight-beyond-float", "weight-string",
          "hidden-beyond-float", "arch-500-long", "mlp-window-beyond-float",
-         "gru-window-beyond-float"],
+         "hidden-5000-digits", "gru-window-beyond-float"],
 )
 def test_predict_rejects_malformed_model_file_in_one_line(
     tmp_path, data_csv, capsys, field, mutate
@@ -544,7 +577,7 @@ def test_predict_rejects_malformed_model_file_in_one_line(
     doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     mutate(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc).replace(json.dumps(HUGE_INT), "7" * 5000))
     series = tmp_path / "s.csv"
     code, _, err = run(
         capsys, "predict", "--model", str(bad), "--data", data_csv,

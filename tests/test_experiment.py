@@ -2,6 +2,7 @@ import dataclasses
 import datetime as dt
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -109,6 +110,13 @@ def test_train_config_refuses_a_count_or_seed_that_is_not_an_int(field, value):
     with pytest.raises(ValueError) as e:
         TrainConfig(**{field: value})
     assert str(e.value) == f"{field} must be {kind}, got {value!r}"
+
+
+def test_train_config_quotes_an_int_too_long_for_a_string():
+    # Python refuses to convert an int of more than 4300 digits to a string
+    with pytest.raises(ValueError) as e:
+        TrainConfig(epochs=-(10**5000))
+    assert str(e.value) == f"epochs must be a positive integer, got -1{'0' * 30}... (5001 digits)"
 
 
 BEYOND_FLOAT = 10**400  # an int that math.isfinite cannot convert
@@ -508,14 +516,14 @@ def test_a_sweep_report_parses_and_re_emits_its_bytes(
 
 
 def record_stacks(monkeypatch):
-    """Record, per `_run_stack` call that run_sweep makes, its models'
-    (arch, hidden) keys and what it returned."""
+    """Record, per `_run_stack` call that run_sweep makes, its plan entry,
+    the entry's (arch, hidden) keys and what it returned."""
     calls = []
     real_run_stack = fxbench.experiment._run_stack
 
-    def recording(models, data, config):
-        result = real_run_stack(models, data, config)
-        calls.append(([(m.spec.arch, m.spec.hidden) for m in models], result))
+    def recording(entry, data, config):
+        result = real_run_stack(entry, data, config)
+        calls.append((entry, [(s.arch, s.hidden) for s in entry], result))
         return result
 
     monkeypatch.setattr(fxbench.experiment, "_run_stack", recording)
@@ -526,19 +534,24 @@ def record_stacks(monkeypatch):
 def test_a_sweep_row_does_not_depend_on_the_order_its_stacks_run_in(
     wavy_records, monkeypatch, window
 ):
-    # each stack trains and scores on its own, so the plan's stacks can run
-    # in any order (or apart) and give the sweep's rows bit for bit
+    # each entry builds, trains and scores its own models, so the plan's
+    # entries can run in any order, or apart after a pickle round trip (as
+    # a worker would get them), and give the sweep's rows bit for bit
     data, _ = prepare_splits(wavy_records)
     cfg = quick_config(epochs=2)
     calls = record_stacks(monkeypatch)
     rows = run_sweep(ARCHS, range(2, 11), data, cfg, window=window)
-    plan = [keys for keys, _ in calls]
-    assert len(plan) == 8 and sum(map(len, plan)) == len(rows) == 36
-    by_key = {(t.arch, t.hidden): (t.train_mae, t.val_mae, t.test_mae) for t in rows}
-    for keys in reversed(plan):
-        models = [trial_model(arch, h, window, cfg.seed) for arch, h in keys]
-        _, maes, _ = fxbench.experiment._run_stack(models, data, cfg)
-        assert repr(maes) == repr([by_key[key] for key in keys])
+    plan = [(entry, keys) for entry, keys, _ in calls]
+    assert len(plan) == 8 and sum(len(keys) for _, keys in plan) == len(rows) == 36
+    by_key = {(t.arch, t.hidden): t for t in rows}
+    for entry, keys in reversed(plan):
+        blob = pickle.dumps(entry)
+        assert b"numpy" not in blob  # the entry holds no array
+        models, _, maes, _ = fxbench.experiment._run_stack(pickle.loads(blob), data, cfg)
+        assert repr(maes) == repr([
+            (by_key[key].train_mae, by_key[key].val_mae, by_key[key].test_mae) for key in keys
+        ])
+        assert [m.rng_seed for m in models] == [by_key[key].seed for key in keys]
 
 
 def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
@@ -550,8 +563,8 @@ def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
     data, _ = prepare_splits(wavy_records)
     calls = record_stacks(monkeypatch)
     rows = iter(run_sweep(["srnn", "lstm"], range(6, 11), data, quick_config(), measure_time=True))
-    assert [len(keys) for keys, _ in calls] == [3, 2, 3, 2]
-    for keys, (_, _, seconds) in calls:
+    assert [len(keys) for _, keys, _ in calls] == [3, 2, 3, 2]
+    for _, keys, (_, _, _, seconds) in calls:
         assert seconds == step
         stack_rows = [next(rows) for _ in keys]
         assert [(t.arch, t.hidden) for t in stack_rows] == keys
