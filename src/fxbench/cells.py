@@ -122,7 +122,7 @@ def _sigmoid(z, out=None):
 
 def arch_id(arch: str) -> int:
     if arch not in ARCHS:
-        raise ValueError(f"unknown architecture {arch!r}, expected one of {ARCHS}")
+        raise ValueError(f"unknown architecture {_quoted(arch)}, expected one of {ARCHS}")
     return ARCHS.index(arch)
 
 

@@ -2,9 +2,10 @@
 
 Contract: exit 0 on success; on failure print exactly one line of the form
 `fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
-failures, 2 for usage errors, 130 for an interrupt). All file outputs are
-byte-identical across runs given identical inputs and seeds, and each
-replaces its target atomically (one `data.write_atomic(path, data)` call).
+failures, 2 for usage errors, 130 for an interrupt); argparse parses every value, and
+every usage error, a bad FXBENCH_LOG included, leaves through `_Parser.error` in one short
+line. All file outputs are byte-identical across runs given identical inputs and seeds,
+and each replaces its target atomically (one `data.write_atomic(path, data)` call).
 FXBENCH_LOG in {error, warn, info, debug} sets stderr log verbosity (default info).
 """
 
@@ -17,7 +18,7 @@ import math
 import os
 import sys
 
-from .cells import ARCHS, ModelSpec, ModelStack, arch_id
+from .cells import ARCHS, ModelSpec, ModelStack
 from .data import (
     FIT_NORMS,
     _quoted,
@@ -66,79 +67,70 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        """Every usage error, argparse's own included, in one short ASCII line: non-ASCII
+        escaped, cut to 150 characters plus its size, so the flag at its head stays."""
+        message = message.encode("ascii", "backslashreplace").decode("ascii")
+        raise UsageError(_quoted(message, str, 150))
 
 
-def _positive(kind):
-    """argparse type: a finite `kind` above 0 (so not NaN or inf)."""
+def _positive(kind, most=math.inf):
+    """argparse type: a finite `kind` above 0 (so not NaN or inf) and at most `most`."""
 
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:  # argparse's own text, with the value quoted short
-            raise argparse.ArgumentTypeError(
-                f"invalid {kind.__name__} value: {_quoted(text)}"
-            ) from None
+        except ValueError:  # argparse's own text, which would name `parse`, not `kind`
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
         if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(
-                f"must be finite and above 0, got {_quoted(text, str)}"
-            )
+            raise argparse.ArgumentTypeError(f"must be finite and above 0, got {text}")
+        if value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {text}")
         return value
 
     return parse
 
 
+_MAX_HIDDEN = 1024  # the largest hidden size the CLI trains; the paper's grid is 2..10
+_hidden = _positive(int, most=_MAX_HIDDEN)
+
+
 def parse_hidden_sizes(text: str) -> tuple[int, ...]:
-    """Parse a hidden-size grid: '2..10' (inclusive range), '5', or '2,5,7'."""
-
-    def one(tok: str) -> int:
-        try:
-            return _positive(int)(tok)
-        except argparse.ArgumentTypeError:
-            raise UsageError(
-                f"bad hidden size {_quoted(tok)}, expected an integer above 0"
-            ) from None
-
-    text = text.strip()
+    """argparse type: a hidden-size grid, '2..10' (inclusive range), '5' or
+    '2,5,7', each size read as `train --hidden` reads its one."""
     if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = one(lo_s), one(hi_s)
-        if hi < lo:
-            raise UsageError(f"empty hidden range {_quoted(text)}")
-        return tuple(range(lo, hi + 1))
-    if "," in text:
-        sizes = {one(tok) for tok in text.split(",") if tok.strip()}
-        if not sizes:
-            raise UsageError(f"no hidden sizes given in {_quoted(text)}")
-        return tuple(sorted(sizes))
-    return (one(text),)
+        lo, hi = map(_hidden, text.split("..", 1))
+        sizes = tuple(range(lo, hi + 1))
+    else:
+        sizes = tuple(_hidden(tok) for tok in text.split(",") if tok.strip())
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"no hidden sizes given in {text!r}")
+    return sizes
 
 
 def parse_arch(text: str) -> str:
-    """One architecture name; surrounding spaces and case are ignored."""
+    """argparse type: one architecture name; surrounding spaces and case are ignored."""
     name = text.strip().lower()
     if name not in ARCHS:
-        raise UsageError(f"unknown arch {_quoted(name)} (choose from {', '.join(ARCHS)})")
+        raise argparse.ArgumentTypeError(f"unknown arch {name!r} (choose from {', '.join(ARCHS)})")
     return name
 
 
 def parse_archs(text: str) -> tuple[str, ...]:
-    names = [parse_arch(tok) for tok in text.split(",") if tok.strip()]
+    """argparse type: a comma list of architecture names, in the order given."""
+    names = tuple(parse_arch(tok) for tok in text.split(",") if tok.strip())
     if not names:
-        raise UsageError("no architectures given")
-    return tuple(sorted(set(names), key=arch_id))
+        raise argparse.ArgumentTypeError("no architectures given")
+    return names
 
 
 @contextlib.contextmanager
-def _logging_to_stderr():
+def _logging_to_stderr(parser):
     """Send the `fxbench` logs to the current sys.stderr at the FXBENCH_LOG
     level while the block runs, then remove the handler and restore the
     logger's level, so one call's settings never reach the next."""
     name = os.environ.get("FXBENCH_LOG", "info").strip().lower()
     if name not in LOG_LEVELS:
-        raise UsageError(
-            f"invalid FXBENCH_LOG {name!r} (choose from {', '.join(LOG_LEVELS)})"
-        )
+        parser.error(f"invalid FXBENCH_LOG {name!r} (choose from {', '.join(LOG_LEVELS)})")
     logger = logging.getLogger("fxbench")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("fxbench %(levelname)s: %(message)s"))
@@ -194,13 +186,12 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    archs, hidden = parse_archs(args.archs), parse_hidden_sizes(args.hidden)
     config = _train_config(args)
     _check_output(args.report)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     report = run_sweep(
-        archs,
-        hidden,
+        args.archs,
+        args.hidden,
         data,
         config,
         pair=args.pair,
@@ -220,16 +211,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    arch = parse_arch(args.arch)
     config = _train_config(args)
     _check_output(args.model_out)
     data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
-    (entry,) = _plan([arch], [args.hidden], data, args.window)
+    (entry,) = _plan([args.arch], [args.hidden], data, args.window)
     (model,), (outcome,), (maes,), _ = _run_stack(entry, data, config)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
     write_atomic(args.model_out, save_model(model, norm))
-    print(f"trained {arch.upper()} {model.spec.structure} for {config.epochs} epochs")
+    print(f"trained {args.arch.upper()} {model.spec.structure} for {config.epochs} epochs")
     for label, mae in zip(("train", "val", "test"), maes):
         _print_mae(label, mae, norm)
     print(f"wrote model: {args.model_out}")
@@ -327,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_training_flags(p)
     p.add_argument("--pair", default=DEFAULT_PAIR, help="currency pair label for the report")
     p.add_argument(
-        "--archs", default=",".join(ARCHS), help=f"comma-separated subset of {','.join(ARCHS)}"
+        "--archs", type=parse_archs, default=",".join(ARCHS), help="comma list from %(default)s"
     )
-    p.add_argument("--hidden", default="2..10", help="hidden sizes: '2..10', '5', or '2,5,7'")
+    p.add_argument(
+        "--hidden",
+        type=parse_hidden_sizes,
+        default="2..10",
+        help=f"hidden sizes, each at most {_MAX_HIDDEN}: '2..10', '5', or '2,5,7'",
+    )
     p.add_argument(
         "--select",
         choices=SELECT,
@@ -347,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a single model and save it")
     add_training_flags(p)
-    p.add_argument("--arch", required=True, help=f"one of {','.join(ARCHS)}")
-    p.add_argument("--hidden", type=_positive(int), required=True, help="hidden layer size")
+    p.add_argument("--arch", type=parse_arch, required=True, help=f"one of {','.join(ARCHS)}")
+    p.add_argument(
+        "--hidden", type=_hidden, required=True, help=f"hidden layer size, at most {_MAX_HIDDEN}"
+    )
     p.add_argument("--model-out", required=True, help="output model file path")
     p.set_defaults(func=cmd_train)
 
@@ -378,7 +375,7 @@ def _fail(message: str, code: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        with _logging_to_stderr():
+        with _logging_to_stderr(parser):
             args = parser.parse_args(argv)
             return args.func(args)
     except UsageError as e:

@@ -74,9 +74,9 @@ def _is_real(value) -> bool:
         return False
 
 
-def _quoted(value, show=repr) -> str:
+def _quoted(value, show=repr, limit=QUOTE_CHARS) -> str:
     """`show(value)` (its repr by default) for an error message, cut to its
-    first QUOTE_CHARS characters plus its size, so the line stays short.
+    first `limit` characters plus its size, so the line stays short.
 
     An int is sized from its bits and cut by division, never converted
     whole: Python refuses to convert one of more than 4300 digits."""
@@ -84,14 +84,14 @@ def _quoted(value, show=repr) -> str:
         n = abs(value)
         digits = n.bit_length() * 30103 // 100000 + 1  # exact or one too many
         digits -= digits > 1 and n < 10 ** (digits - 1)
-        text = "-" * (value < 0) + str(n // 10 ** max(digits - QUOTE_CHARS - 1, 0))
+        text = "-" * (value < 0) + str(n // 10 ** max(digits - limit - 1, 0))
         size = f"{digits} digits"
     else:
         text = show(value)
         size = f"{len(text)} characters"
-    if len(text) <= QUOTE_CHARS:
+    if len(text) <= limit:
         return text
-    return f"{text[:QUOTE_CHARS]}... ({size})"
+    return f"{text[:limit]}... ({size})"
 
 
 def _validate_record(rec: OhlcRecord, line: int, mode: str):
@@ -136,7 +136,7 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
     controls the low<=open,close<=high sanity check.
     """
     if validate not in ("warn", "error"):
-        raise ValueError(f"validate must be 'warn' or 'error', got {validate!r}")
+        raise ValueError(f"validate must be 'warn' or 'error', got {_quoted(validate)}")
     if isinstance(stream, (bytes, bytearray)):
         stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
@@ -408,7 +408,7 @@ def prepare_splits(
     days of the train split (fit_norm="train", no look-ahead) or on the
     whole series ("all"). The fit and the samples read one price array."""
     if fit_norm not in FIT_NORMS:
-        raise ValueError(f"fit_norm must be one of {FIT_NORMS}, got {fit_norm!r}")
+        raise ValueError(f"fit_norm must be one of {FIT_NORMS}, got {_quoted(fit_norm)}")
     prices = _price_array(records)
     n_train = _split_sizes(len(prices) - 1)[0]
     norm = fit_minmax(prices if fit_norm == "all" else prices[: n_train + 1])

@@ -116,7 +116,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
+            raise ValueError(
+                f"unknown optimizer {_quoted(self.optimizer)}, expected one of {OPTIMIZERS}"
+            )
         if self.learning_rate is None:
             object.__setattr__(self, "learning_rate", DEFAULT_LR[self.optimizer])
         lr = self.learning_rate
@@ -290,7 +292,7 @@ def _hidden_size(h) -> int:
             raise TypeError
         return operator.index(h)
     except TypeError:
-        raise ValueError(f"hidden sizes must be integers, got {h!r}") from None
+        raise ValueError(f"hidden sizes must be integers, got {_quoted(h)}") from None
 
 
 def _plan(archs, hidden_range, data: SplitDataset, window: int) -> list[tuple[ModelSpec, ...]]:
@@ -389,7 +391,7 @@ def select_best(report: list[TrialResult], criterion: str = CRITERIA[0]) -> Best
     Trials with non-finite criterion values (diverged) are excluded.
     """
     if criterion not in CRITERIA:
-        raise ValueError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+        raise ValueError(f"criterion must be one of {CRITERIA}, got {_quoted(criterion)}")
     usable = [t for t in report if math.isfinite(getattr(t, criterion))]
     if not usable:
         raise ValueError("no successful trials to select from")

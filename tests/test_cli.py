@@ -1,3 +1,4 @@
+import argparse
 import csv
 import inspect
 import io
@@ -6,8 +7,11 @@ import logging
 import math
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fxbench import (
     ModelSpec,
@@ -16,6 +20,7 @@ from fxbench import (
     load_model,
     parse_report_csv,
     prepare_splits,
+    random_walk_ohlc,
     read_ohlc_csv,
     run_sweep,
     save_model,
@@ -23,7 +28,7 @@ from fxbench import (
     write_ohlc_csv,
 )
 import fxbench.cli
-from fxbench.cli import build_parser, main, parse_archs, parse_hidden_sizes, UsageError
+from fxbench.cli import build_parser, main, parse_archs, parse_hidden_sizes
 from fxbench.serialize import REPORT_COLUMNS
 from conftest import make_records, wavy_closes
 
@@ -47,48 +52,78 @@ def run(capsys, *argv):
 def test_hidden_size_grammar():
     assert parse_hidden_sizes("2..10") == tuple(range(2, 11))
     assert parse_hidden_sizes("5") == (5,)
-    assert parse_hidden_sizes("7,2,5") == (2, 5, 7)
-    for bad in ("abc", "0", "5..2", "2..x", ",", ", ,"):
-        with pytest.raises(UsageError):
+    assert parse_hidden_sizes(" 1024 ") == (1024,)
+    assert parse_hidden_sizes("7,2,5,2") == (7, 2, 5, 2)  # the sweep plan sorts and dedupes
+    for bad in ("abc", "0", "5..2", "2..x", ",", ", ,", "1025", "1..1025", "1..1" + "0" * 22):
+        with pytest.raises(argparse.ArgumentTypeError):
             parse_hidden_sizes(bad)
+    with pytest.raises(argparse.ArgumentTypeError, match="^must be at most 1024, got 1025$"):
+        parse_hidden_sizes("2,1025")
 
 
 def test_arch_list_grammar():
-    assert parse_archs("lstm,mlp") == ("mlp", "lstm")
+    assert parse_archs("lstm,mlp,LSTM") == ("lstm", "mlp", "lstm")
     assert parse_archs("GRU") == ("gru",)
-    with pytest.raises(UsageError, match="cnn"):
+    with pytest.raises(argparse.ArgumentTypeError, match="cnn"):
         parse_archs("cnn")
-    with pytest.raises(UsageError, match="no arch"):
+    with pytest.raises(argparse.ArgumentTypeError, match="no arch"):
         parse_archs(" , ")
 
 
 LONG_ARG = 100_000  # characters
+SWEEP = ("sweep", "--data", "d.csv", "--report", "out")
+TRAIN = ("train", "--data", "d.csv", "--model-out", "out", "--arch", "mlp")
 
 
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,head",
     [
-        (("sweep", "--archs", "x" * LONG_ARG), "unknown arch"),
-        (("sweep", "--archs", "1" * LONG_ARG), "unknown arch"),
-        (("train", "--arch", "x" * LONG_ARG, "--hidden", "2"), "unknown arch"),
-        (("sweep", "--hidden", "x" * LONG_ARG), "bad hidden size"),
-        (("sweep", "--hidden", "1" * LONG_ARG), "bad hidden size"),
-        (("sweep", "--hidden", "1.." + "1" * (LONG_ARG - 3)), "bad hidden size"),
-        (("sweep", "--hidden", "," * LONG_ARG), "no hidden sizes given"),
-        (("train", "--arch", "mlp", "--hidden", "x" * LONG_ARG), "argument --hidden"),
-        (("train", "--arch", "mlp", "--hidden", "1" * LONG_ARG), "argument --hidden"),
-        (("sweep", "--epochs", "-" + "1" * 4000), "argument --epochs"),
+        ((*SWEEP, "--archs", "x" * LONG_ARG), "argument --archs: unknown arch 'xxx"),
+        ((*SWEEP, "--archs", "1" * LONG_ARG), "argument --archs: unknown arch '111"),
+        ((*TRAIN, "--arch", "x" * LONG_ARG, "--hidden", "2"), "argument --arch: unknown arch"),
+        ((*SWEEP, "--hidden", "x" * LONG_ARG), "argument --hidden: invalid int value: 'xxx"),
+        ((*SWEEP, "--hidden", "1" * LONG_ARG), "argument --hidden: invalid int value: '111"),
+        ((*SWEEP, "--hidden", "1.." + "1" * (LONG_ARG - 3)), "argument --hidden: invalid int"),
+        ((*SWEEP, "--hidden", "," * LONG_ARG), "argument --hidden: no hidden sizes given in ',,,"),
+        ((*TRAIN, "--hidden", "x" * LONG_ARG), "argument --hidden: invalid int value: 'xxx"),
+        ((*TRAIN, "--hidden", "1" * LONG_ARG), "argument --hidden: invalid int value: '111"),
+        ((*SWEEP, "--epochs", "-" + "1" * 4000), "argument --epochs: must be finite and above 0"),
+        ((*SWEEP, "--optimizer", "x" * LONG_ARG), "argument --optimizer: invalid choice: 'xxx"),
+        ((*SWEEP, "--fit-norm", "x" * LONG_ARG), "argument --fit-norm: invalid choice: 'xxx"),
+        ((*SWEEP, "--select", "x" * LONG_ARG), "argument --select: invalid choice: 'xxx"),
+        (("report", "--in", "r.csv", "--format", "x" * LONG_ARG), "argument --format: invalid"),
+        (("x" * LONG_ARG,), "argument command: invalid choice: 'xxx"),
+        ((*SWEEP, "--seed", "1" * 5000), "argument --seed: invalid int value: '111"),
+        ((*SWEEP, "x" * LONG_ARG), "unrecognized arguments: xxx"),
+        (
+            (*SWEEP, "--optimizer", "\U0001f600" * LONG_ARG),
+            r"argument --optimizer: invalid choice: '\U0001f600",
+        ),
     ],
     ids=["archs-letters", "archs-digits", "train-arch", "hidden-letters", "hidden-digits",
          "hidden-range-digits", "hidden-commas", "train-hidden-letters", "train-hidden-digits",
-         "epochs-4001-characters"],
+         "epochs-4001-characters", "optimizer", "fit-norm", "select", "format", "command",
+         "seed-5000-digits", "unrecognized", "optimizer-non-ascii"],
 )
-def test_a_long_argument_is_quoted_short_in_one_error_line(capsys, argv, flag):
-    out = {"sweep": "--report", "train": "--model-out"}[argv[0]]
-    code, stdout, err = run(capsys, *argv, "--data", "d.csv", out, "out")
+def test_a_long_argument_is_quoted_short_in_one_error_line(capsys, argv, head):
+    code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (2, "")
     line = one_error_line(err)
-    assert line.startswith(f"fxbench: error: {flag}") and len(line) < 200
+    assert line.startswith(f"fxbench: error: {head}") and len(line) < 200 and line.isascii()
+
+
+def test_a_long_log_level_is_quoted_short_in_one_error_line(capsys, monkeypatch):
+    monkeypatch.setenv("FXBENCH_LOG", "x" * LONG_ARG)
+    code, stdout, err = run(capsys, "report", "--in", "r.csv")
+    assert (code, stdout) == (2, "")
+    line = one_error_line(err)
+    assert line.startswith("fxbench: error: invalid FXBENCH_LOG 'xxx") and len(line) < 200
+
+
+def test_the_hidden_size_bound_is_accepted():
+    parser = build_parser()
+    assert parser.parse_args([*SWEEP, "--hidden", "1000..1024"]).hidden == tuple(range(1000, 1025))
+    assert parser.parse_args([*TRAIN, "--hidden", "1024"]).hidden == 1024
 
 
 def test_every_flag_default_is_the_library_default():
@@ -247,6 +282,20 @@ def test_sweep_writes_report_and_is_deterministic(tmp_path, data_csv, capsys):
     header = r1.read_text().splitlines()[0]
     assert header == "pair,arch,structure,hidden,train_mae,val_mae,test_mae,seed,wall_time_s"
     assert len(r1.read_text().splitlines()) == 5
+
+
+def test_a_sweep_grid_given_out_of_order_or_twice_writes_the_same_report(
+    tmp_path, data_csv, capsys
+):
+    reports = []
+    for archs, hidden in (("lstm,MLP,lstm", "3,2,3"), ("mlp,lstm", "2,3")):
+        reports.append(tmp_path / f"{len(reports)}.csv")
+        code, stdout, _ = run(
+            capsys, "sweep", "--data", data_csv, "--archs", archs, "--hidden", hidden,
+            "--epochs", "1", "--report", str(reports[-1]),
+        )
+        assert code == 0 and "(4 trials)" in stdout
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_sweep_can_select_on_validation(tmp_path, data_csv, capsys):
@@ -866,6 +915,10 @@ def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monke
         ("train", "--hidden", "0"),
         ("train", "--window", "0"),
         ("train", "--epochs", "-5"),
+        ("sweep", "--hidden", "1..1" + "0" * 22),
+        ("sweep", "--hidden", "1..1025"),
+        ("sweep", "--hidden", "1025"),
+        ("train", "--hidden", "100000000"),
     ],
 )
 def test_an_out_of_range_flag_is_a_usage_error_before_any_work(
@@ -913,3 +966,123 @@ def test_a_usage_error_creates_no_output_directory(tmp_path, data_csv, capsys):
         assert code == 2
         one_error_line(err)
     assert not (tmp_path / "new").exists()
+
+
+# ---------------------------------------------------------------- generative
+
+
+# argv tokens: long runs of one character; numbers of 4000 digits, which int()
+# reads, and of 5000, which it refuses; and short names (empty and non-ASCII
+# included, argv's undecodable bytes too) that hold no path separator, so a
+# name given as an output stays in the working directory
+LONG_TOKENS = st.builds(
+    lambda char, n: char * n,
+    st.sampled_from(["x", "1", ",", " ", "-", "é", "\U0001f600", "\udcff"]),
+    st.integers(150, LONG_ARG),
+)
+HUGE_NUMBERS = st.sampled_from(
+    ["1" * 4000, "1.." + "1" * 4000, "1" * 5000, "-" + "1" * 5000, "0." + "1" * 5000,
+     "1.." + "1" * 5000, "1" * 5000 + ",2"]
+)
+NAMES = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\x00/")
+    | st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF),
+    max_size=12,
+)
+TOKENS = LONG_TOKENS | HUGE_NUMBERS | NAMES
+PATH_FLAGS = {"--input", "--output", "--data", "--report", "--model-out", "--model",
+              "--series-out", "--in"}
+PARSER = build_parser()
+
+
+def command_flags(data, report, model):
+    """Each command's flags, each with a value that keeps a run short (None
+    for a switch); an output is named relative to the working directory."""
+    training = {"--data": data, "--epochs": "1", "--batch": "8", "--optimizer": "sgd",
+                "--lr": "0.05", "--seed": "7", "--fit-norm": "all", "--window": "2"}
+    return {
+        "ingest": {"--input": data, "--output": "out.csv", "--strict": None},
+        "sweep": {**training, "--pair": "X/Y", "--archs": "gru, MLP", "--hidden": "1..2",
+                  "--select": "val", "--report": "out.csv", "--timings": None},
+        "train": {**training, "--arch": " LSTM", "--hidden": "2", "--model-out": "out.json"},
+        "predict": {"--model": model, "--data": data, "--series-out": "out.csv"},
+        "report": {"--in": report, "--format": "csv", "--select": "val"},
+    }
+
+
+def refused(flag, value):
+    """Whether the sweep parser refuses `value` as the value of `flag`."""
+    try:
+        PARSER.parse_args(["sweep", "--data", "d", "--report", "r", f"{flag}={value}"])
+    except fxbench.cli.UsageError:
+        return True
+    return False
+
+
+@st.composite
+def runs(draw, flags):
+    """(argv, FXBENCH_LOG) for a command with up to two of its flags, its
+    name, an extra token or FXBENCH_LOG spoiled: given a drawn token, or
+    left out. A spoiled `--epochs` or `--hidden` is one the parser refuses,
+    and `--epochs` (default 1500) is never left out, so no run trains long."""
+    command = draw(st.sampled_from(sorted(flags)))
+    spoil = ["command", "extra", "FXBENCH_LOG", *flags[command]]
+    spoiled = draw(st.sets(st.sampled_from(spoil), max_size=2))
+    argv = [draw(TOKENS) if "command" in spoiled else command]
+    for flag, value in flags[command].items():
+        if flag in spoiled:
+            tokens = NAMES if flag in PATH_FLAGS else TOKENS
+            if flag in ("--epochs", "--hidden"):
+                tokens = tokens.filter(lambda token: refused(flag, token))
+            value = draw(tokens if flag == "--epochs" else st.none() | tokens)
+            if value is None:
+                continue
+        if value is None:  # a switch
+            argv.append(flag)
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    if "extra" in spoiled:
+        argv.append(draw(TOKENS))
+    levels = st.sampled_from([None, "error", " WARN ", "Debug"])
+    return argv, draw(TOKENS if "FXBENCH_LOG" in spoiled else levels)
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A 40-day walk, a report and a model made from it, and an empty
+    working directory."""
+    root = tmp_path_factory.mktemp("generative")
+    data, report, model = (str(root / name) for name in ("d.csv", "r.csv", "m.json"))
+    write_ohlc_csv(random_walk_ohlc(40, seed=1), data)
+    common = ["--data", data, "--hidden", "2", "--epochs", "1"]
+    assert main(["sweep", *common, "--archs", "mlp", "--report", report]) == 0
+    assert main(["train", *common, "--arch", "gru", "--window", "2", "--model-out", model]) == 0
+    (root / "work").mkdir()
+    return command_flags(data, report, model), root / "work"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_and_log_level_end_in_an_exit_code_and_at_most_one_short_error_line(
+    cli_inputs, data
+):
+    flags, work = cli_inputs
+    argv, level = data.draw(runs(flags))
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
+        os.environ.pop("FXBENCH_LOG", None)
+        if level is not None:
+            os.environ["FXBENCH_LOG"] = level
+        os.chdir(work)
+        try:
+            code = main(argv)  # an exception leaving main fails the test
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("fxbench: error: ")]
+    assert code in (0, 1, 2)
+    assert errors == (lines[-1:] if code else [])  # one error line, last, on failure only
+    assert all(line.startswith("fxbench ") for line in lines[: len(lines) - len(errors)])
+    assert all(len(line.encode("utf-8", "surrogateescape")) < 300 for line in errors)

@@ -25,6 +25,7 @@ from fxbench import (
     evaluate,
     init_model,
     padded_width,
+    parse_ohlc_csv,
     parse_report_csv,
     persistence_baseline,
     prepare_splits,
@@ -36,6 +37,7 @@ from fxbench import (
     trial_seed,
 )
 from fxbench.experiment import splitmix64
+import fxbench.cells
 import fxbench.experiment
 from conftest import make_records, wavy_closes
 
@@ -117,6 +119,27 @@ def test_train_config_quotes_an_int_too_long_for_a_string():
     with pytest.raises(ValueError) as e:
         TrainConfig(epochs=-(10**5000))
     assert str(e.value) == f"epochs must be a positive integer, got -1{'0' * 30}... (5001 digits)"
+
+
+LONG_VALUE = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: fxbench.cells.arch_id(LONG_VALUE),
+        lambda: parse_ohlc_csv("", validate=LONG_VALUE),
+        lambda: prepare_splits([], fit_norm=LONG_VALUE),
+        lambda: TrainConfig(optimizer=LONG_VALUE),
+        lambda: run_sweep(["mlp"], [LONG_VALUE], None, quick_config()),
+        lambda: select_best([], criterion=LONG_VALUE),
+    ],
+    ids=["arch_id", "validate", "fit_norm", "optimizer", "hidden", "criterion"],
+)
+def test_a_library_refusal_quotes_a_long_value_short(refuse):
+    with pytest.raises(ValueError) as e:
+        refuse()
+    assert "xxx..." in str(e.value) and len(str(e.value)) < 200
 
 
 BEYOND_FLOAT = 10**400  # an int that math.isfinite cannot convert
