@@ -34,16 +34,17 @@ so every elementwise op of the time loops runs on contiguous memory,
 numpy's fast path; with the model axis first, every gate slice was
 strided across the models, and these ops, not the small products, set a
 step's time. The products stay one GEMM per model: the input half writes
-its (T, G*W, S, B) result through a transposed `out=` view, and
-`_stack_matmul` takes each model's (n, B) block of a unit-major array
-with a row stride of S*B. Two rules keep the bits those of the
-model-major layout the results were first produced with. The output
-layer reads a contiguous (S, W, B) copy of the final state: at B = 1
-numpy runs that product as a matrix-vector one, which on a state
-strided across the models can change the last bit, so a model's
-prediction would depend on its stack. The weight-gradient products read
-the inputs and the hidden states as transposed views of their
-(n, T*B) columns, not as contiguous copies, which change gradient bits.
+its (T, G*W, S, B) result through a transposed `out=` view, and each
+step's recurrent product reads and writes each model's (n, B) block of a
+unit-major array, with a row stride of S*B, through transposed views.
+Two rules keep the bits those of the model-major layout the results
+were first produced with. The output layer reads a contiguous (S, W, B)
+copy of the final state: at B = 1 numpy runs that product as a
+matrix-vector one, which on a state strided across the models can
+change the last bit, so a model's prediction would depend on its stack.
+The weight-gradient products read the inputs and the hidden states as
+transposed views of their (n, T*B) columns, not as contiguous copies,
+which change gradient bits.
 The MLP keeps its one (S, W, B) block.
 
 `forward_batch` is the one forward kernel. It runs the input half of
@@ -51,10 +52,23 @@ every step before the time loop (Appleyard et al. 2016) and keeps every
 per-step array for `backward`, which overwrites `stack.grad` on every
 call and returns its named views (valid until the next call). `predict`,
 for scoring, runs `forward_batch` on one chunk of samples at a time, so
-it holds one chunk's forward cache and its memory does not grow with the
+it holds one chunk's step arrays and its memory does not grow with the
 number of samples. Its predictions are those of `forward_batch` on all
 samples bit for bit; the one caveat (see `predict`) concerns only such a
 whole-split `forward_batch`, which nothing in the product calls.
+
+The step arrays belong to the stack. It keeps one set of them
+(`_Steps`), for the batch size it last ran, with the views of them that
+the time loops read, and both kernels write every op and product into
+that set through `out=`, so a call allocates no per-step array. A batch
+of another size replaces the set, the old one freed first: training
+does so twice per epoch (the tail batch and back), scoring once or
+twice per split. `forward_batch` returns a fresh yhat and a cache of the
+set's arrays, which the next `forward_batch` of the stack overwrites: a
+cache is valid until then, `backward` can run on it any number of times,
+and `backward` refuses it after. Backward's arrays are made by its first
+call at a size, so a stack that only scores never holds them. A
+`forward_batch` call enters np.errstate once, for every sigmoid it runs.
 
 Cell equations, with x_t the input at step t and [a; b] concatenation:
 
@@ -84,6 +98,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
 from dataclasses import KW_ONLY, dataclass, field
 from typing import ClassVar
 
@@ -112,10 +127,16 @@ def _sigmoid(z, out=None):
     z = np.asarray(z, dtype=np.float64)
     if out is None:
         out = np.empty_like(z)
-    np.negative(z, out=out)
-    # exp overflow for z << 0 still yields the correct limit (0.0); silence the warning
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        return _logistic(z, out)
+
+
+def _logistic(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`_sigmoid` of the array z into `out`, for a caller that has entered
+    np.errstate(over="ignore"): exp overflow for z << 0 still yields the
+    correct limit (0.0), so the warning is silenced."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
@@ -295,7 +316,7 @@ class ModelStack:
         self.grad = np.zeros_like(self.flat)
         self.params = _views(self.flat, self.spec)
         self.grads = _views(self.grad, self.spec)
-        self._recurrent = self._wout_mask = None
+        self._recurrent = self._wout_mask = self._steps = None  # _steps: see _Steps
         if self.spec.arch == "mlp":  # zero the W_out gradient of padded units
             hiddens = np.array([m.spec.hidden for m in self.models])
             self._wout_mask = (np.arange(self.spec.hidden) < hiddens[:, None, None]) * 1.0
@@ -349,12 +370,148 @@ class ForwardCache:
     can change the last bit of a B = 1 prediction; the weight-gradient
     products read `xt` and hs as transposed views of their columns, as
     contiguous copies change gradient bits (see the module docstring).
+
+    The arrays belong to the stack, which writes them again on its next
+    `forward_batch`: a cache is valid until then, and `backward` refuses
+    it after.
     """
 
     stack: ModelStack
     x: np.ndarray  # (B, T, d), shared by every model of the stack
     steps: dict[str, np.ndarray] = field(default_factory=dict)
     hidden_final: np.ndarray | None = None  # (S, W, B)
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes (a view)."""
+    return a.swapaxes(-1, -2)
+
+
+def _gather(src: np.ndarray, shape: tuple, copies: list) -> np.ndarray:
+    """`src.reshape(shape)`, made once: a view of src where numpy gives
+    one, else an array that `(view of it, src)` in `copies` refills."""
+    out = src.reshape(shape)
+    if not np.may_share_memory(out, src):
+        copies.append((out.reshape(src.shape), src))
+    return out
+
+
+class _Steps:
+    """The arrays a stack's kernels write at one batch size `b`, and the
+    views of them and of the stack's weights that the kernels read, all
+    made once and written again by every call at that size.
+
+    `steps` and `final` are the arrays a ForwardCache hands out, and
+    `cache` weakly refers to the cache they belong to, the last one
+    handed out. Backward's arrays are made by the first `backward`
+    (`add_backward`), so a stack that only scores never holds them. The
+    set keeps no reference to its stack, so the two are freed together.
+    """
+
+    def __init__(self, stack: ModelStack, b: int):
+        spec = stack.spec
+        s, h, t = len(stack), spec.hidden, spec.window
+        self.b, self.cache, self.products = b, None, None  # products: see add_backward
+        self.xt = np.empty((t, spec.input_dim, b))
+        self.final = np.empty((s, h, b))
+        self.steps = {"xt": self.xt}
+        if spec.arch == "mlp":
+            self.steps["hidden"] = self.final
+            return
+        w_x, bias, w_h = stack._recurrent[0]
+        rows = w_h.shape[1]  # G*W
+        h2, h3 = 2 * h, 3 * h
+        self.w_x, self.bias, self.w_h = w_x[:, None], bias.T[:, :, None], w_h
+        pre = self.pre = np.empty((t, rows, s, b))  # LSTM i, f, o, cand; GRU z, r, cand
+        self.pre_out = pre.transpose(2, 0, 1, 3)  # the input half's product writes here
+        hs = np.zeros((t + 1, h, s, b))  # hs[0] = 0 is never written
+        hs_t = hs.transpose(0, 2, 1, 3)  # each state as a product operand, (S, W, B)
+        self.last_t = hs_t[t]
+        self.prod = np.empty((rows, s, b))  # the bias, then each recurrent product; scratch
+        self.prod_t = self.prod.transpose(1, 0, 2)
+        self.tmp = np.empty((h, s, b))
+        self.steps["hs"] = hs
+        if spec.arch == "srnn":
+            self.loop = list(zip(pre, hs_t, hs[1:]))
+        elif spec.arch == "lstm":
+            cs = np.zeros((t + 1, h, s, b))
+            tanh_c = np.empty((t, h, s, b))
+            self.loop = list(zip(
+                pre, pre[:, :h3], pre[:, h3:], pre[:, :h], pre[:, h:h2], pre[:, h2:h3],
+                cs, cs[1:], tanh_c, hs_t, hs[1:],
+            ))
+            self.steps.update(cs=cs, gates=pre, tanh_c=tanh_c)
+        else:  # gru
+            rh = np.zeros((t, h, s, b))  # r * h_{t-1}; rh[0] = 0 is never written
+            self.w_zr, self.w_c = w_h[:, :h2], w_h[:, h2:]
+            self.prod_zr, self.prod_c = self.prod[:h2], self.prod[h2:]
+            self.prod_zr_t, self.prod_c_t = self.prod_t[:, :h2], self.prod_t[:, h2:]
+            self.loop = list(zip(
+                pre[:, :h2], pre[:, :h], pre[:, h:h2], pre[:, h2:],
+                hs, hs_t, hs[1:], rh, rh.transpose(0, 2, 1, 3),
+            ))
+            self.steps.update(zr=pre[:, :h2], cand=pre[:, h2:], rh=rh)
+
+    def add_backward(self, stack: ModelStack) -> None:
+        """Make backward's arrays and views, `products` last.
+
+        Recurrent cells store each step's pre-activation gradients in one
+        (T, G*W, S, B) array `dz`, then form each weight gradient with one
+        GEMM per model over its T*B columns (`cols`): the input weights
+        against every step's input, the recurrent weights against
+        h_1..h_{T-1} only (h_0 = 0). The MLP's columns are its (S, W, B)
+        pre-activation gradients."""
+        spec, grads = stack.spec, stack.grads
+        s, h, t, b = len(stack), spec.hidden, spec.window, self.b
+        h2, h3 = 2 * h, 3 * h
+        self.w_out_t = _t(stack.params["W_out"])
+        self.dh_out = np.empty((s, h, b))  # dL/dh_T as the output layer gives it
+        self.copies = []
+        x_cols = _t(_gather(self.xt.transpose(1, 0, 2), (-1, t * b), self.copies))  # (T*B, d)
+        if spec.arch == "mlp":
+            self.tmp = np.empty((s, h, b))
+            self.cols, self.bias_grad = self.dh_out, grads["b_h"]
+            self.products = [(self.dh_out, x_cols, grads["W_h"])]
+            return
+        hs, pre, (gw_x, gb, gw_h) = self.steps["hs"], self.pre, stack._recurrent[1]
+        w_h_t = self.w_h_t = _t(self.w_h)
+        rows = w_h_t.shape[-1]
+        dz = np.empty((t, rows, s, b))
+        dz_t = dz.transpose(0, 2, 1, 3)
+        self.dh_first = self.dh_out.transpose(1, 0, 2)  # unit-major, as every step array
+        self.dh = np.empty((h, s, b))
+        self.dh_t = self.dh.transpose(1, 0, 2)
+        self.cols = _gather(dz.transpose(2, 1, 0, 3), (s, rows, t * b), self.copies)
+        self.bias_grad = gb
+        h_cols = _t(_gather(hs[1:t].transpose(2, 1, 0, 3), (s, h, (t - 1) * b), self.copies))
+        products = [(self.cols, x_cols, gw_x), (self.cols[..., b:], h_cols, gw_h)]
+        if spec.arch == "srnn":
+            self.back = list(zip(dz, dz_t, hs[1:]))
+        elif spec.arch == "lstm":
+            self.dc = np.empty((h, s, b))
+            self.tmp2 = np.empty((h, s, b))
+            self.sig_tmp = self.prod[:h3]
+            self.back = list(zip(
+                dz_t, dz[:, :h3], dz[:, :h], dz[:, h:h2], dz[:, h2:h3], dz[:, h3:],
+                pre[:, :h3], pre[:, :h], pre[:, h:h2], pre[:, h2:h3], pre[:, h3:],
+                self.steps["cs"], self.steps["tanh_c"],
+            ))
+        else:  # gru; the candidate's recurrent input is r * h_{t-1}
+            self.w_zr_t, self.w_c_t = w_h_t[..., :h2], w_h_t[..., h2:]
+            self.drh = np.empty((h, s, b))  # gradient w.r.t. r * h_{t-1}
+            self.drh_t = self.drh.transpose(1, 0, 2)
+            self.zr_tmp = self.prod[:h2]
+            self.back = list(zip(
+                dz[:, :h2], dz[:, :h], dz[:, h:h2], dz[:, h2:], dz_t[:, :, :h2], dz_t[:, :, h2:],
+                pre[:, :h2], pre[:, :h], pre[:, h:h2], pre[:, h2:], hs,
+            ))
+            rh = self.steps["rh"][1:].transpose(2, 1, 0, 3)
+            rh_cols = _t(_gather(rh, (s, h, (t - 1) * b), self.copies))
+            products[1:] = [
+                (self.cols[:, :h2, b:], h_cols, gw_h[:, :h2]),
+                (self.cols[:, h2:, b:], rh_cols, gw_h[:, h2:]),
+            ]
+        self.products = products
 
 
 def _as_batch(stack: ModelStack, x) -> np.ndarray:
@@ -372,36 +529,6 @@ def _as_batch(stack: ModelStack, x) -> np.ndarray:
     return x
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    """Transpose the last two axes (a view)."""
-    return a.swapaxes(-1, -2)
-
-
-def _columns(a: np.ndarray) -> np.ndarray:
-    """Per-step arrays (T, n, S, B) as (S, n, T*B): one column per (step,
-    sample) of each model, for the weight-gradient products (a copy
-    unless T = 1)."""
-    t, n, s, b = a.shape
-    return a.transpose(2, 1, 0, 3).reshape(s, n, t * b)
-
-
-def _stack_matmul(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """w (S, rows, n) times a (n, S, B), model by model: (rows, S, B)."""
-    out = np.empty((w.shape[1],) + a.shape[1:])
-    np.matmul(w, a.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-    return out
-
-
-def _input_half(w_x: np.ndarray, bias: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """W_x x_t + b for every model and every step of xt (T, d, B): (T, rows, S, B)."""
-    s, rows, _ = w_x.shape
-    t, _, b = xt.shape
-    pre = np.empty((t, rows, s, b))
-    np.matmul(w_x[:, None], xt, out=pre.transpose(2, 0, 1, 3))
-    pre += bias.T[:, :, None]
-    return pre
-
-
 def _output(p: dict, final: np.ndarray) -> np.ndarray:
     """yhat (S, B, out) from the final hidden state (S, W, B)."""
     return _t(p["W_out"] @ final + p["b_out"][..., None])
@@ -409,62 +536,67 @@ def _output(p: dict, final: np.ndarray) -> np.ndarray:
 
 def forward_batch(stack: ModelStack, x) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch of windows through every model of `stack` from a zero
-    initial state; returns (yhat (S, B, out), the cache for `backward`)."""
+    initial state; returns (yhat (S, B, out), the cache for `backward`).
+
+    yhat is a fresh array; the cache's arrays are the stack's, valid until
+    its next `forward_batch`."""
     x = _as_batch(stack, x)
-    p = stack.params
-    b, t, _ = x.shape
-    s, h, arch = len(stack), stack.spec.hidden, stack.spec.arch
-
-    cache = ForwardCache(stack=stack, x=x)
-    st = cache.steps
-    xt = st["xt"] = np.ascontiguousarray(x.transpose(1, 2, 0))
-    if arch == "mlp":
-        hidden = p["W_h"] @ xt[0]
-        hidden += p["b_h"][..., None]
-        final = cache.hidden_final = st["hidden"] = _sigmoid(hidden, out=hidden)
-        return _output(p, final), cache
-
-    # The input half of every product runs for all steps before the time
-    # loop, bias included; each step then adds the recurrent half.
-    w_x, bias, w_h = stack._recurrent[0]
-    pre = _input_half(w_x, bias, xt)  # LSTM i, f, o, cand; GRU z, r, cand
-    hs = st["hs"] = np.empty((t + 1, h, s, b))
-    hs[0] = 0.0
-    h2, h3 = 2 * h, 3 * h
-    if arch == "srnn":
-        for k in range(t):
-            if k:
-                pre[k] += _stack_matmul(w_h, hs[k])
-            np.tanh(pre[k], out=hs[k + 1])
-    elif arch == "lstm":
-        cs = np.empty((t + 1, h, s, b))
-        cs[0] = 0.0
-        tanh_c = np.empty((t, h, s, b))
-        for k in range(t):
-            g = pre[k]
-            if k:
-                g += _stack_matmul(w_h, hs[k])
-            _sigmoid(g[:h3], out=g[:h3])
-            np.tanh(g[h3:], out=g[h3:])
-            cs[k + 1] = g[h:h2] * cs[k] + g[:h] * g[h3:]
-            np.tanh(cs[k + 1], out=tanh_c[k])
-            np.multiply(g[h2:h3], tanh_c[k], out=hs[k + 1])
-        st.update(cs=cs, gates=pre, tanh_c=tanh_c)
-    else:  # gru
-        rh = np.zeros((t, h, s, b))  # r * h_{t-1}; zero at step 0
-        for k in range(t):
-            zr, cand = pre[k, :h2], pre[k, h2:]
-            if k:
-                zr += _stack_matmul(w_h[:, :h2], hs[k])
-            _sigmoid(zr, out=zr)
-            if k:
-                np.multiply(zr[h:], hs[k], out=rh[k])
-                cand += _stack_matmul(w_h[:, h2:], rh[k])
-            np.tanh(cand, out=cand)
-            hs[k + 1] = (1.0 - zr[:h]) * hs[k] + zr[:h] * cand
-        st.update(zr=pre[:, :h2], cand=pre[:, h2:], rh=rh)
-    final = cache.hidden_final = np.ascontiguousarray(hs[t].transpose(1, 0, 2))  # (S, W, B)
-    return _output(p, final), cache
+    if stack._steps is None or stack._steps.b != len(x):
+        stack._steps = None  # the old set is freed before the new one is made
+        stack._steps = _Steps(stack, len(x))
+    buf = stack._steps
+    cache = ForwardCache(stack=stack, x=x, steps=buf.steps, hidden_final=buf.final)
+    buf.cache = weakref.ref(cache)
+    p, arch = stack.params, stack.spec.arch
+    np.copyto(buf.xt, x.transpose(1, 2, 0))
+    with np.errstate(over="ignore"):  # see _logistic
+        if arch == "mlp":
+            hidden = np.matmul(p["W_h"], buf.xt[0], out=buf.final)
+            hidden += p["b_h"][..., None]
+            _logistic(hidden, hidden)
+            return _output(p, hidden), cache
+        # The input half of every product runs for all steps before the
+        # time loop, bias included; each step then adds the recurrent half.
+        prod, tmp = buf.prod, buf.tmp
+        np.matmul(buf.w_x, buf.xt, out=buf.pre_out)
+        np.copyto(prod, buf.bias)  # a contiguous block adds in half the time of a broadcast view
+        buf.pre += prod
+        if arch == "srnn":
+            for k, (pre, h_prev_t, h_next) in enumerate(buf.loop):
+                if k:
+                    np.matmul(buf.w_h, h_prev_t, out=buf.prod_t)
+                    pre += prod
+                np.tanh(pre, out=h_next)
+        elif arch == "lstm":
+            for k, step in enumerate(buf.loop):
+                g, ifo, cand, i, f, o, c_prev, c, tanh_c, h_prev_t, h_next = step
+                if k:
+                    np.matmul(buf.w_h, h_prev_t, out=buf.prod_t)
+                    g += prod
+                _logistic(ifo, ifo)
+                np.tanh(cand, out=cand)
+                np.multiply(f, c_prev, out=c)
+                np.multiply(i, cand, out=tmp)
+                c += tmp
+                np.tanh(c, out=tanh_c)
+                np.multiply(o, tanh_c, out=h_next)
+        else:  # gru
+            for k, (zr, z, r, cand, h_prev, h_prev_t, h_next, rh, rh_t) in enumerate(buf.loop):
+                if k:
+                    np.matmul(buf.w_zr, h_prev_t, out=buf.prod_zr_t)
+                    zr += buf.prod_zr
+                _logistic(zr, zr)
+                if k:
+                    np.multiply(r, h_prev, out=rh)
+                    np.matmul(buf.w_c, rh_t, out=buf.prod_c_t)
+                    cand += buf.prod_c
+                np.tanh(cand, out=cand)
+                np.subtract(1.0, z, out=h_next)  # (1 - z) * h_{t-1} + z * cand
+                h_next *= h_prev
+                np.multiply(z, cand, out=tmp)
+                h_next += tmp
+    np.copyto(buf.final, buf.last_t)  # contiguous (S, W, B)
+    return _output(p, buf.final), cache
 
 
 def predict(stack: ModelStack, x) -> np.ndarray:
@@ -472,7 +604,7 @@ def predict(stack: ModelStack, x) -> np.ndarray:
     windows: `forward_batch` per chunk of CHUNK samples, the last chunk
     also taking the remainder (up to 2*CHUNK - 1 samples).
 
-    So scoring holds one chunk's forward cache at a time, and its memory
+    So scoring holds one chunk's step arrays at a time, and its memory
     does not grow with n. Every chunk starts at a multiple of CHUNK, so
     BLAS treats its samples as it treats them in one product over all n,
     and the predictions are those of `forward_batch` on all n bit for bit,
@@ -496,105 +628,100 @@ def backward(stack: ModelStack, cache: ForwardCache, dl_dyhat) -> dict[str, np.n
     Batch contributions are summed, so the caller folds any 1/B averaging
     into the cotangent. The gradients are written into `stack.grad`; the
     returned dict is `stack.grads`, its named views, which the next call
-    overwrites.
+    overwrites. A cache can be run again until the next `forward_batch`
+    of its stack, which makes it stale.
     """
     if cache.stack is not stack:
         raise ValueError("cache was produced by a different model stack")
-    spec = stack.spec
-    p = stack.params
-    grads = stack.grads
-    b, t, _ = cache.x.shape
-    s, h = len(stack), spec.hidden
-
+    buf = stack._steps
+    if buf is None or buf.cache() is not cache:
+        raise ValueError("cache is stale: a later forward_batch of its stack overwrote it")
+    spec, grads = stack.spec, stack.grads
+    s, b = len(stack), buf.b
     dy = np.asarray(dl_dyhat, dtype=np.float64)
     if dy.shape != (s, b, spec.output_dim):
         raise ValueError(f"cotangent shape {dy.shape} does not match {(s, b, spec.output_dim)}")
     dy = _t(dy)  # (S, out, B)
+    if buf.products is None:
+        buf.add_backward(stack)
 
-    st = cache.steps
-    x_cols = _t(st["xt"].transpose(1, 0, 2).reshape(-1, t * b))  # (T*B, d), shared by every model
-    np.matmul(dy, _t(cache.hidden_final), out=grads["W_out"])
+    np.matmul(dy, _t(buf.final), out=grads["W_out"])
     if stack._wout_mask is not None:
         grads["W_out"] *= stack._wout_mask
     np.add.reduce(dy, axis=2, out=grads["b_out"])
-    dh = _t(p["W_out"]) @ dy  # (S, W, B)
+    dh = np.matmul(buf.w_out_t, dy, out=buf.dh_out)  # (S, W, B)
 
-    # Recurrent cells store each step's pre-activation gradients in one
-    # (T, G*W, S, B) array, then form each weight gradient with one GEMM
-    # per model over its T*B columns: the input weights against every
-    # step's input, the recurrent weights against h_1..h_{T-1} only
-    # (h_0 = 0). dh of step 0 would flow into the zero initial state and
-    # is not computed.
-    if spec.arch == "mlp":
-        hidden = st["hidden"]
-        dpre = dh * hidden * (1.0 - hidden)
-        np.matmul(dpre, x_cols, out=grads["W_h"])
-        np.add.reduce(dpre, axis=2, out=grads["b_h"])
-        return grads
-
-    dh = dh.transpose(1, 0, 2)  # unit-major (W, S, B), as every step array
-    hs = st["hs"]
-    w_h_t = _t(stack._recurrent[0][2])
-    h2, h3 = 2 * h, 3 * h
-    dz = np.empty((t, w_h_t.shape[-1], s, b))  # (T, G*W, S, B)
-    if spec.arch == "srnn":
-        for k in range(t - 1, -1, -1):
-            np.multiply(dh, 1.0 - hs[k + 1] ** 2, out=dz[k])
+    # dh of step 0 would flow into the zero initial state and is not computed.
+    arch, tmp = spec.arch, buf.tmp
+    if arch == "mlp":
+        hidden = buf.final  # the pre-activation gradient dh * s * (1 - s)
+        dh *= hidden
+        np.subtract(1.0, hidden, out=tmp)
+        dh *= tmp
+    elif arch == "srnn":
+        dh = buf.dh_first
+        for k in range(spec.window - 1, -1, -1):
+            dz, dz_t, h_next = buf.back[k]
+            np.square(h_next, out=tmp)  # tanh' = 1 - t^2
+            np.subtract(1.0, tmp, out=tmp)
+            np.multiply(dh, tmp, out=dz)
             if k:
-                dh = _stack_matmul(w_h_t, dz[k])
-    elif spec.arch == "lstm":
-        cs, gates, tanh_c = st["cs"], st["gates"], st["tanh_c"]
-        dc = np.zeros((h, s, b))
-        for k in range(t - 1, -1, -1):
-            g = gates[k]
-            cand = g[h3:]
-            tc = tanh_c[k]
-            dzk = dz[k]
+                np.matmul(buf.w_h_t, dz_t, out=buf.dh_t)
+                dh = buf.dh
+    elif arch == "lstm":
+        dh, dc, tmp2, sig_tmp = buf.dh_first, buf.dc, buf.tmp2, buf.sig_tmp
+        dc.fill(0.0)
+        for k in range(spec.window - 1, -1, -1):
+            dz_t, dsig, dz_i, dz_f, dz_o, dz_c, sig, i, f, o, cand, c_prev, tanh_c = buf.back[k]
             # first the gradients w.r.t. the gate outputs, then through
             # their activations: sigmoid' = s(1-s), tanh' = 1-t^2
-            np.multiply(dh, tc, out=dzk[h2:h3])  # o
-            dc = dc + dh * g[h2:h3] * (1.0 - tc ** 2)
-            np.multiply(dc, cand, out=dzk[:h])  # i
-            np.multiply(dc, cs[k], out=dzk[h:h2])  # f
-            np.multiply(dc, g[:h], out=dzk[h3:])  # cand
-            dc = dc * g[h:h2]  # carried to c_{k-1}
-            sig = g[:h3]
-            dsig = dzk[:h3]
+            np.multiply(dh, tanh_c, out=dz_o)
+            np.multiply(dh, o, out=tmp)  # dc += dh * o * (1 - tanh_c^2)
+            np.square(tanh_c, out=tmp2)
+            np.subtract(1.0, tmp2, out=tmp2)
+            tmp *= tmp2
+            dc += tmp
+            np.multiply(dc, cand, out=dz_i)
+            np.multiply(dc, c_prev, out=dz_f)
+            np.multiply(dc, i, out=dz_c)
+            dc *= f  # carried to c_{k-1}
             dsig *= sig
-            dsig *= 1.0 - sig
-            dzk[h3:] *= 1.0 - cand ** 2
+            np.subtract(1.0, sig, out=sig_tmp)
+            dsig *= sig_tmp
+            np.square(cand, out=tmp2)
+            np.subtract(1.0, tmp2, out=tmp2)
+            dz_c *= tmp2
             if k:
-                dh = _stack_matmul(w_h_t, dzk)
+                np.matmul(buf.w_h_t, dz_t, out=buf.dh_t)
+                dh = buf.dh
     else:  # gru
-        zr, cand = st["zr"], st["cand"]
-        wzr_h_t, wc_h_t = w_h_t[..., :h2], w_h_t[..., h2:]
-        for k in range(t - 1, -1, -1):
-            h_prev = hs[k]
-            g = zr[k]
-            gz = g[:h]
-            ck = cand[k]
-            dzk = dz[k]
-            dzc = dzk[h2:]
-            np.multiply(dh * gz, 1.0 - ck ** 2, out=dzc)
-            np.multiply(dh, ck - h_prev, out=dzk[:h])  # z
+        dh, drh, zr_tmp = buf.dh_first, buf.drh, buf.zr_tmp
+        for k in range(spec.window - 1, -1, -1):
+            dz_zr, dz_z, dz_r, dz_c, dz_zr_t, dz_c_t, zr, z, r, cand, h_prev = buf.back[k]
+            np.multiply(dh, z, out=tmp)  # dz_c = dh * z * (1 - cand^2)
+            np.square(cand, out=dz_c)
+            np.subtract(1.0, dz_c, out=dz_c)
+            np.multiply(tmp, dz_c, out=dz_c)
+            np.subtract(cand, h_prev, out=dz_z)
+            np.multiply(dh, dz_z, out=dz_z)
             if k:
-                drh = _stack_matmul(wc_h_t, dzc)  # gradient w.r.t. r * h_prev
-                np.multiply(drh, h_prev, out=dzk[h:h2])  # r
+                np.matmul(buf.w_c_t, dz_c_t, out=buf.drh_t)
+                np.multiply(drh, h_prev, out=dz_r)
             else:
-                dzk[h:h2] = 0.0  # r acts on h_0 = 0
-            dsig = dzk[:h2]
-            dsig *= g
-            dsig *= 1.0 - g
-            if k:
-                dh = dh * (1.0 - gz) + drh * g[h:] + _stack_matmul(wzr_h_t, dsig)
-    gw_x, gb, gw_h = stack._recurrent[1]
-    cols = _columns(dz)
-    np.matmul(cols, x_cols, out=gw_x)
-    np.add.reduce(cols, axis=2, out=gb)
-    h_cols = _t(_columns(hs[1:t]))
-    if spec.arch == "gru":  # the candidate's recurrent input is r * h_{t-1}
-        np.matmul(cols[:, :h2, b:], h_cols, out=gw_h[:, :h2])
-        np.matmul(cols[:, h2:, b:], _t(_columns(st["rh"][1:])), out=gw_h[:, h2:])
-    else:
-        np.matmul(cols[..., b:], h_cols, out=gw_h)
+                dz_r[...] = 0.0  # r acts on h_0 = 0
+            dz_zr *= zr
+            np.subtract(1.0, zr, out=zr_tmp)
+            dz_zr *= zr_tmp
+            if k:  # dh = dh * (1 - z) + drh * r + W_zr^T dz_zr
+                np.subtract(1.0, z, out=tmp)
+                np.multiply(dh, tmp, out=tmp)
+                drh *= r
+                tmp += drh
+                np.matmul(buf.w_zr_t, dz_zr_t, out=buf.dh_t)
+                dh = np.add(tmp, buf.dh, out=buf.dh)
+    for dst, src in buf.copies:
+        np.copyto(dst, src)
+    for cols, inputs, out in buf.products:
+        np.matmul(cols, inputs, out=out)
+    np.add.reduce(buf.cols, axis=2, out=buf.bias_grad)
     return grads

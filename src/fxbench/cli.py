@@ -123,6 +123,16 @@ def parse_archs(text: str) -> tuple[str, ...]:
     return names
 
 
+def _utf8(text: str) -> str:
+    """argparse type: text that UTF-8 can encode, as the report it labels
+    is written in UTF-8; argv holds an undecodable byte as a lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not encodable as UTF-8: {text!r}") from None
+    return text
+
+
 @contextlib.contextmanager
 def _logging_to_stderr(parser):
     """Send the `fxbench` logs to the current sys.stderr at the FXBENCH_LOG
@@ -315,7 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train the full architecture x hidden-size grid")
     add_training_flags(p)
-    p.add_argument("--pair", default=DEFAULT_PAIR, help="currency pair label for the report")
+    p.add_argument(
+        "--pair", type=_utf8, default=DEFAULT_PAIR, help="currency pair label for the report"
+    )
     p.add_argument(
         "--archs", type=parse_archs, default=",".join(ARCHS), help="comma list from %(default)s"
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -466,6 +467,93 @@ def test_gradients_match_finite_differences_quick(arch, window):
     if arch == "mlp" and window != 1:
         pytest.skip("mlp has no recurrence to unroll")
     check_model_gradients(arch, hidden=3, window=window, seed=11)
+
+
+# ---------------------------------------------------------------- step buffers
+
+# a stack keeps one set of step arrays, for the batch size it last ran;
+# this order makes and replaces it with every change of size, a ragged
+# 127 and a batch of one included, and comes back to sizes seen before
+REUSE_BATCHES = (32, 18, 1, 32, 127, 64, 32)
+
+
+@pytest.mark.parametrize(
+    "arch,window", [("mlp", 1)] + [(a, w) for a in ("srnn", "gru", "lstm") for w in (1, 3, 8)]
+)
+@pytest.mark.parametrize("hiddens", [(5,), tuple(range(2, 9))], ids=["alone", "mixed"])
+def test_reused_step_arrays_give_a_fresh_stacks_results_bitwise(arch, window, hiddens):
+    models = [trial_model(arch, h, window, 5) for h in hiddens]
+    reused = ModelStack(models)
+    rng = np.random.default_rng(window)
+    for b in REUSE_BATCHES:
+        x = rng.uniform(0.0, 1.0, size=(b, window, 4))
+        dy = rng.normal(size=(len(models), b, 1))
+
+        def results(stack):
+            yhat, cache = forward_batch(stack, x)
+            backward(stack, cache, dy)
+            return yhat, stack.grad.copy(), predict(stack, x)
+
+        for got, expected in zip(results(reused), results(ModelStack(models))):
+            assert np.array_equal(got, expected), f"batch {b}"
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_a_later_forward_makes_a_cache_stale(arch):
+    spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 3)
+    stack = one(init_model(spec, 2))
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(4, spec.window, 4))
+    dy = rng.normal(size=(1, 4, 1))
+    yhat, cache = forward_batch(stack, x)
+    first = yhat.copy()
+    for later in (x + 1.0, x[:2]):  # the same batch size, then another
+        _, current = forward_batch(stack, later)
+        assert np.array_equal(yhat, first)  # yhat is the caller's, not the stack's
+        with pytest.raises(ValueError, match="cache is stale"):
+            backward(stack, cache, dy)
+        cache = current
+    backward(stack, cache, dy[:, :2])
+    predict(stack, x)  # scoring runs forward_batch too
+    with pytest.raises(ValueError, match="cache is stale"):
+        backward(stack, cache, dy[:, :2])
+
+
+def _peak_mib(run) -> float:
+    """The traced peak, in MiB, of the memory `run()` allocates."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_step_arrays_cost_no_more_memory_than_arrays_made_per_call():
+    # Peaks when every call made its own step arrays (numpy 2.4, CPython
+    # 3.11): scoring 500 samples, 3.13 MiB, and one forward and backward
+    # at batch 32, 1.83 MiB. Kept arrays may cost 0.25 MiB more; a second
+    # set alive beside the first (the 64-sample chunks' beside the last
+    # chunk's, or batch 16's beside batch 32's) costs over 0.8 MiB more.
+    def stack():
+        return ModelStack(trial_model("lstm", h, 8, 42) for h in range(2, 9))
+
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, size=(500, 8, 4))
+    dy = rng.normal(size=(7, 32, 1))
+    scoring = stack()
+    assert _peak_mib(lambda: predict(scoring, x)) <= 3.13 + 0.25
+
+    training = stack()
+
+    def train_steps():
+        for b in (32, 16, 32):
+            _, cache = forward_batch(training, x[:b])
+            backward(training, cache, dy[:, :b])
+            del cache
+
+    assert _peak_mib(train_steps) <= 1.83 + 0.25
 
 
 # ---------------------------------------------------------------- properties

@@ -919,6 +919,7 @@ def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monke
         ("sweep", "--hidden", "1..1025"),
         ("sweep", "--hidden", "1025"),
         ("train", "--hidden", "100000000"),
+        ("sweep", "--pair", "a\udcffb"),  # an undecodable argv byte, which UTF-8 cannot encode
     ],
 )
 def test_an_out_of_range_flag_is_a_usage_error_before_any_work(
