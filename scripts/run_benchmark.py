@@ -59,7 +59,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     slug = pair.replace("/", "_").lower()
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
     write_ohlc_csv(records, out_dir / f"{slug}_data.csv")
-    data, norm = prepare_splits(records)
+    data = prepare_splits(records)
 
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW)
@@ -76,7 +76,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     model = trial_model(best.arch, best.hidden, WINDOW, config.seed)
     stack = ModelStack([model])
     train(stack, data.train, data.validation, config)
-    write_atomic(out_dir / f"{slug}_best_model.json", save_model(model, norm))
+    write_atomic(out_dir / f"{slug}_best_model.json", save_model(model, data.train.norm))
     (result,) = evaluate(stack, data.test)
     write_atomic(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
 

@@ -84,7 +84,7 @@ Cell equations, with x_t the input at step t and [a; b] concatenation:
 
   output (all) yhat = W_out h_T + b_out          (linear, unbounded)
 
-sig is the logistic function 1/(1+e^-z) (`_sigmoid`), which saturates to
+sig is the logistic function 1/(1+e^-z) (`_logistic`), which saturates to
 exactly 0 or 1 without an overflow warning.
 
 `backward` is exact analytic backpropagation through the whole window
@@ -120,21 +120,11 @@ PAD_MULTIPLE = 8
 CHUNK = 64
 
 
-def _sigmoid(z, out=None):
-    """Elementwise logistic 1/(1+e^-z); saturates to exactly 0/1 for huge |z|.
-
-    Written into `out` when given (which may be z itself)."""
-    z = np.asarray(z, dtype=np.float64)
-    if out is None:
-        out = np.empty_like(z)
-    with np.errstate(over="ignore"):
-        return _logistic(z, out)
-
-
 def _logistic(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`_sigmoid` of the array z into `out`, for a caller that has entered
-    np.errstate(over="ignore"): exp overflow for z << 0 still yields the
-    correct limit (0.0), so the warning is silenced."""
+    """Elementwise logistic 1/(1+e^-z) of the array z into `out` (which may
+    be z itself), for a caller that has entered np.errstate(over="ignore"):
+    exp overflow for z << 0 still yields the correct limit (0.0), so the
+    warning is silenced, and huge |z| saturates to exactly 0 or 1."""
     np.negative(z, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -521,7 +511,9 @@ def _as_batch(stack: ModelStack, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"batched input must be (batch, window, input_dim), got shape {x.shape}")
-    _, t, d = x.shape
+    b, t, d = x.shape
+    if not b:
+        raise ValueError(f"batched input must hold at least one sample, got shape {x.shape}")
     if t != spec.window:
         raise ValueError(f"window length mismatch: model expects {spec.window}, got {t}")
     if d != spec.input_dim:

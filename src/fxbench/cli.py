@@ -198,7 +198,7 @@ def cmd_ingest(args) -> int:
 def cmd_sweep(args) -> int:
     config = _train_config(args)
     _check_output(args.report)
-    data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
+    data = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     report = run_sweep(
         args.archs,
         args.hidden,
@@ -215,7 +215,7 @@ def cmd_sweep(args) -> int:
     value = getattr(o, criterion)
     print(
         f"overall best ({criterion}): {o.arch.upper()},{o.structure},{value!r}"
-        f" | normalized {value / norm.target_span!r}"
+        f" | normalized {value / data.train.norm.target_span!r}"
     )
     return 0
 
@@ -223,15 +223,15 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     config = _train_config(args)
     _check_output(args.model_out)
-    data, norm = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
+    data = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
     (entry,) = _plan([args.arch], [args.hidden], data, args.window)
     (model,), (outcome,), (maes,), _ = _run_stack(entry, data, config)
     if isinstance(outcome, TrainingDiverged):
         raise outcome
-    write_atomic(args.model_out, save_model(model, norm))
+    write_atomic(args.model_out, save_model(model, data.train.norm))
     print(f"trained {args.arch.upper()} {model.spec.structure} for {config.epochs} epochs")
     for label, mae in zip(("train", "val", "test"), maes):
-        _print_mae(label, mae, norm)
+        _print_mae(label, mae, data.train.norm)
     print(f"wrote model: {args.model_out}")
     return 0
 
@@ -240,11 +240,6 @@ def cmd_predict(args) -> int:
     _check_output(args.series_out)
     with open(args.model, "rb") as fh:
         model, norm = load_model(fh.read())
-    if norm is None:
-        raise ValueError(
-            f"model file {args.model} carries no normalization parameters; "
-            "retrain with the train command to embed them"
-        )
     dataset = build_supervised(read_ohlc_csv(args.data), norm)
     (result,) = evaluate(ModelStack([model]), dataset)
     write_atomic(args.series_out, emit_series_csv(result))

@@ -15,8 +15,10 @@ four prices after the date. It stores its prices as given;
 the `repr` of its float.
 
 Every sample is min-max scaled, and its `SupervisedDataset` carries the
-`NormParams`: `build_supervised(records, norm)` is the one path from
-records to samples, for `prepare_splits` and `fxbench predict` alike.
+`NormParams` as `.norm`, the one place the fit is handed out (the three
+splits of `prepare_splits` share one): `build_supervised(records, norm)`
+is the one path from records to samples, for `prepare_splits` and
+`fxbench predict` alike.
 
 The fitted scaling and the splits are immutable values: `NormParams`
 holds floats and compares with `==`, and `SplitDataset` is a NamedTuple
@@ -400,16 +402,15 @@ def chrono_split(dataset: SupervisedDataset) -> SplitDataset:
     )
 
 
-def prepare_splits(
-    records: list[OhlcRecord], fit_norm: str = FIT_NORMS[0]
-) -> tuple[SplitDataset, NormParams]:
+def prepare_splits(records: list[OhlcRecord], fit_norm: str = FIT_NORMS[0]) -> SplitDataset:
     """The DEFAULT_FRACTIONS chronological split of
     `build_supervised(records, norm)`, with the NormParams fitted on the
     days of the train split (fit_norm="train", no look-ahead) or on the
-    whole series ("all"). The fit and the samples read one price array."""
+    whole series ("all"); each split carries it as `.norm`. The fit and
+    the samples read one price array."""
     if fit_norm not in FIT_NORMS:
         raise ValueError(f"fit_norm must be one of {FIT_NORMS}, got {_quoted(fit_norm)}")
     prices = _price_array(records)
     n_train = _split_sizes(len(prices) - 1)[0]
     norm = fit_minmax(prices if fit_norm == "all" else prices[: n_train + 1])
-    return chrono_split(_scaled_samples(records, prices, norm)), norm
+    return chrono_split(_scaled_samples(records, prices, norm))

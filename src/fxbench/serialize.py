@@ -13,11 +13,13 @@ model file's spec and norm blocks hold the fields of `ModelSpec` and
 `NormParams`. Every model maps the 4 daily prices to one close, and its
 file also carries that shape as `input_dim` 4 and `output_dim` 1
 (`ModelSpec`'s constants): a file is the one way another shape can reach
-the program, and `load_model` refuses it, naming the field. Beyond that,
-`load_model` checks only what a file alone can get wrong (its JSON, its
-keys, each array's declared shape and values, the norm block's layout);
-`ModelSpec`, `NetworkModel` and `NormParams` refuse a bad value as they
-are built, each refusal prefixed with `model file`.
+the program, and `load_model` refuses it, naming the field. A model is
+usable only with the scaling it was trained on, so a file has one form:
+`save_model` always writes the norm, and `load_model` requires every key
+it writes. Beyond that, `load_model` checks only what a file alone can
+get wrong (its JSON, each array's declared shape and values, the norm
+block's layout); `ModelSpec`, `NetworkModel` and `NormParams` refuse a
+bad value as they are built, each refusal prefixed with `model file`.
 
 A report row read back must be one `run_sweep` can write: each cell the
 `str` of its int or the `repr` of its float (so no `_` separators,
@@ -55,6 +57,8 @@ _SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # the one shape of every model: ModelSpec constants, written to and checked in each file
 _SHAPE = {"input_dim": ModelSpec.input_dim, "output_dim": ModelSpec.output_dim}
 _NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> tuple[float, ...] or float
+# the keys of a model file but format_version: save_model writes each, load_model requires each
+_FILE_KEYS = (*_SPEC_FIELDS, *_SHAPE, "activations", "rng_seed", "epochs_trained", "params", "norm")
 
 
 def _report_order(t: TrialResult):
@@ -131,7 +135,7 @@ def _norm_from_json(norm_doc) -> NormParams:
     """NormParams from a model file's norm block: an object holding each
     field, the feature bounds as lists. NormParams checks the bounds."""
     if not isinstance(norm_doc, dict):
-        raise ValueError(f"'norm' must be an object or null, got {_quoted(norm_doc)}")
+        raise ValueError(f"'norm' must be an object, got {_quoted(norm_doc)}")
     for key, kind in _NORM_TYPES.items():
         if key not in norm_doc:
             raise ValueError(f"norm block is missing field {key!r}")
@@ -159,8 +163,8 @@ def _array_from_json(name: str, entry) -> np.ndarray:
     return np.array([_finite_number(v, name) for v in data]).reshape(shape)
 
 
-def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
-    """Serialize a model (and optionally its NormParams) to JSON bytes."""
+def save_model(model: NetworkModel, norm: NormParams) -> bytes:
+    """Serialize a model and the NormParams it was trained on to JSON bytes."""
     doc = {
         "format_version": FORMAT_VERSION,
         **dataclasses.asdict(model.spec),
@@ -169,12 +173,12 @@ def save_model(model: NetworkModel, norm: NormParams | None = None) -> bytes:
         "rng_seed": int(model.rng_seed),
         "epochs_trained": int(model.epochs_trained),
         "params": {name: _array_to_json(name, arr) for name, arr in model.params.items()},
-        "norm": None if norm is None else dataclasses.asdict(norm),
+        "norm": dataclasses.asdict(norm),
     }
     return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
-def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
+def load_model(data: bytes) -> tuple[NetworkModel, NormParams]:
     """Inverse of save_model; weights are restored bitwise. A refusal by
     ModelSpec, NetworkModel or NormParams is prefixed with `model file`."""
     try:
@@ -192,7 +196,7 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
             f"unsupported model file format_version {_quoted(version)}, "
             f"this build reads {FORMAT_VERSION}"
         )
-    for key in (*_SPEC_FIELDS, *_SHAPE, "params"):
+    for key in _FILE_KEYS:
         if key not in doc:
             raise ValueError(f"model file is missing required field {key!r}")
     for key, value in _SHAPE.items():
@@ -204,18 +208,15 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams | None]:
     if not isinstance(stored, dict):
         raise ValueError("model file 'params' must be an object of named arrays")
     params = {name: _array_from_json(name, entry) for name, entry in stored.items()}
-    norm_doc = doc.get("norm")
     try:
         spec = ModelSpec(**{key: doc[key] for key in _SPEC_FIELDS})
-        counts = {key: doc.get(key, 0) for key in ("rng_seed", "epochs_trained")}
-        model = NetworkModel(spec=spec, params=params, **counts)
-        norm = None if norm_doc is None else _norm_from_json(norm_doc)
+        model = NetworkModel(spec, params, doc["rng_seed"], doc["epochs_trained"])
+        norm = _norm_from_json(doc["norm"])
     except ValueError as e:
         raise ValueError(f"model file {e}") from None
-    declared_acts = doc.get("activations")
-    if declared_acts is not None and declared_acts != activation_names(spec):
+    if doc["activations"] != activation_names(spec):
         raise ValueError(
-            f"model file activations {_quoted(declared_acts)} do not match "
+            f"model file activations {_quoted(doc['activations'])} do not match "
             f"architecture {spec.arch!r}"
         )
     return model, norm

@@ -15,12 +15,23 @@ import datetime as dt
 
 import numpy as np
 
-from .data import OhlcRecord
+from .data import OhlcRecord, _is_int, _is_real, _quoted
 
 DEFAULT_START_DATE = dt.date(2018, 1, 1)
 DEFAULT_START_PRICE = 100.0  # first price level of either generator
 DEFAULT_STEP_FRAC = 0.001  # random walk: largest daily move, as a fraction of the level
 DEFAULT_INCREMENT = 0.05  # ramp: daily close increase
+
+
+def _check(n, start) -> None:
+    """Refuse, naming the argument, an `n` that is not an int of at least 1
+    and a `start` that is not a positive finite real (a bool is neither)."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer, got {_quoted(n)}")
+    if n < 1:
+        raise ValueError(f"need n >= 1 records, got {_quoted(n)}")
+    if not (_is_real(start) and start > 0):
+        raise ValueError(f"start price must be positive and finite, got {_quoted(start)}")
 
 
 def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
@@ -38,12 +49,9 @@ def random_walk_ohlc(
     Each day opens at the previous close; high/low pad the open/close
     envelope by a small random non-negative fraction of the level.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 records, got {n}")
-    if not (0 < step_frac < 1):
-        raise ValueError(f"step_frac must be in (0, 1), got {step_frac}")
-    if not 0 < start < np.inf:
-        raise ValueError(f"start price must be positive and finite, got {start}")
+    _check(n, start)
+    if not (_is_real(step_frac) and 0 < step_frac < 1):
+        raise ValueError(f"step_frac must be in (0, 1), got {_quoted(step_frac)}")
     rng = np.random.default_rng(seed)
     steps = rng.uniform(-step_frac, step_frac, size=n)
     pads = rng.uniform(0.0, step_frac / 2, size=(n, 2))
@@ -63,12 +71,9 @@ def ramp_ohlc(
     Deterministic by construction (no RNG). The high/low pad is a fixed
     quarter-increment so every feature column still has a nonzero range.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1 records, got {n}")
-    if not 0 < increment < np.inf:
-        raise ValueError(f"increment must be positive and finite, got {increment}")
-    if not 0 < start < np.inf:
-        raise ValueError(f"start price must be positive and finite, got {start}")
+    _check(n, start)
+    if not (_is_real(increment) and increment > 0):
+        raise ValueError(f"increment must be positive and finite, got {_quoted(increment)}")
     increment, start = float(increment), float(start)
     closes = start + np.arange(n) * increment
     opens = closes - increment

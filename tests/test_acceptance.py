@@ -75,7 +75,7 @@ def walk_sweep():
     the same sweep from different angles.
     """
     records = random_walk_ohlc(1500, seed=20180102)
-    data, _ = prepare_splits(records, "train")
+    data = prepare_splits(records, "train")
     config = TrainConfig(epochs=ACCEPT_EPOCHS, batch_size=32, seed=42)
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair="WALK/SYN")
@@ -157,7 +157,7 @@ def test_mae_oracle_and_selection_examples():
 @criterion(4, "chronological 70/15/15 split arithmetic")
 def test_split_sizes_on_1500_samples():
     records = random_walk_ohlc(1501, seed=4)
-    dataset = build_supervised(records, prepare_splits(records, "all")[1])
+    dataset = build_supervised(records, prepare_splits(records, "all").train.norm)
     assert len(dataset) == 1500
     assert DEFAULT_FRACTIONS == (0.70, 0.15, 0.15)
     split = chrono_split(dataset)
@@ -192,10 +192,10 @@ def test_learnability_on_walk_and_ramp(walk_sweep):
     assert ratio <= 1.25, f"best test MAE is {ratio:.3f}x persistence (bound 1.25)"
 
     ramp_records = ramp_ohlc(400, increment=0.05, start=100.0)
-    ramp_data, ramp_norm = prepare_splits(ramp_records, "all")
+    ramp_data = prepare_splits(ramp_records, "all")
     config = TrainConfig(epochs=6000, batch_size=64, seed=42)
     ramp_report = run_sweep(ARCHS, range(2, 11), ramp_data, config, pair="RAMP/SYN")
-    scale = ramp_norm.target_max - ramp_norm.target_min
+    scale = ramp_data.train.norm.target_span
     ramp_best = select_best(ramp_report, "test_mae").overall
     ramp_norm_mae = ramp_best.test_mae / scale
     assert ramp_norm_mae <= 1e-2, f"normalized ramp test MAE {ramp_norm_mae:.4g} > 1e-2"

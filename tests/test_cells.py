@@ -20,7 +20,7 @@ from fxbench import (
     trial_model,
 )
 import fxbench.cells as cells
-from fxbench.cells import CHUNK, _sigmoid, predict
+from fxbench.cells import CHUNK, _logistic, predict
 from gradcheck import check_model_gradients
 
 
@@ -223,30 +223,41 @@ def test_init_deterministic_and_glorot_bounded(arch):
 # ---------------------------------------------------------------- sigmoid
 
 
+def sig(z):
+    """`_logistic` of z as the kernels run it, under np.errstate(over="ignore")."""
+    z = np.array(z, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        return _logistic(z, np.empty_like(z))
+
+
 def test_sigmoid_at_zero():
-    assert _sigmoid(0.0) == 0.5
+    assert sig(0.0) == 0.5
 
 
 def test_sigmoid_closed_form_point():
     # 1 / (1 + e^(-ln 3)) = 1 / (1 + 1/3) = 3/4
-    assert _sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
+    assert sig(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_sigmoid_saturates_without_overflow():
+    # an MLP whose hidden pre-activations are -1000 and 1000: exp overflows
+    # for the first, and the hidden values are still exactly 0 and 1
+    model = zeroed(ModelSpec(arch="mlp", hidden=2))
+    model.params["b_h"][:] = [-1000.0, 1000.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _sigmoid(np.array([-1000.0, 1000.0]))
-    assert out[0] == 0.0 and out[1] == 1.0
+        _, cache = forward_batch(one(model), np.ones((3, 1, 4)))
+    assert np.array_equal(cache.hidden_final[0, :2], [[0.0] * 3, [1.0] * 3])
 
 
 def test_sigmoid_stays_in_open_range_for_moderate_inputs():
-    s = _sigmoid(np.linspace(-15, 15, 101))
+    s = sig(np.linspace(-15, 15, 101))
     assert np.all((s > 0) & (s < 1))
 
 
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_sigmoid_symmetry(x):
-    assert abs(_sigmoid(x) + _sigmoid(-x) - 1.0) <= 1e-12
+    assert abs(sig(x) + sig(-x) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------- forward
@@ -309,6 +320,18 @@ def test_forward_rejects_wrong_window_and_dim():
             kernel(one(model), np.zeros((2, 4)))
         with pytest.raises(TypeError, match="expected a ModelStack"):
             kernel(model, np.zeros((1, 2, 4)))
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+def test_kernels_refuse_a_batch_of_no_samples(arch):
+    spec = ModelSpec(arch=arch, hidden=3, window=1 if arch == "mlp" else 2)
+    empty = np.zeros((0, spec.window, 4))
+    for kernel in (forward_batch, predict):
+        with pytest.raises(ValueError) as err:
+            kernel(one(init_model(spec, 0)), empty)
+        assert str(err.value) == (
+            f"batched input must hold at least one sample, got shape (0, {spec.window}, 4)"
+        )
 
 
 def test_forward_deterministic_and_matches_batch():

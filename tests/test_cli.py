@@ -30,7 +30,7 @@ from fxbench import (
 import fxbench.cli
 from fxbench.cli import build_parser, main, parse_archs, parse_hidden_sizes
 from fxbench.serialize import REPORT_COLUMNS
-from conftest import make_records, wavy_closes
+from conftest import UNIT_NORM, make_records, wavy_closes
 
 
 @pytest.fixture()
@@ -399,7 +399,7 @@ def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(report.read_text())))
     records = read_ohlc_csv(data_csv)
-    data, _ = prepare_splits(records)
+    data = prepare_splits(records)
     test_csv = tmp_path / "test.csv"  # the records the test samples are built from
     write_ohlc_csv(records[-len(data.test) - 1 :], test_csv)
     for hidden in (8, 9):
@@ -472,7 +472,7 @@ def test_an_all_diverged_sweep_says_it_wrote_its_report(tmp_path, data_csv, caps
 def test_no_output_file_is_opened_before_its_bytes_exist(
     tmp_path, data_csv, capsys, monkeypatch, command, builder, flags
 ):
-    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
     model_path = tmp_path / "m.json"
     model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     out_flag = {"sweep": "--report", "train": "--model-out", "predict": "--series-out"}[command]
@@ -503,7 +503,7 @@ def test_no_output_file_is_opened_before_its_bytes_exist(
 def test_a_window_longer_than_a_split_fails_before_any_training(
     tmp_path, data_csv, capsys, monkeypatch, argv
 ):
-    data, _ = prepare_splits(read_ohlc_csv(data_csv))
+    data = prepare_splits(read_ohlc_csv(data_csv))
     assert len(data.train) > len(data.test) > len(data.validation)
     window = len(data.validation) + 1
 
@@ -569,17 +569,21 @@ def test_train_rejects_unknown_arch(tmp_path, data_csv, capsys):
 HUGE_INT = "<an int of 5000 digits>"  # json.dumps cannot write one, so it is put in after
 
 # a gru model file, which takes a window above 1
-GRU_DOC = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 1), None))
+GRU_DOC = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 1), UNIT_NORM))
 
 
 def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypatch):
     reads = []
     monkeypatch.setattr(fxbench.cli, "read_ohlc_csv", lambda *a, **k: reads.append(a))
     series = tmp_path / "s.csv"
-    doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), None))
-    assert doc["norm"] is None
-    for how in ("null", "deleted"):
-        if how == "deleted":
+    doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), UNIT_NORM))
+    for how, message in (
+        ("null", "model file 'norm' must be an object, got None"),
+        ("deleted", "model file is missing required field 'norm'"),
+    ):
+        if how == "null":
+            doc["norm"] = None
+        else:
             del doc["norm"]
         bare = tmp_path / f"bare_{how}.json"
         bare.write_text(json.dumps(doc))
@@ -588,10 +592,7 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
             "--series-out", str(series),
         )
         assert code == 1
-        assert err == (
-            f"fxbench: error: model file {bare} carries no normalization parameters; "
-            "retrain with the train command to embed them\n"
-        )
+        assert err == f"fxbench: error: {message}\n"
         assert out == "" and reads == [] and not series.exists()
 
 
@@ -622,7 +623,7 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
 def test_predict_rejects_malformed_model_file_in_one_line(
     tmp_path, data_csv, capsys, field, mutate
 ):
-    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
     doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     mutate(doc)
     bad = tmp_path / "bad.json"
@@ -644,7 +645,7 @@ def test_predict_refuses_a_model_it_would_misread(
 ):
     # a model file is the one way another shape reaches the program; it is
     # refused on load, before the data is read
-    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
     doc = json.loads(save_model(init_model(ModelSpec(arch="lstm", hidden=3), 1), norm))
     doc[field] = {"output_dim": 2, "input_dim": 5}[field]
     model = tmp_path / "model.json"
@@ -893,7 +894,7 @@ def test_an_output_path_that_names_a_directory_creates_no_directory(
 
 @pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
 def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monkeypatch, command):
-    _, norm = prepare_splits(read_ohlc_csv(data_csv))
+    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
     model_path = tmp_path / "m.json"
     model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     monkeypatch.setenv("FXBENCH_LOG", "error")

@@ -532,7 +532,7 @@ def test_split_order_is_strictly_chronological(wavy_records):
 
 
 def test_splits_iterate_in_train_validation_test_order(wavy_records):
-    for data in (chrono_split(scaled(wavy_records)), prepare_splits(wavy_records)[0]):
+    for data in (chrono_split(scaled(wavy_records)), prepare_splits(wavy_records)):
         assert isinstance(data, SplitDataset)
         assert tuple(data) == (data.train, data.validation, data.test)
 
@@ -546,7 +546,8 @@ def test_split_rejects_empty_slices():
 
 @pytest.mark.parametrize("fit_norm", ["train", "all"])
 def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_norm):
-    data, norm = prepare_splits(wavy_records, fit_norm)
+    data = prepare_splits(wavy_records, fit_norm)
+    norm = data.train.norm  # one object, shared by all three splits
     prices = price_array(wavy_records)
     n = len(prices) - 1
     n_train, n_val = int(0.70 * n), int(0.15 * n)
@@ -564,8 +565,8 @@ def test_prepare_splits_normalizes_every_split_with_one_fit(wavy_records, fit_no
 
 @pytest.mark.parametrize("fit_norm", ["train", "all"])
 def test_prepare_splits_builds_its_samples_as_build_supervised(wavy_records, fit_norm):
-    data, norm = prepare_splits(wavy_records, fit_norm)
-    for part, built in zip(data, chrono_split(build_supervised(wavy_records, norm))):
+    data = prepare_splits(wavy_records, fit_norm)
+    for part, built in zip(data, chrono_split(build_supervised(wavy_records, data.train.norm))):
         assert part.norm == built.norm
         assert part.features.tobytes() == built.features.tobytes()
         assert part.targets.tobytes() == built.targets.tobytes()
@@ -603,7 +604,7 @@ def test_prepare_splits_refuses_a_constant_fit_region():
     with pytest.raises(ValueError) as err:
         prepare_splits(records, "train")
     assert str(err.value) == message
-    data, _ = prepare_splits(records, "all")
+    data = prepare_splits(records, "all")
     assert [len(part) for part in data] == [27, 5, 7]
 
 
@@ -673,3 +674,36 @@ def test_an_int_walk_start_gives_the_float_start_records():
     records = random_walk_ohlc(3, seed=7, start=100)
     assert records == random_walk_ohlc(3, seed=7, start=100.0)
     assert all(type(v) is float for r in records for v in r[1:])
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: ramp_ohlc(2.5), "n must be an integer, got 2.5"),
+        (lambda: ramp_ohlc(True), "n must be an integer, got True"),
+        (
+            lambda: random_walk_ohlc(3, 0, start=True),
+            "start price must be positive and finite, got True",
+        ),
+        (
+            lambda: random_walk_ohlc(-(10**5000), 0),
+            "need n >= 1 records, got -1000000000000000000000000000000... (5001 digits)",
+        ),
+        (
+            lambda: random_walk_ohlc(3, 0, step_frac=10**400),
+            "step_frac must be in (0, 1), got 10000000000000000000000000000000... (401 digits)",
+        ),
+        (
+            lambda: ramp_ohlc(3, increment=10**400),
+            "increment must be positive and finite, "
+            "got 10000000000000000000000000000000... (401 digits)",
+        ),
+        (lambda: ramp_ohlc(3, start="100"), "start price must be positive and finite, got '100'"),
+    ],
+    ids=["ramp-n-float", "ramp-n-bool", "walk-start-bool", "walk-n-huge", "walk-step-frac-huge",
+         "ramp-increment-huge", "ramp-start-string"],
+)
+def test_generators_refuse_a_bad_argument_naming_it(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message

@@ -173,7 +173,7 @@ def test_train_config_takes_any_real_learning_rate(value):
 
 
 def test_history_has_one_finite_entry_per_epoch(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=3), 1)
     (losses,) = train(ModelStack([model]), data.train, data.validation, quick_config(epochs=7))
     assert len(losses) == 7
@@ -182,7 +182,7 @@ def test_history_has_one_finite_entry_per_epoch(wavy_records):
 
 
 def test_training_is_bitwise_deterministic(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=5)
     runs = []
     for _ in range(2):
@@ -194,14 +194,14 @@ def test_training_is_bitwise_deterministic(wavy_records):
 
 
 def test_training_loss_decreases_on_learnable_series(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="srnn", hidden=4), 3)
     (losses,) = train(ModelStack([model]), data.train, None, quick_config(epochs=150))
     assert losses[-1] < losses[0]
 
 
 def test_train_rejects_feature_width_mismatch(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     narrow = dataclasses.replace(data.train, features=data.train.features[:, :3])
     model = init_model(ModelSpec(arch="mlp", hidden=2), 0)
     with pytest.raises(ValueError, match="input_dim mismatch: model expects 4, got 3"):
@@ -210,9 +210,10 @@ def test_train_rejects_feature_width_mismatch(wavy_records):
 
 def test_train_refuses_a_validation_split_normalized_with_another_fit():
     records = make_records(list(np.linspace(100.0, 120.0, 60)))  # later days fit wider
-    data, norm = prepare_splits(records)
-    whole, whole_norm = prepare_splits(records, "all")
-    refit, refit_norm = prepare_splits(records)
+    data = prepare_splits(records)
+    whole = prepare_splits(records, "all")
+    refit = prepare_splits(records)
+    norm, whole_norm, refit_norm = data.train.norm, whole.train.norm, refit.train.norm
     assert whole_norm != norm and refit_norm == norm and refit_norm is not norm
     stack = ModelStack([init_model(ModelSpec(arch="mlp", hidden=2), 0)])
     with pytest.raises(ValueError) as err:
@@ -240,9 +241,9 @@ def test_non_finite_loss_aborts_with_epoch_index():
 
 
 def test_train_and_evaluate_refuse_a_bare_model_before_any_work(wavy_records, monkeypatch):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     model = trial_model("gru", 3, 2, 42)
-    weights = save_model(model)
+    weights = save_model(model, data.train.norm)
 
     def refuse(*args):
         raise AssertionError("work started")
@@ -254,11 +255,11 @@ def test_train_and_evaluate_refuse_a_bare_model_before_any_work(wavy_records, mo
     monkeypatch.setattr(fxbench.cells, "forward_batch", refuse)  # the scoring kernel
     with pytest.raises(TypeError, match="^expected a ModelStack, got NetworkModel$"):
         evaluate(model, data.test)
-    assert save_model(model) == weights and model.epochs_trained == 0
+    assert save_model(model, data.train.norm) == weights and model.epochs_trained == 0
 
 
 def test_windowed_training_and_prediction_counts(wavy_records):
-    data, norm = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     spec = ModelSpec(arch="gru", hidden=3, window=3)
     stack = ModelStack([init_model(spec, 4)])
     train(stack, data.train, None, quick_config(epochs=2))
@@ -302,7 +303,7 @@ def test_evaluate_constant_predictor_hand_value():
 
 
 def test_evaluate_mae_matches_prediction_list(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     model = init_model(ModelSpec(arch="lstm", hidden=3), 5)
     (result,) = evaluate(ModelStack([model]), data.validation)
     recomputed = np.mean([abs(a - p) for a, p in zip(result.actual, result.predicted)])
@@ -311,7 +312,7 @@ def test_evaluate_mae_matches_prediction_list(wavy_records):
 
 
 def test_evaluate_rejects_empty_dataset(wavy_records):
-    data, norm = prepare_splits(wavy_records)
+    norm = prepare_splits(wavy_records).train.norm
     empty = SupervisedDataset(features=np.zeros((0, 4)), targets=np.zeros(0), dates=(), norm=norm)
     with pytest.raises(ValueError, match="empty"):
         evaluate(ModelStack([constant_predictor(0.5)]), empty)
@@ -344,9 +345,9 @@ def test_persistence_baseline_invariant_to_normalization():
     # the same baseline under the train and the all fit, which the later,
     # higher days of this series widen
     records = make_records(wavy_closes(200))
-    data, norm = prepare_splits(records, "train")
-    whole, whole_norm = prepare_splits(records, "all")
-    assert norm != whole_norm
+    data = prepare_splits(records, "train")
+    whole = prepare_splits(records, "all")
+    assert data.train.norm != whole.train.norm
     assert persistence_baseline(data.test) == pytest.approx(
         persistence_baseline(whole.test), rel=1e-12
     )
@@ -364,7 +365,7 @@ def test_persistence_baseline_empty_dataset():
 
 
 def test_sweep_single_point_grid(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     report = run_sweep(["lstm"], [5], data, quick_config(epochs=2), pair="X/Y")
     assert len(report) == 1
     t = report[0]
@@ -382,20 +383,20 @@ def test_sweep_refuses_a_hidden_size_that_is_not_an_int_before_any_model(
         raise AssertionError("a model was built")
 
     monkeypatch.setattr(fxbench.experiment, "trial_model", refuse)
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     with pytest.raises(ValueError) as e:
         run_sweep(["mlp"], [2, bad], data, quick_config(epochs=1))
     assert str(e.value) == f"hidden sizes must be integers, got {bad!r}"
 
 
 def test_sweep_takes_numpy_int_hidden_sizes(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     report = run_sweep(["mlp"], np.arange(2, 4), data, quick_config(epochs=1))
     assert [(t.hidden, type(t.hidden)) for t in report] == [(2, int), (3, int)]
 
 
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     report = run_sweep(["lstm", "mlp"], [3, 2], data, quick_config(epochs=2))
     assert [(t.arch, t.hidden) for t in report] == [
         ("mlp", 2),
@@ -406,7 +407,7 @@ def test_sweep_grid_is_complete_and_sorted(wavy_records):
 
 
 def test_sweep_rows_come_in_arch_then_hidden_order_across_widths(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     report = run_sweep(["gru", "srnn"], [17, 9, 2], data, quick_config(epochs=1))
     assert len({padded_width(h) for h in (2, 9, 17)}) == 3
     assert [(t.arch, t.hidden) for t in report] == [
@@ -415,7 +416,7 @@ def test_sweep_rows_come_in_arch_then_hidden_order_across_widths(wavy_records):
 
 
 def test_sweep_is_deterministic(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=3)
     a = run_sweep(["srnn", "gru"], [2, 4], data, cfg, pair="Z")
     b = run_sweep(["srnn", "gru"], [2, 4], data, cfg, pair="Z")
@@ -426,7 +427,7 @@ def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
     # hidden 8 trains at width 8 beside 17 (width 24), as it does alone;
     # with OpenBLAS 0.3.31, padding it to 24 units instead changes the
     # LSTM window-3 row within these 30 epochs
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=30, batch_size=32)
     alone = run_sweep(["lstm"], [8], data, cfg, window=3)
     beside = run_sweep(["lstm"], [8, 17], data, cfg, window=3)
@@ -436,7 +437,7 @@ def test_a_sweep_row_does_not_depend_on_the_other_hidden_sizes(wavy_records):
 @pytest.mark.parametrize("arch", ARCHS)
 def test_stacked_scoring_equals_each_model_scored_alone(arch):
     # the train split (489 samples) spans a full chunk and a ragged one
-    data, _ = prepare_splits(make_records(wavy_closes(700)))
+    data = prepare_splits(make_records(wavy_closes(700)))
     models = [trial_model(arch, h, 3, 9) for h in (2, 5, 8)]
     train(ModelStack(models), data.train, None, quick_config(epochs=2, batch_size=32))
     stack = ModelStack(models)
@@ -468,7 +469,7 @@ def spy_on_evaluate(monkeypatch, caplog):
 
 
 def test_a_sweep_scores_each_stack_once_per_split(wavy_records, monkeypatch, caplog):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     calls = spy_on_evaluate(monkeypatch, caplog)
     run_sweep(["gru", "lstm"], range(2, 11), data, quick_config(epochs=1))
     sizes = [len(data.train), len(data.validation), len(data.test)]
@@ -482,7 +483,7 @@ def test_mlp_at_window_3_is_scored_on_two_more_samples_per_split(
     # mlp runs at window 1, so at window w it keeps the w-1 first samples
     # of each split that the recurrent trials drop: the report compares
     # MAEs over different sets of days (documented in the README)
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     calls = spy_on_evaluate(monkeypatch, caplog)
     run_sweep(["mlp", "lstm"], [2], data, quick_config(epochs=1), window=3)
     mlp, lstm = calls[:3], calls[3:]
@@ -504,7 +505,7 @@ def poison_trial(monkeypatch, arch, hidden):
 
 
 def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch, caplog):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     poison_trial(monkeypatch, "gru", 3)
     calls = spy_on_evaluate(monkeypatch, caplog)
     report = run_sweep(["gru"], [2, 3], data, quick_config(epochs=2))
@@ -525,7 +526,7 @@ def test_sweep_records_failures_without_aborting(wavy_records, monkeypatch, capl
 def test_a_sweep_report_parses_and_re_emits_its_bytes(
     wavy_records, monkeypatch, window, poisoned, timings
 ):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     if poisoned:
         poison_trial(monkeypatch, "gru", 3)
     report = run_sweep(
@@ -560,7 +561,7 @@ def test_a_sweep_row_does_not_depend_on_the_order_its_stacks_run_in(
     # each entry builds, trains and scores its own models, so the plan's
     # entries can run in any order, or apart after a pickle round trip (as
     # a worker would get them), and give the sweep's rows bit for bit
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=2)
     calls = record_stacks(monkeypatch)
     rows = run_sweep(ARCHS, range(2, 11), data, cfg, window=window)
@@ -583,7 +584,7 @@ def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
     step = 0.25
     clock = iter(step * k for k in range(1000))
     monkeypatch.setattr("fxbench.experiment.time.perf_counter", lambda: next(clock))
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     calls = record_stacks(monkeypatch)
     rows = iter(run_sweep(["srnn", "lstm"], range(6, 11), data, quick_config(), measure_time=True))
     assert [len(keys) for _, keys, _ in calls] == [3, 2, 3, 2]
@@ -599,7 +600,7 @@ def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
 def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, arch, hidden):
     # a trial's arithmetic never reads the other trials of its stack: with
     # one trial poisoned, every other row is bit for bit the clean sweep's
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=2)
     clean = run_sweep(ARCHS, range(2, 11), data, cfg)
     poison_trial(monkeypatch, arch, hidden)
@@ -625,7 +626,7 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
 
 
 def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     cfg = quick_config(epochs=3)
     models = [trial_model("lstm", h, 2, 42) for h in (3, 5, 8)]
     models[1].params["b_out"][0] = float("inf")
@@ -636,11 +637,11 @@ def test_train_of_a_stack_returns_each_models_outcome(wavy_records):
         alone = trial_model("lstm", models[k].spec.hidden, 2, 42)
         assert outcomes[k] == train(ModelStack([alone]), data.train, None, cfg)[0]
         assert models[k].epochs_trained == alone.epochs_trained == 3
-        assert save_model(models[k]) == save_model(alone)
+        assert save_model(models[k], data.train.norm) == save_model(alone, data.train.norm)
 
 
 def test_debug_log_scores_the_running_models_on_validation(wavy_records, caplog):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     models = [trial_model("gru", h, 2, 42) for h in (3, 5)]
     models[1].params["b_out"][0] = float("inf")  # diverges at epoch 0
     caplog.set_level(logging.DEBUG, logger="fxbench")
@@ -668,7 +669,7 @@ def test_stack_rejects_models_of_another_shape():
 def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
     wavy_records, monkeypatch, arch
 ):
-    data, norm = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     window = 1 if arch == "mlp" else 2
     cfg = quick_config(epochs=3)
     models = [trial_model(arch, h, window, 7) for h in (2, 5, 8)]
@@ -694,11 +695,11 @@ def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
     for model in models:
         alone = trial_model(arch, model.spec.hidden, window, 7)
         train(ModelStack([alone]), data.train, None, cfg)
-        assert save_model(model, norm) == save_model(alone, norm)
+        assert save_model(model, data.train.norm) == save_model(alone, data.train.norm)
 
 
 def test_sweep_validates_inputs(wavy_records):
-    data, _ = prepare_splits(wavy_records)
+    data = prepare_splits(wavy_records)
     with pytest.raises(ValueError, match="unknown arch"):
         run_sweep(["cnn"], [2], data, quick_config())
     with pytest.raises(ValueError, match="empty"):

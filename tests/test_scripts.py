@@ -59,7 +59,7 @@ def test_run_benchmark_writes_every_output_and_its_winner_matches_the_sweep(tmp_
         best = select_best(report, "test_mae").overall
         model, norm = load_model((tmp_path / f"{slug}_best_model.json").read_bytes())
         assert (model.spec.arch, model.spec.hidden) == (best.arch, best.hidden)
-        data, _ = prepare_splits(read_ohlc_csv(tmp_path / f"{slug}_data.csv"))
+        data = prepare_splits(read_ohlc_csv(tmp_path / f"{slug}_data.csv"))
         assert norm == data.test.norm
         (result,) = evaluate(ModelStack([model]), data.test)
         # the retrained winner is the very model the sweep scored

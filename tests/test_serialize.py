@@ -53,21 +53,23 @@ def test_save_load_save_is_a_byte_fixed_point():
         assert save_model(loaded, norm) == blob
 
 
-# sha256 of save_model(init_model(spec, 7)) for hidden 5, window 2 for the
-# recurrent cells, as written before parameters moved into one flat buffer:
-# pins both the Glorot draw order and the model-file bytes
+# sha256 of save_model(init_model(spec, 7), sample_norm()) for hidden 5,
+# window 2 for the recurrent cells: pins both the Glorot draw order and the
+# model-file bytes. Recorded by the code that also wrote norm-less files,
+# whose hashes (pinned before parameters moved into one flat buffer) it
+# matched, so the weight bytes are the ones pinned then
 GOLDEN_INIT_SHA256 = {
-    "mlp": "d8c80f5ed6602ba1bda67dae37ad557e968610de635c7eb6884f295f537b08be",
-    "srnn": "1e1b3105d06cc4915583b2beffd3e3ddb7fef763b443df4bc1d9c198a629ce33",
-    "gru": "adc51a261de7890eabb1fe2be54714868390fbe7719bce01f6b2c3800b21bdee",
-    "lstm": "6146d2cc7d0ce177845f17806108062c6e544069cbe9edd5ba59f460fa7a9207",
+    "mlp": "d4334eb45b69bf6e46935f411e8eed54dc1b4f2821020fe2fd3ad8bdfa526209",
+    "srnn": "9c008dc10e10e6a95d4b6c4f91014fb14defce0ebb333561bcd2c9b9962967a1",
+    "gru": "dc0ead30fb3c4075b20e5d9b0d7484d6d189a8f8ced617eb447090779dfe3737",
+    "lstm": "7060cf7bb07fb44c617fc07290d289444952b5974c052272f47c44304be9897a",
 }
 
 
 @pytest.mark.parametrize("arch", ARCHS)
 def test_init_model_file_matches_golden_hash(arch):
     spec = ModelSpec(arch=arch, hidden=5, window=1 if arch == "mlp" else 2)
-    blob = save_model(init_model(spec, 7))
+    blob = save_model(init_model(spec, 7), sample_norm())
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_INIT_SHA256[arch]
 
 
@@ -91,7 +93,7 @@ def test_model_file_with_norm_matches_golden_hash():
 
 def test_load_model_packs_arrays_into_the_flat_buffer():
     model = init_model(ModelSpec(arch="lstm", hidden=3, window=2), 5)
-    loaded, _ = load_model(save_model(model))
+    loaded, _ = load_model(save_model(model, sample_norm()))
     assert np.array_equal(ModelStack([loaded]).flat, ModelStack([model]).flat)
     loaded.params["W_c"][0, 0] = 123.0
     assert 123.0 in ModelStack([loaded]).flat
@@ -106,14 +108,7 @@ def test_loaded_model_is_bitwise_identical():
     assert set(loaded.params) == set(model.params)
     for name, arr in model.params.items():
         assert np.array_equal(loaded.params[name], arr)
-    assert norm is not None and norm == sample_norm()
-
-
-def test_model_without_norm_round_trips():
-    model = init_model(ModelSpec(arch="mlp", hidden=2), 1)
-    loaded, norm = load_model(save_model(model, None))
-    assert norm is None
-    assert save_model(loaded, None) == save_model(model, None)
+    assert norm == sample_norm()
 
 
 def test_lstm_file_declares_exactly_its_ten_arrays():
@@ -130,11 +125,11 @@ def test_lstm_file_declares_exactly_its_ten_arrays():
 
 def test_load_rejects_corrupted_shape_naming_the_array():
     model = init_model(ModelSpec(arch="srnn", hidden=3), 4)
-    doc = json.loads(save_model(model, None).decode("utf-8"))
+    doc = json.loads(save_model(model, sample_norm()).decode("utf-8"))
     doc["params"]["W_h"]["shape"] = [3, 99]
     with pytest.raises(ValueError, match="W_h"):
         load_model(json.dumps(doc).encode("utf-8"))
-    doc = json.loads(save_model(model, None).decode("utf-8"))
+    doc = json.loads(save_model(model, sample_norm()).decode("utf-8"))
     doc["params"]["b"]["data"] = doc["params"]["b"]["data"][:-1]
     with pytest.raises(ValueError, match="'b'"):
         load_model(json.dumps(doc).encode("utf-8"))
@@ -142,11 +137,11 @@ def test_load_rejects_corrupted_shape_naming_the_array():
 
 def test_load_rejects_missing_and_unknown_arrays():
     model = init_model(ModelSpec(arch="mlp", hidden=2), 4)
-    doc = json.loads(save_model(model, None).decode("utf-8"))
+    doc = json.loads(save_model(model, sample_norm()).decode("utf-8"))
     del doc["params"]["b_out"]
     with pytest.raises(ValueError, match="b_out"):
         load_model(json.dumps(doc).encode("utf-8"))
-    doc = json.loads(save_model(model, None).decode("utf-8"))
+    doc = json.loads(save_model(model, sample_norm()).decode("utf-8"))
     doc["params"]["W_extra"] = doc["params"]["W_out"]
     with pytest.raises(ValueError, match="W_extra"):
         load_model(json.dumps(doc).encode("utf-8"))
@@ -154,7 +149,7 @@ def test_load_rejects_missing_and_unknown_arrays():
 
 def test_load_rejects_future_format_version():
     model = init_model(ModelSpec(arch="mlp", hidden=2), 4)
-    doc = json.loads(save_model(model, None).decode("utf-8"))
+    doc = json.loads(save_model(model, sample_norm()).decode("utf-8"))
     doc["format_version"] = FORMAT_VERSION + 1
     with pytest.raises(ValueError, match="format_version"):
         load_model(json.dumps(doc).encode("utf-8"))
@@ -162,26 +157,38 @@ def test_load_rejects_future_format_version():
 
 def test_load_rejects_truncated_and_non_json_bytes():
     model = init_model(ModelSpec(arch="mlp", hidden=2), 4)
-    blob = save_model(model, None)
+    blob = save_model(model, sample_norm())
     with pytest.raises(ValueError, match="model file"):
         load_model(blob[: len(blob) // 2])
     with pytest.raises(ValueError, match="model file"):
         load_model(b"\x00\x01binary junk")
 
 
-@pytest.mark.parametrize("key", ["arch", "hidden", "input_dim", "output_dim", "window", "params"])
+GRU_FILE = save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm())
+
+
+# every key the writer puts in a file, so a key it adds later is covered too
+@pytest.mark.parametrize("key", sorted(json.loads(GRU_FILE).keys() - {"format_version"}))
 def test_load_names_a_missing_required_field(key):
-    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), None))
+    doc = json.loads(GRU_FILE)
     del doc[key]
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
     assert str(err.value) == f"model file is missing required field {key!r}"
 
 
+def test_load_refuses_a_null_norm():
+    doc = json.loads(GRU_FILE)
+    doc["norm"] = None
+    with pytest.raises(ValueError) as err:
+        load_model(json.dumps(doc).encode("utf-8"))
+    assert str(err.value) == "model file 'norm' must be an object, got None"
+
+
 @pytest.mark.parametrize("value", [True, "5"], ids=["true", "string"])
 @pytest.mark.parametrize("key", ["hidden", "input_dim", "output_dim", "window"])
 def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value):
-    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), None))
+    doc = json.loads(GRU_FILE)
     doc[key] = value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
@@ -191,7 +198,7 @@ def test_load_rejects_a_spec_integer_of_another_type_naming_the_field(key, value
 
 @pytest.mark.parametrize("key, value, shape", [("input_dim", 5, 4), ("output_dim", 2, 1)])
 def test_load_refuses_a_model_of_another_shape_naming_the_field(key, value, shape):
-    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc = json.loads(GRU_FILE)
     doc[key] = value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
@@ -200,7 +207,7 @@ def test_load_refuses_a_model_of_another_shape_naming_the_field(key, value, shap
 
 @pytest.mark.parametrize("key, value", [("rng_seed", -1), ("epochs_trained", -3)])
 def test_load_refuses_a_negative_seed_or_epoch_count_naming_the_field(key, value):
-    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc = json.loads(GRU_FILE)
     doc[key] = value
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
@@ -214,7 +221,7 @@ def test_load_refuses_a_negative_seed_or_epoch_count_naming_the_field(key, value
 
 def test_load_checks_feature_max_above_feature_min_in_every_feature():
     # the first feature is in order, so a lexicographic tuple `>` would pass
-    doc = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 4), sample_norm()))
+    doc = json.loads(GRU_FILE)
     doc["norm"]["feature_max"][2] = doc["norm"]["feature_min"][2] - 1.0
     with pytest.raises(ValueError) as err:
         load_model(json.dumps(doc).encode("utf-8"))
