@@ -153,8 +153,9 @@ class ModelSpec:
     is keyword-only: a third positional argument used to be `input_dim`.
 
     Building one refuses an `arch` not in ARCHS, a `hidden` or `window`
-    that is not an int of at least 1 (a bool too) and an mlp `window`
-    other than 1, each with one message naming the field."""
+    that is not an int of at least 1 (a bool or numpy int too) and an mlp
+    `window` other than 1, each with one message naming the field. It is
+    the one rule for a trial: the sweep plan, stacks and report rows use it."""
 
     input_dim: ClassVar[int] = len(FEATURE_NAMES)
     output_dim: ClassVar[int] = 1
@@ -178,6 +179,11 @@ class ModelSpec:
     def structure(self) -> str:
         """Neuron counts as 'input-hidden-output', e.g. '4-5-1'."""
         return f"{self.input_dim}-{self.hidden}-{self.output_dim}"
+
+    @property
+    def padded(self) -> ModelSpec:
+        """This spec at `padded_width(hidden)`; models with equal ones stack."""
+        return dataclasses.replace(self, hidden=padded_width(self.hidden))
 
 
 def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
@@ -278,9 +284,9 @@ class NetworkModel:
 
 class ModelStack:
     """S models of one architecture and window whose hidden sizes pad to
-    the same `padded_width`.
+    the same `padded_width`: models whose `ModelSpec.padded` are equal.
 
-    `spec` is the spec of the padded model (hidden = the width); `flat` and
+    `spec` is that padded spec (hidden = the width); `flat` and
     `grad` are (S, n) arrays in that model's buffer layout, `params` and
     `grads` their named views with a leading model axis. The stack copies
     the models' weights in; `store` copies them back out. A model's array
@@ -294,9 +300,9 @@ class ModelStack:
         if not self.models:
             raise ValueError("a model stack needs at least one model")
         first = self.models[0].spec
-        self.spec = dataclasses.replace(first, hidden=padded_width(first.hidden))
+        self.spec = first.padded
         for model in self.models:
-            if dataclasses.replace(model.spec, hidden=padded_width(model.spec.hidden)) != self.spec:
+            if model.spec.padded != self.spec:
                 raise ValueError(
                     f"cannot stack {model.spec} with {first}: stacked models share "
                     "architecture, window and padded width"

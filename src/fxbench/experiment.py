@@ -8,12 +8,13 @@ baseline map samples and predictions back to prices with its
 validation split scaled by another fit.
 
 A sweep is a plan and one unit of work. The plan, `_plan`, checked in
-full before any model is built, has one entry per architecture and padded
-width (`cells.padded_width`): the tuple of its trials' ModelSpecs, which
-holds no arrays. The unit, `_run_stack`, builds an entry's models with
-`trial_model`, trains them in lockstep, one stacked forward, backward and
-optimizer step per batch, then scores those that did not diverge once per
-split; the train command runs a plan of one. `train` and `evaluate` take a
+full before any model is built, is the set of the grid's ModelSpecs in
+`_report_order`, the one order of plan entries and report rows, grouped
+by `ModelSpec.padded`: one entry per stack, the tuple of its trials'
+specs, which holds no arrays. The unit, `_run_stack`, builds an entry's
+models with `trial_model`, trains them in lockstep, one stacked forward,
+backward and optimizer step per batch, then scores those that did not
+diverge once per split; the train command runs a plan of one. `train` and `evaluate` take a
 ModelStack only and return one entry per model, so a divergence is a
 returned value; `evaluate` scores a split in one forward-only pass.
 
@@ -27,11 +28,12 @@ for byte and any single trial reproduces its sweep row in isolation.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import logging
 import math
-import operator
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .cells import (
     backward,
     forward_batch,
     init_model,
-    padded_width,
     predict,
 )
 from .data import SplitDataset, SupervisedDataset, _is_int, _is_real, _quoted
@@ -94,13 +95,14 @@ class TrainingDiverged(RuntimeError):
     """Raised when the training loss or the weights stop being finite."""
 
     def __init__(self, epoch: int, loss: float):
-        if math.isfinite(loss):
-            what = f"non-finite weights (training loss {loss})"
-        else:
-            what = f"non-finite training loss {loss}"
-        super().__init__(f"{what} at epoch {epoch}")
+        super().__init__(epoch, loss)  # the args pickle rebuilds it from
         self.epoch = epoch
         self.loss = loss
+
+    def __str__(self) -> str:
+        if math.isfinite(self.loss):
+            return f"non-finite weights (training loss {self.loss}) at epoch {self.epoch}"
+        return f"non-finite training loss {self.loss} at epoch {self.epoch}"
 
 
 @dataclass(frozen=True)
@@ -284,42 +286,30 @@ def persistence_baseline(dataset: SupervisedDataset) -> float:
     return float(np.mean(np.abs(close - target)))
 
 
-def _hidden_size(h) -> int:
-    """`h` as an int through `operator.index`: a numpy int passes; a bool,
-    float or string is a ValueError naming it, never rounded or parsed."""
-    try:
-        if isinstance(h, bool):
-            raise TypeError
-        return operator.index(h)
-    except TypeError:
-        raise ValueError(f"hidden sizes must be integers, got {_quoted(h)}") from None
+def _report_order(t):
+    """Arch, then hidden, of a ModelSpec or a TrialResult: the one row order."""
+    return arch_id(t.arch), t.hidden
 
 
 def _plan(archs, hidden_range, data: SplitDataset, window: int) -> list[tuple[ModelSpec, ...]]:
-    """A sweep's entries in report order, one per architecture and padded
-    width: the tuple of its trials' ModelSpecs. Every check that must come
-    before building a model runs here: the hidden sizes are ints, each
-    ModelSpec is valid, and no split is shorter than the longest window."""
-    archs = tuple(sorted(set(archs), key=arch_id))
-    if not archs:
-        raise ValueError("no architectures requested")
-    hiddens = tuple(sorted(set(_hidden_size(h) for h in hidden_range)))
-    if not hiddens:
-        raise ValueError("hidden_range is empty")
-    # padded_width grows with hidden, so the trials come in (arch, hidden) order
-    widths = sorted({padded_width(h) for h in hiddens})
-    plan = [
-        tuple(_trial_spec(arch, h, window) for h in hiddens if padded_width(h) == width)
-        for arch in archs
-        for width in widths
-    ]
-    longest = max(entry[0].window for entry in plan)
+    """A sweep's trial ModelSpecs, once each in report order, grouped by
+    the padded spec of their stack. Every check that must come before a
+    model is built runs here: each ModelSpec is valid, the grid is not
+    empty, and no split is shorter than the longest window."""
+    specs = sorted(
+        {_trial_spec(a, h, window) for a, h in itertools.product(archs, hidden_range)},
+        key=_report_order,
+    )
+    if not specs:
+        raise ValueError("the grid of architectures and hidden sizes is empty")
+    longest = max(spec.window for spec in specs)
     for name, split in zip(SplitDataset._fields, data):
         if len(split) < longest:
             raise ValueError(
                 f"{name} split has {len(split)} samples, fewer than window={_quoted(longest)}"
             )
-    return plan
+    # the padded width grows with hidden, so each stack's specs are adjacent
+    return [tuple(g) for _, g in itertools.groupby(specs, key=attrgetter("padded"))]
 
 
 def _run_stack(entry: tuple[ModelSpec, ...], data: SplitDataset, config: TrainConfig):

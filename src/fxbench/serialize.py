@@ -23,11 +23,12 @@ bad value as they are built, each refusal prefixed with `model file`.
 
 A report row read back must be one `run_sweep` can write: each cell the
 `str` of its int or the `repr` of its float (so no `_` separators,
-surrounding spaces, `+` signs or non-ASCII digits), `hidden` at least 1,
-the `structure` `4-{hidden}-1`, the three MAEs all NaN (a diverged trial)
-or all finite and not negative, a `seed` in [0, 2**64), a finite,
-non-negative `wall_time_s`, and no (arch, hidden) pair twice. Otherwise
-the read fails naming the report line and the field.
+surrounding spaces, `+` signs or non-ASCII digits), an `arch` and
+`hidden` that `ModelSpec` takes and its `structure`, the three MAEs all
+NaN (a diverged trial) or all finite and not negative, a `seed` in
+[0, 2**64), a finite, non-negative `wall_time_s`, and no (arch, hidden)
+pair twice, or the read fails naming the report line and the field.
+Rows come in `experiment._report_order`, the sweep plan's order.
 """
 
 from __future__ import annotations
@@ -43,16 +44,15 @@ import typing
 
 import numpy as np
 
-from .cells import ARCHS, ModelSpec, NetworkModel, activation_names, arch_id
-from .data import FEATURE_NAMES, NormParams, _csv_rows, _is_int, _is_real, _quoted
-from .experiment import CRITERIA, EvalResult, TrialResult, select_best
+from .cells import ModelSpec, NetworkModel, activation_names
+from .data import NormParams, _csv_rows, _is_int, _is_real, _quoted
+from .experiment import CRITERIA, EvalResult, TrialResult, _report_order, select_best
 
 FORMAT_VERSION = 1
 
 REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(TrialResult))
 _REPORT_TYPES = tuple(typing.get_type_hints(TrialResult)[name] for name in REPORT_COLUMNS)
 _report_values = operator.attrgetter(*REPORT_COLUMNS)
-_ARCH_COLUMN = REPORT_COLUMNS.index("arch")
 _SPEC_FIELDS = tuple(f.name for f in dataclasses.fields(ModelSpec))
 # the one shape of every model: ModelSpec constants, written to and checked in each file
 _SHAPE = {"input_dim": ModelSpec.input_dim, "output_dim": ModelSpec.output_dim}
@@ -61,16 +61,9 @@ _NORM_TYPES = typing.get_type_hints(NormParams)  # field name -> tuple[float, ..
 _FILE_KEYS = (*_SPEC_FIELDS, *_SHAPE, "activations", "rng_seed", "epochs_trained", "params", "norm")
 
 
-def _report_order(t: TrialResult):
-    """Canonical report row order: architecture, then hidden size."""
-    return arch_id(t.arch), t.hidden
-
-
 def _check_trial(t: TrialResult) -> None:
     """Refuse a report row that `run_sweep` cannot write, naming its field."""
-    if t.hidden < 1:
-        raise ValueError(f"field 'hidden' must be at least 1, got {_quoted(t.hidden)}")
-    structure = f"{len(FEATURE_NAMES)}-{t.hidden}-1"
+    structure = ModelSpec(t.arch, t.hidden).structure
     if t.structure != structure:
         raise ValueError(
             f"field 'structure' must be {structure!r} for hidden {t.hidden}, "
@@ -273,8 +266,6 @@ def parse_report_csv(data) -> list[TrialResult]:
                 f"report line {reader.line_num}: expected {len(REPORT_COLUMNS)} fields, got {len(row)}"
             )
         try:
-            if row[_ARCH_COLUMN] not in ARCHS:
-                raise ValueError(f"unknown arch {_quoted(row[_ARCH_COLUMN])}")
             t = _read_trial(row)
             _check_trial(t)
             first = lines.setdefault((t.arch, t.hidden), reader.line_num)
@@ -289,12 +280,6 @@ def parse_report_csv(data) -> list[TrialResult]:
         raise ValueError("report file has no trial rows")
     trials.sort(key=_report_order)
     return trials
-
-
-def _fmt_mae(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    return format(value, ".6g")
 
 
 def render_report_table(report: list[TrialResult], criterion: str) -> str:
@@ -326,9 +311,9 @@ def render_report_table(report: list[TrialResult], criterion: str) -> str:
                 t.arch.upper(),
                 t.structure,
                 str(t.hidden),
-                _fmt_mae(t.train_mae),
-                _fmt_mae(t.val_mae),
-                _fmt_mae(t.test_mae),
+                format(t.train_mae, ".6g"),
+                format(t.val_mae, ".6g"),
+                format(t.test_mae, ".6g"),
                 mark,
             )
         )
@@ -345,8 +330,7 @@ def render_report_table(report: list[TrialResult], criterion: str) -> str:
         lines.append("No successful trials; nothing to select.")
     else:
         lines.append(f"Best per architecture (by {criterion}):")
-        for arch in sorted(best.per_arch, key=arch_id):
-            t = best.per_arch[arch]
+        for t in best.per_arch.values():  # select_best keeps arch order
             lines.append(f"  {t.arch.upper()},{t.structure},{repr(getattr(t, criterion))}")
         o = best.overall
         lines.append(f"Overall best: {o.arch.upper()},{o.structure},{repr(getattr(o, criterion))}")

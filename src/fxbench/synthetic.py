@@ -52,6 +52,8 @@ def random_walk_ohlc(
     _check(n, start)
     if not (_is_real(step_frac) and 0 < step_frac < 1):
         raise ValueError(f"step_frac must be in (0, 1), got {_quoted(step_frac)}")
+    if not (_is_int(seed) and seed >= 0):  # numpy seeds a generator with any such int
+        raise ValueError(f"seed must be a non-negative integer, got {_quoted(seed)}")
     rng = np.random.default_rng(seed)
     steps = rng.uniform(-step_frac, step_frac, size=n)
     pads = rng.uniform(0.0, step_frac / 2, size=(n, 2))

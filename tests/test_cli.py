@@ -703,7 +703,7 @@ def test_report_refuses_a_row_the_sweep_cannot_write(tmp_path, capsys):
     code, stdout, err = run(capsys, "report", "--in", str(bad))
     assert code == 1 and stdout == ""
     assert one_error_line(err) == (
-        "fxbench: error: report line 2: field 'hidden' must be at least 1, got -3"
+        "fxbench: error: report line 2: field 'hidden' must be a positive integer, got -3"
     )
 
 

@@ -676,6 +676,12 @@ def test_an_int_walk_start_gives_the_float_start_records():
     assert all(type(v) is float for r in records for v in r[1:])
 
 
+def test_a_walk_takes_any_non_negative_int_seed():
+    # numpy seeds a generator with an int of any size
+    assert len(random_walk_ohlc(3, 10**5000)) == 3
+    assert random_walk_ohlc(3, 0) != random_walk_ohlc(3, 10**5000)
+
+
 @pytest.mark.parametrize(
     "make,message",
     [
@@ -699,9 +705,18 @@ def test_an_int_walk_start_gives_the_float_start_records():
             "got 10000000000000000000000000000000... (401 digits)",
         ),
         (lambda: ramp_ohlc(3, start="100"), "start price must be positive and finite, got '100'"),
+        (lambda: random_walk_ohlc(3, -1), "seed must be a non-negative integer, got -1"),
+        (lambda: random_walk_ohlc(3, 1.5), "seed must be a non-negative integer, got 1.5"),
+        (lambda: random_walk_ohlc(3, True), "seed must be a non-negative integer, got True"),
+        (
+            lambda: random_walk_ohlc(3, -(10**5000)),
+            "seed must be a non-negative integer, "
+            "got -1000000000000000000000000000000... (5001 digits)",
+        ),
     ],
     ids=["ramp-n-float", "ramp-n-bool", "walk-start-bool", "walk-n-huge", "walk-step-frac-huge",
-         "ramp-increment-huge", "ramp-start-string"],
+         "ramp-increment-huge", "ramp-start-string", "walk-seed-negative", "walk-seed-float",
+         "walk-seed-bool", "walk-seed-huge-negative"],
 )
 def test_generators_refuse_a_bad_argument_naming_it(make, message):
     with pytest.raises(ValueError) as err:

@@ -36,7 +36,7 @@ from fxbench import (
     trial_model,
     trial_seed,
 )
-from fxbench.experiment import splitmix64
+from fxbench.experiment import _plan, _report_order, splitmix64
 import fxbench.cells
 import fxbench.experiment
 from conftest import make_records, wavy_closes
@@ -240,6 +240,22 @@ def test_non_finite_loss_aborts_with_epoch_index():
     assert "epoch 0" in str(outcome)
 
 
+@pytest.mark.parametrize(
+    "loss,text",
+    [
+        (math.nan, "non-finite training loss nan at epoch 3"),
+        (0.25, "non-finite weights (training loss 0.25) at epoch 3"),
+    ],
+    ids=["loss", "weights"],
+)
+def test_training_diverged_survives_a_pickle_round_trip(loss, text):
+    # a plan entry's outcomes cross a process boundary whole
+    back = pickle.loads(pickle.dumps(TrainingDiverged(3, loss)))
+    assert type(back) is TrainingDiverged
+    assert back.epoch == 3 and repr(back.loss) == repr(loss)
+    assert str(back) == str(TrainingDiverged(3, loss)) == text
+
+
 def test_train_and_evaluate_refuse_a_bare_model_before_any_work(wavy_records, monkeypatch):
     data = prepare_splits(wavy_records)
     model = trial_model("gru", 3, 2, 42)
@@ -375,7 +391,7 @@ def test_sweep_single_point_grid(wavy_records):
     assert math.isfinite(t.test_mae)
 
 
-@pytest.mark.parametrize("bad", [True, 2.7, "3", np.float64(4.0)], ids=repr)
+@pytest.mark.parametrize("bad", [True, 2.7, "3", np.float64(4.0), np.int64(3)], ids=repr)
 def test_sweep_refuses_a_hidden_size_that_is_not_an_int_before_any_model(
     wavy_records, monkeypatch, bad
 ):
@@ -386,13 +402,7 @@ def test_sweep_refuses_a_hidden_size_that_is_not_an_int_before_any_model(
     data = prepare_splits(wavy_records)
     with pytest.raises(ValueError) as e:
         run_sweep(["mlp"], [2, bad], data, quick_config(epochs=1))
-    assert str(e.value) == f"hidden sizes must be integers, got {bad!r}"
-
-
-def test_sweep_takes_numpy_int_hidden_sizes(wavy_records):
-    data = prepare_splits(wavy_records)
-    report = run_sweep(["mlp"], np.arange(2, 4), data, quick_config(epochs=1))
-    assert [(t.hidden, type(t.hidden)) for t in report] == [(2, int), (3, int)]
+    assert str(e.value) == f"field 'hidden' must be a positive integer, got {bad!r}"
 
 
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
@@ -413,6 +423,29 @@ def test_sweep_rows_come_in_arch_then_hidden_order_across_widths(wavy_records):
     assert [(t.arch, t.hidden) for t in report] == [
         ("srnn", 2), ("srnn", 9), ("srnn", 17), ("gru", 2), ("gru", 9), ("gru", 17),
     ]
+
+
+# 41, 8 and 10 samples: every split holds the longest window drawn below
+PLAN_DATA = prepare_splits(make_records(wavy_closes(60)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.sampled_from(ARCHS), min_size=1, max_size=8),
+    st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    st.sampled_from([1, 2, 3, 8]),
+)
+def test_the_plan_is_the_sorted_trial_specs_grouped_by_their_padded_spec(
+    archs, hiddens, window
+):
+    plan = _plan(archs, hiddens, PLAN_DATA, window)
+    specs = [ModelSpec(a, h, window=1 if a == "mlp" else window) for a in archs for h in hiddens]
+    assert [spec for entry in plan for spec in entry] == sorted(set(specs), key=_report_order)
+    for entry in plan:
+        assert len({spec.padded for spec in entry}) == 1
+        assert ModelStack(init_model(spec, 0) for spec in entry).spec == entry[0].padded
+    assert all(a[0].padded != b[0].padded for a, b in zip(plan, plan[1:]))
+    assert _plan(iter(archs), iter(hiddens), PLAN_DATA, window) == plan  # one-shot iterators
 
 
 def test_sweep_is_deterministic(wavy_records):
@@ -700,10 +733,12 @@ def test_padding_stays_zero_and_stacked_training_saves_like_training_alone(
 
 def test_sweep_validates_inputs(wavy_records):
     data = prepare_splits(wavy_records)
-    with pytest.raises(ValueError, match="unknown arch"):
+    with pytest.raises(ValueError, match="field 'arch' must be one of .*, got 'cnn'"):
         run_sweep(["cnn"], [2], data, quick_config())
     with pytest.raises(ValueError, match="empty"):
         run_sweep(["mlp"], [], data, quick_config())
+    with pytest.raises(ValueError, match="empty"):
+        run_sweep([], [2], data, quick_config())
     with pytest.raises(ValueError, match="field 'hidden' must be a positive integer, got 0"):
         run_sweep(["mlp"], [0], data, quick_config())
 

@@ -85,8 +85,9 @@ def test_make_data_writes_csvs_that_pass_strict_ingest(tmp_path, capsys, kind):
         (["--start", "nan"], "start price must be positive and finite, got nan"),
         (["--kind", "ramp", "--start", "-1"], "start price must be positive and finite, got -1.0"),
         (["--kind", "ramp", "--increment", "inf"], "increment must be positive and finite, got inf"),
+        (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
     ],
-    ids=["n", "step-frac", "start-walk", "start-ramp", "increment"],
+    ids=["n", "step-frac", "start-walk", "start-ramp", "increment", "seed"],
 )
 def test_make_data_reports_a_bad_value_in_one_error_line(tmp_path, flags, message):
     out = tmp_path / "new" / "data.csv"

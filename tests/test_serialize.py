@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -428,8 +428,9 @@ MAE_RULE = "must be finite and not negative (or all three MAEs nan)"
 @pytest.mark.parametrize(
     "changes,message",
     [
-        ({"hidden": 0, "structure": "4-0-1"}, "field 'hidden' must be at least 1, got 0"),
-        ({"hidden": -3, "test_mae": -0.3}, "field 'hidden' must be at least 1, got -3"),
+        ({"arch": "cnn"}, f"field 'arch' must be one of {ARCHS}, got 'cnn'"),
+        ({"hidden": 0, "structure": "4-0-1"}, "field 'hidden' must be a positive integer, got 0"),
+        ({"hidden": -3, "test_mae": -0.3}, "field 'hidden' must be a positive integer, got -3"),
         ({"structure": "4-5-1"}, "field 'structure' must be '4-4-1' for hidden 4, got '4-5-1'"),
         ({"structure": "3-4-1"}, "field 'structure' must be '4-4-1' for hidden 4, got '3-4-1'"),
         ({"train_mae": math.inf, "val_mae": math.nan}, f"field 'train_mae' {MAE_RULE}, got inf"),
@@ -441,13 +442,15 @@ MAE_RULE = "must be finite and not negative (or all three MAEs nan)"
         ({"wall_time_s": math.nan}, "field 'wall_time_s' must be finite and not negative, got nan"),
         ({"wall_time_s": math.inf}, "field 'wall_time_s' must be finite and not negative, got inf"),
     ],
-    ids=["hidden-0", "hidden-negative", "structure-other-hidden", "structure-other-input",
-         "mae-inf-beside-nan", "mae-one-nan", "mae-negative", "seed-negative", "seed-2**64",
-         "wall-time-negative", "wall-time-nan", "wall-time-inf"],
+    ids=["arch-unknown", "hidden-0", "hidden-negative", "structure-other-hidden",
+         "structure-other-input", "mae-inf-beside-nan", "mae-one-nan", "mae-negative",
+         "seed-negative", "seed-2**64", "wall-time-negative", "wall-time-nan", "wall-time-inf"],
 )
 def test_parse_report_refuses_a_row_the_sweep_cannot_write(changes, message):
     bad = replace(trial("gru", 4, 0.1), **changes)
-    blob = emit_report_csv([trial("mlp", 2, 0.2), bad])
+    # the bad row is written by hand: emit_report_csv refuses an unknown arch
+    cells = (repr(v) if isinstance(v, float) else str(v) for v in astuple(bad))
+    blob = emit_report_csv([trial("mlp", 2, 0.2)]).decode("utf-8") + ",".join(cells) + "\n"
     with pytest.raises(ValueError) as err:
         parse_report_csv(blob)
     assert str(err.value) == f"report line 3: {message}"
