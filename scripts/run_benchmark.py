@@ -28,11 +28,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import (
     ARCHS,
-    ModelStack,
     TrainConfig,
     emit_report_csv,
     emit_series_csv,
-    evaluate,
     persistence_baseline,
     prepare_splits,
     random_walk_ohlc,
@@ -40,11 +38,10 @@ from fxbench import (
     run_sweep,
     save_model,
     select_best,
-    train,
-    trial_model,
     write_atomic,
     write_ohlc_csv,
 )
+from fxbench.experiment import _run_trial
 
 # label, noise seed, daily move as a fraction of the level
 PAIRS = (
@@ -71,17 +68,11 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     print(f"{pair}: swept 36 trials in {elapsed:.0f}s, "
           f"best {best.arch.upper()} {best.structure} test MAE {best.test_mae:.6g}")
 
-    # retrain the winner (same per-trial seed, so the same model) to save
-    # its weights and emit the test-set series for plotting
-    model = trial_model(best.arch, best.hidden, WINDOW, config.seed)
-    stack = ModelStack([model])
-    train(stack, data.train, data.validation, config)
-    write_atomic(out_dir / f"{slug}_best_model.json", save_model(model, data.train.norm))
-    (result,) = evaluate(stack, data.test)
-    write_atomic(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(result))
-
-    baseline = persistence_baseline(data.test)
-    return pair, best, result.mae, baseline
+    # retrain the winner as the sweep trained it, to save its weights and test series
+    trial = _run_trial(best.arch, best.hidden, data, config, WINDOW)
+    write_atomic(out_dir / f"{slug}_best_model.json", save_model(trial.model, data.train.norm))
+    write_atomic(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(trial.scores[2]))
+    return pair, best, trial.scores[2].mae, persistence_baseline(data.test)
 
 
 def main(argv=None) -> int:

@@ -33,8 +33,7 @@ from .experiment import (
     DEFAULT_PAIR,
     TrainConfig,
     TrainingDiverged,
-    _plan,
-    _run_stack,
+    _run_trial,
     evaluate,
     run_sweep,
     select_best,
@@ -224,14 +223,13 @@ def cmd_train(args) -> int:
     config = _train_config(args)
     _check_output(args.model_out)
     data = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
-    (entry,) = _plan([args.arch], [args.hidden], data, args.window)
-    (model,), (outcome,), (maes,), _ = _run_stack(entry, data, config)
-    if isinstance(outcome, TrainingDiverged):
-        raise outcome
-    write_atomic(args.model_out, save_model(model, data.train.norm))
-    print(f"trained {args.arch.upper()} {model.spec.structure} for {config.epochs} epochs")
-    for label, mae in zip(("train", "val", "test"), maes):
-        _print_mae(label, mae, data.train.norm)
+    trial = _run_trial(args.arch, args.hidden, data, config, args.window)
+    if isinstance(trial.outcome, TrainingDiverged):
+        raise trial.outcome
+    write_atomic(args.model_out, save_model(trial.model, data.train.norm))
+    print(f"trained {args.arch.upper()} {trial.model.spec.structure} for {config.epochs} epochs")
+    for label, score in zip(("train", "val", "test"), trial.scores):
+        _print_mae(label, score.mae, data.train.norm)
     print(f"wrote model: {args.model_out}")
     return 0
 

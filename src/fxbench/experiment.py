@@ -12,11 +12,10 @@ full before any model is built, is the set of the grid's ModelSpecs in
 `_report_order`, the one order of plan entries and report rows, grouped
 by `ModelSpec.padded`: one entry per stack, the tuple of its trials'
 specs, which holds no arrays. The unit, `_run_stack`, builds an entry's
-models with `trial_model`, trains them in lockstep, one stacked forward,
-backward and optimizer step per batch, then scores those that did not
-diverge once per split; the train command runs a plan of one. `train` and `evaluate` take a
-ModelStack only and return one entry per model, so a divergence is a
-returned value; `evaluate` scores a split in one forward-only pass.
+models with `trial_model`, trains them in lockstep, scores those that
+did not diverge once per split, and returns one `_Trial` record per
+trial, which `_Trial.row` makes a report row; the train command and a
+winner's retrain read the record of a plan of one, `_run_trial`.
 
 Everything here is deterministic given (data, config, seeds): batches run in
 chronological order, per-trial seeds are a stated function of (base seed,
@@ -34,6 +33,7 @@ import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,15 +79,13 @@ def trial_seed(base_seed: int, arch: str, hidden: int) -> int:
 
 def _trial_spec(arch: str, hidden: int, window: int) -> ModelSpec:
     """A trial's ModelSpec; mlp has no recurrence, so it runs at window 1."""
+    if arch == "mlp":  # its window must still pass a recurrent trial's rule
+        ModelSpec("srnn", hidden, window=window)
     return ModelSpec(arch=arch, hidden=hidden, window=1 if arch == "mlp" else window)
 
 
 def trial_model(arch: str, hidden: int, window: int, base_seed: int) -> NetworkModel:
-    """The freshly initialized model of one sweep trial.
-
-    The sweep, the train command and any retrain of a sweep winner build
-    trials here, so a single trial reproduces its sweep row exactly.
-    """
+    """The freshly initialized model of one sweep trial, as `_run_stack` builds it."""
     return init_model(_trial_spec(arch, hidden, window), trial_seed(base_seed, arch, hidden))
 
 
@@ -312,22 +310,46 @@ def _plan(archs, hidden_range, data: SplitDataset, window: int) -> list[tuple[Mo
     return [tuple(g) for _, g in itertools.groupby(specs, key=attrgetter("padded"))]
 
 
+class _Trial(NamedTuple):
+    """What one trial of a plan entry produced."""
+
+    model: NetworkModel  # trained
+    outcome: list | TrainingDiverged  # per-epoch training losses, or the divergence
+    scores: tuple[EvalResult, ...]  # one per split in SplitDataset order; () if diverged
+    seconds: float  # its stack's training plus scoring
+
+    def row(self, pair: str, measure_time: bool) -> TrialResult:
+        """The report row; wall_time_s is 0.0 unless measure_time is set."""
+        spec = self.model.spec
+        maes = [score.mae for score in self.scores] or [math.nan] * 3
+        seconds = self.seconds if measure_time else 0.0
+        return TrialResult(
+            pair, spec.arch, spec.structure, spec.hidden, *maes, self.model.rng_seed, seconds
+        )
+
+
 def _run_stack(entry: tuple[ModelSpec, ...], data: SplitDataset, config: TrainConfig):
-    """A sweep's unit of work: build the fresh models of one plan entry
-    with `trial_model`, train them as one ModelStack and score each that
-    did not diverge on every split. Returns the trained models, each one's
-    outcome (loss list or TrainingDiverged), its (train, val, test) MAEs
-    (NaN if it diverged) and the seconds of training plus scoring."""
+    """A sweep's unit of work: build the fresh models of one plan entry with
+    `trial_model`, train them as one ModelStack, score each that did not
+    diverge on every split, and return one `_Trial` per spec, in entry order."""
     models = [trial_model(s.arch, s.hidden, s.window, config.seed) for s in entry]
     t0 = time.perf_counter()
     outcomes = train(ModelStack(models), data.train, data.validation, config)
     ok = [k for k, outcome in enumerate(outcomes) if not isinstance(outcome, TrainingDiverged)]
-    maes = [(math.nan,) * 3] * len(models)
+    scores = [()] * len(models)
     if ok:
         trained = ModelStack(models[k] for k in ok)
         for k, per_split in zip(ok, zip(*(evaluate(trained, split) for split in data))):
-            maes[k] = tuple(r.mae for r in per_split)
-    return models, outcomes, maes, time.perf_counter() - t0
+            scores[k] = per_split
+    seconds = time.perf_counter() - t0
+    return [_Trial(*fields, seconds) for fields in zip(models, outcomes, scores)]
+
+
+def _run_trial(arch: str, hidden: int, data: SplitDataset, config: TrainConfig, window: int):
+    """The `_Trial` of a plan of one, so it reproduces its sweep row."""
+    (entry,) = _plan([arch], [hidden], data, window)
+    (trial,) = _run_stack(entry, data, config)
+    return trial
 
 
 def run_sweep(
@@ -348,31 +370,19 @@ def run_sweep(
     records its stack's seconds (training plus scoring), which differ
     between runs and would break byte-identical reports.
     """
-    trials: list[TrialResult] = []
+    rows: list[TrialResult] = []
     for entry in _plan(archs, hidden_range, data, window):
-        models, outcomes, maes, seconds = _run_stack(entry, data, config)
-        for model, outcome, (train_mae, val_mae, test_mae) in zip(models, outcomes, maes):
-            spec = model.spec
-            if isinstance(outcome, TrainingDiverged):
-                log.warning("trial %s h=%d diverged: %s", spec.arch, spec.hidden, outcome)
-            trials.append(
-                TrialResult(
-                    pair=pair,
-                    arch=spec.arch,
-                    structure=spec.structure,
-                    hidden=spec.hidden,
-                    train_mae=train_mae,
-                    val_mae=val_mae,
-                    test_mae=test_mae,
-                    seed=model.rng_seed,
-                    wall_time_s=seconds if measure_time else 0.0,
-                )
-            )
+        for trial in _run_stack(entry, data, config):
+            row = trial.row(pair, measure_time)
+            if isinstance(trial.outcome, TrainingDiverged):
+                log.warning("trial %s h=%d diverged: %s", row.arch, row.hidden, trial.outcome)
             log.info(
-                "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)",
-                spec.arch, spec.structure, train_mae, val_mae, test_mae, len(models), seconds,
+                "trial %s %s: train=%.6g val=%.6g test=%.6g (stack of %d: %.2fs)", row.arch,
+                row.structure, row.train_mae, row.val_mae, row.test_mae, len(entry), trial.seconds,
             )
-    return trials
+            rows.append(row)
+        del trial  # its scores must not stay alive through the next stack's scoring
+    return rows
 
 
 def select_best(report: list[TrialResult], criterion: str = CRITERIA[0]) -> BestSelection:

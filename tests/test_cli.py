@@ -785,18 +785,15 @@ def test_an_unwritable_output_is_one_error_line_and_leaves_no_temp_file(
     assert sorted(tmp_path.iterdir()) == before and not any(out.iterdir())
 
 
-@pytest.mark.parametrize(
-    "command,unit",
-    [("sweep", "fxbench.experiment._run_stack"), ("train", "fxbench.cli._run_stack")],
-    ids=["sweep", "train"],
-)
+@pytest.mark.parametrize("command", ["sweep", "train"])
 def test_an_interrupt_is_one_error_line_and_leaves_no_file(
-    tmp_path, data_csv, capsys, monkeypatch, command, unit
+    tmp_path, data_csv, capsys, monkeypatch, command
 ):
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(unit, interrupt)
+    # both commands run their trials through the sweep's unit of work
+    monkeypatch.setattr("fxbench.experiment._run_stack", interrupt)
     out_dir = tmp_path / "out"
     argv = command_argv(command, data_csv, None, str(out_dir / "out"))
     monkeypatch.setattr(sys, "argv", ["fxbench", *argv])

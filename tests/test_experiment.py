@@ -3,6 +3,8 @@ import datetime as dt
 import logging
 import math
 import pickle
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from fxbench import (
     trial_model,
     trial_seed,
 )
-from fxbench.experiment import _plan, _report_order, splitmix64
+from fxbench.experiment import DEFAULT_PAIR, _plan, _report_order, splitmix64
 import fxbench.cells
 import fxbench.experiment
 from conftest import make_records, wavy_closes
@@ -405,6 +407,22 @@ def test_sweep_refuses_a_hidden_size_that_is_not_an_int_before_any_model(
     assert str(e.value) == f"field 'hidden' must be a positive integer, got {bad!r}"
 
 
+@pytest.mark.parametrize("bad", ["x", 0, True], ids=repr)
+def test_an_mlp_trial_refuses_a_bad_window_before_any_model(wavy_records, monkeypatch, bad):
+    # mlp runs at window 1, but the window it is given must still be one
+    # a recurrent trial would take, whoever builds it
+    def refuse(*args):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(fxbench.experiment, "init_model", refuse)
+    data = prepare_splits(wavy_records)
+    message = f"field 'window' must be a positive integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(["mlp"], [2], data, quick_config(epochs=1), window=bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        trial_model("mlp", 2, bad, 42)
+
+
 def test_sweep_grid_is_complete_and_sorted(wavy_records):
     data = prepare_splits(wavy_records)
     report = run_sweep(["lstm", "mlp"], [3, 2], data, quick_config(epochs=2))
@@ -518,10 +536,19 @@ def test_mlp_at_window_3_is_scored_on_two_more_samples_per_split(
     # MAEs over different sets of days (documented in the README)
     data = prepare_splits(wavy_records)
     calls = spy_on_evaluate(monkeypatch, caplog)
+    stacks = record_stacks(monkeypatch)
     run_sweep(["mlp", "lstm"], [2], data, quick_config(epochs=1), window=3)
     mlp, lstm = calls[:3], calls[3:]
     assert [n for _, n in mlp] == [len(s) for s in (data.train, data.validation, data.test)]
     assert [n for _, n in mlp] == [n + 2 for _, n in lstm]
+    # the records hold the same days: the mlp trial's first scored date is
+    # 2 days earlier (the walk has one record a day), then both agree
+    (_, _, (mlp_trial,)), (_, _, (lstm_trial,)) = stacks
+    assert len(mlp_trial.scores) == len(lstm_trial.scores) == 3
+    for m, r in zip(mlp_trial.scores, lstm_trial.scores):
+        assert len(m.dates) == len(r.dates) + 2
+        assert r.dates[0] - m.dates[0] == dt.timedelta(days=2)
+        assert m.dates[2:] == r.dates
 
 
 def poison_trial(monkeypatch, arch, hidden):
@@ -574,7 +601,8 @@ def test_a_sweep_report_parses_and_re_emits_its_bytes(
 
 def record_stacks(monkeypatch):
     """Record, per `_run_stack` call that run_sweep makes, its plan entry,
-    the entry's (arch, hidden) keys and what it returned."""
+    the entry's (arch, hidden) keys and the records it returned, one per
+    trial."""
     calls = []
     real_run_stack = fxbench.experiment._run_stack
 
@@ -604,11 +632,11 @@ def test_a_sweep_row_does_not_depend_on_the_order_its_stacks_run_in(
     for entry, keys in reversed(plan):
         blob = pickle.dumps(entry)
         assert b"numpy" not in blob  # the entry holds no array
-        models, _, maes, _ = fxbench.experiment._run_stack(pickle.loads(blob), data, cfg)
-        assert repr(maes) == repr([
+        trials = fxbench.experiment._run_stack(pickle.loads(blob), data, cfg)
+        assert repr([tuple(score.mae for score in t.scores) for t in trials]) == repr([
             (by_key[key].train_mae, by_key[key].val_mae, by_key[key].test_mae) for key in keys
         ])
-        assert [m.rng_seed for m in models] == [by_key[key].seed for key in keys]
+        assert [t.model.rng_seed for t in trials] == [by_key[key].seed for key in keys]
 
 
 def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
@@ -621,12 +649,29 @@ def test_timings_record_each_stacks_seconds(wavy_records, monkeypatch):
     calls = record_stacks(monkeypatch)
     rows = iter(run_sweep(["srnn", "lstm"], range(6, 11), data, quick_config(), measure_time=True))
     assert [len(keys) for _, keys, _ in calls] == [3, 2, 3, 2]
-    for _, keys, (_, _, _, seconds) in calls:
-        assert seconds == step
+    for _, keys, trials in calls:
+        assert {t.seconds for t in trials} == {step}
         stack_rows = [next(rows) for _ in keys]
         assert [(t.arch, t.hidden) for t in stack_rows] == keys
-        assert {t.wall_time_s for t in stack_rows} == {seconds}
+        assert {t.wall_time_s for t in stack_rows} == {step}
     assert next(rows, None) is None
+
+
+def test_a_stacks_records_are_freed_before_the_next_stack_runs(wavy_records, monkeypatch):
+    # scoring sets a sweep's peak memory, so no EvalResult of a finished
+    # stack may stay alive while the next stack trains and scores
+    real_run_stack = fxbench.experiment._run_stack
+    scores = []  # a weak reference to each EvalResult returned so far
+
+    def spy(entry, data, config):
+        assert all(ref() is None for ref in scores)
+        trials = real_run_stack(entry, data, config)
+        scores.extend(weakref.ref(score) for t in trials for score in t.scores)
+        return trials
+
+    monkeypatch.setattr(fxbench.experiment, "_run_stack", spy)
+    run_sweep(["gru", "lstm"], range(2, 11), prepare_splits(wavy_records), quick_config(epochs=1))
+    assert len(scores) == 18 * 3
 
 
 @pytest.mark.parametrize("arch,hidden", [("mlp", 9), ("srnn", 2), ("gru", 10), ("lstm", 5)])
@@ -637,6 +682,7 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
     cfg = quick_config(epochs=2)
     clean = run_sweep(ARCHS, range(2, 11), data, cfg)
     poison_trial(monkeypatch, arch, hidden)
+    calls = record_stacks(monkeypatch)
     poisoned = run_sweep(ARCHS, range(2, 11), data, cfg)
     assert len(poisoned) == 36
     for a, b in zip(clean, poisoned):
@@ -644,9 +690,19 @@ def test_a_diverged_trial_leaves_its_stack_untouched(wavy_records, monkeypatch, 
             assert all(math.isnan(v) for v in (b.train_mae, b.val_mae, b.test_mae))
         else:
             assert repr(a) == repr(b)
+    # its record holds the divergence and no scores; the records of its
+    # stack survive a pickle round trip, as a worker would return them,
+    # and give the sweep's rows
+    group = [h for h in range(2, 11) if padded_width(h) == padded_width(hidden)]
+    (trials,) = [trials for _, keys, trials in calls if (arch, hidden) in keys]
+    (bad,) = [t for t in trials if t.model.spec.hidden == hidden]
+    assert isinstance(bad.outcome, TrainingDiverged) and bad.scores == ()
+    assert all(len(t.scores) == 3 for t in trials if t is not bad)
+    stack_rows = [t for t in poisoned if t.arch == arch and t.hidden in group]
+    for record in (trials, pickle.loads(pickle.dumps(trials))):
+        assert repr([t.row(DEFAULT_PAIR, False) for t in record]) == repr(stack_rows)
     # trained alone, the poisoned trial diverges at the epoch its stack
     # recorded for it
-    group = [h for h in range(2, 11) if padded_width(h) == padded_width(hidden)]
     poisoned_models = [fxbench.experiment.trial_model(arch, h, 1, cfg.seed) for h in group]
     outcome = train(ModelStack(poisoned_models), data.train, data.validation, cfg)[
         group.index(hidden)
