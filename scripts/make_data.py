@@ -52,8 +52,8 @@ def main(argv=None) -> int:
             )
         else:
             records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
-    except ValueError as e:  # the generator's own range checks
-        parser.error(str(e))
+    except ValueError as e:  # the generator's own checks: one line, as a bad path's
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
 
     out = pathlib.Path(args.out)
     try:

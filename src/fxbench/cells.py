@@ -104,6 +104,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from ._pcg import PCG64
 from .data import FEATURE_NAMES, _is_int, _quoted
 
 # Canonical order: report sorting, selection tie-breaks and per-trial seed
@@ -336,15 +337,16 @@ def init_model(spec: ModelSpec, seed: int) -> NetworkModel:
     """Glorot-uniform weights (U[-r, r], r = sqrt(6/(fan_in+fan_out))), zero biases.
 
     Deterministic for a fixed (spec, seed): matrices are drawn in
-    `param_shapes` order from a PCG64 generator seeded with `seed`.
+    `param_shapes` order from one PCG64 stream seeded with `seed`, the
+    values numpy's `default_rng(seed).uniform` gives (see `_pcg`).
     """
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(spec).items():
         if len(shape) == 2:
             fan_out, fan_in = shape
             r = np.sqrt(6.0 / (fan_in + fan_out))
-            params[name] = rng.uniform(-r, r, size=shape)
+            params[name] = rng.uniform(-r, r, shape)
         else:
             params[name] = np.zeros(shape)
     return NetworkModel(spec=spec, params=params, rng_seed=int(seed))

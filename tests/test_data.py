@@ -27,6 +27,7 @@ from fxbench import (
     write_ohlc_csv,
 )
 import fxbench.data
+from fxbench.synthetic import DEFAULT_START_DATE, _MAX_DAYS, _records
 from conftest import UNIT_NORM, make_records, mangled_numbers, price_array
 
 HEADER = "date,open,high,low,close\n"
@@ -671,13 +672,14 @@ def test_ramp_bytes_are_pinned(tmp_path, n, args):
 
 
 def test_an_int_walk_start_gives_the_float_start_records():
-    records = random_walk_ohlc(3, seed=7, start=100)
-    assert records == random_walk_ohlc(3, seed=7, start=100.0)
-    assert all(type(v) is float for r in records for v in r[1:])
+    for start in (100, 2**70):  # 2**70 is beyond int64
+        records = random_walk_ohlc(3, seed=7, start=start)
+        assert records == random_walk_ohlc(3, seed=7, start=float(start))
+        assert all(type(v) is float for r in records for v in r[1:])
 
 
 def test_a_walk_takes_any_non_negative_int_seed():
-    # numpy seeds a generator with an int of any size
+    # the PCG64 stream, as numpy's SeedSequence, takes an int of any size as its seed
     assert len(random_walk_ohlc(3, 10**5000)) == 3
     assert random_walk_ohlc(3, 0) != random_walk_ohlc(3, 10**5000)
 
@@ -713,12 +715,52 @@ def test_a_walk_takes_any_non_negative_int_seed():
             "seed must be a non-negative integer, "
             "got -1000000000000000000000000000000... (5001 digits)",
         ),
+        # the last day would be 10000-01-01, past datetime.date.max
+        (
+            lambda: random_walk_ohlc(2915366, 0),
+            "need n <= 2915365 records, the days from 2018-01-01 to 9999-12-31, got 2915366",
+        ),
+        (
+            lambda: ramp_ohlc(2915366),
+            "need n <= 2915365 records, the days from 2018-01-01 to 9999-12-31, got 2915366",
+        ),
+        # arguments in range whose prices leave the positive finite range; a numpy
+        # warning fails the test (pyproject's filterwarnings)
+        (
+            lambda: ramp_ohlc(3, increment=10, start=1),
+            "day 0 (2018-01-01): low must be a positive finite price, got -1.5",
+        ),
+        (
+            lambda: ramp_ohlc(3, increment=1e308),
+            "day 0 (2018-01-01): low must be a positive finite price, got -2.5e+307",
+        ),
+        (
+            lambda: ramp_ohlc(3, increment=1e308, start=1e308),
+            "day 1 (2018-01-02): open must be a positive finite price, got inf",
+        ),
+        (
+            lambda: random_walk_ohlc(5000, 1, step_frac=0.999),
+            "day 2485 (2024-10-21): low must be a positive finite price, got 0.0",
+        ),
     ],
     ids=["ramp-n-float", "ramp-n-bool", "walk-start-bool", "walk-n-huge", "walk-step-frac-huge",
          "ramp-increment-huge", "ramp-start-string", "walk-seed-negative", "walk-seed-float",
-         "walk-seed-bool", "walk-seed-huge-negative"],
+         "walk-seed-bool", "walk-seed-huge-negative", "walk-n-past-date-max",
+         "ramp-n-past-date-max", "ramp-low-negative", "ramp-low-overflow", "ramp-open-inf",
+         "walk-low-zero"],
 )
 def test_generators_refuse_a_bad_argument_naming_it(make, message):
     with pytest.raises(ValueError) as err:
         make()
     assert str(err.value) == message
+
+
+def test_the_last_day_a_generator_takes_is_date_max():
+    assert DEFAULT_START_DATE + dt.timedelta(days=_MAX_DAYS - 1) == dt.date.max
+    assert _MAX_DAYS == 2915365
+
+
+def test_a_nan_price_is_refused_naming_its_day():
+    prices = np.array([1.0, 2.0, np.nan])
+    with pytest.raises(ValueError, match=r"^day 2 \(2018-01-03\): open must be a positive "):
+        _records(prices, prices + 1, prices, prices)
