@@ -17,12 +17,18 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fxbench import ramp_ohlc, random_walk_ohlc, write_ohlc_csv
+from fxbench import emit_ohlc_csv, ramp_ohlc, random_walk_ohlc, write_atomic
 from fxbench.synthetic import DEFAULT_INCREMENT, DEFAULT_START_PRICE, DEFAULT_STEP_FRAC
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Every usage error, argparse's own included, as one line, exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", choices=("walk", "ramp"), default="walk")
     parser.add_argument("--n", type=int, default=1500, help="number of daily records")
     parser.add_argument("--seed", type=int, default=7, help="walk noise seed")
@@ -52,13 +58,13 @@ def main(argv=None) -> int:
             )
         else:
             records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
-    except ValueError as e:  # the generator's own checks: one line, as a bad path's
-        parser.exit(2, f"{parser.prog}: error: {e}\n")
+    except ValueError as e:  # the generator's own checks
+        parser.error(str(e))
 
     out = pathlib.Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_ohlc_csv(records, out)
+        write_atomic(out, emit_ohlc_csv(records))
     except OSError as e:
         parser.exit(1, f"{parser.prog}: error: cannot write {out}: {e}\n")
     print(f"wrote {len(records)} {args.kind} records: {out}")

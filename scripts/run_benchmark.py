@@ -29,6 +29,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from fxbench import (
     ARCHS,
     TrainConfig,
+    emit_ohlc_csv,
     emit_report_csv,
     emit_series_csv,
     persistence_baseline,
@@ -39,7 +40,6 @@ from fxbench import (
     save_model,
     select_best,
     write_atomic,
-    write_ohlc_csv,
 )
 from fxbench.experiment import _run_trial
 
@@ -52,10 +52,16 @@ PAIRS = (
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Every usage error, argparse's own included, as one line, exit 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def benchmark_pair(pair, seed, step_frac, out_dir, config):
     slug = pair.replace("/", "_").lower()
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
-    write_ohlc_csv(records, out_dir / f"{slug}_data.csv")
+    write_atomic(out_dir / f"{slug}_data.csv", emit_ohlc_csv(records))
     data = prepare_splits(records)
 
     t0 = time.perf_counter()
@@ -76,7 +82,7 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
     parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")

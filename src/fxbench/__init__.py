@@ -27,12 +27,11 @@ from .data import (
     SupervisedDataset,
     build_supervised,
     chrono_split,
+    emit_ohlc_csv,
     fit_minmax,
     parse_ohlc_csv,
     prepare_splits,
-    read_ohlc_csv,
     write_atomic,
-    write_ohlc_csv,
 )
 from .experiment import (
     BestSelection,
@@ -82,6 +81,7 @@ __all__ = [
     "backward",
     "build_supervised",
     "chrono_split",
+    "emit_ohlc_csv",
     "emit_report_csv",
     "emit_series_csv",
     "evaluate",
@@ -99,7 +99,6 @@ __all__ = [
     "prepare_splits",
     "ramp_ohlc",
     "random_walk_ohlc",
-    "read_ohlc_csv",
     "render_report_table",
     "run_sweep",
     "save_model",
@@ -108,5 +107,4 @@ __all__ = [
     "trial_model",
     "trial_seed",
     "write_atomic",
-    "write_ohlc_csv",
 ]

@@ -4,8 +4,8 @@ Contract: exit 0 on success; on failure print exactly one line of the form
 `fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
 failures, 2 for usage errors, 130 for an interrupt); argparse parses every value, and
 every usage error, a bad FXBENCH_LOG included, leaves through `_Parser.error` in one short
-line. All file outputs are byte-identical across runs given identical inputs and seeds,
-and each replaces its target atomically (one `data.write_atomic(path, data)` call).
+line. Only this module names a path: one `read_bytes()` per input, and one atomic
+`data.write_atomic(path, data)` per output, byte-identical given the same inputs and seeds.
 FXBENCH_LOG in {error, warn, info, debug} sets stderr log verbosity (default info).
 """
 
@@ -17,16 +17,17 @@ import logging
 import math
 import os
 import sys
+from pathlib import Path
 
 from .cells import ARCHS, ModelSpec, ModelStack
 from .data import (
     FIT_NORMS,
     _quoted,
     build_supervised,
+    emit_ohlc_csv,
+    parse_ohlc_csv,
     prepare_splits,
-    read_ohlc_csv,
     write_atomic,
-    write_ohlc_csv,
 )
 from .experiment import (
     CRITERIA,
@@ -70,6 +71,11 @@ class _Parser(argparse.ArgumentParser):
         escaped, cut to 150 characters plus its size, so the flag at its head stays."""
         message = message.encode("ascii", "backslashreplace").decode("ascii")
         raise UsageError(_quoted(message, str, 150))
+
+    def _get_values(self, action, arg_strings):
+        if action.nargs is None and arg_strings == ["--"]:  # argparse makes `--flag=--` a []
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _positive(kind, most=math.inf):
@@ -186,10 +192,11 @@ def _check_output(path: str) -> None:
 
 def cmd_ingest(args) -> int:
     _check_output(args.output)
-    records = read_ohlc_csv(args.input, sort=True, validate="error" if args.strict else "warn")
+    validate = "error" if args.strict else "warn"
+    records = parse_ohlc_csv(Path(args.input).read_bytes(), sort=True, validate=validate)
     if not records:
         raise ValueError(f"no data rows in {args.input}")
-    write_ohlc_csv(records, args.output)
+    write_atomic(args.output, emit_ohlc_csv(records))
     print(f"wrote {len(records)} records: {args.output}")
     return 0
 
@@ -197,7 +204,7 @@ def cmd_ingest(args) -> int:
 def cmd_sweep(args) -> int:
     config = _train_config(args)
     _check_output(args.report)
-    data = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
+    data = prepare_splits(parse_ohlc_csv(Path(args.data).read_bytes()), args.fit_norm)
     report = run_sweep(
         args.archs,
         args.hidden,
@@ -222,7 +229,7 @@ def cmd_sweep(args) -> int:
 def cmd_train(args) -> int:
     config = _train_config(args)
     _check_output(args.model_out)
-    data = prepare_splits(read_ohlc_csv(args.data), args.fit_norm)
+    data = prepare_splits(parse_ohlc_csv(Path(args.data).read_bytes()), args.fit_norm)
     trial = _run_trial(args.arch, args.hidden, data, config, args.window)
     if isinstance(trial.outcome, TrainingDiverged):
         raise trial.outcome
@@ -236,9 +243,8 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _check_output(args.series_out)
-    with open(args.model, "rb") as fh:
-        model, norm = load_model(fh.read())
-    dataset = build_supervised(read_ohlc_csv(args.data), norm)
+    model, norm = load_model(Path(args.model).read_bytes())
+    dataset = build_supervised(parse_ohlc_csv(Path(args.data).read_bytes()), norm)
     (result,) = evaluate(ModelStack([model]), dataset)
     write_atomic(args.series_out, emit_series_csv(result))
     print(f"predictions: {len(result.dates)}")
@@ -248,8 +254,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with open(args.infile, "rb") as fh:
-        report = parse_report_csv(fh.read())
+    report = parse_report_csv(Path(args.infile).read_bytes())
     if args.format == "csv":
         sys.stdout.write(emit_report_csv(report).decode("utf-8"))
     else:

@@ -1,9 +1,10 @@
 """OHLC ingestion, lag features, min-max scaling and chronological splits.
 
-Input CSV contract: header `date,open,high,low,close`, UTF-8, dates
-exactly `YYYY-MM-DD` on every Python version, decimal-point floats in
-ASCII without `_` digit separators (surrounding spaces are allowed), one
-record per trading day. Each supervised sample pairs yesterday's four
+Input CSV contract: header `date,open,high,low,close`, dates exactly
+`YYYY-MM-DD` on every Python version, decimal-point floats in ASCII
+without `_` digit separators (surrounding spaces are allowed), one
+record per trading day, read as the report is by `_csv_rows` (UTF-8;
+LF, CRLF or CR line ends). Each supervised sample pairs yesterday's four
 prices [open, high, low, close] with today's close, so a series of n
 records yields n-1 samples, and a model of them takes 4 inputs and gives
 1 output: `fxbench predict` refuses a model file of other sizes.
@@ -11,8 +12,8 @@ records yields n-1 samples, and a model of them takes 4 inputs and gives
 A record is an `OhlcRecord`, a NamedTuple of the five CSV fields: the
 header `CSV_HEADER` is its field names in order, and `FEATURE_NAMES` the
 four prices after the date. It stores its prices as given;
-`write_ohlc_csv` formats any real price (a numpy scalar or an int too) as
-the `repr` of its float.
+`emit_ohlc_csv` returns a file's bytes, each real price (a numpy scalar
+or an int too) as the `repr` of its float.
 
 Every sample is min-max scaled, and its `SupervisedDataset` carries the
 `NormParams` as `.norm`, the one place the fit is handed out (the three
@@ -116,21 +117,28 @@ def _price(cell: str) -> float:
     return float(cell)
 
 
-def _csv_rows(reader, label: str):
-    """Yield the rows of a csv.reader, turning csv.Error (such as an
-    oversized field) into a ValueError that names the line."""
-    while True:
+def _csv_rows(data: bytes, label: str):
+    """Yield (line, row), `line` the number of its last line, for the first
+    row and each non-empty one after it of CSV bytes: UTF-8, lines ending at
+    LF, CRLF or a lone CR (as with newline=""). A non-UTF-8 byte (refused
+    before any row is read) or a csv.Error is one ValueError naming `{label} N`."""
+    if not data.isascii():  # decode whole: the reader would give offsets in an 8 KiB chunk
         try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as e:
-            raise ValueError(f"{label} {reader.line_num}: {e}") from None
-        yield row
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:  # bytes.splitlines ends lines by the same rule
+            line, byte = len(data[: e.start + 1].splitlines()), data[e.start]
+            raise ValueError(f"{label} {line}: not UTF-8: byte {byte:#04x} ({e.reason})") from None
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+    try:
+        for row in reader:
+            if row or reader.line_num == 1:  # the header, even when blank
+                yield reader.line_num, row
+    except csv.Error as e:  # the reader's own: a caller's error never enters at the yield
+        raise ValueError(f"{label} {reader.line_num}: {e}") from None
 
 
-def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> list[OhlcRecord]:
-    """Parse an OHLC CSV stream into date-ascending records.
+def parse_ohlc_csv(data: bytes, *, sort: bool = False, validate: str = "warn") -> list[OhlcRecord]:
+    """Parse the bytes of an OHLC CSV file into date-ascending records.
 
     By default the input must already be strictly ascending by date; with
     sort=True (the `ingest` path) rows are sorted first. Duplicate dates and
@@ -139,14 +147,8 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
     """
     if validate not in ("warn", "error"):
         raise ValueError(f"validate must be 'warn' or 'error', got {_quoted(validate)}")
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
-
-    reader = csv.reader(stream)
-    rows_in = _csv_rows(reader, "row")
-    header = next(rows_in, None)
+    rows_in = _csv_rows(data, "row")
+    _, header = next(rows_in, (None, None))
     if header is None:
         raise ValueError(f"row 1: missing header, expected {','.join(CSV_HEADER)}")
     if tuple(c.strip().lower() for c in header) != CSV_HEADER:
@@ -155,10 +157,7 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
         )
 
     rows: list[tuple[int, OhlcRecord]] = []
-    for row in rows_in:
-        line = reader.line_num
-        if not row:
-            continue
+    for line, row in rows_in:
         if len(row) != len(CSV_HEADER):
             raise ValueError(f"row {line}: expected {len(CSV_HEADER)} fields, got {len(row)}")
         cell = row[0].strip()
@@ -198,11 +197,6 @@ def parse_ohlc_csv(stream, *, sort: bool = False, validate: str = "warn") -> lis
     return [rec for _, rec in rows]
 
 
-def read_ohlc_csv(path, **kwargs) -> list[OhlcRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return parse_ohlc_csv(fh, **kwargs)
-
-
 def write_atomic(path, data: bytes) -> None:
     """Replace `path` with the bytes `data`, whole or not at all.
 
@@ -227,15 +221,14 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
-def write_ohlc_csv(records: list[OhlcRecord], path):
-    """Write records in the canonical CSV format, each price as the `repr`
-    of its float (exact round trip), replacing `path` atomically with one
-    `write_atomic` call."""
+def emit_ohlc_csv(records: list[OhlcRecord]) -> bytes:
+    """Records as the bytes of the canonical CSV format, each price as the
+    `repr` of its float (exact round trip)."""
     rows = [",".join(CSV_HEADER)]
     for r in records:
         prices = (repr(float(v)) for v in (r.open, r.high, r.low, r.close))
         rows.append(",".join((r.date.isoformat(), *prices)))
-    write_atomic(path, ("\n".join(rows) + "\n").encode())
+    return ("\n".join(rows) + "\n").encode()
 
 
 def _bound(value, field: str, column: str) -> float:

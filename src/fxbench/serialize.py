@@ -1,5 +1,8 @@
 """Model persistence and report/series emission.
 
+Each format is a pair of functions over a file's bytes, none naming a path (`save_model`/
+`load_model`, `emit_report_csv`/`parse_report_csv`); `emit_series_csv` has no parser.
+
 The model file is versioned, self-describing JSON: spec fields, activation
 names, normalization parameters, and every weight array with its shape and
 row-major values. Floats are written with Python's repr, the shortest
@@ -175,7 +178,7 @@ def load_model(data: bytes) -> tuple[NetworkModel, NormParams]:
     """Inverse of save_model; weights are restored bitwise. A refusal by
     ModelSpec, NetworkModel or NormParams is prefixed with `model file`."""
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data)
+        doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"model file is truncated or not valid JSON: {e}") from None
     except ValueError:  # json's one plain ValueError: an int beyond the int-string limit
@@ -241,15 +244,13 @@ def emit_report_csv(report: list[TrialResult]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def parse_report_csv(data) -> list[TrialResult]:
-    """Read a report CSV back into its trial rows (pure formatting inverse),
+def parse_report_csv(data: bytes) -> list[TrialResult]:
+    """Read report CSV bytes back into their trial rows (pure formatting inverse),
     refusing a row that `run_sweep` cannot write: a cell in another form
     than `emit_report_csv` gives its value (`_read_trial`), a value out of
     range (`_check_trial`) or a repeated (arch, hidden) pair."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
-    reader = csv.reader(io.StringIO(text))
-    rows_in = _csv_rows(reader, "report line")
-    header = next(rows_in, None)
+    rows_in = _csv_rows(data, "report line")
+    _, header = next(rows_in, (None, None))
     if header is None:
         raise ValueError("report file is empty")
     if tuple(header) != REPORT_COLUMNS:
@@ -258,23 +259,19 @@ def parse_report_csv(data) -> list[TrialResult]:
         )
     trials = []
     lines = {}  # (arch, hidden) -> the report line that holds it
-    for row in rows_in:
-        if not row:
-            continue
-        if len(row) != len(REPORT_COLUMNS):
-            raise ValueError(
-                f"report line {reader.line_num}: expected {len(REPORT_COLUMNS)} fields, got {len(row)}"
-            )
+    for line, row in rows_in:
         try:
+            if len(row) != len(REPORT_COLUMNS):
+                raise ValueError(f"expected {len(REPORT_COLUMNS)} fields, got {len(row)}")
             t = _read_trial(row)
             _check_trial(t)
-            first = lines.setdefault((t.arch, t.hidden), reader.line_num)
-            if first != reader.line_num:
+            first = lines.setdefault((t.arch, t.hidden), line)
+            if first != line:
                 raise ValueError(
                     f"duplicate row for arch {t.arch!r} hidden {t.hidden}, first on line {first}"
                 )
         except ValueError as e:
-            raise ValueError(f"report line {reader.line_num}: {e}") from None
+            raise ValueError(f"report line {line}: {e}") from None
         trials.append(t)
     if not trials:
         raise ValueError("report file has no trial rows")

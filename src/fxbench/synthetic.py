@@ -4,12 +4,12 @@ Two generators: a multiplicative random walk (close moves by a uniform
 fraction of its level each day) and a noiseless constant-increment ramp.
 Both emit records that satisfy the OHLC sanity constraints
 low <= min(open, close) and high >= max(open, close), with strictly
-increasing dates, so they pass strict ingestion: arguments that would
-take a price out of the positive finite range, or a day past
-`datetime.date.max`, are refused with one ValueError. Each computes its
-series as float64 arrays and returns a list of `OhlcRecord` NamedTuples
-holding builtin floats and `datetime.date`s. The walk draws its noise
-from `_pcg.PCG64`, the stream of numpy's `default_rng(seed)`.
+increasing dates, so they pass strict ingestion: arguments that would take
+a price out of the positive finite range or a day past `datetime.date.max`,
+or leave the close constant, are refused with one ValueError. Each computes
+its series as float64 arrays and returns a list of `OhlcRecord` NamedTuples
+holding builtin floats and `datetime.date`s. The walk draws its noise from
+`_pcg.PCG64`, the stream of numpy's `default_rng(seed)`.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ def _check(n, start) -> None:
         raise ValueError(f"start price must be positive and finite, got {_quoted(start)}")
 
 
-def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
-    """One record per day from DEFAULT_START_DATE on, from (n,) price arrays;
-    refuses, naming the first such day, a price that is not positive and
-    finite, which strict ingestion would refuse."""
+def _records(opens, highs, lows, closes, move) -> list[OhlcRecord]:
+    """One record per day from DEFAULT_START_DATE on, from (n,) price arrays.
+    Refuses what ingestion or `prepare_splits` would: a price that is not
+    positive and finite, naming its first day, and a close constant over 2
+    or more days, naming `move`, the `name value` of the argument moving it."""
     dates = (np.datetime64(DEFAULT_START_DATE, "D") + np.arange(len(closes))).tolist()
     prices = np.stack((opens, highs, lows, closes), axis=1)
     bad = ~((prices > 0) & (prices < np.inf))  # NaN too
@@ -57,6 +58,11 @@ def _records(opens, highs, lows, closes) -> list[OhlcRecord]:
         raise ValueError(
             f"day {day} ({dates[day]}): {FEATURE_NAMES[column]} must be a positive finite "
             f"price, got {float(prices[day, column])}"
+        )
+    if len(closes) > 1 and closes.min() == closes.max():
+        raise ValueError(
+            f"{move} moves no price: the close stays {float(closes[0])!r} "
+            f"on all {len(closes)} days"
         )
     return list(map(OhlcRecord, dates, *(a.tolist() for a in (opens, highs, lows, closes))))
 
@@ -83,7 +89,7 @@ def random_walk_ohlc(
         opens, closes = path[:-1], path[1:]
         highs = np.maximum(opens, closes) * (1.0 + pads[:, 0])
         lows = np.minimum(opens, closes) * (1.0 - pads[:, 1])
-    return _records(opens, highs, lows, closes)
+    return _records(opens, highs, lows, closes, f"step_frac {_quoted(step_frac)}")
 
 
 def ramp_ohlc(
@@ -92,7 +98,7 @@ def ramp_ohlc(
     """Noiseless ramp: close_t = start + t * increment, open at prior close.
 
     Deterministic by construction (no RNG). The high/low pad is a fixed
-    quarter-increment so every feature column still has a nonzero range.
+    quarter-increment so every column of 3 or more days has a nonzero range.
     """
     _check(n, start)
     if not (_is_real(increment) and increment > 0):
@@ -105,4 +111,4 @@ def ramp_ohlc(
         pad = increment * 0.25
         highs = np.maximum(opens, closes) + pad
         lows = np.minimum(opens, closes) - pad
-    return _records(opens, highs, lows, closes)
+    return _records(opens, highs, lows, closes, f"increment {_quoted(increment)}")

@@ -24,6 +24,7 @@ from fxbench import (
     TrialResult,
     build_supervised,
     chrono_split,
+    emit_ohlc_csv,
     load_model,
     mae_loss,
     persistence_baseline,
@@ -33,7 +34,7 @@ from fxbench import (
     run_sweep,
     save_model,
     select_best,
-    write_ohlc_csv,
+    write_atomic,
 )
 from fxbench.cli import main
 from fxbench.optim import RMSPROP_EPS, RMSPROP_RHO, Optimizer
@@ -205,7 +206,7 @@ def test_learnability_on_walk_and_ramp(walk_sweep):
 @criterion(7, "byte-identical reports and model save fixed point")
 def test_determinism_end_to_end(tmp_path):
     data_path = tmp_path / "walk.csv"
-    write_ohlc_csv(random_walk_ohlc(80, seed=7), data_path)
+    write_atomic(data_path, emit_ohlc_csv(random_walk_ohlc(80, seed=7)))
     sweep_args = [
         "sweep", "--data", str(data_path), "--archs", "srnn,lstm", "--hidden", "2,3",
         "--epochs", "3", "--pair", "DET/SYN",

@@ -6,6 +6,7 @@ import json
 import logging
 import math
 import os
+import pathlib
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -16,16 +17,19 @@ from hypothesis import given, settings, strategies as st
 from fxbench import (
     ModelSpec,
     TrainConfig,
+    TrialResult,
+    emit_ohlc_csv,
+    emit_report_csv,
     init_model,
     load_model,
+    parse_ohlc_csv,
     parse_report_csv,
     prepare_splits,
     random_walk_ohlc,
-    read_ohlc_csv,
     run_sweep,
     save_model,
     select_best,
-    write_ohlc_csv,
+    write_atomic,
 )
 import fxbench.cli
 from fxbench.cli import build_parser, main, parse_archs, parse_hidden_sizes
@@ -36,8 +40,26 @@ from conftest import UNIT_NORM, make_records, wavy_closes
 @pytest.fixture()
 def data_csv(tmp_path):
     path = tmp_path / "pair.csv"
-    write_ohlc_csv(make_records(wavy_closes(60)), path)
+    write_atomic(path, emit_ohlc_csv(make_records(wavy_closes(60))))
     return str(path)
+
+
+@pytest.fixture()
+def reads(monkeypatch):
+    """The paths read with `Path.read_bytes`, the one way the CLI reads a file, in order."""
+    paths = []
+    read_bytes = pathlib.Path.read_bytes
+
+    def spy(self):
+        paths.append(str(self))
+        return read_bytes(self)
+
+    monkeypatch.setattr(pathlib.Path, "read_bytes", spy)
+    return paths
+
+
+def read_records(path):
+    return parse_ohlc_csv(pathlib.Path(path).read_bytes())
 
 
 def run(capsys, *argv):
@@ -164,12 +186,12 @@ def test_help_exits_zero(capsys):
 def test_ingest_sorts_rows(tmp_path, capsys):
     raw = tmp_path / "raw.csv"
     records = make_records([100.0, 101.0, 102.0, 103.0])
-    write_ohlc_csv([records[2], records[0], records[3], records[1]], raw)
+    write_atomic(raw, emit_ohlc_csv([records[2], records[0], records[3], records[1]]))
     out = tmp_path / "clean.csv"
     code, stdout, _ = run(capsys, "ingest", "--input", str(raw), "--output", str(out))
     assert code == 0
     assert "wrote 4 records" in stdout
-    cleaned = read_ohlc_csv(out)
+    cleaned = read_records(out)
     assert [r.date for r in cleaned] == sorted(r.date for r in cleaned)
 
 
@@ -212,6 +234,66 @@ def test_oversized_csv_field_is_a_single_line_error(tmp_path, capsys, command, h
     assert code == 1
     assert "2: field larger than field limit" in one_error_line(err)
     assert stdout == "" and not out.exists()
+
+
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+def test_ingest_writes_the_same_bytes_for_lf_crlf_and_cr_line_ends(tmp_path, capsys):
+    records = random_walk_ohlc(400, seed=7)
+    data = emit_ohlc_csv(records)
+    for name, end in LINE_ENDS.items():
+        raw, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_clean.csv"
+        raw.write_bytes(data.replace(b"\n", end))
+        code, stdout, err = run(capsys, "ingest", "--input", str(raw), "--output", str(out))
+        assert (code, err) == (0, ""), name
+        assert stdout == f"wrote 400 records: {out}\n"
+        assert out.read_bytes() == data, name
+
+
+def test_report_prints_the_same_for_lf_crlf_and_cr_line_ends(tmp_path, data_csv, capsys):
+    report = tmp_path / "lf.csv"
+    code, _, _ = run(
+        capsys, "sweep", "--data", data_csv, "--archs", "mlp,srnn", "--hidden", "2,3",
+        "--epochs", "1", "--report", str(report),
+    )
+    assert code == 0
+    printed = {}
+    for name, end in LINE_ENDS.items():
+        copy = tmp_path / f"{name}_copy.csv"
+        copy.write_bytes(report.read_bytes().replace(b"\n", end))
+        for form in ("table", "csv"):
+            code, stdout, err = run(capsys, "report", "--in", str(copy), "--format", form)
+            assert (code, err) == (0, ""), (name, form)
+            printed.setdefault(form, set()).add(stdout)
+    assert {form: len(outs) for form, outs in printed.items()} == {"table": 1, "csv": 1}
+    assert printed["csv"] == {report.read_text()}
+
+
+@pytest.mark.parametrize("end", sorted(LINE_ENDS))
+@pytest.mark.parametrize("command", ["ingest", "report"])
+def test_a_byte_that_is_not_utf8_is_one_error_line_naming_its_line(
+    tmp_path, capsys, command, end
+):
+    if command == "ingest":
+        blob, where, bad = emit_ohlc_csv(random_walk_ohlc(700, seed=7)), "row", b"2"
+    else:
+        trials = [TrialResult("EUR/USD", "lstm", f"4-{h}-1", h, 0.1, 0.2, 0.3, 0, 0.0)
+                  for h in range(1, 701)]
+        blob, where, bad = emit_report_csv(trials), "report line", b"E"
+    lines = blob.split(b"\n")
+    lines[601] = lines[601].replace(bad, b"\xe9", 1)  # line 602, far past the first 8 KiB
+    path, out = tmp_path / "bad.csv", tmp_path / "out.csv"
+    path.write_bytes(LINE_ENDS[end].join(lines))
+    if command == "ingest":
+        argv = ("ingest", "--input", str(path), "--output", str(out))
+    else:
+        argv = ("report", "--in", str(path))
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "") and not out.exists()
+    assert one_error_line(err) == (
+        f"fxbench: error: {where} 602: not UTF-8: byte 0xe9 (invalid continuation byte)"
+    )
 
 
 LONG_CELL = 100_000  # characters, under the csv module's field limit
@@ -398,10 +480,10 @@ def test_train_reproduces_its_sweep_row_exactly(tmp_path, data_csv, capsys, arch
     )
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(report.read_text())))
-    records = read_ohlc_csv(data_csv)
+    records = read_records(data_csv)
     data = prepare_splits(records)
     test_csv = tmp_path / "test.csv"  # the records the test samples are built from
-    write_ohlc_csv(records[-len(data.test) - 1 :], test_csv)
+    write_atomic(test_csv, emit_ohlc_csv(records[-len(data.test) - 1 :]))
     for hidden in (8, 9):
         row = next(r for r in rows if r["hidden"] == str(hidden))
         model_path = tmp_path / f"m{hidden}.json"
@@ -472,7 +554,7 @@ def test_an_all_diverged_sweep_says_it_wrote_its_report(tmp_path, data_csv, caps
 def test_no_output_file_is_opened_before_its_bytes_exist(
     tmp_path, data_csv, capsys, monkeypatch, command, builder, flags
 ):
-    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
+    norm = prepare_splits(read_records(data_csv)).train.norm
     model_path = tmp_path / "m.json"
     model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     out_flag = {"sweep": "--report", "train": "--model-out", "predict": "--series-out"}[command]
@@ -503,7 +585,7 @@ def test_no_output_file_is_opened_before_its_bytes_exist(
 def test_a_window_longer_than_a_split_fails_before_any_training(
     tmp_path, data_csv, capsys, monkeypatch, argv
 ):
-    data = prepare_splits(read_ohlc_csv(data_csv))
+    data = prepare_splits(read_records(data_csv))
     assert len(data.train) > len(data.test) > len(data.validation)
     window = len(data.validation) + 1
 
@@ -572,9 +654,7 @@ HUGE_INT = "<an int of 5000 digits>"  # json.dumps cannot write one, so it is pu
 GRU_DOC = json.loads(save_model(init_model(ModelSpec(arch="gru", hidden=2), 1), UNIT_NORM))
 
 
-def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypatch):
-    reads = []
-    monkeypatch.setattr(fxbench.cli, "read_ohlc_csv", lambda *a, **k: reads.append(a))
+def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, reads):
     series = tmp_path / "s.csv"
     doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), UNIT_NORM))
     for how, message in (
@@ -593,7 +673,7 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
         )
         assert code == 1
         assert err == f"fxbench: error: {message}\n"
-        assert out == "" and reads == [] and not series.exists()
+        assert out == "" and data_csv not in reads and not series.exists()
 
 
 @pytest.mark.parametrize(
@@ -623,7 +703,7 @@ def test_predict_rejects_model_without_norm(tmp_path, data_csv, capsys, monkeypa
 def test_predict_rejects_malformed_model_file_in_one_line(
     tmp_path, data_csv, capsys, field, mutate
 ):
-    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
+    norm = prepare_splits(read_records(data_csv)).train.norm
     doc = json.loads(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     mutate(doc)
     bad = tmp_path / "bad.json"
@@ -640,22 +720,16 @@ def test_predict_rejects_malformed_model_file_in_one_line(
 
 
 @pytest.mark.parametrize("field", ["output_dim", "input_dim"])
-def test_predict_refuses_a_model_it_would_misread(
-    tmp_path, data_csv, capsys, monkeypatch, field
-):
+def test_predict_refuses_a_model_it_would_misread(tmp_path, data_csv, capsys, reads, field):
     # a model file is the one way another shape reaches the program; it is
     # refused on load, before the data is read
-    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
+    norm = prepare_splits(read_records(data_csv)).train.norm
     doc = json.loads(save_model(init_model(ModelSpec(arch="lstm", hidden=3), 1), norm))
     doc[field] = {"output_dim": 2, "input_dim": 5}[field]
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-
-    def never(*args, **kwargs):
-        raise AssertionError("the data was read")
-
-    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", never)
     series = tmp_path / "s.csv"
+    reads.clear()  # the set-up read the data to fit the norm
     code, stdout, err = run(
         capsys, "predict", "--model", str(model), "--data", data_csv, "--series-out", str(series)
     )
@@ -664,7 +738,7 @@ def test_predict_refuses_a_model_it_would_misread(
     assert one_error_line(err) == (
         f"fxbench: error: model file field {field!r} must be {shape}, got {doc[field]}"
     )
-    assert not series.exists()
+    assert not series.exists() and reads == [str(model)]
 
 
 # ---------------------------------------------------------------- report
@@ -828,6 +902,25 @@ def command_argv(command, data, model, out):
     }[command]
 
 
+@pytest.mark.parametrize(
+    "command,flag",
+    [("ingest", "--input"), ("ingest", "--output"), ("sweep", "--data"), ("sweep", "--pair"),
+     ("sweep", "--archs"), ("train", "--model-out"), ("predict", "--model")],
+)
+def test_a_flag_given_double_dash_as_its_value_is_a_usage_error(
+    tmp_path, data_csv, capsys, reads, command, flag
+):
+    # argparse drops the `--` of `--flag=--` and gave the command an empty list
+    out = str(tmp_path / "new" / "out")
+    argv = command_argv(command, data_csv, str(tmp_path / "m.json"), out)
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    code, stdout, err = run(capsys, *argv, f"{flag}=--")
+    assert (code, stdout) == (2, "") and reads == []
+    assert one_error_line(err) == f"fxbench: error: argument {flag}: expected one argument"
+    assert not (tmp_path / "new").exists()
+
+
 @pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
 def test_an_output_under_a_regular_file_fails_before_any_work(
     tmp_path, data_csv, capsys, monkeypatch, command
@@ -891,7 +984,7 @@ def test_an_output_path_that_names_a_directory_creates_no_directory(
 
 @pytest.mark.parametrize("command", ["ingest", "sweep", "train", "predict"])
 def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monkeypatch, command):
-    norm = prepare_splits(read_ohlc_csv(data_csv)).train.norm
+    norm = prepare_splits(read_records(data_csv)).train.norm
     model_path = tmp_path / "m.json"
     model_path.write_bytes(save_model(init_model(ModelSpec(arch="mlp", hidden=2), 1), norm))
     monkeypatch.setenv("FXBENCH_LOG", "error")
@@ -921,12 +1014,8 @@ def test_a_missing_output_directory_is_created(tmp_path, data_csv, capsys, monke
     ],
 )
 def test_an_out_of_range_flag_is_a_usage_error_before_any_work(
-    tmp_path, data_csv, capsys, monkeypatch, command, flag, value
+    tmp_path, data_csv, capsys, reads, command, flag, value
 ):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the data file was read")
-
-    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", refuse)
     out = str(tmp_path / "new" / "out")
     argv = command_argv(command, data_csv, None, out)
     if flag in argv:
@@ -936,18 +1025,14 @@ def test_an_out_of_range_flag_is_a_usage_error_before_any_work(
     code, stdout, err = run(capsys, *argv)
     assert code == 2
     assert f"argument {flag}:" in one_error_line(err)
-    assert stdout == ""
+    assert stdout == "" and reads == []
     assert not (tmp_path / "new").exists()
 
 
-def test_an_infinite_learning_rate_fails_before_any_work(tmp_path, data_csv, capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the data file was read")
-
-    monkeypatch.setattr("fxbench.cli.read_ohlc_csv", refuse)
+def test_an_infinite_learning_rate_fails_before_any_work(tmp_path, data_csv, capsys, reads):
     out = str(tmp_path / "new" / "out")
     code, _, err = run(capsys, *command_argv("sweep", data_csv, None, out), "--lr", "inf")
-    assert code == 2
+    assert code == 2 and reads == []
     assert "argument --lr: must be finite and above 0, got inf" in one_error_line(err)
     assert not (tmp_path / "new").exists()
 
@@ -1054,7 +1139,7 @@ def cli_inputs(tmp_path_factory):
     working directory."""
     root = tmp_path_factory.mktemp("generative")
     data, report, model = (str(root / name) for name in ("d.csv", "r.csv", "m.json"))
-    write_ohlc_csv(random_walk_ohlc(40, seed=1), data)
+    write_atomic(data, emit_ohlc_csv(random_walk_ohlc(40, seed=1)))
     common = ["--data", data, "--hidden", "2", "--epochs", "1"]
     assert main(["sweep", *common, "--archs", "mlp", "--report", report]) == 0
     assert main(["train", *common, "--arch", "gru", "--window", "2", "--model-out", model]) == 0

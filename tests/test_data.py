@@ -17,14 +17,13 @@ from fxbench import (
     SupervisedDataset,
     build_supervised,
     chrono_split,
+    emit_ohlc_csv,
     fit_minmax,
     parse_ohlc_csv,
     prepare_splits,
     ramp_ohlc,
     random_walk_ohlc,
-    read_ohlc_csv,
     write_atomic,
-    write_ohlc_csv,
 )
 import fxbench.data
 from fxbench.synthetic import DEFAULT_START_DATE, _MAX_DAYS, _records
@@ -38,7 +37,7 @@ HEADER = "date,open,high,low,close\n"
 
 def test_parse_single_row():
     text = HEADER + "2018-01-02,115.0,115.6,114.8,115.2\n"
-    records = parse_ohlc_csv(text)
+    records = parse_ohlc_csv(text.encode())
     assert len(records) == 1
     r = records[0]
     assert r.date == dt.date(2018, 1, 2)
@@ -46,20 +45,20 @@ def test_parse_single_row():
 
 
 def test_parse_empty_body():
-    assert parse_ohlc_csv(HEADER) == []
+    assert parse_ohlc_csv(HEADER.encode()) == []
 
 
 def test_parse_rejects_negative_price_naming_row():
     text = HEADER + "2018-01-02,115.0,115.6,114.8,-1\n"
     with pytest.raises(ValueError, match="row 2"):
-        parse_ohlc_csv(text)
+        parse_ohlc_csv(text.encode())
 
 
 @pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "0", "-0", "-1", "1e309"])
 def test_parse_rejects_non_positive_or_non_finite_price(field):
     text = HEADER + f"2018-01-02,115.0,115.6,114.8,{field}\n"
     with pytest.raises(ValueError) as err:
-        parse_ohlc_csv(text)
+        parse_ohlc_csv(text.encode())
     assert str(err.value) == f"row 2: close must be a positive finite price, got {field}"
 
 
@@ -67,40 +66,40 @@ def test_parse_rejects_non_positive_or_non_finite_price(field):
 def test_parse_accepts_only_yyyy_mm_dd_dates(date):
     # Python 3.11+ `date.fromisoformat` reads these as 2018-01-02 or 2018-01-01
     with pytest.raises(ValueError) as err:
-        parse_ohlc_csv(HEADER + f"{date},115.0,115.6,114.8,115.2\n")
+        parse_ohlc_csv((HEADER + f"{date},115.0,115.6,114.8,115.2\n").encode())
     assert str(err.value) == f"row 2: bad date {date!r}: Invalid isoformat string: {date!r}"
 
 
 def test_parse_rejects_bad_header():
     with pytest.raises(ValueError, match="row 1"):
-        parse_ohlc_csv("date,open,high,close,low\n")
+        parse_ohlc_csv(b"date,open,high,close,low\n")
     with pytest.raises(ValueError, match="row 1"):
-        parse_ohlc_csv("")
+        parse_ohlc_csv(b"")
 
 
 def test_parse_rejects_malformed_rows_with_line_numbers():
     base = HEADER + "2018-01-02,115.0,115.6,114.8,115.2\n"
     with pytest.raises(ValueError, match="row 3"):
-        parse_ohlc_csv(base + "not-a-date,1,2,0.5,1\n")
+        parse_ohlc_csv((base + "not-a-date,1,2,0.5,1\n").encode())
     with pytest.raises(ValueError, match="row 3.*open"):
-        parse_ohlc_csv(base + "2018-01-03,x,2,0.5,1\n")
+        parse_ohlc_csv((base + "2018-01-03,x,2,0.5,1\n").encode())
     with pytest.raises(ValueError, match="row 3.*5 fields"):
-        parse_ohlc_csv(base + "2018-01-03,1,2\n")
+        parse_ohlc_csv((base + "2018-01-03,1,2\n").encode())
 
 
 def test_parse_rejects_duplicate_and_descending_dates():
     rows = "2018-01-02,1,2,0.5,1\n"
     with pytest.raises(ValueError, match="duplicate date"):
-        parse_ohlc_csv(HEADER + rows + "2018-01-02,1,2,0.5,1\n")
+        parse_ohlc_csv((HEADER + rows + "2018-01-02,1,2,0.5,1\n").encode())
     with pytest.raises(ValueError, match="not ascending"):
-        parse_ohlc_csv(HEADER + rows + "2018-01-01,1,2,0.5,1\n")
+        parse_ohlc_csv((HEADER + rows + "2018-01-01,1,2,0.5,1\n").encode())
 
 
 def test_parse_sort_option_orders_rows():
     text = HEADER + "2018-01-03,2,3,1.5,2\n2018-01-02,1,2,0.5,1\n"
     with pytest.raises(ValueError, match="not ascending"):
-        parse_ohlc_csv(text)
-    records = parse_ohlc_csv(text, sort=True)
+        parse_ohlc_csv(text.encode())
+    records = parse_ohlc_csv(text.encode(), sort=True)
     assert [r.date.day for r in records] == [2, 3]
 
 
@@ -108,17 +107,63 @@ def test_parse_sanity_violation_warns_by_default_errors_when_strict(caplog):
     # close above high
     text = HEADER + "2018-01-02,1.0,1.1,0.9,1.5\n"
     with caplog.at_level("WARNING", logger="fxbench"):
-        records = parse_ohlc_csv(text)
+        records = parse_ohlc_csv(text.encode())
     assert len(records) == 1
     assert any("sanity" in m for m in caplog.messages)
     with pytest.raises(ValueError, match="sanity"):
-        parse_ohlc_csv(text, validate="error")
+        parse_ohlc_csv(text.encode(), validate="error")
 
 
 def test_parse_accepts_crlf_and_bytes():
     payload = (HEADER + "2018-01-02,115.0,115.6,114.8,115.2\n").replace("\n", "\r\n")
     records = parse_ohlc_csv(payload.encode("utf-8"))
     assert records[0].close == 115.2
+
+
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+@pytest.mark.parametrize("end", sorted(LINE_ENDS))
+def test_lf_crlf_and_cr_line_ends_parse_to_equal_records(end):
+    records = random_walk_ohlc(400, seed=7)  # about 30 KiB, several decoding chunks
+    data = emit_ohlc_csv(records).replace(b"\n", LINE_ENDS[end])
+    assert parse_ohlc_csv(data) == records
+    assert parse_ohlc_csv(data.rstrip(b"\r\n")) == records  # no end on the last line
+
+
+def test_blank_rows_after_the_header_are_skipped_and_a_blank_first_row_is_a_bad_header():
+    body = "2018-01-02,1,2,0.5,1\n\n\r\n2018-01-03,x,2,0.5,1\n"
+    with pytest.raises(ValueError, match="^row 5: bad open value 'x'$"):
+        parse_ohlc_csv((HEADER + body).encode())
+    with pytest.raises(ValueError, match="^row 1: bad header '', expected date,open"):
+        parse_ohlc_csv(("\n" + HEADER).encode())
+
+
+@pytest.mark.parametrize("end", ["crlf", "cr"])
+def test_a_line_end_at_a_decoding_chunk_edge_ends_one_line(end):
+    # spaces before the header shift every line end by one byte, so some
+    # shift puts a CR last in the reader's first 8 KiB chunk
+    records = random_walk_ohlc(200, seed=7)
+    data = emit_ohlc_csv(records).replace(b"\n", LINE_ENDS[end])
+    shifted = [b" " * pad + data for pad in range(100)]
+    assert any(d[8191:8192] == b"\r" for d in shifted)
+    for d in shifted:
+        rows = list(fxbench.data._csv_rows(d, "row"))
+        assert [line for line, _ in rows] == list(range(1, len(records) + 2))
+        assert parse_ohlc_csv(d) == records
+
+
+@pytest.mark.parametrize("end", sorted(LINE_ENDS))
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_row(end):
+    lines = emit_ohlc_csv(random_walk_ohlc(700, seed=7)).split(b"\n")
+    lines[601] = lines[601].replace(b",", b",\xe9", 1)  # line 602, far past the first 8 KiB
+    data = LINE_ENDS[end].join(lines)
+    assert data.index(b"\xe9") > 16384
+    with pytest.raises(ValueError) as err:
+        parse_ohlc_csv(data)
+    assert str(err.value) == (
+        "row 602: not UTF-8: byte 0xe9 (invalid continuation byte)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -135,12 +180,12 @@ def test_parse_accepts_crlf_and_bytes():
 def test_parse_refuses_a_price_in_a_form_no_writer_produces(row, message):
     # float() reads both, as 115.0 and 120.0
     with pytest.raises(ValueError) as err:
-        parse_ohlc_csv(HEADER + row + "\n")
+        parse_ohlc_csv((HEADER + row + "\n").encode())
     assert str(err.value) == message
 
 
 def test_parse_accepts_a_price_with_surrounding_spaces():
-    (record,) = parse_ohlc_csv(HEADER + "2018-01-02, 115.0 ,115.6,114.8,115.2\n")
+    (record,) = parse_ohlc_csv((HEADER + "2018-01-02, 115.0 ,115.6,114.8,115.2\n").encode())
     assert record.open == 115.0
 
 
@@ -148,7 +193,8 @@ def test_parse_accepts_a_price_with_surrounding_spaces():
 def test_parse_reads_a_price_only_in_ascii_without_separators(case):
     number, cell = case
     try:
-        (record,) = parse_ohlc_csv(HEADER + f"2018-01-02,{cell},{number},{number},{number}\n")
+        row = f"2018-01-02,{cell},{number},{number},{number}\n"
+        (record,) = parse_ohlc_csv((HEADER + row).encode())
     except ValueError as err:
         assert str(err) == f"row 2: bad open value {cell!r}"
         assert cell.strip() != number
@@ -163,17 +209,14 @@ CSV_LIKE = st.text(alphabet="0123456789-.,:eE+naif \"'\n\r\t\x00")
 @given(st.one_of(st.text(), CSV_LIKE))
 def test_parse_arbitrary_body_returns_records_or_raises_value_error(body):
     try:
-        records = parse_ohlc_csv(HEADER + body)
+        records = parse_ohlc_csv((HEADER + body).encode())
     except ValueError:
         return
     assert all(isinstance(r, OhlcRecord) for r in records)
 
 
-def test_csv_write_read_round_trip(tmp_path, wavy_records):
-    path = tmp_path / "data.csv"
-    write_ohlc_csv(wavy_records, path)
-    back = read_ohlc_csv(path)
-    assert back == wavy_records
+def test_csv_write_read_round_trip(wavy_records):
+    assert parse_ohlc_csv(emit_ohlc_csv(wavy_records)) == wavy_records
 
 
 @pytest.mark.parametrize(
@@ -184,13 +227,11 @@ def test_csv_write_read_round_trip(tmp_path, wavy_records):
     ],
     ids=["float64", "int"],
 )
-def test_write_ohlc_csv_writes_any_real_price_as_its_float(tmp_path, prices):
+def test_emit_ohlc_csv_writes_any_real_price_as_its_float(prices):
     record = OhlcRecord(dt.date(2018, 1, 2), *prices)
     as_floats = OhlcRecord(record.date, *(float(v) for v in prices))
-    write_ohlc_csv([record], tmp_path / "given.csv")
-    write_ohlc_csv([as_floats], tmp_path / "floats.csv")
-    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "floats.csv").read_bytes()
-    back = read_ohlc_csv(tmp_path / "given.csv")
+    assert emit_ohlc_csv([record]) == emit_ohlc_csv([as_floats])
+    back = parse_ohlc_csv(emit_ohlc_csv([record]))
     assert back == [record]
     assert all(type(v) is float for v in back[0][1:])
 
@@ -243,7 +284,7 @@ class _HalfWriter:
 
 def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records, monkeypatch):
     target = tmp_path / "data.csv"
-    write_ohlc_csv(wavy_records[:5], target)
+    write_atomic(target, emit_ohlc_csv(wavy_records[:5]))
     old = target.read_bytes()
     real_replace = os.replace
 
@@ -260,11 +301,11 @@ def test_a_write_that_fails_part_way_leaves_the_old_file(tmp_path, wavy_records,
     with monkeypatch.context() as m:
         m.setattr(os, "replace", interrupted_replace)
         with pytest.raises(KeyboardInterrupt):
-            write_ohlc_csv(wavy_records, target)
+            write_atomic(target, emit_ohlc_csv(wavy_records))
     assert target.read_bytes() == old and list(tmp_path.iterdir()) == [target]
-    # a record that cannot be formatted stops write_ohlc_csv before any write
+    # a record that cannot be formatted stops emit_ohlc_csv before any write
     with pytest.raises(AttributeError):
-        write_ohlc_csv(wavy_records[:30] + [None] + wavy_records[30:], target)
+        write_atomic(target, emit_ohlc_csv(wavy_records[:30] + [None] + wavy_records[30:]))
     assert target.read_bytes() == old
     assert list(tmp_path.iterdir()) == [target]
 
@@ -620,7 +661,7 @@ def test_default_fractions_constant():
 
 # ---------------------------------------------------------------- synthetic series
 
-# sha256 of write_ohlc_csv's output, recorded when both generators still
+# sha256 of emit_ohlc_csv's output, recorded when both generators still
 # built each row in a Python loop. The walk's closes are a running product
 # taken in day order; any other order changes their last bits.
 GOLDEN_WALK_SHA256 = {
@@ -648,27 +689,26 @@ GOLDEN_RAMP_SHA256 = {
 }
 
 
-def written_sha256(records, path):
-    """sha256 of the CSV write_ohlc_csv makes of records, which must hold
+def written_sha256(records):
+    """sha256 of the CSV emit_ohlc_csv makes of records, which must hold
     builtin floats only: an int argument may not reach a record as an int."""
     for r in records:
         assert all(type(v) is float for v in r[1:]), r
-    write_ohlc_csv(records, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashlib.sha256(emit_ohlc_csv(records)).hexdigest()
 
 
 @pytest.mark.parametrize("seed,n", sorted(GOLDEN_WALK_SHA256))
-def test_random_walk_bytes_are_pinned(tmp_path, seed, n):
+def test_random_walk_bytes_are_pinned(seed, n):
     records = random_walk_ohlc(n, seed)
     assert len(records) == n
-    assert written_sha256(records, tmp_path / "walk.csv") == GOLDEN_WALK_SHA256[seed, n]
+    assert written_sha256(records) == GOLDEN_WALK_SHA256[seed, n]
 
 
 @pytest.mark.parametrize("n,args", sorted(GOLDEN_RAMP_SHA256))
-def test_ramp_bytes_are_pinned(tmp_path, n, args):
+def test_ramp_bytes_are_pinned(n, args):
     records = ramp_ohlc(n, **RAMP_ARGS[args])
     assert len(records) == n
-    assert written_sha256(records, tmp_path / "ramp.csv") == GOLDEN_RAMP_SHA256[n, args]
+    assert written_sha256(records) == GOLDEN_RAMP_SHA256[n, args]
 
 
 def test_an_int_walk_start_gives_the_float_start_records():
@@ -742,12 +782,21 @@ def test_a_walk_takes_any_non_negative_int_seed():
             lambda: random_walk_ohlc(5000, 1, step_frac=0.999),
             "day 2485 (2024-10-21): low must be a positive finite price, got 0.0",
         ),
+        # a move below the float spacing of the close: every column would be constant
+        (
+            lambda: ramp_ohlc(60, increment=1e-20),
+            "increment 1e-20 moves no price: the close stays 100.0 on all 60 days",
+        ),
+        (
+            lambda: random_walk_ohlc(60, 0, step_frac=1e-20),
+            "step_frac 1e-20 moves no price: the close stays 100.0 on all 60 days",
+        ),
     ],
     ids=["ramp-n-float", "ramp-n-bool", "walk-start-bool", "walk-n-huge", "walk-step-frac-huge",
          "ramp-increment-huge", "ramp-start-string", "walk-seed-negative", "walk-seed-float",
          "walk-seed-bool", "walk-seed-huge-negative", "walk-n-past-date-max",
          "ramp-n-past-date-max", "ramp-low-negative", "ramp-low-overflow", "ramp-open-inf",
-         "walk-low-zero"],
+         "walk-low-zero", "ramp-close-constant", "walk-close-constant"],
 )
 def test_generators_refuse_a_bad_argument_naming_it(make, message):
     with pytest.raises(ValueError) as err:
@@ -763,4 +812,4 @@ def test_the_last_day_a_generator_takes_is_date_max():
 def test_a_nan_price_is_refused_naming_its_day():
     prices = np.array([1.0, 2.0, np.nan])
     with pytest.raises(ValueError, match=r"^day 2 \(2018-01-03\): open must be a positive "):
-        _records(prices, prices + 1, prices, prices)
+        _records(prices, prices + 1, prices, prices, "increment 1.0")

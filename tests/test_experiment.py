@@ -130,7 +130,7 @@ LONG_VALUE = "x" * 100_000
     "refuse",
     [
         lambda: fxbench.cells.arch_id(LONG_VALUE),
-        lambda: parse_ohlc_csv("", validate=LONG_VALUE),
+        lambda: parse_ohlc_csv(b"", validate=LONG_VALUE),
         lambda: prepare_splits([], fit_norm=LONG_VALUE),
         lambda: TrainConfig(optimizer=LONG_VALUE),
         lambda: run_sweep(["mlp"], [LONG_VALUE], None, quick_config()),

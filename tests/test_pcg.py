@@ -75,11 +75,11 @@ def test_training_never_imports_numpy_random(tmp_path):
     script = textwrap.dedent(
         """
         import sys
-        from fxbench import random_walk_ohlc, write_ohlc_csv
+        from fxbench import emit_ohlc_csv, random_walk_ohlc, write_atomic
         from fxbench.cli import main
 
         out = sys.argv[1]
-        write_ohlc_csv(random_walk_ohlc(60, seed=7), f"{out}/walk.csv")
+        write_atomic(f"{out}/walk.csv", emit_ohlc_csv(random_walk_ohlc(60, seed=7)))
         common = ["--data", f"{out}/walk.csv", "--hidden", "2", "--epochs", "1"]
         codes = [
             main(["sweep", *common, "--archs", "mlp,lstm", "--report", f"{out}/report.csv"]),

@@ -422,6 +422,27 @@ def test_parse_report_rejects_bad_header_and_rows():
         parse_report_csv(short.encode("utf-8"))
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_lf_crlf_and_cr_line_ends_parse_to_equal_reports(end):
+    report = [trial(arch, hidden, 0.1 * hidden) for arch in ARCHS for hidden in range(1, 41)]
+    blob = emit_report_csv(report)  # about 10 KiB, more than one decoding chunk
+    assert parse_report_csv(blob.replace(b"\n", end)) == parse_report_csv(blob)
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_a_report_byte_that_is_not_utf8_is_refused_naming_its_line(end):
+    report = [trial("lstm", hidden, 0.1) for hidden in range(1, 701)]
+    lines = emit_report_csv(report).split(b"\n")
+    lines[601] = lines[601].replace(b"EUR/USD", b"EUR\xe9USD")  # line 602, past 16 KiB
+    blob = end.join(lines)
+    assert blob.index(b"\xe9") > 16384
+    with pytest.raises(ValueError) as err:
+        parse_report_csv(blob)
+    assert str(err.value) == (
+        "report line 602: not UTF-8: byte 0xe9 (invalid continuation byte)"
+    )
+
+
 MAE_RULE = "must be finite and not negative (or all three MAEs nan)"
 
 
@@ -450,7 +471,7 @@ def test_parse_report_refuses_a_row_the_sweep_cannot_write(changes, message):
     bad = replace(trial("gru", 4, 0.1), **changes)
     # the bad row is written by hand: emit_report_csv refuses an unknown arch
     cells = (repr(v) if isinstance(v, float) else str(v) for v in astuple(bad))
-    blob = emit_report_csv([trial("mlp", 2, 0.2)]).decode("utf-8") + ",".join(cells) + "\n"
+    blob = emit_report_csv([trial("mlp", 2, 0.2)]) + (",".join(cells) + "\n").encode()
     with pytest.raises(ValueError) as err:
         parse_report_csv(blob)
     assert str(err.value) == f"report line 3: {message}"
@@ -469,18 +490,18 @@ def test_parse_report_accepts_the_bounds_of_every_rule():
 def test_parse_report_refuses_a_repeated_arch_and_hidden_naming_both_lines():
     rows = [trial("gru", 4, 0.1), trial("mlp", 2, 0.2), trial("gru", 4, 0.3, pair="GBP/USD")]
     lines = emit_report_csv(rows).decode("utf-8").splitlines()
-    blob = "\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n"
+    blob = ("\n".join([lines[0], lines[2], lines[1], lines[3]]) + "\n").encode()
     with pytest.raises(ValueError) as err:
         parse_report_csv(blob)
     assert str(err.value) == "report line 4: duplicate row for arch 'gru' hidden 4, first on line 2"
 
 
-def report_with(**cells) -> str:
+def report_with(**cells) -> bytes:
     """A one-row report whose cells are those of a valid row but `cells`."""
     header, line = emit_report_csv([trial("gru", 3, 0.25, seed=7)]).decode("utf-8").splitlines()
     row = dict(zip(REPORT_COLUMNS, line.split(",")))
     row.update(cells)
-    return header + "\n" + ",".join(row.values()) + "\n"
+    return (header + "\n" + ",".join(row.values()) + "\n").encode()
 
 
 @pytest.mark.parametrize(
@@ -550,14 +571,15 @@ def _report_body(rows) -> str:
 @given(st.one_of(st.text(), st.lists(st.tuples(*REPORT_CELLS), max_size=4).map(_report_body)))
 def test_parse_report_of_any_text_raises_value_error_or_re_emits_its_bytes(body):
     try:
-        rows = parse_report_csv(",".join(REPORT_COLUMNS) + "\n" + body)
+        rows = parse_report_csv((",".join(REPORT_COLUMNS) + "\n" + body).encode())
     except ValueError:
         return
     blob = emit_report_csv(rows)
     assert emit_report_csv(parse_report_csv(blob)) == blob
     # each accepted row is, cell for cell, the row emitted for it
     emitted = list(csv.reader(io.StringIO(blob.decode("utf-8"))))[1:]
-    assert sorted(row for row in csv.reader(io.StringIO(body)) if row) == sorted(emitted)
+    body_rows = csv.reader(io.StringIO(body, newline=""))  # the line ends a report is read by
+    assert sorted(row for row in body_rows if row) == sorted(emitted)
 
 
 # ---------------------------------------------------------------- table
