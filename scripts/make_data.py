@@ -4,31 +4,42 @@
 Two generators are available: a multiplicative random walk that mimics the
 noise profile of daily FX closes, and a noiseless constant-increment ramp
 that any working model should fit almost exactly (useful as a smoke test
-for the training loop).
+for the training loop). Errors and FXBENCH_LOG follow `fxbench`'s contract.
 
 Examples:
     python3 scripts/make_data.py --kind walk --n 1500 --seed 7 --out data/walk.csv
     python3 scripts/make_data.py --kind ramp --n 400 --increment 0.05 --out data/ramp.csv
 """
 
-import argparse
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from fxbench import emit_ohlc_csv, ramp_ohlc, random_walk_ohlc, write_atomic
+from fxbench.cli import _check_output, _Parser, entrypoint, run
 from fxbench.synthetic import DEFAULT_INCREMENT, DEFAULT_START_PRICE, DEFAULT_STEP_FRAC
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Every usage error, argparse's own included, as one line, exit 2."""
-        self.exit(2, f"{self.prog}: error: {message}\n")
+def make_data(parser, args) -> int:
+    try:
+        if args.kind == "walk":
+            records = random_walk_ohlc(
+                args.n, seed=args.seed, start=args.start, step_frac=args.step_frac
+            )
+        else:
+            records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
+    except ValueError as e:  # the generator's own checks
+        parser.error(str(e))
+    _check_output(args.out)
+    write_atomic(args.out, emit_ohlc_csv(records))
+    print(f"wrote {len(records)} {args.kind} records: {pathlib.Path(args.out)}")
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(description=__doc__.splitlines()[0])
+def build_parser() -> _Parser:
+    parser = _Parser(prog="make_data.py", description=__doc__.splitlines()[0])
+    parser.set_defaults(func=lambda args: make_data(parser, args))
     parser.add_argument("--kind", choices=("walk", "ramp"), default="walk")
     parser.add_argument("--n", type=int, default=1500, help="number of daily records")
     parser.add_argument("--seed", type=int, default=7, help="walk noise seed")
@@ -48,28 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    try:
-        if args.kind == "walk":
-            records = random_walk_ohlc(
-                args.n, seed=args.seed, start=args.start, step_frac=args.step_frac
-            )
-        else:
-            records = ramp_ohlc(args.n, increment=args.increment, start=args.start)
-    except ValueError as e:  # the generator's own checks
-        parser.error(str(e))
-
-    out = pathlib.Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(out, emit_ohlc_csv(records))
-    except OSError as e:
-        parser.exit(1, f"{parser.prog}: error: cannot write {out}: {e}\n")
-    print(f"wrote {len(records)} {args.kind} records: {out}")
-    return 0
+    return run(build_parser(), argv)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entrypoint(build_parser())

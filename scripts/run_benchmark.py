@@ -15,11 +15,13 @@ and Python 3.11. Nearly all of that time is training, which grows with
 the epoch count, so full scale (1500 epochs per trial) takes about 7.5
 times as long: some 2 to 2.5 minutes there.
 
+Errors and FXBENCH_LOG follow `fxbench`'s contract: at the default level
+each trial logs one INFO line on stderr, and FXBENCH_LOG=warn quiets them.
+
 Example:
     python3 scripts/run_benchmark.py --out results --quick
 """
 
-import argparse
 import pathlib
 import sys
 import time
@@ -41,6 +43,7 @@ from fxbench import (
     select_best,
     write_atomic,
 )
+from fxbench.cli import _Parser, entrypoint, run
 from fxbench.experiment import _run_trial
 
 # label, noise seed, daily move as a fraction of the level
@@ -50,12 +53,6 @@ PAIRS = (
     ("SYN/GAMMA", 303, 0.0005),
 )
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Every usage error, argparse's own included, as one line, exit 2."""
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def benchmark_pair(pair, seed, step_frac, out_dir, config):
@@ -81,28 +78,18 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
     return pair, best, trial.scores[2].mae, persistence_baseline(data.test)
 
 
-def main(argv=None) -> int:
-    parser = _Parser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
-    parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")
-    group = parser.add_mutually_exclusive_group()  # --quick sets the epochs itself
-    group.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
-    group.add_argument("--quick", action="store_true", help="use 200 epochs for a fast smoke run")
-    args = parser.parse_args(argv)
-
-    epochs = 200 if args.quick else args.epochs
+def run_benchmark(parser, args) -> int:
     try:
-        config = TrainConfig(epochs=epochs, batch_size=args.batch, seed=args.seed)
+        config = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
     except ValueError as e:  # TrainConfig's own range checks
         parser.error(str(e))
     out_dir = pathlib.Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        parser.exit(1, f"{parser.prog}: error: cannot create output directory {out_dir}: {e}\n")
+        raise OSError(f"cannot create output directory {out_dir}: {e}") from None
 
-    print(f"benchmark: 3 pairs x 36 trials at {epochs} epochs -> {out_dir}/")
+    print(f"benchmark: 3 pairs x 36 trials at {args.epochs} epochs -> {out_dir}/")
     rows = [benchmark_pair(p, s, f, out_dir, config) for p, s, f in PAIRS]
 
     print()
@@ -113,5 +100,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def build_parser() -> _Parser:
+    parser = _Parser(prog="run_benchmark.py", description=__doc__.splitlines()[0])
+    parser.set_defaults(func=lambda args: run_benchmark(parser, args))
+    parser.add_argument("--out", default="results", help="output directory")
+    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")
+    group = parser.add_mutually_exclusive_group()  # --quick sets the epochs itself
+    group.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
+    group.add_argument("--quick", dest="epochs", action="store_const", const=200,
+                       help="use 200 epochs for a fast smoke run")
+    return parser
+
+
+def main(argv=None) -> int:
+    return run(build_parser(), argv)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entrypoint(build_parser())

@@ -148,10 +148,9 @@ def padded_width(hidden: int) -> int:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture plus hidden size; `window` is the sequence length per
-    sample. Every model maps the four daily prices to one next-day close,
-    so `input_dim` and `output_dim` are constants, not fields. `window`
-    is keyword-only: a third positional argument used to be `input_dim`.
+    """Architecture plus hidden size; `window`, keyword-only, is the sequence
+    length per sample. Every model maps the four daily prices to one next-day
+    close, so `input_dim` and `output_dim` are constants, not fields.
 
     Building one refuses an `arch` not in ARCHS, a `hidden` or `window`
     that is not an int of at least 1 (a bool or numpy int too) and an mlp

@@ -1,10 +1,10 @@
-"""Command-line surface: ingest, sweep, train, predict, report.
+"""Command-line surface: ingest, sweep, train, predict, report, and `run` for every program.
 
 Contract: exit 0 on success; on failure print exactly one line of the form
-`fxbench: error: <message>` to stderr and exit nonzero (1 for runtime
+`<prog>: error: <message>` to stderr and exit nonzero (1 for runtime
 failures, 2 for usage errors, 130 for an interrupt); argparse parses every value, and
 every usage error, a bad FXBENCH_LOG included, leaves through `_Parser.error` in one short
-line. Only this module names a path: one `read_bytes()` per input, and one atomic
+line. Only this module and the scripts name a path: one `read_bytes()` per input, and one atomic
 `data.write_atomic(path, data)` per output, byte-identical given the same inputs and seeds.
 FXBENCH_LOG in {error, warn, info, debug} sets stderr log verbosity (default info).
 """
@@ -376,31 +376,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(message: str, code: int) -> int:
+def _fail(prog: str, message, code: int) -> int:
     line = " ".join(str(message).split()) or "unknown error"
-    print(f"fxbench: error: {line}", file=sys.stderr)
+    print(f"{prog}: error: {line}", file=sys.stderr)
     return code
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run(parser: _Parser, argv=None) -> int:
+    """Parse `argv` with `parser` and call its `func`; a failure is one line and an exit code."""
     try:
         with _logging_to_stderr(parser):
             args = parser.parse_args(argv)
             return args.func(args)
     except UsageError as e:
-        return _fail(str(e), 2)
+        return _fail(parser.prog, e, 2)
     except (ValueError, OSError, TrainingDiverged) as e:
-        return _fail(str(e), 1)
+        return _fail(parser.prog, e, 1)
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
 
 
-def entrypoint() -> None:
-    """`main` for the console script and `python -m fxbench`: an interrupt
-    exits 130 here, not in `main`, so Ctrl-C still stops in-process callers."""
+def main(argv=None) -> int:
+    return run(build_parser(), argv)
+
+
+def entrypoint(parser: _Parser | None = None) -> None:
+    """`run` for a program (`fxbench` unless `parser` is given): an interrupt
+    exits 130 here, not in `run`, so Ctrl-C still stops in-process callers."""
+    parser = parser or build_parser()
     try:
-        code = main()
+        code = run(parser)
     except KeyboardInterrupt:
-        code = _fail("interrupted", 130)
+        code = _fail(parser.prog, "interrupted", 130)
     raise SystemExit(code)

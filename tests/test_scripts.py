@@ -22,6 +22,7 @@ from fxbench import (
     select_best,
 )
 from fxbench.cli import main as fxbench_main
+from fxbench.data import _quoted
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -33,9 +34,12 @@ def load_script(name):
     return module
 
 
-def run_script(name, *args):
+def run_script(name, *args, **kwargs):
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / f"{name}.py"), *args], capture_output=True, text=True
+        [sys.executable, str(SCRIPTS / f"{name}.py"), *args],
+        capture_output=True,
+        text=True,
+        **kwargs,
     )
 
 
@@ -161,3 +165,86 @@ def test_make_data_flag_defaults_are_the_generators_defaults():
     assert args.start == walk["start"].default == ramp["start"].default
     assert args.step_frac == walk["step_frac"].default
     assert args.increment == ramp["increment"].default
+
+
+@pytest.mark.parametrize("name", ["make_data", "run_benchmark"])
+def test_an_out_of_two_dashes_is_one_usage_line_and_writes_nothing(tmp_path, name):
+    proc = run_script(name, "--out=--", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{name}.py: error: argument --out: expected one argument\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["ends-in-separator", "existing-dir"])
+def test_make_data_refuses_an_output_that_names_a_directory(tmp_path, existing):
+    target = tmp_path / "newdir"
+    if existing:
+        target.mkdir()
+    out = str(target) if existing else f"{target}/"
+    proc = run_script("make_data", "--n", "20", "--out", out)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"make_data.py: error: cannot write {out}: it is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["newdir"] if existing else [])
+    assert not any(tmp_path.glob("newdir/*"))
+
+
+@pytest.mark.parametrize(
+    "name,flags,message",
+    [
+        ("make_data", ["--n", "9" * 5000], f"argument --n: invalid int value: '{'9' * 5000}'"),
+        (
+            "run_benchmark",
+            ["--seed", "9" * 5000],
+            f"argument --seed: invalid int value: '{'9' * 5000}'",
+        ),
+        (
+            "make_data",
+            ["--kind", "w\u00e4lk"],
+            "argument --kind: invalid choice: 'w\\xe4lk' (choose from 'walk', 'ramp')",
+        ),
+    ],
+    ids=["make_data-n", "run_benchmark-seed", "make_data-kind"],
+)
+def test_a_long_or_non_ascii_value_is_one_short_ascii_usage_line(tmp_path, name, flags, message):
+    out = tmp_path / "new" / "out.csv"
+    proc = run_script(name, *flags, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{name}.py: error: {_quoted(message, str, 150)}\n"
+    assert proc.stderr.isascii() and len(proc.stderr.encode()) < 300
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "name,work", [("make_data", "random_walk_ohlc"), ("run_benchmark", "benchmark_pair")]
+)
+def test_an_interrupted_script_exits_130_in_one_line(tmp_path, capsys, monkeypatch, name, work):
+    script = load_script(name)
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(script, work, interrupt)
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", "--out", str(tmp_path / "out" / "x")])
+    with pytest.raises(SystemExit) as exc:
+        script.entrypoint(script.build_parser())
+    assert exc.value.code == 130
+    assert capsys.readouterr().err == f"{name}.py: error: interrupted\n"
+    assert not any(p.is_file() for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize(
+    "name,flags", [("make_data", ["--n", "20"]), ("run_benchmark", ["--epochs", "1"])]
+)
+def test_a_bad_log_level_is_a_usage_error_before_any_write(tmp_path, monkeypatch, name, flags):
+    monkeypatch.setenv("FXBENCH_LOG", "loud")
+    out = tmp_path / "new" / "out.csv"
+    proc = run_script(name, *flags, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"{name}.py: error: invalid FXBENCH_LOG 'loud' (choose from error, warn, info, debug)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
