@@ -17,11 +17,14 @@ times as long: some 2 to 2.5 minutes there.
 
 Errors and FXBENCH_LOG follow `fxbench`'s contract: at the default level
 each trial logs one INFO line on stderr, and FXBENCH_LOG=warn quiets them.
+Every output path passes `fxbench`'s output check before any work, and a
+refused --epochs or --batch is named as `fxbench` names it.
 
 Example:
     python3 scripts/run_benchmark.py --out results --quick
 """
 
+import os
 import pathlib
 import sys
 import time
@@ -43,7 +46,7 @@ from fxbench import (
     select_best,
     write_atomic,
 )
-from fxbench.cli import _Parser, entrypoint, run
+from fxbench.cli import _check_output, _Parser, _positive, entrypoint, run
 from fxbench.experiment import _run_trial
 
 # label, noise seed, daily move as a fraction of the level
@@ -53,19 +56,26 @@ PAIRS = (
     ("SYN/GAMMA", 303, 0.0005),
 )
 WINDOW = 1  # input vectors per sample, for the sweep and the winner retrain
+OUTPUTS = ("data.csv", "report.csv", "report.txt", "best_model.json", "best_test_series.csv")
 
 
-def benchmark_pair(pair, seed, step_frac, out_dir, config):
+def output_paths(out: str, pair: str) -> dict[str, str]:
+    """A pair's output paths by suffix, each empty if `out` is, for `_check_output` to refuse."""
     slug = pair.replace("/", "_").lower()
+    return {suffix: out and os.path.join(out, f"{slug}_{suffix}") for suffix in OUTPUTS}
+
+
+def benchmark_pair(pair, seed, step_frac, out, config):
+    paths = output_paths(out, pair)
     records = random_walk_ohlc(1500, seed=seed, step_frac=step_frac)
-    write_atomic(out_dir / f"{slug}_data.csv", emit_ohlc_csv(records))
+    write_atomic(paths["data.csv"], emit_ohlc_csv(records))
     data = prepare_splits(records)
 
     t0 = time.perf_counter()
     report = run_sweep(ARCHS, range(2, 11), data, config, pair=pair, window=WINDOW)
     elapsed = time.perf_counter() - t0
-    write_atomic(out_dir / f"{slug}_report.csv", emit_report_csv(report))
-    write_atomic(out_dir / f"{slug}_report.txt", render_report_table(report, "test_mae").encode())
+    write_atomic(paths["report.csv"], emit_report_csv(report))
+    write_atomic(paths["report.txt"], render_report_table(report, "test_mae").encode())
 
     best = select_best(report, "test_mae").overall
     print(f"{pair}: swept 36 trials in {elapsed:.0f}s, "
@@ -73,24 +83,19 @@ def benchmark_pair(pair, seed, step_frac, out_dir, config):
 
     # retrain the winner as the sweep trained it, to save its weights and test series
     trial = _run_trial(best.arch, best.hidden, data, config, WINDOW)
-    write_atomic(out_dir / f"{slug}_best_model.json", save_model(trial.model, data.train.norm))
-    write_atomic(out_dir / f"{slug}_best_test_series.csv", emit_series_csv(trial.scores[2]))
+    write_atomic(paths["best_model.json"], save_model(trial.model, data.train.norm))
+    write_atomic(paths["best_test_series.csv"], emit_series_csv(trial.scores[2]))
     return pair, best, trial.scores[2].mae, persistence_baseline(data.test)
 
 
-def run_benchmark(parser, args) -> int:
-    try:
-        config = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
-    except ValueError as e:  # TrainConfig's own range checks
-        parser.error(str(e))
-    out_dir = pathlib.Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise OSError(f"cannot create output directory {out_dir}: {e}") from None
+def run_benchmark(args) -> int:
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch, seed=args.seed)
+    for pair, _, _ in PAIRS:  # every output, before any work
+        for path in output_paths(args.out, pair).values():
+            _check_output(path)
 
-    print(f"benchmark: 3 pairs x 36 trials at {args.epochs} epochs -> {out_dir}/")
-    rows = [benchmark_pair(p, s, f, out_dir, config) for p, s, f in PAIRS]
+    print(f"benchmark: 3 pairs x 36 trials at {args.epochs} epochs -> {pathlib.Path(args.out)}/")
+    rows = [benchmark_pair(p, s, f, args.out, config) for p, s, f in PAIRS]
 
     print()
     print(f"{'pair':<10} {'best':<14} {'test MAE':>12} {'persistence':>12} {'ratio':>7}")
@@ -102,12 +107,14 @@ def run_benchmark(parser, args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="run_benchmark.py", description=__doc__.splitlines()[0])
-    parser.set_defaults(func=lambda args: run_benchmark(parser, args))
+    parser.set_defaults(func=run_benchmark)
     parser.add_argument("--out", default="results", help="output directory")
-    parser.add_argument("--batch", type=int, default=TrainConfig.batch_size, help="mini-batch size")
+    parser.add_argument("--batch", type=_positive(int), default=TrainConfig.batch_size,
+                        help="mini-batch size")
     parser.add_argument("--seed", type=int, default=TrainConfig.seed, help="base seed for the grid")
     group = parser.add_mutually_exclusive_group()  # --quick sets the epochs itself
-    group.add_argument("--epochs", type=int, default=TrainConfig.epochs, help="epochs per trial")
+    group.add_argument("--epochs", type=_positive(int), default=TrainConfig.epochs,
+                       help="epochs per trial")
     group.add_argument("--quick", dest="epochs", action="store_const", const=200,
                        help="use 200 epochs for a fast smoke run")
     return parser

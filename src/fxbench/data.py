@@ -13,7 +13,8 @@ A record is an `OhlcRecord`, a NamedTuple of the five CSV fields: the
 header `CSV_HEADER` is its field names in order, and `FEATURE_NAMES` the
 four prices after the date. It stores its prices as given;
 `emit_ohlc_csv` returns a file's bytes, each real price (a numpy scalar
-or an int too) as the `repr` of its float.
+or an int too) as its float. Every CSV file is read by `_csv_rows` and
+written by `_csv_bytes`, a cell being the `str` of its value.
 
 Every sample is min-max scaled, and its `SupervisedDataset` carries the
 `NormParams` as `.norm`, the one place the fit is handed out (the three
@@ -137,6 +138,15 @@ def _csv_rows(data: bytes, label: str):
         raise ValueError(f"{label} {reader.line_num}: {e}") from None
 
 
+def _csv_bytes(header, rows) -> bytes:
+    """The one CSV writer, `_csv_rows`' inverse: UTF-8 bytes, each line ended
+    by LF, each cell the `str` of its value (for a float, the shortest string
+    that reads back to it), quoted only where CSV needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(str, row) for row in (header, *rows))
+    return buf.getvalue().encode("utf-8")
+
+
 def parse_ohlc_csv(data: bytes, *, sort: bool = False, validate: str = "warn") -> list[OhlcRecord]:
     """Parse the bytes of an OHLC CSV file into date-ascending records.
 
@@ -222,13 +232,8 @@ def write_atomic(path, data: bytes) -> None:
 
 
 def emit_ohlc_csv(records: list[OhlcRecord]) -> bytes:
-    """Records as the bytes of the canonical CSV format, each price as the
-    `repr` of its float (exact round trip)."""
-    rows = [",".join(CSV_HEADER)]
-    for r in records:
-        prices = (repr(float(v)) for v in (r.open, r.high, r.low, r.close))
-        rows.append(",".join((r.date.isoformat(), *prices)))
-    return ("\n".join(rows) + "\n").encode()
+    """Records as the bytes of the canonical CSV format, each price as its float."""
+    return _csv_bytes(CSV_HEADER, ((r.date.isoformat(), *map(float, r[1:])) for r in records))
 
 
 def _bound(value, field: str, column: str) -> float:

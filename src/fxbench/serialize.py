@@ -9,9 +9,10 @@ row-major values. Floats are written with Python's repr, the shortest
 decimal string that round-trips to the identical float64, so save -> load
 -> save is a byte-level fixed point and weights survive exactly.
 
-CSV emitters share the same float convention. Each format takes its
-columns from one type: a report's `REPORT_COLUMNS` are the fields of
-`TrialResult` in order, each cell converted by its field's type, and a
+The CSV emitters write through `data._csv_bytes`, the one CSV writer, in
+which a cell is the `str` of its value. Each format takes its columns
+from one type: a report's `REPORT_COLUMNS` are the fields of
+`TrialResult` in order, each value converted to its field's type, and a
 model file's spec and norm blocks hold the fields of `ModelSpec` and
 `NormParams`. Every model maps the 4 daily prices to one close, and its
 file also carries that shape as `input_dim` 4 and `output_dim` 1
@@ -25,7 +26,7 @@ block's layout); `ModelSpec`, `NetworkModel` and `NormParams` refuse a
 bad value as they are built, each refusal prefixed with `model file`.
 
 A report row read back must be one `run_sweep` can write: each cell the
-`str` of its int or the `repr` of its float (so no `_` separators,
+`str` of its value read as its field's type (so no `_` separators,
 surrounding spaces, `+` signs or non-ASCII digits), an `arch` and
 `hidden` that `ModelSpec` takes and its `structure`, the three MAEs all
 NaN (a diverged trial) or all finite and not negative, a `seed` in
@@ -36,9 +37,7 @@ Rows come in `experiment._report_order`, the sweep plan's order.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import math
 import operator
@@ -48,7 +47,7 @@ import typing
 import numpy as np
 
 from .cells import ModelSpec, NetworkModel, activation_names
-from .data import NormParams, _csv_rows, _is_int, _is_real, _quoted
+from .data import NormParams, _csv_bytes, _csv_rows, _is_int, _is_real, _quoted
 from .experiment import CRITERIA, EvalResult, TrialResult, _report_order, select_best
 
 FORMAT_VERSION = 1
@@ -88,11 +87,6 @@ def _check_trial(t: TrialResult) -> None:
         )
 
 
-def _cell(value, kind) -> str:
-    """The report cell of a field value: `repr` of a float, `str` otherwise."""
-    return repr(float(value)) if kind is float else str(value)
-
-
 def _read_trial(row: list[str]) -> TrialResult:
     """The trial a report row holds, refusing a cell that is not the one
     `emit_report_csv` writes for its value (such as `1_0`, ` 7 `, `+8` or
@@ -105,7 +99,7 @@ def _read_trial(row: list[str]) -> TrialResult:
             raise ValueError(
                 f"field {name!r} must be written as {kind.__name__}, got {_quoted(cell)}"
             ) from None
-        written = _cell(value, kind)
+        written = str(value)  # the cell emit_report_csv writes for it
         if cell != written:
             raise ValueError(f"field {name!r} must be written as {written!r}, got {_quoted(cell)}")
         values.append(value)
@@ -222,26 +216,19 @@ def emit_series_csv(result: EvalResult) -> bytes:
     """Actual-vs-predicted series as `date,actual,predicted` CSV bytes."""
     if not result.dates:
         raise ValueError("cannot emit a series for an empty evaluation result")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("date", "actual", "predicted"))
-    for date, actual, predicted in zip(
-        result.dates, result.actual.tolist(), result.predicted.tolist()
-    ):
-        writer.writerow((date.isoformat(), repr(actual), repr(predicted)))
-    return buf.getvalue().encode("utf-8")
+    dates = (date.isoformat() for date in result.dates)
+    rows = zip(dates, result.actual.tolist(), result.predicted.tolist())
+    return _csv_bytes(("date", "actual", "predicted"), rows)
 
 
 def emit_report_csv(report: list[TrialResult]) -> bytes:
     """Sweep results as CSV bytes with the fixed report column set."""
     if not report:
         raise ValueError("cannot emit an empty report")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for t in sorted(report, key=_report_order):
-        writer.writerow([_cell(v, kind) for v, kind in zip(_report_values(t), _REPORT_TYPES)])
-    return buf.getvalue().encode("utf-8")
+    # each value as its field's type: a float32 MAE or an int wall time is the str of its float
+    trials = sorted(report, key=_report_order)
+    rows = ([kind(v) for kind, v in zip(_REPORT_TYPES, _report_values(t))] for t in trials)
+    return _csv_bytes(REPORT_COLUMNS, rows)
 
 
 def parse_report_csv(data: bytes) -> list[TrialResult]:

@@ -115,8 +115,8 @@ def test_make_data_reports_a_bad_value_in_one_error_line(tmp_path, flags, messag
 @pytest.mark.parametrize(
     "flags,message",
     [
-        (["--epochs", "0"], "epochs must be a positive integer, got 0"),
-        (["--batch", "-1"], "batch_size must be a positive integer, got -1"),
+        (["--epochs", "0"], "argument --epochs: must be finite and above 0, got 0"),
+        (["--batch", "-1"], "argument --batch: must be finite and above 0, got -1"),
         (["--quick", "--epochs", "1"], "argument --epochs: not allowed with argument --quick"),
     ],
     ids=["epochs", "batch", "quick-with-epochs"],
@@ -139,10 +139,32 @@ def test_run_benchmark_reports_an_output_directory_it_cannot_create_in_one_line(
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert proc.stderr.startswith(
-        f"run_benchmark.py: error: cannot create output directory {out}: "
+    assert proc.stderr == (
+        f"run_benchmark.py: error: cannot write {out}/syn_alpha_data.csv: "
+        f"{out} is not a directory\n"
     )
     assert regular.read_text() == "keep\n"
+
+
+def test_run_benchmark_refuses_an_empty_out_and_writes_nothing(tmp_path):
+    proc = run_script("run_benchmark", "--epochs", "1", "--out", "", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "run_benchmark.py: error: cannot write to an empty output path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_benchmark_refuses_an_output_name_that_is_a_directory_before_any_work(tmp_path):
+    out = tmp_path / "bench"
+    (out / "syn_gamma_best_model.json").mkdir(parents=True)
+    proc = run_script("run_benchmark", "--epochs", "1", "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"run_benchmark.py: error: cannot write {out}/syn_gamma_best_model.json: "
+        "it is a directory\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["syn_gamma_best_model.json"]
 
 
 @pytest.mark.parametrize("below", ["data.csv", "new/data.csv"], ids=["in-file", "deeper"])

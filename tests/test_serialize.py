@@ -314,6 +314,22 @@ def test_series_csv_layout_and_reparse():
     assert np.mean(maes) == pytest.approx(result.mae, abs=1e-9)
 
 
+def test_series_csv_bytes_are_pinned():
+    # each value is written as the shortest string that reads back to its float
+    result = EvalResult(
+        mae=0.25,
+        dates=(dt.date(2018, 1, 2), dt.date(2018, 1, 3), dt.date(2018, 1, 4)),
+        actual=np.array([0.1 + 0.2, 1e-05, -0.0]),
+        predicted=np.array([1e16, 2.5, 1.0]),
+    )
+    assert emit_series_csv(result) == (
+        b"date,actual,predicted\n"
+        b"2018-01-02,0.30000000000000004,1e+16\n"
+        b"2018-01-03,1e-05,2.5\n"
+        b"2018-01-04,-0.0,1.0\n"
+    )
+
+
 def test_series_csv_rejects_empty():
     nan = float("nan")
     empty = EvalResult(mae=nan, dates=(), actual=np.zeros(0), predicted=np.zeros(0))
@@ -353,6 +369,23 @@ def test_report_csv_header_is_exact():
     assert text.splitlines()[0] == (
         "pair,arch,structure,hidden,train_mae,val_mae,test_mae,seed,wall_time_s"
     )
+
+
+def test_report_csv_bytes_are_pinned():
+    # a pair cell holding a comma, a quote and a newline is quoted, its quote
+    # doubled; the file is UTF-8; a diverged row writes nan for each MAE
+    pair = 'A,"B\n\u00e9'
+    report = [
+        TrialResult(pair, "lstm", "4-5-1", 5, 0.1 + 0.2, 1e-05, 2.5, 7, 0.125),
+        TrialResult(pair, "gru", "4-3-1", 3, math.nan, math.nan, math.nan, 2**64 - 1, 1.5),
+    ]
+    blob = emit_report_csv(report)
+    assert blob == (
+        b"pair,arch,structure,hidden,train_mae,val_mae,test_mae,seed,wall_time_s\n"
+        b'"A,""B\n\xc3\xa9",gru,4-3-1,3,nan,nan,nan,18446744073709551615,1.5\n'
+        b'"A,""B\n\xc3\xa9",lstm,4-5-1,5,0.30000000000000004,1e-05,2.5,7,0.125\n'
+    )
+    assert emit_report_csv(parse_report_csv(blob)) == blob
 
 
 def test_report_csv_round_trips_to_equal_report():
